@@ -33,11 +33,7 @@ MAX_BRUTE_FORCE_PHOTONS = 8
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the entropy maximizer fails; carries the last iterate."""
-
-    def __init__(self, message: str, last_table=None):
-        super().__init__(message)
-        self.last_table = last_table
+    """Raised when the entropy maximizer fails."""
 
 
 def band_state_count(nu: float, d_nu: float) -> float:
@@ -227,9 +223,7 @@ def maximize_entropy(
             break
         hi *= 4.0
     else:
-        raise ConvergenceError(
-            "failed to bracket beta from above", last_table=solve_bands(hi)
-        )
+        raise ConvergenceError("failed to bracket beta from above")
     beta = float(brentq(energy_mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16))
     rows = solve_bands(beta)
     table = OccupancyTable(bands=tuple(bands), p=np.stack(rows))
@@ -237,8 +231,7 @@ def maximize_entropy(
     if abs(energy - e_target) > max(tol * e_target, 1e2 * np.finfo(float).eps * e_target):
         raise ConvergenceError(
             f"energy matched to {abs(energy - e_target) / e_target:.3e} relative, "
-            f"worse than tol = {tol}",
-            last_table=table,
+            f"worse than tol = {tol}"
         )
     thermo = ThermoState(
         beta=beta,

@@ -1,16 +1,17 @@
 """Command-line entry point.
 
-One subcommand per capability; every run writes its outputs plus a manifest
-echoing the fully-resolved configuration, the tool version, a checksum of the
-constant table, and per-file content checksums.  Exit codes: 0 success,
-2 configuration/schema violation, 3 numerical failure, 4 I/O failure.
-All physics flags are CGS with the unit spelled in the flag name.
+One subcommand per capability.  Each ``_cmd_*`` step only computes: it
+returns the resolved configuration and its outputs, and :func:`main` alone
+writes them, plus a manifest echoing the configuration, the tool version, a
+checksum of the constant table, and per-file content checksums.  A run whose
+configuration or computation fails writes nothing.  Exit codes: 0 success,
+2 configuration/schema violation, 3 numerical failure, 4 I/O failure.  All
+physics flags are CGS with the unit spelled in the flag name.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -22,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CGS
-from . import __version__, bosestat, cmbrvac, fields, hybridmeas, madelung, selfcheck, statequant, wavemech
+from . import __version__, bosestat, cmbrvac, fields, hybridmeas, madelung, selfcheck, spectral, statequant, wavemech
 from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave
-from .fieldio import read_field, write_field
+from .fieldio import read_field, read_table, write_field, write_table
 from .helicity import TimeSeriesField, partial_wave_split, time_averaged_current
 
 
@@ -36,9 +37,12 @@ class ConfigError(ValueError):
         self.context = context or {}
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal representation; stable golden files."""
-    return repr(float(x))
+class CheckFailed(RuntimeError):
+    """One or more self-checks failed (exit code 3); ``context`` names them."""
+
+    def __init__(self, failed: list[str]):
+        super().__init__("self-checks failed: " + ", ".join(failed))
+        self.context = {"failed_checks": failed}
 
 
 def _sha256(path: Path) -> str:
@@ -56,6 +60,14 @@ def _load_json(path: str | Path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {p}: {exc}", {"file": str(p)}) from exc
+
+
+def _read_dump(path: str | Path) -> tuple[ComplexField, dict]:
+    """:func:`read_field`, with a malformed dump reported as a configuration error."""
+    try:
+        return read_field(Path(path))
+    except ValueError as exc:
+        raise ConfigError(str(exc), {"file": str(path)}) from exc
 
 
 def _ensure_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -84,26 +96,20 @@ def _complex_matrix_to_json(m: np.ndarray) -> dict:
 
 def _read_matrix_csv(path: Path) -> np.ndarray:
     """Complex matrix CSV: header re0,im0,re1,im1,...; one row per matrix row."""
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or len(rows) < 2:
-        raise ConfigError(f"matrix CSV {path} has no data rows")
-    header = rows[0]
-    if len(header) % 2 != 0 or any(
-        h != f"{kind}{i // 2}" for i, (h, kind) in enumerate(zip(header, ["re", "im"] * (len(header) // 2)))
-    ):
+    header, data = read_table(path)
+    if header != [f"{kind}{c}" for c in range(len(header) // 2) for kind in ("re", "im")]:
         raise ConfigError(f"matrix CSV header must be re0,im0,re1,im1,... got {header}")
-    n_cols = len(header) // 2
-    data = []
-    for row in rows[1:]:
-        values = [float(x) for x in row]
-        data.append([values[2 * c] + 1j * values[2 * c + 1] for c in range(n_cols)])
-    return np.asarray(data, dtype=np.complex128)
+    if data.size == 0 or data.shape[1] != len(header):
+        raise ConfigError(f"matrix CSV {path} needs data rows of {len(header)} values")
+    return data[:, 0::2] + 1j * data[:, 1::2]
 
 
 def _grid_from_spec(obj: dict, where: str) -> Grid:
     _ensure_keys(obj, {"n_points", "lengths"}, {"n_points", "lengths"}, where)
-    return Grid.of(obj["n_points"], obj["lengths"])
+    try:
+        return Grid.of(obj["n_points"], obj["lengths"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _complex_from_pair(value, where: str) -> complex:
@@ -114,21 +120,15 @@ def _complex_from_pair(value, where: str) -> complex:
     raise ConfigError(f"{where} must be a number or an [re, im] pair")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _prepare_output_dir(config: dict) -> Path:
-    out = Path(config["output_dir"])
-    if out.exists():
-        if any(out.iterdir()):
-            raise OSError(f"output directory {out} exists and is not empty")
+def _write_output(path: Path, value) -> None:
+    """Write one output: a ``(field, t_s)`` snapshot, a ``(header, columns)``
+    table, or any other value as a JSON payload."""
+    if isinstance(value, tuple) and isinstance(value[0], ComplexField):
+        write_field(value[0], path, t_s=value[1])
+    elif isinstance(value, tuple):
+        write_table(path, *value)
     else:
-        out.mkdir(parents=True)
-    return out
+        path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(outdir: Path, config: dict, t_start: float) -> None:
@@ -144,7 +144,7 @@ def _write_manifest(outdir: Path, config: dict, t_start: float) -> None:
         "wall_time_s": time.monotonic() - t_start,
         "outputs": outputs,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_output(outdir / "manifest.json", manifest)
 
 
 # ----------------------------------------------------------------- propagate
@@ -153,6 +153,15 @@ def _write_manifest(outdir: Path, config: dict, t_start: float) -> None:
 _PROPAGATE_KEYS = {
     "equation", "grid", "packet", "planewave", "mu", "omega_ref", "wave_initial", "times",
 }
+
+
+def _times_from_spec(value) -> list[float]:
+    if not isinstance(value, list) or not all(
+        isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) and t >= 0
+        for t in value
+    ):
+        raise ConfigError("times must be a list of finite numbers >= 0")
+    return [float(t) for t in value]
 
 
 def _initial_field(spec: dict, grid: Grid) -> ComplexField:
@@ -181,7 +190,7 @@ def _initial_field(spec: dict, grid: Grid) -> ComplexField:
     return make_plane_wave(pw, grid)
 
 
-def _cmd_propagate(args: argparse.Namespace) -> dict:
+def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = _load_json(args.spec)
     _ensure_keys(spec, _PROPAGATE_KEYS, {"equation", "grid", "times"}, "propagate spec")
     equation = spec["equation"]
@@ -189,33 +198,18 @@ def _cmd_propagate(args: argparse.Namespace) -> dict:
         raise ConfigError("equation must be 'wave' or 'schrodinger'")
     grid = _grid_from_spec(spec["grid"], "grid")
     mu = float(spec.get("mu", 0.0))
-    times = [float(t) for t in spec["times"]]
-    config = {
-        "subcommand": "propagate",
-        "spec": spec,
-        "output_dir": args.output_dir,
-    }
-    outdir = _prepare_output_dir(config)
+    times = _times_from_spec(spec["times"])
     psi0 = _initial_field(spec, grid)
-    summary_rows = []
     if equation == "schrodinger":
         if "omega_ref" not in spec:
             raise ConfigError("missing required key 'omega_ref' in propagate spec")
         params = wavemech.EffectiveMassParams(omega_ref=float(spec["omega_ref"]), mu=mu)
-        k_sq = None
-        for idx, t in enumerate(times):
-            field = wavemech.evolve_schrodinger(psi0, params, t)
-            write_field(field, outdir / f"field_{idx:04d}.csv", t_s=t)
-            if k_sq is None:
-                from . import spectral
+        rate = CGS.hbar * spectral.k_squared(grid) / (2.0 * params.m_star) + params.v0
 
-                k_sq = spectral.k_squared(grid)
+        def evolve(t: float) -> tuple[ComplexField, float]:
+            field = wavemech.evolve_schrodinger(psi0, params, t)
             weights = np.abs(np.fft.fftn(field.values)) ** 2
-            rate = CGS.hbar * k_sq / (2.0 * params.m_star) + params.v0
-            energy = CGS.hbar * float(np.sum(rate * weights) / np.sum(weights))
-            widths = wavemech.packet_widths(field)
-            summary_rows.append([_fmt(t), _fmt(field.norm_squared())]
-                                + [_fmt(w) for w in widths] + [_fmt(energy)])
+            return field, CGS.hbar * float(np.sum(rate * weights) / np.sum(weights))
     else:
         initial = spec.get("wave_initial", "right_moving")
         if initial == "right_moving":
@@ -225,53 +219,38 @@ def _cmd_propagate(args: argparse.Namespace) -> dict:
             state0 = wavemech.ClassicalWaveState(psi=psi0, psi_dot=zero)
         else:
             raise ConfigError("wave_initial must be 'right_moving' or 'static'")
-        for idx, t in enumerate(times):
+
+        def evolve(t: float) -> tuple[ComplexField, float]:
             state = wavemech.evolve_classical_wave(state0, mu, t)
-            write_field(state.psi, outdir / f"field_{idx:04d}.csv", t_s=t)
-            widths = wavemech.packet_widths(state.psi)
-            summary_rows.append([_fmt(t), _fmt(state.psi.norm_squared())]
-                                + [_fmt(w) for w in widths]
-                                + [_fmt(wavemech.wave_energy(state, mu))])
+            return state.psi, wavemech.wave_energy(state, mu)
+    outputs, summary = {}, []
+    for idx, t in enumerate(times):
+        field, energy = evolve(t)
+        outputs[f"field_{idx:04d}.csv"] = (field, t)
+        summary.append([t, field.norm_squared(), *wavemech.packet_widths(field), energy])
     width_names = [f"width_{i}_cm" for i in range(grid.dim)]
-    _write_csv(outdir / "summary.csv", ["t_s", "norm"] + width_names + ["energy"], summary_rows)
-    config["outdir_resolved"] = str(outdir)
-    return config
+    outputs["summary.csv"] = (["t_s", "norm"] + width_names + ["energy"],
+                              np.asarray(summary, dtype=float).reshape(len(times), grid.dim + 3).T)
+    return {**vars(args), "spec": spec}, outputs
 
 
 # ------------------------------------------------------------------ madelung
 
 
-def _cmd_madelung(args: argparse.Namespace) -> dict:
-    config = {
-        "subcommand": "madelung",
-        "field": args.field,
-        "omega_ref_rad_per_s": args.omega_ref_rad_per_s,
-        "mu_per_cm": args.mu_per_cm,
-        "next_field": args.next_field,
-        "dt_s": args.dt_s,
-        "energy_erg": args.energy_erg,
-        "output_dir": args.output_dir,
-    }
-    outdir = _prepare_output_dir(config)
-    raw, _ = read_field(Path(args.field))
+def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
+    if args.next_field is not None and args.dt_s is None:
+        raise ConfigError("--dt-s is required with --next-field")
+    raw, _ = _read_dump(args.field)
     # box-normalized density; every reported quantity is scale-invariant
     psi = fields.normalize(raw)
     params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s, mu=args.mu_per_cm)
     form = madelung.polar_decompose(psi)
     qfield = madelung.quantum_potential(form, params.m_star)
     grid = psi.grid
-    rows = []
-    meshes = grid.meshes()
-    action = form.action()
-    for idx in np.ndindex(*grid.shape):
-        rows.append(
-            [_fmt(m[idx]) for m in meshes]
-            + [_fmt(form.rho[idx]), _fmt(action[idx]), _fmt(qfield.Q[idx]),
-               _fmt(qfield.classicality_defect[idx])]
-        )
+    columns = [m.ravel() for m in grid.meshes()] + [
+        a.ravel() for a in (form.rho, form.action(), qfield.Q, qfield.classicality_defect)
+    ]
     axis_names = [f"x{i}_cm" for i in range(grid.dim)]
-    _write_csv(outdir / "madelung.csv",
-               axis_names + ["rho", "S_erg_s", "Q_erg", "defect_per_cm2"], rows)
     decomposition = madelung.energy_decomposition(psi, params)
     keep = ~form.branch_mask
     summary = {
@@ -285,15 +264,15 @@ def _cmd_madelung(args: argparse.Namespace) -> dict:
         "hj_residual_erg": None,
     }
     if args.next_field is not None:
-        if args.dt_s is None:
-            raise ConfigError("--dt-s is required with --next-field")
-        nxt_raw, _ = read_field(Path(args.next_field))
+        nxt_raw, _ = _read_dump(args.next_field)
         rho_dot = (fields.normalize(nxt_raw).density() - form.rho) / args.dt_s
         summary["continuity_residual"] = madelung.continuity_residual(form, rho_dot, params.m_star)
     if args.energy_erg is not None:
         summary["hj_residual_erg"] = madelung.hj_residual(form, params, -args.energy_erg)
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return config
+    return vars(args), {
+        "madelung.csv": (axis_names + ["rho", "S_erg_s", "Q_erg", "defect_per_cm2"], columns),
+        "summary.json": summary,
+    }
 
 
 # ---------------------------------------------------------------------- bohm
@@ -309,20 +288,8 @@ def _parse_points(raw: str, dim: int, what: str) -> list[np.ndarray]:
     return points
 
 
-def _cmd_bohm(args: argparse.Namespace) -> dict:
-    config = {
-        "subcommand": "bohm",
-        "field": args.field,
-        "omega_ref_rad_per_s": args.omega_ref_rad_per_s,
-        "regime": args.regime,
-        "seed_positions": args.seed_positions,
-        "seed_momenta": args.seed_momenta,
-        "dt_s": args.dt_s,
-        "steps": args.steps,
-        "output_dir": args.output_dir,
-    }
-    outdir = _prepare_output_dir(config)
-    psi, _ = read_field(Path(args.field))
+def _cmd_bohm(args: argparse.Namespace) -> tuple[dict, dict]:
+    psi, _ = _read_dump(args.field)
     params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s)
     form = madelung.polar_decompose(psi)
     qfield = madelung.quantum_potential(form, params.m_star)
@@ -331,33 +298,27 @@ def _cmd_bohm(args: argparse.Namespace) -> dict:
     momenta = _parse_points(args.seed_momenta, dim, "--seed-momenta")
     if len(positions) != len(momenta):
         raise ConfigError("--seed-positions and --seed-momenta must list the same number of points")
-    rows = []
-    for traj_id, (x0, p0) in enumerate(zip(positions, momenta)):
-        traj = madelung.run_trajectory(qfield, x0, p0, args.dt_s, args.steps, args.regime)
-        for step in range(len(traj.times)):
-            rows.append(
-                [traj_id, step, _fmt(traj.times[step])]
-                + [_fmt(v) for v in traj.positions[step]]
-                + [_fmt(v) for v in traj.momenta[step]]
-                + [traj.status if step == len(traj.times) - 1 else "ok"]
-            )
-    axis = [f"x{i}_cm" for i in range(dim)] + [f"p{i}_g_cm_per_s" for i in range(dim)]
-    _write_csv(outdir / "trajectories.csv", ["trajectory", "step", "t_s"] + axis + ["status"], rows)
-    return config
+    trajs = [madelung.run_trajectory(qfield, x0, p0, args.dt_s, args.steps, args.regime)
+             for x0, p0 in zip(positions, momenta)]
+    lengths = [len(traj.times) for traj in trajs]
+    columns = [
+        np.repeat(np.arange(len(trajs)), lengths),
+        np.concatenate([np.arange(n) for n in lengths]),
+        np.concatenate([traj.times for traj in trajs]),
+        *np.concatenate([traj.positions for traj in trajs]).T,
+        *np.concatenate([traj.momenta for traj in trajs]).T,
+        # every row is "ok" but a trajectory's last, which carries its final status
+        [s for traj in trajs for s in ["ok"] * (len(traj.times) - 1) + [traj.status]],
+    ]
+    header = (["trajectory", "step", "t_s"] + [f"x{i}_cm" for i in range(dim)]
+              + [f"p{i}_g_cm_per_s" for i in range(dim)] + ["status"])
+    return vars(args), {"trajectories.csv": (header, columns)}
 
 
 # ------------------------------------------------------------------- schmidt
 
 
-def _cmd_schmidt(args: argparse.Namespace) -> dict:
-    config = {
-        "subcommand": "schmidt",
-        "matrix": args.matrix,
-        "threshold": args.threshold,
-        "renormalize": args.renormalize,
-        "output_dir": args.output_dir,
-    }
-    outdir = _prepare_output_dir(config)
+def _cmd_schmidt(args: argparse.Namespace) -> tuple[dict, dict]:
     matrix = _read_matrix_csv(Path(args.matrix))
     result = statequant.schmidt_decompose(matrix, threshold=args.threshold,
                                           renormalize=args.renormalize)
@@ -369,23 +330,15 @@ def _cmd_schmidt(args: argparse.Namespace) -> dict:
         "left_basis": _complex_matrix_to_json(result.left_basis),
         "right_basis": _complex_matrix_to_json(result.right_basis),
     }
-    (outdir / "schmidt.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return config
+    return vars(args), {"schmidt.json": payload}
 
 
 # -------------------------------------------------------------------- update
 
 
-def _cmd_update(args: argparse.Namespace) -> dict:
-    config = {
-        "subcommand": "update",
-        "rule": args.rule,
-        "rho": args.rho,
-        "projectors": args.projectors,
-        "outcome": args.outcome,
-        "output_dir": args.output_dir,
-    }
-    outdir = _prepare_output_dir(config)
+def _cmd_update(args: argparse.Namespace) -> tuple[dict, dict]:
+    if args.rule == "luders" and args.outcome is None:
+        raise ConfigError("--outcome is required for the luders rule")
     rho_obj = _load_json(args.rho)
     rho = statequant.DensityMatrix(entries=_complex_matrix_from_json(rho_obj, "rho file"))
     proj_obj = _load_json(args.projectors)
@@ -398,35 +351,28 @@ def _cmd_update(args: argparse.Namespace) -> dict:
     )
     payload: dict = {"rule": args.rule}
     if args.rule == "luders":
-        if args.outcome is None:
-            raise ConfigError("--outcome is required for the luders rule")
+        n_outcomes = len(projectors.projectors)
+        if not 0 <= args.outcome < n_outcomes:
+            raise ConfigError(f"--outcome {args.outcome} is outside [0, {n_outcomes})")
         updated, prob = statequant.luders_update(rho, projectors, args.outcome)
         payload["probability"] = prob
     else:
         updated = statequant.von_neumann_update(rho, projectors)
     payload["rho"] = _complex_matrix_to_json(updated.entries)
-    (outdir / "update.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return config
+    return vars(args), {"update.json": payload}
 
 
 # ------------------------------------------------------------------ helicity
 
 
-def _cmd_helicity(args: argparse.Namespace) -> dict:
-    config = {
-        "subcommand": "helicity",
-        "series_dir": args.series_dir,
-        "k0_rad_per_cm": args.k0_rad_per_cm,
-        "output_dir": args.output_dir,
-    }
-    outdir = _prepare_output_dir(config)
+def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
     series_dir = Path(args.series_dir)
     csv_paths = sorted(p for p in series_dir.glob("field_*.csv"))
     if len(csv_paths) < 8:
         raise ConfigError(f"series directory {series_dir} holds {len(csv_paths)} field dumps; need >= 8")
     fields, times = [], []
     for p in csv_paths:
-        f, meta = read_field(p)
+        f, meta = _read_dump(p)
         if "t_s" not in meta:
             raise ConfigError(f"field dump {p} lacks a t_s stamp in its sidecar")
         fields.append(f)
@@ -442,25 +388,22 @@ def _cmd_helicity(args: argparse.Namespace) -> dict:
         "norm_minus": minus.norm(),
         "reconstruction_error": recon,
     }
-    (outdir / "helicity.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     averaged = time_averaged_current(series, args.k0_rad_per_cm)
     rho_t_avg = np.mean(
         CGS.hbar * args.k0_rad_per_cm * np.abs(series.values) ** 2, axis=0
     )
     grid = series.grid
-    rows = []
-    for idx in np.ndindex(*grid.shape):
-        rows.append(list(idx) + [_fmt(comp[idx]) for comp in averaged] + [_fmt(rho_t_avg[idx])])
+    columns = [*np.indices(grid.shape).reshape(grid.dim, -1),
+               *(comp.ravel() for comp in averaged), rho_t_avg.ravel()]
     header = (list("ijl"[: grid.dim])
               + [f"j{i}_avg" for i in range(grid.dim)] + ["rho_t_avg"])
-    _write_csv(outdir / "currents.csv", header, rows)
-    return config
+    return vars(args), {"helicity.json": payload, "currents.csv": (header, columns)}
 
 
 # ------------------------------------------------------------------- measure
 
 
-def _cmd_measure(args: argparse.Namespace) -> dict:
+def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = _load_json(args.spec)
     _ensure_keys(spec, {"eigenvalues", "amplitudes", "y0", "w", "g", "tau"},
                  {"eigenvalues", "amplitudes"}, "measurement spec")
@@ -472,14 +415,6 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
         g=float(spec.get("g", 1.0)),
         tau=float(spec.get("tau", 1.0)),
     )
-    config = {
-        "subcommand": "measure",
-        "spec": spec,
-        "trials": args.trials,
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-    }
-    outdir = _prepare_output_dir(config)
     record = hybridmeas.run_measurement(setup)
     table = hybridmeas.sample_outcomes(record, args.trials, args.seed)
     reduced = hybridmeas.partial_trace_system(record)
@@ -493,43 +428,29 @@ def _cmd_measure(args: argparse.Namespace) -> dict:
         "reduced_state": _complex_matrix_to_json(reduced.entries),
         "max_abs_deviation": table.max_abs_deviation,
     }
-    (outdir / "record.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    rows = [
-        [k, _fmt(record.eigenvalues[k]), _fmt(record.weights[k]),
-         int(table.counts[k]), _fmt(table.frequencies[k])]
-        for k in range(len(record.eigenvalues))
-    ]
-    _write_csv(outdir / "frequencies.csv",
-               ["outcome", "eigenvalue", "weight", "count", "frequency"], rows)
-    return config
+    columns = [np.arange(len(record.eigenvalues)), np.asarray(record.eigenvalues, dtype=float),
+               record.weights, table.counts, table.frequencies]
+    return {**vars(args), "spec": spec}, {
+        "record.json": payload,
+        "frequencies.csv": (["outcome", "eigenvalue", "weight", "count", "frequency"], columns),
+    }
 
 
 # -------------------------------------------------------------------- planck
 
 
-def _cmd_planck(args: argparse.Namespace) -> dict:
-    config = {
-        "subcommand": "planck",
-        "t_kelvin": args.t_kelvin,
-        "nu_min_hz": args.nu_min_hz,
-        "nu_max_hz": args.nu_max_hz,
-        "nu_points": args.nu_points,
-        "output_dir": args.output_dir,
-    }
+def _cmd_planck(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.nu_points < 2 or args.nu_max_hz <= args.nu_min_hz or args.nu_min_hz <= 0:
         raise ConfigError("planck needs nu_points >= 2 and 0 < nu_min < nu_max")
-    outdir = _prepare_output_dir(config)
     nus = np.linspace(args.nu_min_hz, args.nu_max_hz, args.nu_points)
     rhos = bosestat.planck_density(nus, args.t_kelvin)
-    _write_csv(outdir / "planck.csv", ["nu_hz", "rho_erg_per_cm3_hz"],
-               [[_fmt(nu), _fmt(rho)] for nu, rho in zip(nus, rhos)])
-    return config
+    return vars(args), {"planck.csv": (["nu_hz", "rho_erg_per_cm3_hz"], [nus, rhos])}
 
 
 # -------------------------------------------------------------------- maxent
 
 
-def _cmd_maxent(args: argparse.Namespace) -> dict:
+def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = _load_json(args.spec)
     _ensure_keys(spec, {"bands", "e_target_erg", "r_max", "tol"},
                  {"bands", "e_target_erg", "r_max"}, "maxent spec")
@@ -540,17 +461,14 @@ def _cmd_maxent(args: argparse.Namespace) -> dict:
             nu=float(b["nu_hz"]), d_nu=float(b["d_nu_hz"]),
             volume=float(b.get("volume_cm3", 1.0)),
         ))
-    config = {"subcommand": "maxent", "spec": spec, "output_dir": args.output_dir}
-    outdir = _prepare_output_dir(config)
     table, thermo = bosestat.maximize_entropy(
         bands, float(spec["e_target_erg"]), int(spec["r_max"]),
         tol=float(spec.get("tol", 1e-10)),
     )
-    rows = []
-    for s, band in enumerate(table.bands):
-        for r in range(table.p.shape[1]):
-            rows.append([s, _fmt(band.nu), r, _fmt(table.p[s, r])])
-    _write_csv(outdir / "occupancy.csv", ["band", "nu_hz", "r", "p"], rows)
+    n_bands, n_r = table.p.shape
+    columns = [np.repeat(np.arange(n_bands), n_r),
+               np.repeat([band.nu for band in table.bands], n_r),
+               np.tile(np.arange(n_r), n_bands), table.p.ravel()]
     payload = {
         "beta_erg": thermo.beta,
         "temperature_K": thermo.temperature,
@@ -558,25 +476,18 @@ def _cmd_maxent(args: argparse.Namespace) -> dict:
         "S_erg_per_K": thermo.S_entropy,
         "N_photons": thermo.N_photons,
     }
-    (outdir / "thermo.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return config
+    return {**vars(args), "spec": spec}, {
+        "occupancy.csv": (["band", "nu_hz", "r", "p"], columns),
+        "thermo.json": payload,
+    }
 
 
 # ---------------------------------------------------------------------- cmbr
 
 
-def _cmd_cmbr(args: argparse.Namespace) -> dict:
-    config = {
-        "subcommand": "cmbr",
-        "omega_c_rad_per_s": args.omega_c_rad_per_s,
-        "t_kelvin": args.t_kelvin,
-        "xi": args.xi,
-        "v_over_b_cm3_per_g_unit": args.v_over_b,
-        "output_dir": args.output_dir,
-    }
-    outdir = _prepare_output_dir(config)
+def _cmd_cmbr(args: argparse.Namespace) -> tuple[dict, dict]:
     model = cmbrvac.VacuumModel(omega_c=args.omega_c_rad_per_s, T=args.t_kelvin,
-                                xi=args.xi, V_over_B=args.v_over_b)
+                                xi=args.xi, V_over_B=args.v_over_b_cm3_per_g_unit)
     rho_qed_planck = cmbrvac.qed_vacuum_energy(CGS.omega_P)
     payload = {
         "rho_vac_exact": cmbrvac.vacuum_energy(model, "exact"),
@@ -591,48 +502,34 @@ def _cmd_cmbr(args: argparse.Namespace) -> dict:
             ),
         },
     }
-    (outdir / "cmbr.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return config
+    return vars(args), {"cmbr.json": payload}
 
 
 # ------------------------------------------------------------------- casimir
 
 
-def _cmd_casimir(args: argparse.Namespace) -> dict:
-    config = {
-        "subcommand": "casimir",
-        "a_cm": args.a_cm,
-        "t_kelvin": args.t_kelvin,
-        "output_dir": args.output_dir,
-    }
-    outdir = _prepare_output_dir(config)
+def _cmd_casimir(args: argparse.Namespace) -> tuple[dict, dict]:
     payload = {
         "pressure_dyne_per_cm2": cmbrvac.casimir_pressure(args.a_cm, args.t_kelvin),
         "coefficient": cmbrvac.casimir_coefficient(args.t_kelvin),
     }
-    (outdir / "casimir.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return config
+    return vars(args), {"casimir.json": payload}
 
 
 # --------------------------------------------------------------------- check
 
 
-def _cmd_check(args: argparse.Namespace) -> dict:
-    config = {"subcommand": "check", "output_dir": args.output_dir}
-    outdir = _prepare_output_dir(config)
+def _cmd_check(args: argparse.Namespace) -> tuple[dict, dict]:
     results = selfcheck.run_all()
     width = max(len(r.name) for r in results)
-    lines = []
     for r in results:
         verdict = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.name:<{width}}  {verdict}  {r.detail}")
-        print(lines[-1])
-    (outdir / "check.json").write_text(json.dumps(
-        [{"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results],
-        indent=2, sort_keys=True) + "\n")
-    if not all(r.passed for r in results):
-        raise RuntimeError("one or more self-checks failed")
-    return config
+        print(f"{r.name:<{width}}  {verdict}  {r.detail}")
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        raise CheckFailed(failed)
+    payload = [{"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results]
+    return vars(args), {"check.json": payload}
 
 
 _DISPATCH = {
@@ -728,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-c-rad-per-s", type=float, required=True)
     p.add_argument("--t-kelvin", type=float, default=2.7)
     p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--v-over-b", type=float, default=1.0)
+    p.add_argument("--v-over-b", dest="v_over_b_cm3_per_g_unit", metavar="V_OVER_B",
+                   type=float, default=1.0)
 
     p = add("casimir", "plate pressure from the thermal vacuum density")
     p.add_argument("--a-cm", type=float, required=True)
@@ -747,19 +645,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.output_dir is None:
         args.output_dir = _default_output_dir(args.subcommand)
+    outdir = Path(args.output_dir)
     t_start = time.monotonic()
     try:
-        config = _DISPATCH[args.subcommand](args)
+        if outdir.exists() and any(outdir.iterdir()):
+            raise OSError(f"output directory {outdir} exists and is not empty")
+        config, outputs = _DISPATCH[args.subcommand](args)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, value in outputs.items():
+            _write_output(outdir / name, value)
+        _write_manifest(outdir, config, t_start)
     except ConfigError as exc:
         _emit_error(2, str(exc), exc.context)
         return 2
     except OSError as exc:
         _emit_error(4, str(exc), {})
         return 4
-    except (ValueError, RuntimeError, FloatingPointError, bosestat.ConvergenceError) as exc:
-        _emit_error(3, str(exc), {"type": type(exc).__name__})
+    except (ValueError, RuntimeError, FloatingPointError) as exc:
+        _emit_error(3, str(exc), {"type": type(exc).__name__, **getattr(exc, "context", {})})
         return 3
-    _write_manifest(Path(args.output_dir), config, t_start)
     return 0
 
 

@@ -26,7 +26,6 @@ class Grid:
     dim: int
     n_points: tuple[int, ...]
     lengths: tuple[float, ...]
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_points", tuple(int(n) for n in self.n_points))
@@ -41,8 +40,6 @@ class Grid:
         for l in self.lengths:
             if not (l > 0.0 and math.isfinite(l)):
                 raise ValueError(f"lengths entries must be finite and positive, got {l}")
-        if not self.periodic:
-            raise ValueError("only periodic grids are supported")
 
     @classmethod
     def of(cls, n_points, lengths) -> "Grid":

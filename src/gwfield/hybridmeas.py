@@ -11,7 +11,7 @@ coordinates are dimensionless (conversions happen at the interface).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class MeasurementRecord:
     post_state: DensityMatrix
     resolved: bool
     unresolved_pairs: tuple[tuple[int, int], ...]
-    samples: "OutcomeFrequencies | None" = None
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,3 @@ def sample_outcomes(record: MeasurementRecord, n_trials: int, seed: int) -> Outc
         frequencies=frequencies,
         max_abs_deviation=deviation,
     )
-
-
-def with_samples(record: MeasurementRecord, table: OutcomeFrequencies) -> MeasurementRecord:
-    return replace(record, samples=table)

@@ -122,6 +122,8 @@ def luders_update(
     """Selective update: (P_k rho P_k / Tr(P_k rho), Tr(P_k rho))."""
     if rho.dim != projectors.dim:
         raise ValueError("state and projector dimensions differ")
+    if not 0 <= k < len(projectors.projectors):
+        raise ValueError(f"outcome {k} is outside [0, {len(projectors.projectors)})")
     p_k = projectors.projectors[k]
     prob = float(np.real(np.trace(p_k @ rho.entries)))
     if prob <= prob_floor:

@@ -312,3 +312,77 @@ class TestCheck:
         assert "FAIL" not in printed
         results = json.loads((tmp_path / "check" / "check.json").read_text())
         assert all(entry["passed"] for entry in results)
+
+
+class TestFailedRunsWriteNothing:
+    def rho_and_projectors(self, tmp_path):
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps({"re": [[0.5, 0.5], [0.5, 0.5]]}))
+        projectors = tmp_path / "proj.json"
+        projectors.write_text(json.dumps({"projectors": [
+            {"re": [[1.0, 0.0], [0.0, 0.0]]},
+            {"re": [[0.0, 0.0], [0.0, 1.0]]},
+        ]}))
+        return rho, projectors
+
+    @pytest.mark.parametrize("outcome", [-1, 5])
+    def test_update_outcome_out_of_range(self, tmp_path, capsys, outcome):
+        rho, projectors = self.rho_and_projectors(tmp_path)
+        out = tmp_path / "upd"
+        rc = run_cli("update", "--rule", "luders", "--rho", rho, "--projectors", projectors,
+                     "--outcome", outcome, "--output-dir", out)
+        assert rc == 2
+        assert "--outcome" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"times": 5},
+        {"times": [0.0, 1e-16, -1.0]},
+        {"grid": {"n_points": [15, 15, 15], "lengths": [1.0, 1.0, 1.0]}},
+    ])
+    def test_invalid_propagate_spec(self, tmp_path, capsys, change):
+        spec = {
+            "equation": "schrodinger",
+            "grid": {"n_points": [64], "lengths": [1.0]},
+            "planewave": {"amplitude": 1.0, "k_vec": [0.0], "omega": 0.0},
+            "omega_ref": 1e10,
+            "times": [0.0],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**spec, **change}))
+        out = tmp_path / "out"
+        rc = run_cli("propagate", "--spec", path, "--output-dir", out)
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["code"] == 2
+        assert not out.exists()
+
+    def test_failing_check_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        from gwfield import selfcheck
+
+        checks = list(selfcheck.ALL_CHECKS)
+        checks[1] = lambda: selfcheck.CheckResult("forced_failure", False, "monkeypatched")
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", tuple(checks))
+        out = tmp_path / "check"
+        rc = run_cli("check", "--output-dir", out)
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["code"] == 3
+        assert err["context"]["failed_checks"] == ["forced_failure"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt", ["truncate", "index_40"])
+    def test_bad_field_dump(self, tmp_path, capsys, corrupt):
+        field = ComplexField(grid=Grid.of(32, 1.0), values=np.exp(1j * np.arange(32.0)))
+        csv_path, _ = write_field(field, tmp_path / "dump.csv")
+        lines = csv_path.read_text().splitlines()
+        if corrupt == "truncate":
+            lines = lines[:17]
+        else:
+            lines[-1] = "40," + lines[-1].split(",", 1)[1]
+        csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "mad"
+        rc = run_cli("madelung", "--field", csv_path, "--omega-ref-rad-per-s", 1e13,
+                     "--output-dir", out)
+        assert rc == 2
+        assert "dump.csv" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()

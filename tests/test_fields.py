@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from gwfield.fields import (
     normalize,
 )
 from gwfield import spectral
-from gwfield.fieldio import read_field, write_field
+from gwfield.fieldio import read_field, read_table, write_field, write_table
 
 from conftest import random_field
 
@@ -211,3 +212,66 @@ class TestFieldIO:
         (tmp_path / "orphan.csv").write_text("i,re,im\n0,1.0,0.0\n")
         with pytest.raises(FileNotFoundError):
             read_field(tmp_path / "orphan.csv")
+
+
+class TestTableIO:
+    def test_write_table_matches_csv_writer(self, tmp_path):
+        ints = np.array([0, 1, -7, 2**40])
+        floats = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
+        status = ["ok", "ok", "terminated_masked", "ok"]
+        write_table(tmp_path / "table.csv", ["n", "x", "status"], [ints, floats, status])
+        with (tmp_path / "reference.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["n", "x", "status"])
+            writer.writerows([int(n), repr(float(x)), s] for n, x, s in zip(ints, floats, status))
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_read_table_is_exact(self, rng, tmp_path):
+        x = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        write_table(tmp_path / "t.csv", ["i", "x"], [np.arange(500), x])
+        header, data = read_table(tmp_path / "t.csv")
+        assert header == ["i", "x"]
+        np.testing.assert_array_equal(data[:, 1], x)
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+class TestBadDumps:
+    def dump(self, tmp_path):
+        field = ComplexField(grid=Grid.of(32, 1.0), values=np.exp(1j * np.arange(32.0)))
+        csv_path, _ = write_field(field, tmp_path / "dump.csv")
+        return csv_path
+
+    def test_truncated_dump_rejected(self, tmp_path):
+        csv_path = self.dump(tmp_path)
+        lines = csv_path.read_bytes().split(b"\r\n")
+        csv_path.write_bytes(b"\r\n".join(lines[:20]))
+        with pytest.raises(ValueError, match="dump.csv"):
+            read_field(csv_path)
+
+    def test_cut_row_rejected(self, tmp_path):
+        csv_path = self.dump(tmp_path)
+        body = csv_path.read_bytes()
+        csv_path.write_bytes(body[: body.rindex(b",")])
+        with pytest.raises(ValueError, match="dump.csv"):
+            read_field(csv_path)
+
+    def test_out_of_range_index_rejected(self, tmp_path):
+        csv_path = self.dump(tmp_path)
+        csv_path.write_text(csv_path.read_text().replace("\n31,", "\n40,"))
+        with pytest.raises(ValueError, match="dump.csv"):
+            read_field(csv_path)
+
+    def test_duplicate_point_rejected(self, tmp_path):
+        csv_path = self.dump(tmp_path)
+        csv_path.write_text(csv_path.read_text().replace("\n31,", "\n30,"))
+        with pytest.raises(ValueError, match="exactly once"):
+            read_field(csv_path)
+
+    def test_header_only_rejected(self, tmp_path):
+        csv_path = self.dump(tmp_path)
+        csv_path.write_text("i,re,im\r\n")
+        with pytest.raises(ValueError, match="dump.csv"):
+            read_field(csv_path)

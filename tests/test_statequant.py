@@ -266,3 +266,9 @@ class TestProjectorScaling:
     def test_zero_scale_rejected(self, rng):
         with pytest.raises(ValueError):
             projector_scaling_check(random_pure_state(2, rng), 0.0)
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_luders_outcome_out_of_range_rejected(k):
+    with pytest.raises(ValueError, match="outside"):
+        luders_update(PLUS, ProjectorSet.computational(2), k)
