@@ -155,6 +155,7 @@ def _band_optimum(n_states: float, h_nu: float, beta: float, r_max: int) -> np.n
 
     Entropic mirror ascent with step 0.5: each iteration halves the distance
     of ln p from the fixed point, so ~60 iterations reach rounding level.
+    Raises :class:`ConvergenceError` if 200 iterations do not.
     """
     gamma = h_nu / beta
     r = np.arange(r_max + 1, dtype=float)
@@ -170,7 +171,9 @@ def _band_optimum(n_states: float, h_nu: float, beta: float, r_max: int) -> np.n
         if np.max(np.abs(p_new - p) / np.maximum(p_new, 1e-300 * n_states)) < 1e-15:
             return p_new
         p = p_new
-    return p
+    raise ConvergenceError(
+        f"mirror ascent did not converge in 200 iterations (h nu = {h_nu}, beta = {beta})"
+    )
 
 
 def maximize_entropy(

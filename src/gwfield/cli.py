@@ -5,8 +5,14 @@ returns the resolved configuration and its outputs, and :func:`main` alone
 writes them, plus a manifest echoing the configuration, the tool version, a
 checksum of the constant table, and per-file content checksums.  A run whose
 configuration or computation fails writes nothing.  Exit codes: 0 success,
-2 configuration/schema violation, 3 numerical failure, 4 I/O failure.  All
-physics flags are CGS with the unit spelled in the flag name.
+2 configuration/schema violation, 3 numerical failure, 4 I/O failure, 1 any
+other error; every failure is reported as one JSON line on stderr, never as a
+traceback.  All physics flags are CGS with the unit spelled in the flag name.
+
+The layers backed by scipy (``bosestat``, ``cmbrvac``, ``madelung``,
+``selfcheck``) are imported inside the steps that run them: importing scipy
+costs ~0.9 s of a ~1.2 s start, which subcommands that never call it should
+not pay.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CGS
-from . import __version__, bosestat, cmbrvac, fields, hybridmeas, madelung, selfcheck, spectral, statequant, wavemech
+from . import __version__, fields, hybridmeas, spectral, statequant, wavemech
 from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave
 from .fieldio import read_field, read_table, write_field, write_table
 from .helicity import TimeSeriesField, partial_wave_split, time_averaged_current
@@ -81,10 +87,37 @@ def _ensure_keys(obj: dict, allowed: set[str], required: set[str], where: str) -
         raise ConfigError(f"missing required key '{missing[0]}' in {where}")
 
 
+def _spec_float(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _spec_int(value, where: str) -> int:
+    number = _spec_float(value, where)
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _spec_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _spec_floats(value, where: str) -> tuple[float, ...]:
+    return tuple(_spec_float(v, where) for v in _spec_list(value, where))
+
+
 def _complex_matrix_from_json(obj: dict, where: str) -> np.ndarray:
     _ensure_keys(obj, {"re", "im"}, {"re"}, where)
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must hold numeric matrices: {exc}") from None
     if re.shape != im.shape:
         raise ConfigError(f"re/im shape mismatch in {where}")
     return re + 1j * im
@@ -108,7 +141,7 @@ def _grid_from_spec(obj: dict, where: str) -> Grid:
     _ensure_keys(obj, {"n_points", "lengths"}, {"n_points", "lengths"}, where)
     try:
         return Grid.of(obj["n_points"], obj["lengths"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
@@ -116,7 +149,7 @@ def _complex_from_pair(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
+        return complex(_spec_float(value[0], where), _spec_float(value[1], where))
     raise ConfigError(f"{where} must be a number or an [re, im] pair")
 
 
@@ -172,9 +205,9 @@ def _initial_field(spec: dict, grid: Grid) -> ComplexField:
         _ensure_keys(obj, {"center", "sigma0", "k_carrier", "amplitude"},
                      {"center", "sigma0", "k_carrier"}, "packet")
         packet = wavemech.GaussianPacketSpec(
-            center=tuple(obj["center"]),
-            sigma0=float(obj["sigma0"]),
-            k_carrier=tuple(obj["k_carrier"]),
+            center=_spec_floats(obj["center"], "packet.center"),
+            sigma0=_spec_float(obj["sigma0"], "packet.sigma0"),
+            k_carrier=_spec_floats(obj["k_carrier"], "packet.k_carrier"),
             amplitude=_complex_from_pair(obj.get("amplitude", 1.0), "packet.amplitude"),
         )
         return wavemech.gaussian_packet(packet, grid)
@@ -183,9 +216,9 @@ def _initial_field(spec: dict, grid: Grid) -> ComplexField:
                  "planewave")
     pw = PlaneWaveSpec(
         amplitude=_complex_from_pair(obj["amplitude"], "planewave.amplitude"),
-        k_vec=tuple(obj["k_vec"]),
-        omega=float(obj["omega"]),
-        mu=float(obj.get("mu", 0.0)),
+        k_vec=_spec_floats(obj["k_vec"], "planewave.k_vec"),
+        omega=_spec_float(obj["omega"], "planewave.omega"),
+        mu=_spec_float(obj.get("mu", 0.0), "planewave.mu"),
     )
     return make_plane_wave(pw, grid)
 
@@ -197,13 +230,14 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
     if equation not in ("wave", "schrodinger"):
         raise ConfigError("equation must be 'wave' or 'schrodinger'")
     grid = _grid_from_spec(spec["grid"], "grid")
-    mu = float(spec.get("mu", 0.0))
+    mu = _spec_float(spec.get("mu", 0.0), "mu")
     times = _times_from_spec(spec["times"])
     psi0 = _initial_field(spec, grid)
     if equation == "schrodinger":
         if "omega_ref" not in spec:
             raise ConfigError("missing required key 'omega_ref' in propagate spec")
-        params = wavemech.EffectiveMassParams(omega_ref=float(spec["omega_ref"]), mu=mu)
+        omega_ref = _spec_float(spec["omega_ref"], "omega_ref")
+        params = wavemech.EffectiveMassParams(omega_ref=omega_ref, mu=mu)
         rate = CGS.hbar * spectral.k_squared(grid) / (2.0 * params.m_star) + params.v0
 
         def evolve(t: float) -> tuple[ComplexField, float]:
@@ -238,6 +272,8 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import madelung
+
     if args.next_field is not None and args.dt_s is None:
         raise ConfigError("--dt-s is required with --next-field")
     raw, _ = _read_dump(args.field)
@@ -281,7 +317,7 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
 def _parse_points(raw: str, dim: int, what: str) -> list[np.ndarray]:
     points = []
     for chunk in raw.split(";"):
-        coords = [float(x) for x in chunk.split(",")]
+        coords = [_spec_float(x, what) for x in chunk.split(",")]
         if len(coords) != dim:
             raise ConfigError(f"{what} entry '{chunk}' must have {dim} coordinates")
         points.append(np.asarray(coords))
@@ -289,6 +325,8 @@ def _parse_points(raw: str, dim: int, what: str) -> list[np.ndarray]:
 
 
 def _cmd_bohm(args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import madelung
+
     psi, _ = _read_dump(args.field)
     params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s)
     form = madelung.polar_decompose(psi)
@@ -346,7 +384,7 @@ def _cmd_update(args: argparse.Namespace) -> tuple[dict, dict]:
     projectors = statequant.ProjectorSet(
         projectors=tuple(
             _complex_matrix_from_json(p, f"projector {i}")
-            for i, p in enumerate(proj_obj["projectors"])
+            for i, p in enumerate(_spec_list(proj_obj["projectors"], "projectors"))
         )
     )
     payload: dict = {"rule": args.rule}
@@ -408,12 +446,13 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
     _ensure_keys(spec, {"eigenvalues", "amplitudes", "y0", "w", "g", "tau"},
                  {"eigenvalues", "amplitudes"}, "measurement spec")
     setup = hybridmeas.MeasurementSetup(
-        eigenvalues=tuple(float(p) for p in spec["eigenvalues"]),
-        amplitudes=tuple(_complex_from_pair(c, "amplitudes") for c in spec["amplitudes"]),
-        y0=float(spec.get("y0", 0.0)),
-        w=float(spec.get("w", 1.0)),
-        g=float(spec.get("g", 1.0)),
-        tau=float(spec.get("tau", 1.0)),
+        eigenvalues=_spec_floats(spec["eigenvalues"], "eigenvalues"),
+        amplitudes=tuple(_complex_from_pair(c, "amplitudes")
+                         for c in _spec_list(spec["amplitudes"], "amplitudes")),
+        y0=_spec_float(spec.get("y0", 0.0), "y0"),
+        w=_spec_float(spec.get("w", 1.0), "w"),
+        g=_spec_float(spec.get("g", 1.0), "g"),
+        tau=_spec_float(spec.get("tau", 1.0), "tau"),
     )
     record = hybridmeas.run_measurement(setup)
     table = hybridmeas.sample_outcomes(record, args.trials, args.seed)
@@ -440,6 +479,8 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_planck(args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import bosestat
+
     if args.nu_points < 2 or args.nu_max_hz <= args.nu_min_hz or args.nu_min_hz <= 0:
         raise ConfigError("planck needs nu_points >= 2 and 0 < nu_min < nu_max")
     nus = np.linspace(args.nu_min_hz, args.nu_max_hz, args.nu_points)
@@ -451,19 +492,23 @@ def _cmd_planck(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import bosestat
+
     spec = _load_json(args.spec)
     _ensure_keys(spec, {"bands", "e_target_erg", "r_max", "tol"},
                  {"bands", "e_target_erg", "r_max"}, "maxent spec")
     bands = []
-    for i, b in enumerate(spec["bands"]):
+    for i, b in enumerate(_spec_list(spec["bands"], "bands")):
         _ensure_keys(b, {"nu_hz", "d_nu_hz", "volume_cm3"}, {"nu_hz", "d_nu_hz"}, f"band {i}")
         bands.append(bosestat.FrequencyBand(
-            nu=float(b["nu_hz"]), d_nu=float(b["d_nu_hz"]),
-            volume=float(b.get("volume_cm3", 1.0)),
+            nu=_spec_float(b["nu_hz"], f"band {i} nu_hz"),
+            d_nu=_spec_float(b["d_nu_hz"], f"band {i} d_nu_hz"),
+            volume=_spec_float(b.get("volume_cm3", 1.0), f"band {i} volume_cm3"),
         ))
     table, thermo = bosestat.maximize_entropy(
-        bands, float(spec["e_target_erg"]), int(spec["r_max"]),
-        tol=float(spec.get("tol", 1e-10)),
+        bands, _spec_float(spec["e_target_erg"], "e_target_erg"),
+        _spec_int(spec["r_max"], "r_max"),
+        tol=_spec_float(spec.get("tol", 1e-10), "tol"),
     )
     n_bands, n_r = table.p.shape
     columns = [np.repeat(np.arange(n_bands), n_r),
@@ -486,6 +531,8 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_cmbr(args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import cmbrvac
+
     model = cmbrvac.VacuumModel(omega_c=args.omega_c_rad_per_s, T=args.t_kelvin,
                                 xi=args.xi, V_over_B=args.v_over_b_cm3_per_g_unit)
     rho_qed_planck = cmbrvac.qed_vacuum_energy(CGS.omega_P)
@@ -509,6 +556,8 @@ def _cmd_cmbr(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_casimir(args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import cmbrvac
+
     payload = {
         "pressure_dyne_per_cm2": cmbrvac.casimir_pressure(args.a_cm, args.t_kelvin),
         "coefficient": cmbrvac.casimir_coefficient(args.t_kelvin),
@@ -520,6 +569,8 @@ def _cmd_casimir(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import selfcheck
+
     results = selfcheck.run_all()
     width = max(len(r.name) for r in results)
     for r in results:
@@ -664,6 +715,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, FloatingPointError) as exc:
         _emit_error(3, str(exc), {"type": type(exc).__name__, **getattr(exc, "context", {})})
         return 3
+    except Exception as exc:  # last resort: a failure nobody foresaw is still one JSON line
+        import traceback
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
+        _emit_error(1, str(exc), {"type": type(exc).__name__, "where": where})
+        return 1
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -87,7 +88,8 @@ def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:
     """Inverse of :func:`write_field`: returns the field and the sidecar dict.
 
     Raises ValueError naming the file unless every grid point appears exactly
-    once with in-range indices.
+    once with in-range indices and the file ends in a newline (a dump cut
+    inside its last number still parses as a shorter number).
     """
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
@@ -106,10 +108,13 @@ def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:
     flat = np.ravel_multi_index(tuple(idx.astype(np.intp).T), grid.shape)
     if np.any(np.bincount(flat, minlength=n) != 1):
         raise ValueError(f"field CSV {csv_path} does not list every grid point exactly once")
+    with csv_path.open("rb") as handle:
+        handle.seek(-1, os.SEEK_END)
+        if handle.read() != b"\n":
+            raise ValueError(f"field CSV {csv_path} does not end in a newline: its last row is cut")
     values = np.empty(n, dtype=np.complex128)
-    # complex arithmetic, not .real/.imag assignment: it gives the same values as
-    # per-value float(re) + 1j * float(im), which can turn a -0.0 real part into 0.0
-    values[flat] = data[:, grid.dim] + 1j * data[:, grid.dim + 1]
+    values.real[flat] = data[:, grid.dim]
+    values.imag[flat] = data[:, grid.dim + 1]
     field = ComplexField(grid=grid, values=values.reshape(grid.shape),
                          normalized=bool(meta.get("normalized", False)))
     return field, meta

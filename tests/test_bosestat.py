@@ -18,6 +18,7 @@ from gwfield.bosestat import (
     spontaneous_equilibrium_check,
     symmetrize_photons,
 )
+from gwfield.bosestat import ConvergenceError, _band_optimum
 
 
 class TestBandStateCount:
@@ -190,6 +191,11 @@ class TestMaximizeEntropy:
         huge = CGS.h * band.nu * band.n_states * 100.0
         with pytest.raises(ValueError, match="not representable"):
             maximize_entropy([band], huge, r_max=10)
+
+    def test_band_optimum_reports_exhausted_iterations(self):
+        # a NaN multiplier never meets the stopping rule; the last iterate is all NaN
+        with pytest.raises(ConvergenceError, match="200 iterations"):
+            _band_optimum(1.0, 1.0, float("nan"), 5)
 
     def test_planck_consistency(self):
         band = FrequencyBand(nu=2e11, d_nu=1e8, volume=1.0)

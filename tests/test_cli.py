@@ -1,11 +1,18 @@
+import copy
 import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gwfield
+from gwfield import cli
 from gwfield.cli import main
 from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, normalize
@@ -385,4 +392,127 @@ class TestFailedRunsWriteNothing:
                      "--output-dir", out)
         assert rc == 2
         assert "dump.csv" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
+
+# Runs gwfield.cli.main on each argv of a JSON list, then prints the scipy
+# modules the interpreter has loaded.
+_SCIPY_PROBE = """
+import json, sys
+import gwfield.cli
+for argv in json.loads(sys.argv[1]):
+    assert gwfield.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def scipy_modules_after(runs):
+    """scipy modules loaded by a fresh interpreter that imports gwfield.cli and runs ``runs``."""
+    src = str(Path(gwfield.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argvs = json.dumps([[str(a) for a in argv] for argv in runs])
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argvs], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportBudget:
+    """Subcommands that never call scipy must not pay for importing it."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_after([]) == []
+
+    def test_numpy_only_subcommands_load_no_scipy(self, tmp_path):
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps({"re": [[0.5, 0.5], [0.5, 0.5]]}))
+        projectors = tmp_path / "proj.json"
+        projectors.write_text(json.dumps({"projectors": [
+            {"re": [[1.0, 0.0], [0.0, 0.0]]},
+            {"re": [[0.0, 0.0], [0.0, 1.0]]},
+        ]}))
+        matrix = tmp_path / "amps.csv"
+        matrix.write_text("re0,im0,re1,im1\n0.6,0.0,0.0,0.0\n0.0,0.0,0.8,0.0\n")
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps({"eigenvalues": [-1.0, 1.0], "amplitudes": [0.6, 0.8]}))
+        k_c = 2.0 * math.pi * 4
+        period = 2.0 * math.pi / (CGS.c * k_c)
+        propagate = tmp_path / "prop.json"
+        propagate.write_text(json.dumps({
+            "equation": "schrodinger",
+            "grid": {"n_points": [64], "lengths": [1.0]},
+            "planewave": {"amplitude": [1.0, 0.0], "k_vec": [k_c], "omega": CGS.c * k_c},
+            "omega_ref": CGS.c * k_c,
+            "times": [m * period / 8 for m in range(8)],
+        }))
+        series = tmp_path / "series"
+        runs = [
+            ["update", "--rule", "vonneumann", "--rho", rho, "--projectors", projectors,
+             "--output-dir", tmp_path / "update"],
+            ["schmidt", "--matrix", matrix, "--output-dir", tmp_path / "schmidt"],
+            ["measure", "--spec", measure, "--trials", 50, "--seed", 1,
+             "--output-dir", tmp_path / "measure"],
+            ["propagate", "--spec", propagate, "--output-dir", series],
+            ["helicity", "--series-dir", series, "--k0-rad-per-cm", k_c,
+             "--output-dir", tmp_path / "helicity"],
+        ]
+        assert scipy_modules_after(runs) == []
+        assert (tmp_path / "helicity" / "helicity.json").exists()
+
+
+class TestSpecTypeErrors:
+    """A spec value of the wrong type exits 2 with a JSON error naming it, not a traceback."""
+
+    SPECS = {
+        "propagate": {
+            "equation": "schrodinger",
+            "grid": {"n_points": [64], "lengths": [1.0]},
+            "packet": {"center": [0.5], "sigma0": 0.05, "k_carrier": [0.0]},
+            "omega_ref": 1e10,
+            "times": [0.0],
+        },
+        "maxent": {"bands": [{"nu_hz": 1e11, "d_nu_hz": 1e9}], "e_target_erg": 1e-15, "r_max": 10},
+        "measure": {"eigenvalues": [-1.0, 1.0], "amplitudes": [0.6, 0.8]},
+    }
+    EXTRA_ARGS = {"measure": ["--trials", 10, "--seed", 1]}
+
+    @pytest.mark.parametrize("subcommand, path, value", [
+        ("maxent", ["bands"], 5),
+        ("maxent", ["bands", 0, "nu_hz"], "abc"),
+        ("maxent", ["r_max"], 2.5),
+        ("propagate", ["packet", "center"], 5),
+        ("propagate", ["packet", "amplitude"], ["a", 0.0]),
+        ("propagate", ["grid", "n_points"], {"x": 64}),
+        ("measure", ["eigenvalues"], 5),
+        ("measure", ["w"], [1.0]),
+    ])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, subcommand, path, value):
+        spec = copy.deepcopy(self.SPECS[subcommand])
+        target = spec
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        rc = run_cli(subcommand, "--spec", spec_path, *self.EXTRA_ARGS.get(subcommand, []),
+                     "--output-dir", out)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2
+        assert any(key in err["message"] for key in path if isinstance(key, str))
+        assert not out.exists()
+
+    def test_unforeseen_error_is_one_json_line(self, tmp_path, capsys, monkeypatch):
+        def fail(args):
+            raise KeyError("unforeseen")
+
+        monkeypatch.setitem(cli._DISPATCH, "casimir", fail)
+        out = tmp_path / "cas"
+        rc = run_cli("casimir", "--a-cm", 1e-4, "--output-dir", out)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 1
+        assert err["context"]["type"] == "KeyError"
+        assert "in fail" in err["context"]["where"]
         assert not out.exists()

@@ -208,6 +208,15 @@ class TestFieldIO:
         # repr round-trip is exact, comfortably under the 1e-15 budget
         np.testing.assert_array_equal(back.values, field.values)
 
+    def test_round_trip_keeps_signed_zeros(self, tmp_path):
+        pairs = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)] * 2
+        values = np.array([complex(re, im) for re, im in pairs])
+        csv_path, _ = write_field(ComplexField(grid=Grid.of(8, 1.0), values=values),
+                                  tmp_path / "zeros.csv")
+        back, _ = read_field(csv_path)
+        np.testing.assert_array_equal(np.signbit(back.values.real), np.signbit(values.real))
+        np.testing.assert_array_equal(np.signbit(back.values.imag), np.signbit(values.imag))
+
     def test_missing_sidecar(self, tmp_path):
         (tmp_path / "orphan.csv").write_text("i,re,im\n0,1.0,0.0\n")
         with pytest.raises(FileNotFoundError):
@@ -257,6 +266,20 @@ class TestBadDumps:
         csv_path.write_bytes(body[: body.rindex(b",")])
         with pytest.raises(ValueError, match="dump.csv"):
             read_field(csv_path)
+
+    def test_cut_last_number_rejected(self, tmp_path):
+        # the last row still has three fields; only the missing newline shows the cut
+        csv_path = self.dump(tmp_path)
+        csv_path.write_bytes(csv_path.read_bytes()[:-12])
+        with pytest.raises(ValueError, match="newline"):
+            read_field(csv_path)
+
+    def test_lf_line_endings_accepted(self, tmp_path):
+        csv_path = self.dump(tmp_path)
+        expected, _ = read_field(csv_path)
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"\r\n", b"\n"))
+        back, _ = read_field(csv_path)
+        np.testing.assert_array_equal(back.values, expected.values)
 
     def test_out_of_range_index_rejected(self, tmp_path):
         csv_path = self.dump(tmp_path)
