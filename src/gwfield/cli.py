@@ -18,10 +18,12 @@ not pay.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CGS
-from . import __version__, fields, hybridmeas, spectral, statequant, wavemech
+from . import __version__, fields, hybridmeas, statequant, wavemech
 from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave
 from .fieldio import read_field, read_table, write_field, write_table
 from .helicity import TimeSeriesField, partial_wave_split, time_averaged_current
@@ -68,12 +70,31 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"malformed JSON in {p}: {exc}", {"file": str(p)}) from exc
 
 
+@contextlib.contextmanager
+def _validated(where: str):
+    """Objects built from flag or spec values: a ValueError from their
+    validation is a configuration error, not a numerical failure."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
 def _read_dump(path: str | Path) -> tuple[ComplexField, dict]:
     """:func:`read_field`, with a malformed dump reported as a configuration error."""
     try:
         return read_field(Path(path))
     except ValueError as exc:
         raise ConfigError(str(exc), {"file": str(path)}) from exc
+
+
+def _read_normalized(path: str) -> ComplexField:
+    """A dump rescaled to unit box norm; an all-zero dump is a configuration error."""
+    raw, _ = _read_dump(path)
+    with _validated(f"field dump {path}"):
+        return fields.normalize(raw)
 
 
 def _ensure_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -89,9 +110,12 @@ def _ensure_keys(obj: dict, allowed: set[str], required: set[str], where: str) -
 
 def _spec_float(value, where: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _spec_int(value, where: str) -> int:
@@ -111,6 +135,12 @@ def _spec_floats(value, where: str) -> tuple[float, ...]:
     return tuple(_spec_float(v, where) for v in _spec_list(value, where))
 
 
+def _finite_matrix(m: np.ndarray, where: str) -> np.ndarray:
+    if not np.all(np.isfinite(m)):
+        raise ConfigError(f"{where} holds a non-finite entry")
+    return m
+
+
 def _complex_matrix_from_json(obj: dict, where: str) -> np.ndarray:
     _ensure_keys(obj, {"re", "im"}, {"re"}, where)
     try:
@@ -120,7 +150,7 @@ def _complex_matrix_from_json(obj: dict, where: str) -> np.ndarray:
         raise ConfigError(f"{where} must hold numeric matrices: {exc}") from None
     if re.shape != im.shape:
         raise ConfigError(f"re/im shape mismatch in {where}")
-    return re + 1j * im
+    return _finite_matrix(re + 1j * im, where)
 
 
 def _complex_matrix_to_json(m: np.ndarray) -> dict:
@@ -134,20 +164,22 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
         raise ConfigError(f"matrix CSV header must be re0,im0,re1,im1,... got {header}")
     if data.size == 0 or data.shape[1] != len(header):
         raise ConfigError(f"matrix CSV {path} needs data rows of {len(header)} values")
-    return data[:, 0::2] + 1j * data[:, 1::2]
+    return _finite_matrix(data[:, 0::2] + 1j * data[:, 1::2], f"matrix CSV {path}")
 
 
 def _grid_from_spec(obj: dict, where: str) -> Grid:
     _ensure_keys(obj, {"n_points", "lengths"}, {"n_points", "lengths"}, where)
+    raw = obj["n_points"]
+    n_points = [_spec_int(n, f"{where}.n_points") for n in (raw if isinstance(raw, list) else [raw])]
     try:
-        return Grid.of(obj["n_points"], obj["lengths"])
+        return Grid.of(n_points, obj["lengths"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _complex_from_pair(value, where: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_spec_float(value, where))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_spec_float(value[0], where), _spec_float(value[1], where))
     raise ConfigError(f"{where} must be a number or an [re, im] pair")
@@ -161,7 +193,11 @@ def _write_output(path: Path, value) -> None:
     elif isinstance(value, tuple):
         write_table(path, *value)
     else:
-        path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+        try:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"{path.name} would hold a non-finite number: {exc}") from None
+        path.write_text(text + "\n")
 
 
 def _write_manifest(outdir: Path, config: dict, t_start: float) -> None:
@@ -178,6 +214,23 @@ def _write_manifest(outdir: Path, config: dict, t_start: float) -> None:
         "outputs": outputs,
     }
     _write_output(outdir / "manifest.json", manifest)
+
+
+def _write_run(target: Path, config: dict, outputs: dict, t_start: float) -> None:
+    """Write every output and the manifest into a sibling staging directory,
+    then rename it onto ``target`` (absent or empty): a run that fails while
+    writing leaves neither a partial ``target`` nor the staging directory."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = target.with_name(f".{target.name}.{os.urandom(8).hex()}.partial")
+    staging.mkdir()
+    try:
+        for name, value in outputs.items():
+            _write_output(staging / name, value)
+        _write_manifest(staging, config, t_start)
+        os.replace(staging, target)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 # ----------------------------------------------------------------- propagate
@@ -197,6 +250,7 @@ def _times_from_spec(value) -> list[float]:
     return [float(t) for t in value]
 
 
+@_validated("propagate spec")
 def _initial_field(spec: dict, grid: Grid) -> ComplexField:
     if ("packet" in spec) == ("planewave" in spec):
         raise ConfigError("exactly one of 'packet' or 'planewave' is required in propagate spec")
@@ -237,17 +291,17 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
         if "omega_ref" not in spec:
             raise ConfigError("missing required key 'omega_ref' in propagate spec")
         omega_ref = _spec_float(spec["omega_ref"], "omega_ref")
-        params = wavemech.EffectiveMassParams(omega_ref=omega_ref, mu=mu)
-        rate = CGS.hbar * spectral.k_squared(grid) / (2.0 * params.m_star) + params.v0
+        with _validated("propagate spec"):
+            params = wavemech.EffectiveMassParams(omega_ref=omega_ref, mu=mu)
 
         def evolve(t: float) -> tuple[ComplexField, float]:
             field = wavemech.evolve_schrodinger(psi0, params, t)
-            weights = np.abs(np.fft.fftn(field.values)) ** 2
-            return field, CGS.hbar * float(np.sum(rate * weights) / np.sum(weights))
+            return field, wavemech.schrodinger_energy(field, params)
     else:
         initial = spec.get("wave_initial", "right_moving")
         if initial == "right_moving":
-            state0 = wavemech.right_moving_state(psi0)
+            with _validated("propagate spec"):
+                state0 = wavemech.right_moving_state(psi0)
         elif initial == "static":
             zero = ComplexField(grid=grid, values=np.zeros(grid.shape, dtype=complex))
             state0 = wavemech.ClassicalWaveState(psi=psi0, psi_dot=zero)
@@ -274,12 +328,13 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
 def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import madelung
 
-    if args.next_field is not None and args.dt_s is None:
-        raise ConfigError("--dt-s is required with --next-field")
-    raw, _ = _read_dump(args.field)
+    if args.next_field is not None and (args.dt_s is None or args.dt_s <= 0.0):
+        raise ConfigError("--next-field needs a positive --dt-s")
+    with _validated("madelung flags"):
+        params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s,
+                                              mu=args.mu_per_cm)
     # box-normalized density; every reported quantity is scale-invariant
-    psi = fields.normalize(raw)
-    params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s, mu=args.mu_per_cm)
+    psi = _read_normalized(args.field)
     form = madelung.polar_decompose(psi)
     qfield = madelung.quantum_potential(form, params.m_star)
     grid = psi.grid
@@ -300,8 +355,7 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
         "hj_residual_erg": None,
     }
     if args.next_field is not None:
-        nxt_raw, _ = _read_dump(args.next_field)
-        rho_dot = (fields.normalize(nxt_raw).density() - form.rho) / args.dt_s
+        rho_dot = (_read_normalized(args.next_field).density() - form.rho) / args.dt_s
         summary["continuity_residual"] = madelung.continuity_residual(form, rho_dot, params.m_star)
     if args.energy_erg is not None:
         summary["hj_residual_erg"] = madelung.hj_residual(form, params, -args.energy_erg)
@@ -327,15 +381,21 @@ def _parse_points(raw: str, dim: int, what: str) -> list[np.ndarray]:
 def _cmd_bohm(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import madelung
 
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    with _validated("bohm flags"):
+        params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s)
     psi, _ = _read_dump(args.field)
-    params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s)
     form = madelung.polar_decompose(psi)
-    qfield = madelung.quantum_potential(form, params.m_star)
+    with _validated(f"field dump {args.field}"):  # raises only for an all-zero dump
+        qfield = madelung.quantum_potential(form, params.m_star)
     dim = psi.grid.dim
     positions = _parse_points(args.seed_positions, dim, "--seed-positions")
     momenta = _parse_points(args.seed_momenta, dim, "--seed-momenta")
     if len(positions) != len(momenta):
         raise ConfigError("--seed-positions and --seed-momenta must list the same number of points")
+    if args.regime == "massless" and not all(p.any() for p in momenta):
+        raise ConfigError("the massless regime needs a nonzero momentum for every seed")
     trajs = [madelung.run_trajectory(qfield, x0, p0, args.dt_s, args.steps, args.regime)
              for x0, p0 in zip(positions, momenta)]
     lengths = [len(traj.times) for traj in trajs]
@@ -378,15 +438,17 @@ def _cmd_update(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.rule == "luders" and args.outcome is None:
         raise ConfigError("--outcome is required for the luders rule")
     rho_obj = _load_json(args.rho)
-    rho = statequant.DensityMatrix(entries=_complex_matrix_from_json(rho_obj, "rho file"))
+    with _validated("rho file"):
+        rho = statequant.DensityMatrix(entries=_complex_matrix_from_json(rho_obj, "rho file"))
     proj_obj = _load_json(args.projectors)
     _ensure_keys(proj_obj, {"projectors"}, {"projectors"}, "projector file")
-    projectors = statequant.ProjectorSet(
-        projectors=tuple(
-            _complex_matrix_from_json(p, f"projector {i}")
-            for i, p in enumerate(_spec_list(proj_obj["projectors"], "projectors"))
+    with _validated("projector file"):
+        projectors = statequant.ProjectorSet(
+            projectors=tuple(
+                _complex_matrix_from_json(p, f"projector {i}")
+                for i, p in enumerate(_spec_list(proj_obj["projectors"], "projectors"))
+            )
         )
-    )
     payload: dict = {"rule": args.rule}
     if args.rule == "luders":
         n_outcomes = len(projectors.projectors)
@@ -404,6 +466,8 @@ def _cmd_update(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
+    if args.k0_rad_per_cm <= 0.0:
+        raise ConfigError(f"--k0-rad-per-cm must be positive, got {args.k0_rad_per_cm}")
     series_dir = Path(args.series_dir)
     csv_paths = sorted(p for p in series_dir.glob("field_*.csv"))
     if len(csv_paths) < 8:
@@ -415,6 +479,8 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
             raise ConfigError(f"field dump {p} lacks a t_s stamp in its sidecar")
         fields.append(f)
         times.append(meta["t_s"])
+    if any(f.grid != fields[0].grid for f in fields):
+        raise ConfigError(f"field dumps in {series_dir} are not all on one grid")
     steps = np.diff(times)
     if np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])):
         raise ConfigError("field series is not uniformly spaced in time")
@@ -445,16 +511,19 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = _load_json(args.spec)
     _ensure_keys(spec, {"eigenvalues", "amplitudes", "y0", "w", "g", "tau"},
                  {"eigenvalues", "amplitudes"}, "measurement spec")
-    setup = hybridmeas.MeasurementSetup(
-        eigenvalues=_spec_floats(spec["eigenvalues"], "eigenvalues"),
-        amplitudes=tuple(_complex_from_pair(c, "amplitudes")
-                         for c in _spec_list(spec["amplitudes"], "amplitudes")),
-        y0=_spec_float(spec.get("y0", 0.0), "y0"),
-        w=_spec_float(spec.get("w", 1.0), "w"),
-        g=_spec_float(spec.get("g", 1.0), "g"),
-        tau=_spec_float(spec.get("tau", 1.0), "tau"),
-    )
-    record = hybridmeas.run_measurement(setup)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    with _validated("measurement spec"):
+        setup = hybridmeas.MeasurementSetup(
+            eigenvalues=_spec_floats(spec["eigenvalues"], "eigenvalues"),
+            amplitudes=tuple(_complex_from_pair(c, "amplitudes")
+                             for c in _spec_list(spec["amplitudes"], "amplitudes")),
+            y0=_spec_float(spec.get("y0", 0.0), "y0"),
+            w=_spec_float(spec.get("w", 1.0), "w"),
+            g=_spec_float(spec.get("g", 1.0), "g"),
+            tau=_spec_float(spec.get("tau", 1.0), "tau"),
+        )
+        record = hybridmeas.run_measurement(setup)  # rejects duplicate eigenvalues
     table = hybridmeas.sample_outcomes(record, args.trials, args.seed)
     reduced = hybridmeas.partial_trace_system(record)
     payload = {
@@ -481,8 +550,9 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
 def _cmd_planck(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import bosestat
 
-    if args.nu_points < 2 or args.nu_max_hz <= args.nu_min_hz or args.nu_min_hz <= 0:
-        raise ConfigError("planck needs nu_points >= 2 and 0 < nu_min < nu_max")
+    if (args.t_kelvin <= 0 or args.nu_points < 2 or args.nu_max_hz <= args.nu_min_hz
+            or args.nu_min_hz <= 0):
+        raise ConfigError("planck needs t_kelvin > 0, nu_points >= 2 and 0 < nu_min < nu_max")
     nus = np.linspace(args.nu_min_hz, args.nu_max_hz, args.nu_points)
     rhos = bosestat.planck_density(nus, args.t_kelvin)
     return vars(args), {"planck.csv": (["nu_hz", "rho_erg_per_cm3_hz"], [nus, rhos])}
@@ -500,16 +570,19 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
     bands = []
     for i, b in enumerate(_spec_list(spec["bands"], "bands")):
         _ensure_keys(b, {"nu_hz", "d_nu_hz", "volume_cm3"}, {"nu_hz", "d_nu_hz"}, f"band {i}")
-        bands.append(bosestat.FrequencyBand(
-            nu=_spec_float(b["nu_hz"], f"band {i} nu_hz"),
-            d_nu=_spec_float(b["d_nu_hz"], f"band {i} d_nu_hz"),
-            volume=_spec_float(b.get("volume_cm3", 1.0), f"band {i} volume_cm3"),
-        ))
+        with _validated(f"band {i}"):
+            bands.append(bosestat.FrequencyBand(
+                nu=_spec_float(b["nu_hz"], f"band {i} nu_hz"),
+                d_nu=_spec_float(b["d_nu_hz"], f"band {i} d_nu_hz"),
+                volume=_spec_float(b.get("volume_cm3", 1.0), f"band {i} volume_cm3"),
+            ))
+    e_target = _spec_float(spec["e_target_erg"], "e_target_erg")
+    r_max = _spec_int(spec["r_max"], "r_max")
+    if not bands or e_target <= 0.0 or r_max < 1:
+        raise ConfigError("maxent needs at least one band, e_target_erg > 0 and r_max >= 1")
+    # an e_target beyond what r_max can hold stays a numerical failure (exit 3)
     table, thermo = bosestat.maximize_entropy(
-        bands, _spec_float(spec["e_target_erg"], "e_target_erg"),
-        _spec_int(spec["r_max"], "r_max"),
-        tol=_spec_float(spec.get("tol", 1e-10), "tol"),
-    )
+        bands, e_target, r_max, tol=_spec_float(spec.get("tol", 1e-10), "tol"))
     n_bands, n_r = table.p.shape
     columns = [np.repeat(np.arange(n_bands), n_r),
                np.repeat([band.nu for band in table.bands], n_r),
@@ -533,8 +606,9 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
 def _cmd_cmbr(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import cmbrvac
 
-    model = cmbrvac.VacuumModel(omega_c=args.omega_c_rad_per_s, T=args.t_kelvin,
-                                xi=args.xi, V_over_B=args.v_over_b_cm3_per_g_unit)
+    with _validated("cmbr flags"):
+        model = cmbrvac.VacuumModel(omega_c=args.omega_c_rad_per_s, T=args.t_kelvin,
+                                    xi=args.xi, V_over_B=args.v_over_b_cm3_per_g_unit)
     rho_qed_planck = cmbrvac.qed_vacuum_energy(CGS.omega_P)
     payload = {
         "rho_vac_exact": cmbrvac.vacuum_energy(model, "exact"),
@@ -558,10 +632,11 @@ def _cmd_cmbr(args: argparse.Namespace) -> tuple[dict, dict]:
 def _cmd_casimir(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import cmbrvac
 
-    payload = {
-        "pressure_dyne_per_cm2": cmbrvac.casimir_pressure(args.a_cm, args.t_kelvin),
-        "coefficient": cmbrvac.casimir_coefficient(args.t_kelvin),
-    }
+    with _validated("casimir flags"):  # both are closed forms: only validation raises
+        payload = {
+            "pressure_dyne_per_cm2": cmbrvac.casimir_pressure(args.a_cm, args.t_kelvin),
+            "coefficient": cmbrvac.casimir_coefficient(args.t_kelvin),
+        }
     return vars(args), {"casimir.json": payload}
 
 
@@ -699,13 +774,15 @@ def main(argv: list[str] | None = None) -> int:
     outdir = Path(args.output_dir)
     t_start = time.monotonic()
     try:
+        non_finite = sorted(k for k, v in vars(args).items()
+                            if isinstance(v, float) and not math.isfinite(v))
+        if non_finite:
+            raise ConfigError(f"{non_finite[0]} must be finite, got {getattr(args, non_finite[0])}",
+                              {"non_finite": non_finite})
         if outdir.exists() and any(outdir.iterdir()):
             raise OSError(f"output directory {outdir} exists and is not empty")
         config, outputs = _DISPATCH[args.subcommand](args)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, value in outputs.items():
-            _write_output(outdir / name, value)
-        _write_manifest(outdir, config, t_start)
+        _write_run(outdir.resolve(), config, outputs, t_start)
     except ConfigError as exc:
         _emit_error(2, str(exc), exc.context)
         return 2

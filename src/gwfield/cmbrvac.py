@@ -172,11 +172,9 @@ def magnetic_energy_identity_check(psi: ComplexField, params: EffectiveMassParam
         * float(np.sum(form.rho * qfield.Q))
         * grid.cell_volume
     )
-    grads = spectral.gradient(psi.values, grid)
     keep = ~form.branch_mask
     safe_rho = np.where(form.branch_mask, 1.0, form.rho)
     phase_term = 0.0
-    for comp in grads:
-        flux = np.imag(np.conj(psi.values) * comp)
+    for flux in spectral.phase_flux(psi.values, grid):
         phase_term += float(np.sum((flux**2 / safe_rho)[keep])) * grid.cell_volume
     return abs(lhs - (q_term + phase_term)) / abs(lhs)

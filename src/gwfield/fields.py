@@ -10,8 +10,14 @@ import numpy as np
 from .constants import CGS
 
 # Density below this fraction of max(rho) is treated as a node: the phase is
-# undefined there.  Shared by every module that divides by the density.
+# undefined there.  Read only through :func:`node_mask`.
 RHO_FLOOR_REL = 1e-12
+
+
+def node_mask(rho: np.ndarray) -> np.ndarray:
+    """True where rho is below the node floor (everywhere for a zero density)."""
+    peak = float(rho.max())
+    return rho < RHO_FLOOR_REL * peak if peak > 0.0 else np.ones(rho.shape, dtype=bool)
 
 
 @dataclass(frozen=True)

@@ -107,8 +107,7 @@ class CurrentField:
 
 
 def convection_current(psi: ComplexField, k0: float) -> CurrentField:
-    grads = spectral.gradient(psi.values, psi.grid)
-    j = tuple(CGS.hbar * np.imag(np.conj(psi.values) * g) for g in grads)
+    j = tuple(CGS.hbar * flux for flux in spectral.phase_flux(psi.values, psi.grid))
     rho_t = CGS.hbar * k0 * psi.density()
     return CurrentField(grid=psi.grid, j=j, rho_t=rho_t)
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import ndimage
 
 from .constants import CGS
-from .fields import ComplexField, Grid, RHO_FLOOR_REL
+from .fields import ComplexField, Grid, node_mask
 from .wavemech import EffectiveMassParams
 from . import spectral
 
@@ -54,8 +54,7 @@ class MadelungForm:
 
 def polar_decompose(psi: ComplexField) -> MadelungForm:
     rho = psi.density()
-    peak = float(rho.max())
-    mask = rho < RHO_FLOOR_REL * peak if peak > 0.0 else np.ones(rho.shape, dtype=bool)
+    mask = node_mask(rho)
     phase = np.angle(psi.values)
     if psi.grid.dim >= 1:
         phase[(slice(None),) + (0,) * (psi.grid.dim - 1)] = np.unwrap(
@@ -97,21 +96,16 @@ def quantum_potential(form: MadelungForm, m_star: float) -> QuantumPotentialFiel
     )
 
 
-def _action_gradient(form: MadelungForm) -> list[np.ndarray]:
-    """grad S extracted from the reconstructed field.
+def _action_gradient_sq(form: MadelungForm) -> np.ndarray:
+    """|grad S|^2 [erg^2 s^2/cm^2] extracted from the reconstructed field.
 
     Im(psi* grad psi) = rho * grad(phase) is smooth even where the unwrapped
     phase array has seams, so the gradient is taken from the reconstruction
-    rather than from the phase array.
+    rather than from the phase array.  Masked points carry zeros.
     """
-    psi = form.to_field().values
     safe_rho = np.where(form.branch_mask, 1.0, form.rho)
-    grads = spectral.gradient(psi, form.grid)
-    out = []
-    for comp in grads:
-        g = CGS.hbar * np.imag(np.conj(psi) * comp) / safe_rho
-        out.append(np.where(form.branch_mask, 0.0, g))
-    return out
+    fluxes = spectral.phase_flux(form.to_field().values, form.grid)
+    return np.where(form.branch_mask, 0.0, sum((CGS.hbar * f / safe_rho) ** 2 for f in fluxes))
 
 
 def hj_residual(
@@ -127,11 +121,7 @@ def hj_residual(
     if dt_action is None:
         raise ValueError("dt_action (the dS/dt field) is required")
     qfield = quantum_potential(form, params.m_star)
-    grad_s = _action_gradient(form)
-    kinetic = np.zeros(form.grid.shape)
-    for comp in grad_s:
-        kinetic = kinetic + comp**2
-    kinetic = kinetic / (2.0 * params.m_star)
+    kinetic = _action_gradient_sq(form) / (2.0 * params.m_star)
     residual = np.asarray(dt_action) + kinetic + CGS.hbar * params.v0 + qfield.Q
     keep = ~form.branch_mask
     return float(np.sqrt(np.mean(residual[keep] ** 2)))
@@ -148,12 +138,8 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     rho_dot = np.asarray(rho_dot, dtype=float)
     if rho_dot.shape != form.grid.shape:
         raise ValueError("rho_dot shape does not match the grid")
-    psi = form.to_field().values
-    flux = [
-        (CGS.hbar / m_star) * np.imag(np.conj(psi) * comp)
-        for comp in spectral.gradient(psi, form.grid)
-    ]
-    div = spectral.divergence(flux, form.grid).real
+    flux = spectral.phase_flux(form.to_field().values, form.grid)
+    div = spectral.divergence([(CGS.hbar / m_star) * f for f in flux], form.grid).real
     residual = rho_dot + div
     keep = ~form.branch_mask
     length_scale = float(np.prod(form.grid.lengths)) ** (1.0 / form.grid.dim)
@@ -180,9 +166,7 @@ def energy_decomposition(psi: ComplexField, params: EffectiveMassParams) -> Ener
     """
     if abs(psi.norm_squared() - 1.0) > 1e-6:
         raise ValueError("energy decomposition requires a normalized field")
-    spec_weights = np.abs(np.fft.fftn(psi.values)) ** 2
-    k_mag = np.sqrt(spectral.k_squared(psi.grid))
-    pc = CGS.hbar * CGS.c * float(np.sum(k_mag * spec_weights) / np.sum(spec_weights))
+    pc = CGS.hbar * CGS.c * spectral.power_mean(psi.values, psi.grid, np.sqrt)
     form = polar_decompose(psi)
     qfield = quantum_potential(form, params.m_star)
     q_mean = float(np.sum(form.rho * qfield.Q) / np.sum(form.rho))
@@ -192,11 +176,7 @@ def energy_decomposition(psi: ComplexField, params: EffectiveMassParams) -> Ener
 def phase_gradient_momentum(psi: ComplexField) -> float:
     """rho-weighted mean of |grad S| [g cm/s]; zero for real standing waves."""
     form = polar_decompose(psi)
-    grad_s = _action_gradient(form)
-    mag = np.zeros(form.grid.shape)
-    for comp in grad_s:
-        mag = mag + comp**2
-    mag = np.sqrt(mag)
+    mag = np.sqrt(_action_gradient_sq(form))
     return float(np.sum(form.rho * mag) / np.sum(form.rho))
 
 

@@ -2,7 +2,8 @@
 
 All propagators and residual checks in this package differentiate spectrally:
 for band-limited periodic data the derivatives are exact to rounding, which
-keeps the physics claims separated from discretization error.
+keeps the physics claims separated from discretization error.  Every k-space
+formula of the package lives here.
 """
 
 from __future__ import annotations
@@ -12,24 +13,21 @@ import numpy as np
 from .fields import ComplexField, Grid
 
 
-def wavenumbers(grid: Grid) -> list[np.ndarray]:
-    """Per-axis angular wavenumber arrays (2*pi * FFT frequencies), 1D each."""
-    return [
-        2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-        for n, dx in zip(grid.n_points, grid.spacings)
-    ]
-
-
-def k_meshes(grid: Grid) -> list[np.ndarray]:
-    return list(np.meshgrid(*wavenumbers(grid), indexing="ij"))
+def wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Per-axis angular wavenumbers (2*pi * FFT frequencies) as open axes:
+    axis i is n_i long along dimension i and 1 long elsewhere, so it
+    broadcasts against grid arrays without building an N^dim mesh."""
+    axes = (2.0 * np.pi * np.fft.fftfreq(n, d=dx) for n, dx in zip(grid.n_points, grid.spacings))
+    return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
 def k_squared(grid: Grid) -> np.ndarray:
-    meshes = k_meshes(grid)
-    out = np.zeros(grid.shape)
-    for m in meshes:
-        out = out + m * m
-    return out
+    return sum(k * k for k in wavenumbers(grid))
+
+
+def _gradient_of(spec: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """Gradient of the field whose forward transform is ``spec``."""
+    return [np.fft.ifftn(1j * k * spec) for k in wavenumbers(grid)]
 
 
 def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -38,15 +36,25 @@ def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Spectral gradient, one complex array per axis."""
-    spec = np.fft.fftn(values)
-    return [np.fft.ifftn(1j * km * spec) for km in k_meshes(grid)]
+    return _gradient_of(np.fft.fftn(values), grid)
 
 
 def divergence(components: list[np.ndarray], grid: Grid) -> np.ndarray:
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for i, (comp, km) in enumerate(zip(components, k_meshes(grid))):
-        out = out + np.fft.ifftn(1j * km * np.fft.fftn(comp))
-    return out
+    return sum(np.fft.ifftn(1j * k * np.fft.fftn(comp))
+               for comp, k in zip(components, wavenumbers(grid)))
+
+
+def phase_flux(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """Im(conj(psi) d_i psi) = rho d_i(phase) per axis, smooth across phase
+    seams: times hbar it is the convection current."""
+    return [np.imag(np.conj(values) * comp) for comp in gradient(values, grid)]
+
+
+def power_mean(values: np.ndarray, grid: Grid, weight) -> float:
+    """Mean of ``weight(k^2)`` (a function of the k^2 array) over the power
+    spectrum |fftn(values)|^2."""
+    power = np.abs(np.fft.fftn(values)) ** 2
+    return float(np.sum(weight(k_squared(grid)) * power) / np.sum(power))
 
 
 def fourier_norm_squared(field: ComplexField) -> float:
@@ -63,13 +71,13 @@ def sqrt_density_curvature(rho: np.ndarray, grid: Grid, mask: np.ndarray) -> np.
     - |grad rho|^2/(4 rho^2).  Differentiating rho rather than sqrt(rho)
     matters: at density nodes sqrt(rho) has a kink that would poison the
     spectrum, while rho itself stays smooth.  Entries under ``mask`` are set
-    to zero (the value is undefined there).
+    to zero (the value is undefined there).  ``rho`` is transformed once for
+    both derivatives.
     """
     rho = np.asarray(rho, dtype=float)
-    lap_rho = laplacian(rho, grid).real
-    grad_sq = np.zeros(grid.shape)
-    for comp in gradient(rho, grid):
-        grad_sq = grad_sq + comp.real**2
+    spec = np.fft.fftn(rho)
+    lap_rho = np.fft.ifftn(-k_squared(grid) * spec).real
+    grad_sq = sum(comp.real**2 for comp in _gradient_of(spec, grid))
     safe_rho = np.where(mask, 1.0, rho)
     curvature = lap_rho / (2.0 * safe_rho) - grad_sq / (4.0 * safe_rho**2)
     return np.where(mask, 0.0, curvature)

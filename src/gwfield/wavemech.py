@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CGS
-from .fields import ComplexField, Grid, RHO_FLOOR_REL
+from .fields import ComplexField, Grid, node_mask
 from . import spectral
 
 
@@ -114,6 +114,11 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid) -> ComplexField:
     return ComplexField(grid=grid, values=values)
 
 
+def _schrodinger_rate(k_sq: np.ndarray, params: EffectiveMassParams) -> np.ndarray:
+    """Angular frequency hbar k^2/(2 m*) + V0 [rad/s] of each first-order mode."""
+    return CGS.hbar * k_sq / (2.0 * params.m_star) + params.v0
+
+
 def evolve_schrodinger(psi: ComplexField, params: EffectiveMassParams, t: float) -> ComplexField:
     """Advance the first-order equation by time t (exact spectral map).
 
@@ -123,10 +128,16 @@ def evolve_schrodinger(psi: ComplexField, params: EffectiveMassParams, t: float)
     if t < 0.0:
         raise ValueError("t must be >= 0")
     grid = psi.grid
-    k_sq = spectral.k_squared(grid)
-    rate = CGS.hbar * k_sq / (2.0 * params.m_star) + params.v0
+    rate = _schrodinger_rate(spectral.k_squared(grid), params)
     spec_values = np.fft.fftn(psi.values) * np.exp(-1j * rate * t)
     return ComplexField(grid=grid, values=np.fft.ifftn(spec_values))
+
+
+def schrodinger_energy(psi: ComplexField, params: EffectiveMassParams) -> float:
+    """hbar <hbar k^2/(2 m*) + V0> [erg] over the power spectrum, which
+    :func:`evolve_schrodinger` conserves mode by mode."""
+    return CGS.hbar * spectral.power_mean(psi.values, psi.grid,
+                                          lambda k_sq: _schrodinger_rate(k_sq, params))
 
 
 def evolve_classical_wave(state: ClassicalWaveState, mu: float, t: float) -> ClassicalWaveState:
@@ -201,12 +212,9 @@ def dispersion_defect(psi: ComplexField, omega: float, mu: float, k: float) -> f
     rho below the shared floor are excluded (the curvature is undefined there).
     """
     rho = psi.density()
-    peak = float(rho.max())
-    if peak <= 0.0:
-        raise ValueError("dispersion defect of a zero field is undefined")
-    mask = rho < RHO_FLOOR_REL * peak
+    mask = node_mask(rho)
     if np.all(mask):
-        raise ValueError("all points fall below the density floor")
+        raise ValueError("dispersion defect is undefined: all points fall below the density floor")
     curvature = spectral.sqrt_density_curvature(rho, psi.grid, mask)
     defect = k**2 - (omega / CGS.c) ** 2 + mu**2 - curvature
     return float(np.sqrt(np.mean(defect[~mask] ** 2)))

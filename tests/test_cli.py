@@ -485,6 +485,7 @@ class TestSpecTypeErrors:
         ("propagate", ["grid", "n_points"], {"x": 64}),
         ("measure", ["eigenvalues"], 5),
         ("measure", ["w"], [1.0]),
+        ("propagate", ["grid", "n_points"], [64.5]),
     ])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, subcommand, path, value):
         spec = copy.deepcopy(self.SPECS[subcommand])
@@ -516,3 +517,124 @@ class TestSpecTypeErrors:
         assert err["context"]["type"] == "KeyError"
         assert "in fail" in err["context"]["where"]
         assert not out.exists()
+
+
+class TestOutOfRangeValues:
+    """Flag, spec and input-file values outside their domain exit 2 and write nothing."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        psi = gaussian_packet(
+            GaussianPacketSpec(center=(0.5,), sigma0=0.05, k_carrier=(0.0,)), Grid.of(64, 1.0))
+        write_field(psi, tmp_path / "packet.csv")
+        (tmp_path / "measure.json").write_text(
+            json.dumps({"eigenvalues": [-1.0, 1.0], "amplitudes": [0.6, 0.8]}))
+        # sigma0 = 0.02 is under twice the spacing 1/64
+        (tmp_path / "narrow.json").write_text(json.dumps({
+            "equation": "schrodinger",
+            "grid": {"n_points": [64], "lengths": [1.0]},
+            "packet": {"center": [0.5], "sigma0": 0.02, "k_carrier": [0.0]},
+            "omega_ref": 1e10,
+            "times": [0.0],
+        }))
+        (tmp_path / "series").mkdir()
+        for idx in range(8):
+            write_field(psi, tmp_path / "series" / f"field_{idx:04d}.csv", t_s=float(idx))
+        (tmp_path / "nan_rho.json").write_text('{"re": [[NaN, 0.5], [0.5, 0.5]]}')
+        (tmp_path / "proj.json").write_text(json.dumps({"projectors": [
+            {"re": [[1.0, 0.0], [0.0, 0.0]]},
+            {"re": [[0.0, 0.0], [0.0, 1.0]]},
+        ]}))
+        (tmp_path / "nan_amps.csv").write_text("re0,im0,re1,im1\nnan,0.0,0.0,0.0\n0.0,0.0,0.8,0.0\n")
+        (tmp_path / "duplicate.json").write_text(
+            json.dumps({"eigenvalues": [1.0, 1.0], "amplitudes": [0.6, 0.8]}))
+        (tmp_path / "negative_energy.json").write_text(json.dumps(
+            {"bands": [{"nu_hz": 1e11, "d_nu_hz": 1e9}], "e_target_erg": -1e-15, "r_max": 10}))
+        write_field(ComplexField(grid=Grid.of(16, 1.0), values=np.zeros(16)), tmp_path / "zero.csv")
+        (tmp_path / "mixed").mkdir()
+        for idx in range(8):
+            n = 64 if idx < 7 else 32
+            write_field(ComplexField(grid=Grid.of(n, 1.0), values=np.ones(n)),
+                        tmp_path / "mixed" / f"field_{idx:04d}.csv", t_s=float(idx))
+        return tmp_path
+
+    BOHM = ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11,
+            "--regime", "classical", "--seed-positions", 0.5, "--seed-momenta", 0.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["planck", "--t-kelvin", 0, "--nu-min-hz", 1e9, "--nu-max-hz", 1e10],
+        ["casimir", "--a-cm", 1e-4, "--t-kelvin", 0],
+        ["cmbr", "--omega-c-rad-per-s", 1e12, "--t-kelvin", -1],
+        ["measure", "--spec", "{measure.json}", "--trials", 0, "--seed", 1],
+        ["madelung", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 0],
+        ["madelung", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11,
+         "--next-field", "{packet.csv}", "--dt-s", 0],
+        ["propagate", "--spec", "{narrow.json}"],
+        BOHM + ["--dt-s", "nan", "--steps", 3],
+        BOHM + ["--dt-s", 1e-9, "--steps", -3],
+        ["casimir", "--a-cm", "inf"],
+        ["helicity", "--series-dir", "{series}", "--k0-rad-per-cm", -1.0],
+        ["update", "--rule", "vonneumann", "--rho", "{nan_rho.json}", "--projectors", "{proj.json}"],
+        ["schmidt", "--matrix", "{nan_amps.csv}"],
+        ["measure", "--spec", "{duplicate.json}", "--trials", 10, "--seed", 1],
+        ["maxent", "--spec", "{negative_energy.json}"],
+        ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11, "--regime", "massless",
+         "--seed-positions", 0.5, "--seed-momenta", 0.0, "--dt-s", 1e-12, "--steps", 3],
+        ["madelung", "--field", "{zero.csv}", "--omega-ref-rad-per-s", 1e11],
+        ["madelung", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11,
+         "--next-field", "{zero.csv}", "--dt-s", 1e-12],
+        ["bohm", "--field", "{zero.csv}", "--omega-ref-rad-per-s", 1e11, "--regime", "massive",
+         "--seed-positions", 0.5, "--seed-momenta", 0.0, "--dt-s", 1e-12, "--steps", 3],
+        ["helicity", "--series-dir", "{mixed}", "--k0-rad-per-cm", 1.0],
+    ], ids=["planck-T0", "casimir-T0", "cmbr-Tneg", "measure-trials0", "madelung-omega0",
+            "madelung-dt0", "propagate-narrow-packet", "bohm-dt-nan", "bohm-steps-neg",
+            "casimir-a-inf", "helicity-k0-neg", "update-nan-rho", "schmidt-nan-matrix",
+            "measure-duplicate-eigenvalues", "maxent-negative-energy", "bohm-massless-at-rest",
+            "madelung-zero-dump", "madelung-zero-next-dump", "bohm-zero-dump",
+            "helicity-mixed-grids"])
+    def test_exits_2(self, inputs, capsys, argv):
+        argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
+                for a in argv]
+        out = inputs / "out"
+        rc = run_cli(*argv, "--output-dir", out)
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["code"] == 2
+        assert not out.exists()
+
+
+class TestFiniteJson:
+    def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._DISPATCH, "casimir",
+                            lambda args: (vars(args), {"casimir.json": {"x": float("nan")}}))
+        out = tmp_path / "cas"
+        rc = run_cli("casimir", "--a-cm", 1e-4, "--output-dir", out)
+        assert rc == 3
+        assert "casimir.json" in json.loads(capsys.readouterr().err)["message"]
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicRunDirectory:
+    def test_failed_write_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        write_output = cli._write_output
+
+        def flaky(path, value):
+            calls.append(path.name)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_output(path, value)
+
+        monkeypatch.setattr(cli, "_write_output", flaky)
+        out = tmp_path / "cas"
+        rc = run_cli("casimir", "--a-cm", 1e-4, "--output-dir", out)
+        assert rc == 4
+        assert calls == ["casimir.json", "manifest.json"]
+        assert json.loads(capsys.readouterr().err)["message"] == "disk full"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_target_accepted(self, tmp_path):
+        out = tmp_path / "cas"
+        out.mkdir()
+        assert run_cli("casimir", "--a-cm", 1e-4, "--output-dir", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["casimir.json", "manifest.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cas"]

@@ -263,3 +263,24 @@ class TestChargeDensity:
             psi=psi, psi_dot=ComplexField(grid=grid, values=-1j * omega * psi.values))
         charge = wavemech.wave_charge_density(state)
         np.testing.assert_allclose(charge, 2.0 * omega, rtol=1e-12)
+
+
+class TestSchrodingerEnergy:
+    def test_plane_wave_energy(self):
+        grid = Grid.of((32, 16), (1.0, 2.0))
+        k_vec = (2.0 * math.pi * 5, 2.0 * math.pi * -3 / 2.0)
+        k_sq = sum(k * k for k in k_vec)
+        params = EffectiveMassParams(omega_ref=CGS.c * 2.0 * math.pi * 8, mu=4.0)
+        psi = make_plane_wave(PlaneWaveSpec(0.3 + 0.4j, k_vec, CGS.c * math.sqrt(k_sq)), grid)
+        expected = CGS.hbar * (CGS.hbar * k_sq / (2.0 * params.m_star) + params.v0)
+        assert wavemech.schrodinger_energy(psi, params) == pytest.approx(expected, rel=1e-12)
+
+    def test_conserved_by_evolution(self, rng):
+        grid = Grid.of((16, 16, 16), (1.0, 1.0, 1.0))
+        psi = random_field(grid, rng)
+        params = EffectiveMassParams(omega_ref=CGS.c * 2.0 * math.pi * 8, mu=2.0)
+        e0 = wavemech.schrodinger_energy(psi, params)
+        t_scale = 2.0 * params.m_star / (CGS.hbar * (2.0 * math.pi) ** 2)
+        for t in (0.1 * t_scale, 3.7 * t_scale, 250.0 * t_scale):
+            evolved = evolve_schrodinger(psi, params, t)
+            assert wavemech.schrodinger_energy(evolved, params) == pytest.approx(e0, rel=1e-12)
