@@ -70,6 +70,11 @@ def suggested_r_max(band: FrequencyBand, T: float, tail: float = 1e-12) -> int:
     x = math.exp(-CGS.h * band.nu / (CGS.k_B * T))
     if x == 0.0:
         return 1
+    if x == 1.0:
+        raise ValueError(
+            f"h nu / kT = {CGS.h * band.nu / (CGS.k_B * T):.3e} rounds exp(-h nu / kT) to 1: "
+            f"the geometric tail never falls below tail = {tail}"
+        )
     r = int(math.ceil(math.log(tail) / math.log(x)))
     return max(r, 1)
 
@@ -134,12 +139,14 @@ class OccupancyTable:
 @dataclass(frozen=True)
 class ThermoState:
     """Solution summary: energy multiplier beta (= kT at the optimum),
-    total energy, entropy S = k ln W, and total photon number."""
+    total energy, entropy S = k ln W, total photon number, and how many
+    trial multipliers (bracketing plus Brent) the solver evaluated."""
 
     beta: float
     E: float
     S_entropy: float
     N_photons: float
+    energy_evaluations: int = 0
 
     def __post_init__(self) -> None:
         if not (self.beta > 0.0):
@@ -150,29 +157,42 @@ class ThermoState:
         return self.beta / CGS.k_B
 
 
-def _band_optimum(n_states: float, h_nu: float, beta: float, r_max: int) -> np.ndarray:
+def _band_optimum(n_states, h_nu, beta: float, r_max: int) -> np.ndarray:
     """Maximize -sum p ln p - (h nu / beta) sum r p on the simplex sum p = M.
 
     Entropic mirror ascent with step 0.5: each iteration halves the distance
     of ln p from the fixed point, so ~60 iterations reach rounding level.
-    Raises :class:`ConvergenceError` if 200 iterations do not.
+    Scalar ``n_states`` and ``h_nu`` give one (r_max+1,) row; 1-D arrays give
+    one row per band, (n_bands, r_max+1), all advanced together.  A row is
+    frozen once it converges, so each is the row its band alone would give.
+    Raises :class:`ConvergenceError` if 200 iterations do not converge every row.
     """
-    gamma = h_nu / beta
+    scalar = np.ndim(h_nu) == 0
+    n_states = np.atleast_1d(n_states)[:, None]
+    h_nu = np.atleast_1d(h_nu)
+    gamma = h_nu[:, None] / beta
     r = np.arange(r_max + 1, dtype=float)
-    p = np.full(r_max + 1, n_states / (r_max + 1.0))
+    p = np.repeat(n_states / (r_max + 1.0), r_max + 1, axis=1)
+    active = np.ones(len(h_nu), dtype=bool)
     eta = 0.5
     for _ in range(200):
+        p_act, m = p[active], n_states[active]
         with np.errstate(divide="ignore"):
-            log_p = np.log(p)
-        update = (1.0 - eta) * log_p - eta * (1.0 + gamma * r)
-        update -= update.max()
+            log_p = np.log(p_act)
+        update = (1.0 - eta) * log_p - eta * (1.0 + gamma[active] * r)
+        update -= update.max(axis=1, keepdims=True)
         q = np.exp(update)
-        p_new = n_states * q / q.sum()
-        if np.max(np.abs(p_new - p) / np.maximum(p_new, 1e-300 * n_states)) < 1e-15:
-            return p_new
-        p = p_new
+        p_new = m * q / q.sum(axis=1, keepdims=True)
+        done = np.max(np.abs(p_new - p_act) / np.maximum(p_new, 1e-300 * m), axis=1) < 1e-15
+        p[active] = p_new
+        active[active] = ~done
+        if not active.any():
+            return p[0] if scalar else p
+    stuck = np.flatnonzero(active)
+    more = f" and {len(stuck) - 5} more" if len(stuck) > 5 else ""
     raise ConvergenceError(
-        f"mirror ascent did not converge in 200 iterations (h nu = {h_nu}, beta = {beta})"
+        f"mirror ascent did not converge in 200 iterations for band rows "
+        f"{stuck[:5].tolist()}{more} (h nu = {h_nu[stuck[:5]].tolist()}, beta = {beta})"
     )
 
 
@@ -185,8 +205,10 @@ def maximize_entropy(
     """Numerically maximize ln W at fixed total energy.
 
     The KKT system is separable: at a trial energy multiplier beta each band's
-    optimum is found by mirror ascent on its own simplex, and beta is then
-    root-found (Brent) so the optimal table hits ``e_target``.  Raises
+    optimum is found by mirror ascent on its own simplex (one vectorised call
+    for all bands), and beta is then root-found (Brent) so the optimal table
+    hits ``e_target``.  ``ThermoState.energy_evaluations`` counts the trial
+    multipliers, bracketing plus Brent.  Raises
     :class:`ConvergenceError` when the bracket fails and ValueError when the
     target energy is not representable with the given ``r_max``.
     """
@@ -204,11 +226,14 @@ def maximize_entropy(
             f"(uniform-occupancy ceiling {e_ceiling})"
         )
 
-    def solve_bands(beta: float) -> list[np.ndarray]:
-        return [_band_optimum(b.n_states, CGS.h * b.nu, beta, r_max) for b in bands]
+    n_states = np.array([b.n_states for b in bands])
+    h_nu = np.array([CGS.h * b.nu for b in bands])
+    evaluations = 0
 
     def energy_mismatch(beta: float) -> float:
-        rows = solve_bands(beta)
+        nonlocal evaluations
+        evaluations += 1
+        rows = _band_optimum(n_states, h_nu, beta, r_max)
         r = np.arange(r_max + 1, dtype=float)
         energy = sum(CGS.h * b.nu * float(row @ r) for b, row in zip(bands, rows))
         return energy - e_target
@@ -228,8 +253,7 @@ def maximize_entropy(
     else:
         raise ConvergenceError("failed to bracket beta from above")
     beta = float(brentq(energy_mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16))
-    rows = solve_bands(beta)
-    table = OccupancyTable(bands=tuple(bands), p=np.stack(rows))
+    table = OccupancyTable(bands=tuple(bands), p=_band_optimum(n_states, h_nu, beta, r_max))
     energy = table.total_energy()
     if abs(energy - e_target) > max(tol * e_target, 1e2 * np.finfo(float).eps * e_target):
         raise ConvergenceError(
@@ -241,6 +265,7 @@ def maximize_entropy(
         E=energy,
         S_entropy=CGS.k_B * table.ln_multiplicity(),
         N_photons=float(table.photon_numbers().sum()),
+        energy_evaluations=evaluations,
     )
     return table, thermo
 

@@ -593,6 +593,7 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
         "E_erg": thermo.E,
         "S_erg_per_K": thermo.S_entropy,
         "N_photons": thermo.N_photons,
+        "energy_evaluations": thermo.energy_evaluations,
     }
     return {**vars(args), "spec": spec}, {
         "occupancy.csv": (["band", "nu_hz", "r", "p"], columns),

@@ -160,9 +160,8 @@ def magnetic_energy_identity_check(psi: ComplexField, params: EffectiveMassParam
     meaningful for fields whose density stays above the floor.
     """
     grid = psi.grid
-    spec_weights = np.abs(np.fft.fftn(psi.values)) ** 2
     n_total = float(np.prod(grid.n_points))
-    lhs = float(np.sum(spectral.k_squared(grid) * spec_weights)) * grid.cell_volume / n_total
+    lhs = spectral.power_sum(psi.values, grid, lambda k_sq: k_sq) * grid.cell_volume / n_total
 
     form = polar_decompose(psi)
     qfield = quantum_potential(form, params.m_star)

@@ -57,11 +57,20 @@ def power_mean(values: np.ndarray, grid: Grid, weight) -> float:
     return float(np.sum(weight(k_squared(grid)) * power) / np.sum(power))
 
 
+def power_sum(values: np.ndarray, grid: Grid, weight=None) -> float:
+    """Sum of ``weight(k^2)`` (a function of the k^2 array; 1 when None) over
+    the power spectrum |fftn(values)|^2.  Times dV/N it is the Parseval
+    partner of the matching real-space integral."""
+    power = np.abs(np.fft.fftn(values)) ** 2
+    if weight is None:
+        return float(np.sum(power))
+    return float(np.sum(weight(k_squared(grid)) * power))
+
+
 def fourier_norm_squared(field: ComplexField) -> float:
     """Parseval partner of ``ComplexField.norm_squared``."""
-    spec = np.fft.fftn(field.values)
     n_total = float(np.prod(field.grid.n_points))
-    return float(np.sum(np.abs(spec) ** 2)) * field.grid.cell_volume / n_total
+    return power_sum(field.values, field.grid) * field.grid.cell_volume / n_total
 
 
 def sqrt_density_curvature(rho: np.ndarray, grid: Grid, mask: np.ndarray) -> np.ndarray:

@@ -176,13 +176,11 @@ def right_moving_state(psi: ComplexField) -> ClassicalWaveState:
 def wave_energy(state: ClassicalWaveState, mu: float) -> float:
     """Conserved functional int [ |psi_dot|^2/c^2 + |grad psi|^2 + mu^2 |psi|^2 ] dV."""
     grid = state.grid
-    k_sq = spectral.k_squared(grid)
-    psi_hat = np.fft.fftn(state.psi.values)
-    dot_hat = np.fft.fftn(state.psi_dot.values)
     n_total = float(np.prod(grid.n_points))
     weight = grid.cell_volume / n_total
-    total = np.sum(np.abs(dot_hat) ** 2) / CGS.c**2 + np.sum((k_sq + mu**2) * np.abs(psi_hat) ** 2)
-    return float(total) * weight
+    total = (spectral.power_sum(state.psi_dot.values, grid) / CGS.c**2
+             + spectral.power_sum(state.psi.values, grid, lambda k_sq: k_sq + mu**2))
+    return total * weight
 
 
 def wave_charge_density(state: ClassicalWaveState) -> np.ndarray:

@@ -18,7 +18,8 @@ from gwfield.bosestat import (
     spontaneous_equilibrium_check,
     symmetrize_photons,
 )
-from gwfield.bosestat import ConvergenceError, _band_optimum
+from gwfield.bosestat import ConvergenceError, _band_optimum, suggested_r_max
+from gwfield import bosestat
 
 
 class TestBandStateCount:
@@ -62,6 +63,14 @@ class TestGeometricOccupancy:
         x = math.exp(-CGS.h * band.nu / (CGS.k_B * T))
         n_expected = band.n_states * x / (1.0 - x)
         assert row @ np.arange(len(row)) == pytest.approx(n_expected, rel=1e-10)
+
+    def test_unresolvable_tail_is_a_value_error(self):
+        # h nu / kT ~ 5e-17 rounds x = exp(-h nu / kT) to exactly 1.0
+        band = FrequencyBand(nu=1e10, d_nu=1e8)
+        with pytest.raises(ValueError, match="never falls below"):
+            suggested_r_max(band, 1e16)
+        with pytest.raises(ValueError, match="never falls below"):
+            geometric_occupancy(band, 1e16)
 
     def test_tail_below_budget(self):
         band = FrequencyBand(nu=1e10, d_nu=1e7)
@@ -204,6 +213,58 @@ class TestMaximizeEntropy:
         energy_per_volume = CGS.h * band.nu * float(row @ np.arange(len(row))) / band.volume
         assert energy_per_volume == pytest.approx(
             planck_density(band.nu, T) * band.d_nu, rel=1e-8)
+
+
+class TestBandOptimumRows:
+    """The band-vectorised mirror ascent against one call per band."""
+
+    @staticmethod
+    def seeded_bands(n_bands=50):
+        # h nu / kT from 0.1 to 10 at 5 K: rows converge between 50 and 54 iterations
+        rng = np.random.default_rng(50)
+        nus = np.sort(np.exp(rng.uniform(np.log(1e10), np.log(1e12), size=n_bands)))
+        bands = [FrequencyBand(nu=float(nu), d_nu=1e9, volume=1e3) for nu in nus]
+        return np.array([b.n_states for b in bands]), np.array([CGS.h * b.nu for b in bands])
+
+    @pytest.mark.parametrize("kt_ratio", [0.3, 1.0, 3.0])
+    def test_rows_equal_per_band_calls(self, kt_ratio):
+        n_states, h_nu = self.seeded_bands()
+        beta = kt_ratio * CGS.k_B * 5.0
+        rows = _band_optimum(n_states, h_nu, beta, 60)
+        assert rows.shape == (50, 61)
+        for s in range(50):
+            assert np.array_equal(rows[s], _band_optimum(n_states[s], h_nu[s], beta, 60)), s
+
+    def test_scalar_inputs_give_one_row(self):
+        row = _band_optimum(1e3, CGS.h * 1e11, CGS.k_B * 5.0, 60)
+        assert row.shape == (61,)
+        assert row.sum() == pytest.approx(1e3, rel=1e-12)
+
+    def test_unconverged_row_is_named(self):
+        n_states, h_nu = self.seeded_bands(8)
+        h_nu[5] = float("nan")
+        with pytest.raises(ConvergenceError, match="200 iterations") as info:
+            _band_optimum(n_states, h_nu, CGS.k_B * 5.0, 60)
+        assert "band rows [5]" in str(info.value)
+        assert "nan" in str(info.value)
+
+    def test_one_call_per_energy_evaluation(self, monkeypatch):
+        # the criterion-6 tables: three bands at 5 K, r_max = 60
+        bands = [FrequencyBand(nu=nu, d_nu=1e9, volume=1e3) for nu in (0.8e11, 1.0e11, 1.3e11)]
+        rows = [geometric_occupancy(b, 5.0, r_max=60) for b in bands]
+        e_target = sum(CGS.h * b.nu * float(row @ np.arange(len(row))) for b, row in zip(bands, rows))
+        widths = []
+        original = bosestat._band_optimum
+
+        def counting(n_states, h_nu, beta, r_max):
+            widths.append(np.size(h_nu))
+            return original(n_states, h_nu, beta, r_max)
+
+        monkeypatch.setattr(bosestat, "_band_optimum", counting)
+        _, thermo = maximize_entropy(bands, e_target, r_max=60)
+        assert thermo.energy_evaluations > 0
+        assert len(widths) == thermo.energy_evaluations + 1
+        assert widths == [len(bands)] * len(widths)
 
 
 class TestPlanckDensity:

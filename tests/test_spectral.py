@@ -80,6 +80,23 @@ class TestPowerMean:
         assert spectral.power_mean(values, grid, lambda k_sq: np.full(k_sq.shape, 2.5)) == pytest.approx(2.5)
 
 
+class TestPowerSum:
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+    def test_unweighted_is_fourier_norm(self, grid, rng):
+        field = random_field(grid, rng)
+        n_total = float(np.prod(grid.n_points))
+        expected = spectral.fourier_norm_squared(field) * n_total / grid.cell_volume
+        assert spectral.power_sum(field.values, grid) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+    def test_k_squared_weight_is_gradient_energy(self, grid, rng):
+        values = random_field(grid, rng).values
+        n_total = float(np.prod(grid.n_points))
+        fourier = spectral.power_sum(values, grid, lambda k_sq: k_sq) * grid.cell_volume / n_total
+        physical = sum(float(np.sum(np.abs(g) ** 2)) for g in spectral.gradient(values, grid))
+        assert fourier == pytest.approx(physical * grid.cell_volume, rel=1e-12)
+
+
 class TestSqrtDensityCurvature:
     def test_matches_laplacian_of_sqrt_rho(self):
         grid = Grid.of(128, 1.0)
