@@ -20,6 +20,7 @@ independent certificate of the optimum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,9 @@ from scipy.special import xlogy
 from .constants import CGS
 
 MAX_BRUTE_FORCE_PHOTONS = 8
+# ceiling on the occupation cutoff suggested_r_max may ask for: one float row
+# of 1,000,001 entries is 8 MB
+MAX_R_MAX = 1_000_000
 
 
 class ConvergenceError(RuntimeError):
@@ -66,7 +70,10 @@ class FrequencyBand:
 
 
 def suggested_r_max(band: FrequencyBand, T: float, tail: float = 1e-12) -> int:
-    """Smallest occupation cutoff whose geometric tail is below ``tail``."""
+    """Smallest occupation cutoff whose geometric tail is below ``tail``.
+
+    Raises ValueError when that cutoff would exceed :data:`MAX_R_MAX`.
+    """
     x = math.exp(-CGS.h * band.nu / (CGS.k_B * T))
     if x == 0.0:
         return 1
@@ -75,8 +82,13 @@ def suggested_r_max(band: FrequencyBand, T: float, tail: float = 1e-12) -> int:
             f"h nu / kT = {CGS.h * band.nu / (CGS.k_B * T):.3e} rounds exp(-h nu / kT) to 1: "
             f"the geometric tail never falls below tail = {tail}"
         )
-    r = int(math.ceil(math.log(tail) / math.log(x)))
-    return max(r, 1)
+    r = max(int(math.ceil(math.log(tail) / math.log(x))), 1)
+    if r > MAX_R_MAX:
+        raise ValueError(
+            f"h nu / kT = {CGS.h * band.nu / (CGS.k_B * T):.3e} needs r_max = {r} for a tail "
+            f"below {tail}, above the ceiling MAX_R_MAX = {MAX_R_MAX}"
+        )
+    return r
 
 
 def geometric_occupancy(band: FrequencyBand, T: float, r_max: int | None = None) -> np.ndarray:
@@ -312,28 +324,6 @@ def spontaneous_equilibrium_check(
     return g_ratio * abs(term - 1.0)
 
 
-def _distinct_permutations(labels: tuple[int, ...]):
-    """Distinct permutations of a label multiset (no repeats)."""
-    counts: dict[int, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    n = len(labels)
-
-    def rec(prefix: list[int]):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for lab in sorted(counts):
-            if counts[lab] > 0:
-                counts[lab] -= 1
-                prefix.append(lab)
-                yield from rec(prefix)
-                prefix.pop()
-                counts[lab] += 1
-
-    yield from rec([])
-
-
 def symmetrize_photons(modes, occupation):
     """Build the permutation-symmetric N-point evaluator.
 
@@ -356,7 +346,8 @@ def symmetrize_photons(modes, occupation):
     if n_total > MAX_BRUTE_FORCE_PHOTONS:
         raise ValueError(f"N = {n_total} photons is beyond brute-force scale")
     labels = tuple(i for i, count in enumerate(occupation) for _ in range(count))
-    arrangements = list(_distinct_permutations(labels))
+    # distinct arrangements in lexicographic order; N <= 8 bounds this at 8! tuples
+    arrangements = sorted(set(itertools.permutations(labels)))
     weight = 1.0 / math.sqrt(len(arrangements))
 
     def evaluator(points):

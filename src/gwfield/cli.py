@@ -4,10 +4,16 @@ One subcommand per capability.  Each ``_cmd_*`` step only computes: it
 returns the resolved configuration and its outputs, and :func:`main` alone
 writes them, plus a manifest echoing the configuration, the tool version, a
 checksum of the constant table, and per-file content checksums.  A run whose
-configuration or computation fails writes nothing.  Exit codes: 0 success,
-2 configuration/schema violation, 3 numerical failure, 4 I/O failure, 1 any
-other error; every failure is reported as one JSON line on stderr, never as a
-traceback.  All physics flags are CGS with the unit spelled in the flag name.
+configuration or computation fails writes nothing.  All physics flags are CGS
+with the unit spelled in the flag name.
+
+Exit codes are decided in one place, :func:`main`, by exception type: 0
+success; 4 for an ``OSError`` (I/O); 3 for a ``RuntimeError``,
+``FloatingPointError`` or ``numpy.linalg.LinAlgError`` (numerical failure);
+2 for any other ``ValueError``, :class:`ConfigError` and the library's input
+validation included (configuration or schema violation); 1 for anything else.
+Every failure, a command-line usage error included, is reported as one JSON
+line on stderr, never as a traceback or usage text.
 
 The layers backed by scipy (``bosestat``, ``cmbrvac``, ``madelung``,
 ``selfcheck``) are imported inside the steps that run them: importing scipy
@@ -18,7 +24,6 @@ not pay.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import math
@@ -31,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CGS
-from . import __version__, fields, hybridmeas, statequant, wavemech
-from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave
+from . import __version__, hybridmeas, statequant, wavemech
+from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
 from .fieldio import read_field, read_table, write_field, write_table
 from .helicity import TimeSeriesField, partial_wave_split, time_averaged_current
 
@@ -70,31 +75,20 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"malformed JSON in {p}: {exc}", {"file": str(p)}) from exc
 
 
-@contextlib.contextmanager
-def _validated(where: str):
-    """Objects built from flag or spec values: a ValueError from their
-    validation is a configuration error, not a numerical failure."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`ConfigError`, so it leaves :func:`main`
+    as the one JSON line; ``--help`` and ``--version`` still exit 0."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
-def _read_dump(path: str | Path) -> tuple[ComplexField, dict]:
-    """:func:`read_field`, with a malformed dump reported as a configuration error."""
-    try:
-        return read_field(Path(path))
-    except ValueError as exc:
-        raise ConfigError(str(exc), {"file": str(path)}) from exc
-
-
-def _read_normalized(path: str) -> ComplexField:
-    """A dump rescaled to unit box norm; an all-zero dump is a configuration error."""
-    raw, _ = _read_dump(path)
-    with _validated(f"field dump {path}"):
-        return fields.normalize(raw)
+def _read_nonzero(path: str) -> ComplexField:
+    """A field dump; an all-zero dump is a configuration error naming its file."""
+    field, _ = read_field(path)
+    if not field.values.any():
+        raise ConfigError(f"field dump {path} holds only zeros", {"file": path})
+    return field
 
 
 def _ensure_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -173,7 +167,7 @@ def _grid_from_spec(obj: dict, where: str) -> Grid:
     n_points = [_spec_int(n, f"{where}.n_points") for n in (raw if isinstance(raw, list) else [raw])]
     try:
         return Grid.of(n_points, obj["lengths"])
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
@@ -196,7 +190,7 @@ def _write_output(path: Path, value) -> None:
         try:
             text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
         except ValueError as exc:
-            raise ValueError(f"{path.name} would hold a non-finite number: {exc}") from None
+            raise FloatingPointError(f"{path.name} would hold a non-finite number: {exc}") from None
         path.write_text(text + "\n")
 
 
@@ -250,7 +244,6 @@ def _times_from_spec(value) -> list[float]:
     return [float(t) for t in value]
 
 
-@_validated("propagate spec")
 def _initial_field(spec: dict, grid: Grid) -> ComplexField:
     if ("packet" in spec) == ("planewave" in spec):
         raise ConfigError("exactly one of 'packet' or 'planewave' is required in propagate spec")
@@ -291,8 +284,7 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
         if "omega_ref" not in spec:
             raise ConfigError("missing required key 'omega_ref' in propagate spec")
         omega_ref = _spec_float(spec["omega_ref"], "omega_ref")
-        with _validated("propagate spec"):
-            params = wavemech.EffectiveMassParams(omega_ref=omega_ref, mu=mu)
+        params = wavemech.EffectiveMassParams(omega_ref=omega_ref, mu=mu)
 
         def evolve(t: float) -> tuple[ComplexField, float]:
             field = wavemech.evolve_schrodinger(psi0, params, t)
@@ -300,8 +292,7 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
     else:
         initial = spec.get("wave_initial", "right_moving")
         if initial == "right_moving":
-            with _validated("propagate spec"):
-                state0 = wavemech.right_moving_state(psi0)
+            state0 = wavemech.right_moving_state(psi0)
         elif initial == "static":
             zero = ComplexField(grid=grid, values=np.zeros(grid.shape, dtype=complex))
             state0 = wavemech.ClassicalWaveState(psi=psi0, psi_dot=zero)
@@ -330,11 +321,9 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
 
     if args.next_field is not None and (args.dt_s is None or args.dt_s <= 0.0):
         raise ConfigError("--next-field needs a positive --dt-s")
-    with _validated("madelung flags"):
-        params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s,
-                                              mu=args.mu_per_cm)
+    params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s, mu=args.mu_per_cm)
     # box-normalized density; every reported quantity is scale-invariant
-    psi = _read_normalized(args.field)
+    psi = normalize(_read_nonzero(args.field))
     form = madelung.polar_decompose(psi)
     qfield = madelung.quantum_potential(form, params.m_star)
     grid = psi.grid
@@ -355,7 +344,7 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
         "hj_residual_erg": None,
     }
     if args.next_field is not None:
-        rho_dot = (_read_normalized(args.next_field).density() - form.rho) / args.dt_s
+        rho_dot = (normalize(_read_nonzero(args.next_field)).density() - form.rho) / args.dt_s
         summary["continuity_residual"] = madelung.continuity_residual(form, rho_dot, params.m_star)
     if args.energy_erg is not None:
         summary["hj_residual_erg"] = madelung.hj_residual(form, params, -args.energy_erg)
@@ -383,19 +372,15 @@ def _cmd_bohm(args: argparse.Namespace) -> tuple[dict, dict]:
 
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-    with _validated("bohm flags"):
-        params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s)
-    psi, _ = _read_dump(args.field)
+    params = wavemech.EffectiveMassParams(omega_ref=args.omega_ref_rad_per_s)
+    psi = _read_nonzero(args.field)
     form = madelung.polar_decompose(psi)
-    with _validated(f"field dump {args.field}"):  # raises only for an all-zero dump
-        qfield = madelung.quantum_potential(form, params.m_star)
+    qfield = madelung.quantum_potential(form, params.m_star)
     dim = psi.grid.dim
     positions = _parse_points(args.seed_positions, dim, "--seed-positions")
     momenta = _parse_points(args.seed_momenta, dim, "--seed-momenta")
     if len(positions) != len(momenta):
         raise ConfigError("--seed-positions and --seed-momenta must list the same number of points")
-    if args.regime == "massless" and not all(p.any() for p in momenta):
-        raise ConfigError("the massless regime needs a nonzero momentum for every seed")
     trajs = [madelung.run_trajectory(qfield, x0, p0, args.dt_s, args.steps, args.regime)
              for x0, p0 in zip(positions, momenta)]
     lengths = [len(traj.times) for traj in trajs]
@@ -438,17 +423,15 @@ def _cmd_update(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.rule == "luders" and args.outcome is None:
         raise ConfigError("--outcome is required for the luders rule")
     rho_obj = _load_json(args.rho)
-    with _validated("rho file"):
-        rho = statequant.DensityMatrix(entries=_complex_matrix_from_json(rho_obj, "rho file"))
+    rho = statequant.DensityMatrix(entries=_complex_matrix_from_json(rho_obj, "rho file"))
     proj_obj = _load_json(args.projectors)
     _ensure_keys(proj_obj, {"projectors"}, {"projectors"}, "projector file")
-    with _validated("projector file"):
-        projectors = statequant.ProjectorSet(
-            projectors=tuple(
-                _complex_matrix_from_json(p, f"projector {i}")
-                for i, p in enumerate(_spec_list(proj_obj["projectors"], "projectors"))
-            )
+    projectors = statequant.ProjectorSet(
+        projectors=tuple(
+            _complex_matrix_from_json(p, f"projector {i}")
+            for i, p in enumerate(_spec_list(proj_obj["projectors"], "projectors"))
         )
+    )
     payload: dict = {"rule": args.rule}
     if args.rule == "luders":
         n_outcomes = len(projectors.projectors)
@@ -474,7 +457,7 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
         raise ConfigError(f"series directory {series_dir} holds {len(csv_paths)} field dumps; need >= 8")
     fields, times = [], []
     for p in csv_paths:
-        f, meta = _read_dump(p)
+        f, meta = read_field(p)
         if "t_s" not in meta:
             raise ConfigError(f"field dump {p} lacks a t_s stamp in its sidecar")
         fields.append(f)
@@ -511,19 +494,16 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = _load_json(args.spec)
     _ensure_keys(spec, {"eigenvalues", "amplitudes", "y0", "w", "g", "tau"},
                  {"eigenvalues", "amplitudes"}, "measurement spec")
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    with _validated("measurement spec"):
-        setup = hybridmeas.MeasurementSetup(
-            eigenvalues=_spec_floats(spec["eigenvalues"], "eigenvalues"),
-            amplitudes=tuple(_complex_from_pair(c, "amplitudes")
-                             for c in _spec_list(spec["amplitudes"], "amplitudes")),
-            y0=_spec_float(spec.get("y0", 0.0), "y0"),
-            w=_spec_float(spec.get("w", 1.0), "w"),
-            g=_spec_float(spec.get("g", 1.0), "g"),
-            tau=_spec_float(spec.get("tau", 1.0), "tau"),
-        )
-        record = hybridmeas.run_measurement(setup)  # rejects duplicate eigenvalues
+    setup = hybridmeas.MeasurementSetup(
+        eigenvalues=_spec_floats(spec["eigenvalues"], "eigenvalues"),
+        amplitudes=tuple(_complex_from_pair(c, "amplitudes")
+                         for c in _spec_list(spec["amplitudes"], "amplitudes")),
+        y0=_spec_float(spec.get("y0", 0.0), "y0"),
+        w=_spec_float(spec.get("w", 1.0), "w"),
+        g=_spec_float(spec.get("g", 1.0), "g"),
+        tau=_spec_float(spec.get("tau", 1.0), "tau"),
+    )
+    record = hybridmeas.run_measurement(setup)
     table = hybridmeas.sample_outcomes(record, args.trials, args.seed)
     reduced = hybridmeas.partial_trace_system(record)
     payload = {
@@ -570,19 +550,20 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
     bands = []
     for i, b in enumerate(_spec_list(spec["bands"], "bands")):
         _ensure_keys(b, {"nu_hz", "d_nu_hz", "volume_cm3"}, {"nu_hz", "d_nu_hz"}, f"band {i}")
-        with _validated(f"band {i}"):
-            bands.append(bosestat.FrequencyBand(
-                nu=_spec_float(b["nu_hz"], f"band {i} nu_hz"),
-                d_nu=_spec_float(b["d_nu_hz"], f"band {i} d_nu_hz"),
-                volume=_spec_float(b.get("volume_cm3", 1.0), f"band {i} volume_cm3"),
-            ))
+        bands.append(bosestat.FrequencyBand(
+            nu=_spec_float(b["nu_hz"], f"band {i} nu_hz"),
+            d_nu=_spec_float(b["d_nu_hz"], f"band {i} d_nu_hz"),
+            volume=_spec_float(b.get("volume_cm3", 1.0), f"band {i} volume_cm3"),
+        ))
     e_target = _spec_float(spec["e_target_erg"], "e_target_erg")
     r_max = _spec_int(spec["r_max"], "r_max")
+    tol = _spec_float(spec.get("tol", 1e-10), "tol")
     if not bands or e_target <= 0.0 or r_max < 1:
         raise ConfigError("maxent needs at least one band, e_target_erg > 0 and r_max >= 1")
-    # an e_target beyond what r_max can hold stays a numerical failure (exit 3)
-    table, thermo = bosestat.maximize_entropy(
-        bands, e_target, r_max, tol=_spec_float(spec.get("tol", 1e-10), "tol"))
+    try:
+        table, thermo = bosestat.maximize_entropy(bands, e_target, r_max, tol=tol)
+    except ValueError as exc:  # an e_target beyond what r_max can hold: a numerical failure
+        raise RuntimeError(str(exc)) from exc
     n_bands, n_r = table.p.shape
     columns = [np.repeat(np.arange(n_bands), n_r),
                np.repeat([band.nu for band in table.bands], n_r),
@@ -607,9 +588,8 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
 def _cmd_cmbr(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import cmbrvac
 
-    with _validated("cmbr flags"):
-        model = cmbrvac.VacuumModel(omega_c=args.omega_c_rad_per_s, T=args.t_kelvin,
-                                    xi=args.xi, V_over_B=args.v_over_b_cm3_per_g_unit)
+    model = cmbrvac.VacuumModel(omega_c=args.omega_c_rad_per_s, T=args.t_kelvin,
+                                xi=args.xi, V_over_B=args.v_over_b_cm3_per_g_unit)
     rho_qed_planck = cmbrvac.qed_vacuum_energy(CGS.omega_P)
     payload = {
         "rho_vac_exact": cmbrvac.vacuum_energy(model, "exact"),
@@ -633,11 +613,10 @@ def _cmd_cmbr(args: argparse.Namespace) -> tuple[dict, dict]:
 def _cmd_casimir(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import cmbrvac
 
-    with _validated("casimir flags"):  # both are closed forms: only validation raises
-        payload = {
-            "pressure_dyne_per_cm2": cmbrvac.casimir_pressure(args.a_cm, args.t_kelvin),
-            "coefficient": cmbrvac.casimir_coefficient(args.t_kelvin),
-        }
+    payload = {
+        "pressure_dyne_per_cm2": cmbrvac.casimir_pressure(args.a_cm, args.t_kelvin),
+        "coefficient": cmbrvac.casimir_coefficient(args.t_kelvin),
+    }
     return vars(args), {"casimir.json": payload}
 
 
@@ -681,7 +660,7 @@ def _default_output_dir(subcommand: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gwfield",
         description="Complex scalar wavefield toolkit (CGS units throughout).",
     )
@@ -768,13 +747,12 @@ def _emit_error(code: int, message: str, context: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.output_dir is None:
-        args.output_dir = _default_output_dir(args.subcommand)
-    outdir = Path(args.output_dir)
-    t_start = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        t_start = time.monotonic()
+        if args.output_dir is None:
+            args.output_dir = _default_output_dir(args.subcommand)
+        outdir = Path(args.output_dir)
         non_finite = sorted(k for k, v in vars(args).items()
                             if isinstance(v, float) and not math.isfinite(v))
         if non_finite:
@@ -784,15 +762,16 @@ def main(argv: list[str] | None = None) -> int:
             raise OSError(f"output directory {outdir} exists and is not empty")
         config, outputs = _DISPATCH[args.subcommand](args)
         _write_run(outdir.resolve(), config, outputs, t_start)
-    except ConfigError as exc:
-        _emit_error(2, str(exc), exc.context)
-        return 2
     except OSError as exc:
         _emit_error(4, str(exc), {})
         return 4
-    except (ValueError, RuntimeError, FloatingPointError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught before ValueError
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         _emit_error(3, str(exc), {"type": type(exc).__name__, **getattr(exc, "context", {})})
         return 3
+    except ValueError as exc:  # ConfigError and the library's input validation
+        _emit_error(2, str(exc), {"type": type(exc).__name__, **getattr(exc, "context", {})})
+        return 2
     except Exception as exc:  # last resort: a failure nobody foresaw is still one JSON line
         import traceback
 

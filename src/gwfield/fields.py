@@ -141,10 +141,6 @@ class PlaneWaveSpec:
                 f"dispersion relation violated: |k|^2 + mu^2 = {lhs}, (omega/c)^2 = {rhs}"
             )
 
-    @property
-    def k_mag(self) -> float:
-        return math.sqrt(sum(k * k for k in self.k_vec))
-
 
 def make_plane_wave(spec: PlaneWaveSpec, grid: Grid, t: float = 0.0) -> ComplexField:
     """Sample A * exp(i(k.x - omega t)) on the grid.

@@ -169,8 +169,12 @@ def schmidt_decompose(
 
     The input must have unit Frobenius norm (i.e. a normalized state) unless
     ``renormalize`` is set.  The rank counts singular values >= threshold
-    (default 1e-10 times the largest); rank > 1 means the state is entangled.
+    (default 1e-10 times the largest; an explicit one must be positive, since
+    a zero threshold would count exact zeros); rank > 1 means the state is
+    entangled.
     """
+    if threshold is not None and not threshold > 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
     c = np.asarray(amplitudes, dtype=np.complex128)
     if c.ndim != 2:
         raise ValueError("amplitude matrix must be 2D")

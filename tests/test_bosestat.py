@@ -72,6 +72,15 @@ class TestGeometricOccupancy:
         with pytest.raises(ValueError, match="never falls below"):
             geometric_occupancy(band, 1e16)
 
+    def test_cutoff_above_ceiling_is_a_value_error(self):
+        # h nu / kT ~ 4.8e-7 needs r_max = 57,573,707: a ~460 MB row
+        band = FrequencyBand(nu=1e10, d_nu=1e8)
+        with pytest.raises(ValueError, match="needs r_max = 57573707"):
+            suggested_r_max(band, 1e6)
+        with pytest.raises(ValueError, match="MAX_R_MAX"):
+            geometric_occupancy(band, 1e6)
+        assert suggested_r_max(band, 1e4) < bosestat.MAX_R_MAX  # 575,737 is allowed
+
     def test_tail_below_budget(self):
         band = FrequencyBand(nu=1e10, d_nu=1e7)
         T = 10.0 * CGS.h * band.nu / CGS.k_B  # hot: slow geometric decay

@@ -551,6 +551,16 @@ class TestOutOfRangeValues:
         (tmp_path / "negative_energy.json").write_text(json.dumps(
             {"bands": [{"nu_hz": 1e11, "d_nu_hz": 1e9}], "e_target_erg": -1e-15, "r_max": 10}))
         write_field(ComplexField(grid=Grid.of(16, 1.0), values=np.zeros(16)), tmp_path / "zero.csv")
+        (tmp_path / "unnormalized.csv").write_text("re0,im0,re1,im1\n1.0,0.0,0.0,0.0\n0.0,0.0,1.0,0.0\n")
+        (tmp_path / "zero_amps.csv").write_text("re0,im0,re1,im1\n0.0,0.0,0.0,0.0\n0.0,0.0,0.0,0.0\n")
+        (tmp_path / "product.csv").write_text("re0,im0,re1,im1\n1.0,0.0,0.0,0.0\n0.0,0.0,0.0,0.0\n")
+        (tmp_path / "pure_rho.json").write_text(json.dumps({"re": [[1.0, 0.0], [0.0, 0.0]]}))
+        for name, stamps in [("equal_stamps", [0.0] * 8), ("decreasing_stamps", range(7, -1, -1))]:
+            (tmp_path / name).mkdir()
+            for idx, t in enumerate(stamps):
+                write_field(psi, tmp_path / name / f"field_{idx:04d}.csv", t_s=float(t))
+        (tmp_path / "latin1.json").write_bytes(
+            b'{"eigenvalues": [-1.0, 1.0], "amplitudes": [0.6, 0.8], "y0": "\xe9"}')
         (tmp_path / "mixed").mkdir()
         for idx in range(8):
             n = 64 if idx < 7 else 32
@@ -586,12 +596,28 @@ class TestOutOfRangeValues:
         ["bohm", "--field", "{zero.csv}", "--omega-ref-rad-per-s", 1e11, "--regime", "massive",
          "--seed-positions", 0.5, "--seed-momenta", 0.0, "--dt-s", 1e-12, "--steps", 3],
         ["helicity", "--series-dir", "{mixed}", "--k0-rad-per-cm", 1.0],
+        ["measure", "--spec", "{measure.json}", "--trials", 10, "--seed", -1],
+        ["schmidt", "--matrix", "{unnormalized.csv}"],
+        ["schmidt", "--matrix", "{zero_amps.csv}", "--renormalize"],
+        ["update", "--rule", "luders", "--rho", "{pure_rho.json}", "--projectors", "{proj.json}",
+         "--outcome", 1],
+        ["helicity", "--series-dir", "{equal_stamps}", "--k0-rad-per-cm", 1.0],
+        ["helicity", "--series-dir", "{decreasing_stamps}", "--k0-rad-per-cm", 1.0],
+        ["measure", "--spec", "{latin1.json}", "--trials", 10, "--seed", 1],
+        ["schmidt", "--matrix", "{product.csv}", "--threshold", 0],
+        ["planck", "--t-kelvin", 2.7, "--nu-min-hz", 1e9, "--nu-max-hz", 1e10, "--nu-points", "abc"],
+        ["maxent"],
+        BOHM + ["--regime", "bogus", "--dt-s", 1e-12, "--steps", 3],
     ], ids=["planck-T0", "casimir-T0", "cmbr-Tneg", "measure-trials0", "madelung-omega0",
             "madelung-dt0", "propagate-narrow-packet", "bohm-dt-nan", "bohm-steps-neg",
             "casimir-a-inf", "helicity-k0-neg", "update-nan-rho", "schmidt-nan-matrix",
             "measure-duplicate-eigenvalues", "maxent-negative-energy", "bohm-massless-at-rest",
             "madelung-zero-dump", "madelung-zero-next-dump", "bohm-zero-dump",
-            "helicity-mixed-grids"])
+            "helicity-mixed-grids", "measure-seed-neg", "schmidt-unnormalized",
+            "schmidt-renormalize-zero", "update-zero-probability-outcome",
+            "helicity-equal-stamps", "helicity-decreasing-stamps", "spec-not-utf8",
+            "schmidt-threshold-0", "parser-bad-int", "parser-missing-spec",
+            "parser-bad-choice"])
     def test_exits_2(self, inputs, capsys, argv):
         argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
                 for a in argv]
@@ -600,6 +626,48 @@ class TestOutOfRangeValues:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["code"] == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["madelung", "--field", "zero.csv", "--omega-ref-rad-per-s", 1e11],
+        ["madelung", "--field", "packet.csv", "--omega-ref-rad-per-s", 1e11,
+         "--next-field", "zero.csv", "--dt-s", 1e-12],
+        ["bohm", "--field", "zero.csv"] + BOHM[3:] + ["--dt-s", 1e-12, "--steps", 3],
+    ], ids=["madelung-field", "madelung-next-field", "bohm-field"])
+    def test_zero_dump_error_names_file(self, inputs, capsys, argv):
+        argv = [inputs / a if str(a).endswith(".csv") else a for a in argv]
+        assert run_cli(*argv, "--output-dir", inputs / "out") == 2
+        assert str(inputs / "zero.csv") in json.loads(capsys.readouterr().err)["message"]
+
+
+class TestExitClassRule:
+    """``main`` alone maps an exception type to its exit code."""
+
+    @pytest.mark.parametrize("exc, code", [
+        (ValueError("bad value"), 2),
+        (cli.ConfigError("bad flag"), 2),
+        (RuntimeError("diverged"), 3),
+        (FloatingPointError("overflow"), 3),
+        (np.linalg.LinAlgError("SVD did not converge"), 3),
+        (OSError("disk full"), 4),
+        (KeyError("unforeseen"), 1),
+    ], ids=["ValueError", "ConfigError", "RuntimeError", "FloatingPointError", "LinAlgError",
+            "OSError", "KeyError"])
+    def test_exit_code_by_exception_type(self, tmp_path, capsys, monkeypatch, exc, code):
+        def step(args):
+            raise exc
+
+        monkeypatch.setitem(cli._DISPATCH, "casimir", step)
+        out = tmp_path / "cas"
+        assert run_cli("casimir", "--a-cm", 1e-4, "--output-dir", out) == code
+        assert json.loads(capsys.readouterr().err)["code"] == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(flag)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestFiniteJson:

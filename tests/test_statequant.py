@@ -201,6 +201,15 @@ class TestSchmidt:
         result = schmidt_decompose(c, renormalize=True)
         assert abs(np.sum(result.coefficients**2) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("threshold", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_threshold_rejected(self, threshold):
+        # a zero threshold would count the exact zero singular value of a
+        # product state and call it entangled
+        product = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            schmidt_decompose(product, threshold=threshold)
+        assert schmidt_decompose(product, threshold=1e-12).rank == 1
+
 
 def seam_avoiding_gaussian(grid):
     # centered at x = 0: support wraps around the origin, far from the
