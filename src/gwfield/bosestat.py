@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import xlogy
 
 from .constants import CGS
 
@@ -144,7 +142,10 @@ class OccupancyTable:
         total = 0.0
         for s, band in enumerate(self.bands):
             m = band.n_states
-            total += m * math.log(m) - float(np.sum(xlogy(self.p[s], self.p[s])))
+            p = self.p[s]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p_ln_p = np.where(p == 0.0, 0.0, p * np.log(p))
+            total += m * math.log(m) - float(np.sum(p_ln_p))
         return total
 
 
@@ -167,6 +168,66 @@ class ThermoState:
     @property
     def temperature(self) -> float:
         return self.beta / CGS.k_B
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket [a, b] by Brent's method.
+
+    A step-for-step port of scipy's C ``brentq`` (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), so roots and function
+    calls match it exactly: an inverse-quadratic or secant step where it
+    shrinks fast enough, bisection otherwise, stopping once half the bracket
+    is below delta = (xtol + rtol |x|) / 2.  Raises ValueError when f(a) and
+    f(b) share a sign or ``f`` returns NaN, RuntimeError after ``maxiter``
+    iterations.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; Brent's method cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations, value is {xcur}")
 
 
 def _band_optimum(n_states, h_nu, beta: float, r_max: int) -> np.ndarray:
@@ -264,7 +325,7 @@ def maximize_entropy(
         hi *= 4.0
     else:
         raise ConvergenceError("failed to bracket beta from above")
-    beta = float(brentq(energy_mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16))
+    beta = _brentq(energy_mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16)
     table = OccupancyTable(bands=tuple(bands), p=_band_optimum(n_states, h_nu, beta, r_max))
     energy = table.total_energy()
     if abs(energy - e_target) > max(tol * e_target, 1e2 * np.finfo(float).eps * e_target):
@@ -295,7 +356,7 @@ def planck_density(nu, T: float):
 
 def planck_peak_x() -> float:
     """Dimensionless peak location x* = h nu*/kT, the root of 3(1 - e^-x) = x."""
-    return float(brentq(lambda x: 3.0 * (1.0 - math.exp(-x)) - x, 1.0, 5.0, rtol=1e-14))
+    return _brentq(lambda x: 3.0 * (1.0 - math.exp(-x)) - x, 1.0, 5.0, xtol=2e-12, rtol=1e-14)
 
 
 def spontaneous_equilibrium_check(

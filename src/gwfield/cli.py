@@ -15,10 +15,12 @@ validation included (configuration or schema violation); 1 for anything else.
 Every failure, a command-line usage error included, is reported as one JSON
 line on stderr, never as a traceback or usage text.
 
-The layers backed by scipy (``bosestat``, ``cmbrvac``, ``madelung``,
-``selfcheck``) are imported inside the steps that run them: importing scipy
-costs ~0.9 s of a ~1.2 s start, which subcommands that never call it should
-not pay.
+Only ``bohm`` and ``cmbr`` load scipy, and only inside the library calls
+that need it (the trajectory interpolator and the exact vacuum-energy
+quadrature): importing scipy costs ~0.9 s of a ~1.2 s start, which the other
+subcommands should not pay.  The layers beyond the numpy-only core
+(``bosestat``, ``cmbrvac``, ``madelung``, ``selfcheck``) are imported inside
+the steps that run them.
 """
 
 from __future__ import annotations
@@ -344,7 +346,12 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
         "hj_residual_erg": None,
     }
     if args.next_field is not None:
-        rho_dot = (normalize(_read_nonzero(args.next_field)).density() - form.rho) / args.dt_s
+        next_psi = _read_nonzero(args.next_field)
+        if next_psi.grid != grid:
+            raise ConfigError(
+                f"--next-field {args.next_field} is not on the grid of --field {args.field}",
+                {"files": [args.field, args.next_field]})
+        rho_dot = (normalize(next_psi).density() - form.rho) / args.dt_s
         summary["continuity_residual"] = madelung.continuity_residual(form, rho_dot, params.m_star)
     if args.energy_erg is not None:
         summary["hj_residual_erg"] = madelung.hj_residual(form, params, -args.energy_erg)
@@ -465,6 +472,8 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
     if any(f.grid != fields[0].grid for f in fields):
         raise ConfigError(f"field dumps in {series_dir} are not all on one grid")
     steps = np.diff(times)
+    if not steps[0] > 0.0:
+        raise ConfigError(f"t_s stamps of the field dumps in {series_dir} must increase")
     if np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])):
         raise ConfigError("field series is not uniformly spaced in time")
     series = TimeSeriesField.from_fields(fields, dt=float(steps[0]), t0=float(times[0]))
@@ -503,6 +512,8 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
         g=_spec_float(spec.get("g", 1.0), "g"),
         tau=_spec_float(spec.get("tau", 1.0), "tau"),
     )
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     record = hybridmeas.run_measurement(setup)
     table = hybridmeas.sample_outcomes(record, args.trials, args.seed)
     reduced = hybridmeas.partial_trace_system(record)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import CGS
 from .fields import ComplexField
@@ -80,6 +79,9 @@ def vacuum_energy(model: VacuumModel, method: str = "exact") -> float:
         return vacuum_asymptotic_prefactor(model.T) * model.omega_c**5
     if method != "exact":
         raise ValueError("method must be 'exact' or 'asymptotic'")
+    # imported here, not with the module: only this branch needs scipy
+    from scipy.integrate import quad
+
     x_max = CGS.hbar * model.omega_c / (CGS.k_B * model.T)
     scale = (CGS.k_B * model.T) ** 4 / (CGS.hbar**3 * math.pi**2 * CGS.c**3)
     value, abserr = quad(

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .constants import CGS
 from .fields import ComplexField, Grid, node_mask
@@ -183,17 +182,28 @@ def phase_gradient_momentum(psi: ComplexField) -> float:
 class QuantumPotentialInterpolator:
     """Cubic interpolation of -grad Q on the periodic grid.
 
-    The gradient is evaluated spectrally once; off-grid queries wrap around
-    the box.  ``masked_at`` reports whether the nearest grid point sits in a
-    masked (undefined-Q) region.  Forces are quantitatively reliable only
-    when the density stays above the floor everywhere: masked zeros put a
-    cliff into the Q array whose ringing leaks into the spectral gradient.
+    The gradient is evaluated spectrally once and each component is
+    B-spline prefiltered once, so a query only evaluates the spline; off-grid
+    queries wrap around the box.  ``masked_at`` reports whether the nearest
+    grid point sits in a masked (undefined-Q) region.  Forces are
+    quantitatively reliable only when the density stays above the floor
+    everywhere: masked zeros put a cliff into the Q array whose ringing leaks
+    into the spectral gradient.
     """
 
     def __init__(self, qfield: QuantumPotentialField):
+        # imported here, not with the module: only trajectories need scipy
+        from scipy import ndimage
+
         self.grid = qfield.grid
         self.m_star = qfield.m_star
-        self._grad_q = [g.real for g in spectral.gradient(qfield.Q, qfield.grid)]
+        # grid-wrap pads nothing before filtering, so these coefficients are
+        # exactly what map_coordinates(prefilter=True) would rebuild per call
+        self._coefficients = [
+            ndimage.spline_filter(g.real, order=3, mode="grid-wrap")
+            for g in spectral.gradient(qfield.Q, qfield.grid)
+        ]
+        self._map_coordinates = ndimage.map_coordinates
         self._mask = qfield.mask
 
     def _fractional_index(self, x: np.ndarray) -> np.ndarray:
@@ -206,8 +216,8 @@ class QuantumPotentialInterpolator:
         idx = self._fractional_index(x)[:, None]
         return np.array(
             [
-                ndimage.map_coordinates(g, idx, order=3, mode="grid-wrap")[0]
-                for g in self._grad_q
+                self._map_coordinates(c, idx, order=3, mode="grid-wrap", prefilter=False)[0]
+                for c in self._coefficients
             ]
         )
 

@@ -52,9 +52,13 @@ def phase_flux(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
 
 def power_mean(values: np.ndarray, grid: Grid, weight) -> float:
     """Mean of ``weight(k^2)`` (a function of the k^2 array) over the power
-    spectrum |fftn(values)|^2."""
+    spectrum |fftn(values)|^2.  Raises ValueError for a zero field, whose
+    spectrum has no power to average over."""
     power = np.abs(np.fft.fftn(values)) ** 2
-    return float(np.sum(weight(k_squared(grid)) * power) / np.sum(power))
+    total = np.sum(power)
+    if total == 0.0:
+        raise ValueError("the spectral mean of a zero field is undefined (zero total power)")
+    return float(np.sum(weight(k_squared(grid)) * power) / total)
 
 
 def power_sum(values: np.ndarray, grid: Grid, weight=None) -> float:

@@ -385,3 +385,91 @@ class TestSymmetrizePhotons:
     def test_too_many_photons_rejected(self):
         with pytest.raises(ValueError, match="brute-force"):
             symmetrize_photons([plane_wave_mode(1)], [MAX_BRUTE_FORCE_PHOTONS + 1])
+
+
+def _counted(f):
+    """``f`` with a call counter in ``.calls``."""
+
+    def wrapped(x):
+        wrapped.calls += 1
+        return f(x)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def _brent_cases(seed):
+    """Seeded (f, a, b) brackets: random cubics (some without a sign change),
+    exponentials, and roots at or within a few ulps of an endpoint."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(1500):
+        c0, c1, c2, c3 = (float(v) for v in rng.normal(size=4))
+        a, b = sorted(float(v) for v in rng.uniform(-4.0, 4.0, size=2))
+        cubic = lambda x, c=(c0, c1, c2, c3): ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+        cases.append((cubic, a, b))
+    for _ in range(1000):
+        rate = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 6.0))
+        level = float(rng.uniform(0.1, 20.0))
+        root = math.log(level) / rate
+        a, b = root - float(rng.uniform(0.01, 5.0)), root + float(rng.uniform(0.01, 5.0))
+        cases.append((lambda x, k=rate, c=level: math.exp(k * x) - c, a, b))
+    for _ in range(1000):
+        a = float(rng.uniform(-3.0, 3.0))
+        b = a + float(rng.uniform(1e-3, 4.0))
+        ulps = int(rng.integers(0, 4))
+        near_a = float(np.nextafter(a, b)) if ulps == 1 else a + ulps * 1e-15 * max(abs(a), 1.0)
+        near_b = b - ulps * 1e-15 * max(abs(b), 1.0)
+        root = near_a if rng.random() < 0.5 else near_b
+        power = int(rng.choice([1, 3, 5]))
+        cases.append((lambda x, r=root, n=power: (x - r) ** n, a, b))
+    for _ in range(500):
+        x_peak = float(rng.uniform(1.5, 4.0))
+        cases.append((lambda x, s=x_peak: s * (1.0 - math.exp(-x)) - x, 0.5, 6.0))
+    return cases
+
+
+class TestBrentPort:
+    """``_brentq`` must reproduce scipy's C ``brentq`` root for root and call for call."""
+
+    TOLERANCES = [(2e-12, 4 * np.finfo(float).eps), (1e-300, 8.9e-16), (1e-6, 1e-10), (0.3, 0.01)]
+
+    @pytest.mark.parametrize("xtol, rtol", TOLERANCES)
+    def test_roots_and_calls_match_scipy(self, xtol, rtol):
+        from scipy.optimize import brentq
+
+        sign_errors = 0
+        for f, a, b in _brent_cases(seed=int(-math.log10(xtol))):
+            ours, theirs = _counted(f), _counted(f)
+            try:
+                expected = brentq(theirs, a, b, xtol=xtol, rtol=rtol)
+            except ValueError:
+                sign_errors += 1
+                with pytest.raises(ValueError):
+                    bosestat._brentq(ours, a, b, xtol=xtol, rtol=rtol)
+                continue
+            assert bosestat._brentq(ours, a, b, xtol=xtol, rtol=rtol) == expected, (a, b)
+            assert ours.calls == theirs.calls, (a, b)
+        assert 0 < sign_errors < 1000
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x * x + 1.0, -1.0, 2.0),
+        (lambda x: math.nan if x > 0.7 else x - 0.5, 0.0, 1.0),
+        (lambda x: math.nan if 0.55 < x < 0.65 else x - 0.6, 0.0, 1.0),
+    ], ids=["same-sign", "nan-at-endpoint", "nan-inside"])
+    def test_value_errors_match_scipy(self, f, a, b):
+        from scipy.optimize import brentq
+
+        with pytest.raises(ValueError):
+            brentq(f, a, b)
+        with pytest.raises(ValueError):
+            bosestat._brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps)
+
+    def test_maxiter_exhaustion_matches_scipy(self):
+        from scipy.optimize import brentq
+
+        f = lambda x: (x - 0.3) ** 5
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 1.0, maxiter=4)
+        with pytest.raises(RuntimeError):
+            bosestat._brentq(f, 0.0, 1.0, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=4)

@@ -395,33 +395,73 @@ class TestFailedRunsWriteNothing:
         assert not out.exists()
 
 
-# Runs gwfield.cli.main on each argv of a JSON list, then prints the scipy
-# modules the interpreter has loaded.
+def subprocess_env():
+    """The environment for a fresh interpreter that imports this checkout's gwfield."""
+    src = str(Path(gwfield.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+# Imports a module, runs its main on each argv of a JSON list, then prints the
+# scipy modules the interpreter has loaded.
 _SCIPY_PROBE = """
-import json, sys
-import gwfield.cli
-for argv in json.loads(sys.argv[1]):
-    assert gwfield.cli.main(argv) == 0, argv
+import importlib, json, sys
+module = importlib.import_module(sys.argv[1])
+for argv in json.loads(sys.argv[2]):
+    assert module.main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
-def scipy_modules_after(runs):
-    """scipy modules loaded by a fresh interpreter that imports gwfield.cli and runs ``runs``."""
-    src = str(Path(gwfield.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+def scipy_modules_after(runs, module="gwfield.cli"):
+    """scipy modules loaded by a fresh interpreter that imports ``module`` and runs ``runs``."""
     argvs = json.dumps([[str(a) for a in argv] for argv in runs])
-    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argvs], env=env,
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, module, argvs], env=subprocess_env(),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestImportBudget:
-    """Subcommands that never call scipy must not pay for importing it."""
+    """Subcommands that never call scipy must not pay for importing it; only
+    ``bohm`` and ``cmbr`` do."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after([]) == []
+
+    @pytest.mark.parametrize("module", ["gwfield.bosestat", "gwfield.madelung", "gwfield.cmbrvac"])
+    def test_layer_import_loads_no_scipy(self, module):
+        assert scipy_modules_after([], module) == []
+
+    def test_compute_subcommands_load_no_scipy(self, tmp_path):
+        psi = gaussian_packet(
+            GaussianPacketSpec(center=(0.5,), sigma0=0.05, k_carrier=(0.0,)), Grid.of(64, 1.0))
+        write_field(psi, tmp_path / "packet.csv")
+        maxent = tmp_path / "maxent.json"
+        maxent.write_text(json.dumps(
+            {"bands": [{"nu_hz": 1e11, "d_nu_hz": 1e9}], "e_target_erg": 1e-15, "r_max": 10}))
+        runs = [
+            ["planck", "--t-kelvin", 2.7, "--nu-min-hz", 1e9, "--nu-max-hz", 1e12,
+             "--output-dir", tmp_path / "planck"],
+            ["maxent", "--spec", maxent, "--output-dir", tmp_path / "maxent"],
+            ["casimir", "--a-cm", 1e-4, "--output-dir", tmp_path / "casimir"],
+            ["madelung", "--field", tmp_path / "packet.csv", "--omega-ref-rad-per-s", 1e11,
+             "--next-field", tmp_path / "packet.csv", "--dt-s", 1e-12,
+             "--output-dir", tmp_path / "madelung"],
+            ["check", "--output-dir", tmp_path / "check"],
+        ]
+        assert scipy_modules_after(runs) == []
+        assert (tmp_path / "check" / "check.json").exists()
+
+    def test_bohm_and_cmbr_load_scipy(self, tmp_path):
+        psi = gaussian_packet(
+            GaussianPacketSpec(center=(0.5,), sigma0=0.05, k_carrier=(0.0,)), Grid.of(64, 1.0))
+        write_field(psi, tmp_path / "packet.csv")
+        bohm = ["bohm", "--field", tmp_path / "packet.csv", "--omega-ref-rad-per-s", 1e11,
+                "--regime", "massive", "--seed-positions", 0.5, "--seed-momenta", 0.0,
+                "--dt-s", 1e-12, "--steps", 2, "--output-dir", tmp_path / "bohm"]
+        cmbr = ["cmbr", "--omega-c-rad-per-s", 2.87e9, "--output-dir", tmp_path / "cmbr"]
+        assert "scipy.ndimage" in scipy_modules_after([bohm])
+        assert "scipy.integrate" in scipy_modules_after([cmbr])
 
     def test_numpy_only_subcommands_load_no_scipy(self, tmp_path):
         rho = tmp_path / "rho.json"
@@ -524,9 +564,10 @@ class TestOutOfRangeValues:
 
     @pytest.fixture
     def inputs(self, tmp_path):
-        psi = gaussian_packet(
-            GaussianPacketSpec(center=(0.5,), sigma0=0.05, k_carrier=(0.0,)), Grid.of(64, 1.0))
+        packet = GaussianPacketSpec(center=(0.5,), sigma0=0.05, k_carrier=(0.0,))
+        psi = gaussian_packet(packet, Grid.of(64, 1.0))
         write_field(psi, tmp_path / "packet.csv")
+        write_field(gaussian_packet(packet, Grid.of(128, 1.0)), tmp_path / "fine.csv")
         (tmp_path / "measure.json").write_text(
             json.dumps({"eigenvalues": [-1.0, 1.0], "amplitudes": [0.6, 0.8]}))
         # sigma0 = 0.02 is under twice the spacing 1/64
@@ -566,6 +607,14 @@ class TestOutOfRangeValues:
             n = 64 if idx < 7 else 32
             write_field(ComplexField(grid=Grid.of(n, 1.0), values=np.ones(n)),
                         tmp_path / "mixed" / f"field_{idx:04d}.csv", t_s=float(idx))
+        (tmp_path / "zero_planewave.json").write_text(json.dumps({
+            "equation": "schrodinger",
+            "grid": {"n_points": [64], "lengths": [1.0]},
+            "planewave": {"amplitude": [0.0, 0.0], "k_vec": [8.0 * math.pi],
+                          "omega": CGS.c * 8.0 * math.pi},
+            "omega_ref": CGS.c * 8.0 * math.pi,
+            "times": [0.0],
+        }))
         return tmp_path
 
     BOHM = ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11,
@@ -608,6 +657,8 @@ class TestOutOfRangeValues:
         ["planck", "--t-kelvin", 2.7, "--nu-min-hz", 1e9, "--nu-max-hz", 1e10, "--nu-points", "abc"],
         ["maxent"],
         BOHM + ["--regime", "bogus", "--dt-s", 1e-12, "--steps", 3],
+        ["madelung", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11,
+         "--next-field", "{fine.csv}", "--dt-s", 1e-12],
     ], ids=["planck-T0", "casimir-T0", "cmbr-Tneg", "measure-trials0", "madelung-omega0",
             "madelung-dt0", "propagate-narrow-packet", "bohm-dt-nan", "bohm-steps-neg",
             "casimir-a-inf", "helicity-k0-neg", "update-nan-rho", "schmidt-nan-matrix",
@@ -617,7 +668,7 @@ class TestOutOfRangeValues:
             "schmidt-renormalize-zero", "update-zero-probability-outcome",
             "helicity-equal-stamps", "helicity-decreasing-stamps", "spec-not-utf8",
             "schmidt-threshold-0", "parser-bad-int", "parser-missing-spec",
-            "parser-bad-choice"])
+            "parser-bad-choice", "madelung-next-field-other-grid"])
     def test_exits_2(self, inputs, capsys, argv):
         argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
                 for a in argv]
@@ -637,6 +688,36 @@ class TestOutOfRangeValues:
         argv = [inputs / a if str(a).endswith(".csv") else a for a in argv]
         assert run_cli(*argv, "--output-dir", inputs / "out") == 2
         assert str(inputs / "zero.csv") in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("argv, names", [
+        (["madelung", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11,
+          "--next-field", "{fine.csv}", "--dt-s", 1e-12],
+         ["--field", "packet.csv", "--next-field", "fine.csv"]),
+        (["measure", "--spec", "{measure.json}", "--trials", 10, "--seed", -1], ["--seed"]),
+        (["helicity", "--series-dir", "{equal_stamps}", "--k0-rad-per-cm", 1.0],
+         ["t_s", "equal_stamps"]),
+        (["helicity", "--series-dir", "{decreasing_stamps}", "--k0-rad-per-cm", 1.0],
+         ["t_s", "decreasing_stamps"]),
+    ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "helicity-equal-stamps",
+            "helicity-decreasing-stamps"])
+    def test_error_names_its_flag(self, inputs, capsys, argv, names):
+        argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
+                for a in argv]
+        assert run_cli(*argv, "--output-dir", inputs / "out") == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert all(name in message for name in names), message
+
+    def test_zero_field_stderr_is_one_json_line(self, inputs):
+        # a fresh interpreter, so a numpy warning would reach stderr as text
+        done = subprocess.run(
+            [sys.executable, "-m", "gwfield.cli", "propagate",
+             "--spec", str(inputs / "zero_planewave.json"), "--output-dir", str(inputs / "out")],
+            env=subprocess_env(), capture_output=True, text=True)
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert json.loads(lines[0])["code"] == 2
+        assert not (inputs / "out").exists()
 
 
 class TestExitClassRule:

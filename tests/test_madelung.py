@@ -338,6 +338,22 @@ class TestBohmTrajectories:
         assert traj.status == "terminated_masked"
         assert traj.positions[-1, 0] < center + 12.0 * sigma
 
+    @pytest.mark.parametrize("n_points, lengths", [
+        (64, 1.0), ((16, 24), (1.0, 1.5)), ((12, 10, 8), (1.0, 0.8, 0.6))])
+    def test_prefiltered_spline_matches_per_call_prefilter(self, rng, n_points, lengths):
+        from scipy import ndimage
+
+        grid = Grid.of(n_points, lengths)
+        qfield = quantum_potential(polar_decompose(normalize(random_field(grid, rng))), 1e-37)
+        gradients = [g.real for g in spectral.gradient(qfield.Q, grid)]
+        interp = QuantumPotentialInterpolator(qfield)
+        for x in rng.uniform(-1.0, 2.0, size=(20, grid.dim)) * np.asarray(grid.lengths):
+            idx = np.array([(xi % length) / h for xi, length, h in
+                            zip(x, grid.lengths, grid.spacings)])[:, None]
+            expected = [ndimage.map_coordinates(g, idx, order=3, mode="grid-wrap", prefilter=True)[0]
+                        for g in gradients]
+            assert np.array_equal(interp.grad_q_at(x), expected)
+
     def test_bad_regime_rejected(self):
         qfield, center, _ = _gaussian_qfield()
         interp = QuantumPotentialInterpolator(qfield)

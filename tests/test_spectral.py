@@ -79,6 +79,11 @@ class TestPowerMean:
         values = random_field(grid, rng).values
         assert spectral.power_mean(values, grid, lambda k_sq: np.full(k_sq.shape, 2.5)) == pytest.approx(2.5)
 
+    def test_zero_field_is_a_value_error(self):
+        grid = Grid.of(64, 1.0)
+        with pytest.raises(ValueError, match="zero total power"):
+            spectral.power_mean(np.zeros(64, dtype=complex), grid, np.sqrt)
+
 
 class TestPowerSum:
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
