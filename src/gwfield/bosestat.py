@@ -32,6 +32,10 @@ MAX_BRUTE_FORCE_PHOTONS = 8
 # ceiling on the occupation cutoff suggested_r_max may ask for: one float row
 # of 1,000,001 entries is 8 MB
 MAX_R_MAX = 1_000_000
+# geometric tail mass suggested_r_max cuts off, relative to the band total
+R_MAX_TAIL = 1e-12
+# relative energy mismatch maximize_entropy accepts at its solution
+ENERGY_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -58,17 +62,13 @@ class FrequencyBand:
             raise ValueError("nu, d_nu and volume must all be positive")
 
     @property
-    def states_per_volume(self) -> float:
-        return band_state_count(self.nu, self.d_nu)
-
-    @property
     def n_states(self) -> float:
         """Total states in the band, M = A * V (continuous, Stirling regime)."""
-        return self.states_per_volume * self.volume
+        return band_state_count(self.nu, self.d_nu) * self.volume
 
 
-def suggested_r_max(band: FrequencyBand, T: float, tail: float = 1e-12) -> int:
-    """Smallest occupation cutoff whose geometric tail is below ``tail``.
+def suggested_r_max(band: FrequencyBand, T: float) -> int:
+    """Smallest occupation cutoff whose geometric tail is below :data:`R_MAX_TAIL`.
 
     Raises ValueError when that cutoff would exceed :data:`MAX_R_MAX`.
     """
@@ -78,13 +78,13 @@ def suggested_r_max(band: FrequencyBand, T: float, tail: float = 1e-12) -> int:
     if x == 1.0:
         raise ValueError(
             f"h nu / kT = {CGS.h * band.nu / (CGS.k_B * T):.3e} rounds exp(-h nu / kT) to 1: "
-            f"the geometric tail never falls below tail = {tail}"
+            f"the geometric tail never falls below {R_MAX_TAIL}"
         )
-    r = max(int(math.ceil(math.log(tail) / math.log(x))), 1)
+    r = max(int(math.ceil(math.log(R_MAX_TAIL) / math.log(x))), 1)
     if r > MAX_R_MAX:
         raise ValueError(
             f"h nu / kT = {CGS.h * band.nu / (CGS.k_B * T):.3e} needs r_max = {r} for a tail "
-            f"below {tail}, above the ceiling MAX_R_MAX = {MAX_R_MAX}"
+            f"below {R_MAX_TAIL}, above the ceiling MAX_R_MAX = {MAX_R_MAX}"
         )
     return r
 
@@ -92,8 +92,8 @@ def suggested_r_max(band: FrequencyBand, T: float, tail: float = 1e-12) -> int:
 def geometric_occupancy(band: FrequencyBand, T: float, r_max: int | None = None) -> np.ndarray:
     """Closed-form occupancies p_r = M (1 - x) x^r, x = exp(-h nu / kT).
 
-    ``r_max`` is raised automatically until the truncated tail is below 1e-12
-    of the total, so sum_r p_r = M to that accuracy.
+    ``r_max`` is raised automatically until the truncated tail is below
+    :data:`R_MAX_TAIL` of the total, so sum_r p_r = M to that accuracy.
     """
     if T <= 0.0:
         raise ValueError("temperature must be positive")
@@ -270,20 +270,18 @@ def _band_optimum(n_states, h_nu, beta: float, r_max: int) -> np.ndarray:
 
 
 def maximize_entropy(
-    bands: list[FrequencyBand],
-    e_target: float,
-    r_max: int,
-    tol: float = 1e-10,
+    bands: list[FrequencyBand], e_target: float, r_max: int
 ) -> tuple[OccupancyTable, ThermoState]:
     """Numerically maximize ln W at fixed total energy.
 
     The KKT system is separable: at a trial energy multiplier beta each band's
     optimum is found by mirror ascent on its own simplex (one vectorised call
     for all bands), and beta is then root-found (Brent) so the optimal table
-    hits ``e_target``.  ``ThermoState.energy_evaluations`` counts the trial
-    multipliers, bracketing plus Brent.  Raises
-    :class:`ConvergenceError` when the bracket fails and ValueError when the
-    target energy is not representable with the given ``r_max``.
+    hits ``e_target`` to :data:`ENERGY_TOL` relative.
+    ``ThermoState.energy_evaluations`` counts the trial multipliers,
+    bracketing plus Brent.  Raises :class:`ConvergenceError` when the bracket
+    fails and ValueError when the target energy is not representable with the
+    given ``r_max``.
     """
     if not bands:
         raise ValueError("at least one band is required")
@@ -328,10 +326,10 @@ def maximize_entropy(
     beta = _brentq(energy_mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16)
     table = OccupancyTable(bands=tuple(bands), p=_band_optimum(n_states, h_nu, beta, r_max))
     energy = table.total_energy()
-    if abs(energy - e_target) > max(tol * e_target, 1e2 * np.finfo(float).eps * e_target):
+    if abs(energy - e_target) > ENERGY_TOL * e_target:
         raise ConvergenceError(
             f"energy matched to {abs(energy - e_target) / e_target:.3e} relative, "
-            f"worse than tol = {tol}"
+            f"worse than ENERGY_TOL = {ENERGY_TOL}"
         )
     thermo = ThermoState(
         beta=beta,
@@ -350,7 +348,8 @@ def planck_density(nu, T: float):
     if np.any(nu <= 0.0) or T <= 0.0:
         raise ValueError("nu and T must be positive")
     x = CGS.h * nu / (CGS.k_B * T)
-    out = (8.0 * math.pi * nu**2 / CGS.c**3) * CGS.h * nu / np.expm1(x)
+    with np.errstate(over="ignore"):  # expm1(x) = inf where the density underflows to 0
+        out = (8.0 * math.pi * nu**2 / CGS.c**3) * CGS.h * nu / np.expm1(x)
     return float(out) if out.ndim == 0 else out
 
 

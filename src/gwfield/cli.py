@@ -8,10 +8,12 @@ configuration or computation fails writes nothing.  All physics flags are CGS
 with the unit spelled in the flag name.
 
 Exit codes are decided in one place, :func:`main`, by exception type: 0
-success; 4 for an ``OSError`` (I/O); 3 for a ``RuntimeError``,
-``FloatingPointError`` or ``numpy.linalg.LinAlgError`` (numerical failure);
-2 for any other ``ValueError``, :class:`ConfigError` and the library's input
-validation included (configuration or schema violation); 1 for anything else.
+success; 4 for an ``OSError`` (I/O); 3 for a ``RuntimeError``, any
+``ArithmeticError`` (a floating-point overflow inside a step included) or
+``numpy.linalg.LinAlgError`` (numerical failure); 2 for any other
+``ValueError``, :class:`ConfigError` and the library's input validation
+included (configuration or schema violation, such as a spec number given as
+a boolean or a string); 1 for anything else.
 Every failure, a command-line usage error included, is reported as one JSON
 line on stderr, never as a traceback or usage text.
 
@@ -105,10 +107,13 @@ def _ensure_keys(obj: dict, allowed: set[str], required: set[str], where: str) -
 
 
 def _spec_float(value, where: str) -> float:
+    """A finite JSON number: an int or a float, never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return number
@@ -164,13 +169,12 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
 
 
 def _grid_from_spec(obj: dict, where: str) -> Grid:
+    """A grid whose ``n_points`` and ``lengths`` are each a number or a list."""
     _ensure_keys(obj, {"n_points", "lengths"}, {"n_points", "lengths"}, where)
-    raw = obj["n_points"]
-    n_points = [_spec_int(n, f"{where}.n_points") for n in (raw if isinstance(raw, list) else [raw])]
-    try:
-        return Grid.of(n_points, obj["lengths"])
-    except TypeError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+    raw_n, raw_l = (obj[key] if isinstance(obj[key], list) else [obj[key]]
+                    for key in ("n_points", "lengths"))
+    n_points = [_spec_int(n, f"{where}.n_points") for n in raw_n]
+    return Grid.of(n_points, _spec_floats(raw_l, f"{where}.lengths"))
 
 
 def _complex_from_pair(value, where: str) -> complex:
@@ -237,15 +241,6 @@ _PROPAGATE_KEYS = {
 }
 
 
-def _times_from_spec(value) -> list[float]:
-    if not isinstance(value, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) and t >= 0
-        for t in value
-    ):
-        raise ConfigError("times must be a list of finite numbers >= 0")
-    return [float(t) for t in value]
-
-
 def _initial_field(spec: dict, grid: Grid) -> ComplexField:
     if ("packet" in spec) == ("planewave" in spec):
         raise ConfigError("exactly one of 'packet' or 'planewave' is required in propagate spec")
@@ -280,7 +275,9 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
         raise ConfigError("equation must be 'wave' or 'schrodinger'")
     grid = _grid_from_spec(spec["grid"], "grid")
     mu = _spec_float(spec.get("mu", 0.0), "mu")
-    times = _times_from_spec(spec["times"])
+    times = _spec_floats(spec["times"], "times")
+    if any(t < 0.0 for t in times):
+        raise ConfigError(f"times must be >= 0, got {min(times)!r}")
     psi0 = _initial_field(spec, grid)
     if equation == "schrodinger":
         if "omega_ref" not in spec:
@@ -364,12 +361,17 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------- bohm
 
 
-def _parse_points(raw: str, dim: int, what: str) -> list[np.ndarray]:
+def _parse_points(raw: str, dim: int, flag: str) -> list[np.ndarray]:
     points = []
     for chunk in raw.split(";"):
-        coords = [_spec_float(x, what) for x in chunk.split(",")]
+        try:
+            coords = [float(x) for x in chunk.split(",")]
+        except ValueError:
+            raise ConfigError(f"{flag} entry '{chunk}' must hold numbers") from None
+        if not all(map(math.isfinite, coords)):
+            raise ConfigError(f"{flag} entry '{chunk}' must be finite")
         if len(coords) != dim:
-            raise ConfigError(f"{what} entry '{chunk}' must have {dim} coordinates")
+            raise ConfigError(f"{flag} entry '{chunk}' must have {dim} coordinates")
         points.append(np.asarray(coords))
     return points
 
@@ -556,8 +558,8 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import bosestat
 
     spec = _load_json(args.spec)
-    _ensure_keys(spec, {"bands", "e_target_erg", "r_max", "tol"},
-                 {"bands", "e_target_erg", "r_max"}, "maxent spec")
+    _ensure_keys(spec, {"bands", "e_target_erg", "r_max"}, {"bands", "e_target_erg", "r_max"},
+                 "maxent spec")
     bands = []
     for i, b in enumerate(_spec_list(spec["bands"], "bands")):
         _ensure_keys(b, {"nu_hz", "d_nu_hz", "volume_cm3"}, {"nu_hz", "d_nu_hz"}, f"band {i}")
@@ -568,11 +570,10 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
         ))
     e_target = _spec_float(spec["e_target_erg"], "e_target_erg")
     r_max = _spec_int(spec["r_max"], "r_max")
-    tol = _spec_float(spec.get("tol", 1e-10), "tol")
     if not bands or e_target <= 0.0 or r_max < 1:
         raise ConfigError("maxent needs at least one band, e_target_erg > 0 and r_max >= 1")
     try:
-        table, thermo = bosestat.maximize_entropy(bands, e_target, r_max, tol=tol)
+        table, thermo = bosestat.maximize_entropy(bands, e_target, r_max)
     except ValueError as exc:  # an e_target beyond what r_max can hold: a numerical failure
         raise RuntimeError(str(exc)) from exc
     n_bands, n_r = table.p.shape
@@ -771,13 +772,16 @@ def main(argv: list[str] | None = None) -> int:
                               {"non_finite": non_finite})
         if outdir.exists() and any(outdir.iterdir()):
             raise OSError(f"output directory {outdir} exists and is not empty")
-        config, outputs = _DISPATCH[args.subcommand](args)
+        # an overflow, a division by zero or a NaN inside a step is a numerical
+        # failure; underflow to zero is not
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            config, outputs = _DISPATCH[args.subcommand](args)
         _write_run(outdir.resolve(), config, outputs, t_start)
     except OSError as exc:
         _emit_error(4, str(exc), {})
         return 4
     # LinAlgError subclasses ValueError, so it must be caught before ValueError
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         _emit_error(3, str(exc), {"type": type(exc).__name__, **getattr(exc, "context", {})})
         return 3
     except ValueError as exc:  # ConfigError and the library's input validation

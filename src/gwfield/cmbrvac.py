@@ -84,9 +84,11 @@ def vacuum_energy(model: VacuumModel, method: str = "exact") -> float:
 
     x_max = CGS.hbar * model.omega_c / (CGS.k_B * model.T)
     scale = (CGS.k_B * model.T) ** 4 / (CGS.hbar**3 * math.pi**2 * CGS.c**3)
+    # full_output keeps quad from warning; abserr below decides convergence
     value, abserr = quad(
-        lambda x: x**3 * -math.expm1(-x), 0.0, x_max, epsabs=0.0, epsrel=1e-11, limit=200
-    )
+        lambda x: x**3 * -math.expm1(-x), 0.0, x_max, epsabs=0.0, epsrel=1e-11, limit=200,
+        full_output=1,
+    )[:2]
     if value > 0.0 and abserr > 1e-9 * value:
         raise RuntimeError(f"quadrature failed to converge: estimate {value}, error {abserr}")
     return scale * value

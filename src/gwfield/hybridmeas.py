@@ -18,6 +18,8 @@ import numpy as np
 from .statequant import DensityMatrix
 
 RESOLVED_OVERLAP = 1e-6
+# the joint state is n^2 x n^2 and validating it costs O(n^6): 1.6 s at n = 40
+MAX_OUTCOMES = 32
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,6 @@ class MeasurementSetup:
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValueError("tau must be finite and positive")
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.eigenvalues)
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -68,26 +66,24 @@ class MeasurementRecord:
 class OutcomeFrequencies:
     """Empirical outcome table from seeded sampling."""
 
-    n_trials: int
-    seed: int
     counts: np.ndarray
     frequencies: np.ndarray
     max_abs_deviation: float
 
 
-def run_measurement(
-    setup: MeasurementSetup, resolved_overlap: float = RESOLVED_OVERLAP
-) -> MeasurementRecord:
+def run_measurement(setup: MeasurementSetup) -> MeasurementRecord:
     """Apply the impulsive coupling and freeze the pointer displacements.
 
     Pointer packets for outcomes p and q overlap by exp(-(y_p-y_q)^2/(8 w^2));
-    pairs above ``resolved_overlap`` are flagged as unresolved rather than
-    forced orthogonal.
+    pairs above :data:`RESOLVED_OVERLAP` are flagged as unresolved rather than
+    forced orthogonal.  Raises ValueError above :data:`MAX_OUTCOMES` outcomes.
     """
     eigenvalues = np.asarray(setup.eigenvalues)
-    if len(np.unique(eigenvalues)) != len(eigenvalues):
+    n = len(eigenvalues)
+    if n > MAX_OUTCOMES:
+        raise ValueError(f"{n} outcomes is above the ceiling MAX_OUTCOMES = {MAX_OUTCOMES}")
+    if len(np.unique(eigenvalues)) != n:
         raise ValueError("duplicate eigenvalues: pointer positions would coincide")
-    n = setup.n_outcomes
     pointers = setup.y0 + setup.g * eigenvalues * setup.tau
     weights = np.array([abs(c) ** 2 for c in setup.amplitudes])
     separations = pointers[:, None] - pointers[None, :]
@@ -99,7 +95,7 @@ def run_measurement(
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if overlaps[i, j] > resolved_overlap
+        if overlaps[i, j] > RESOLVED_OVERLAP
     )
     return MeasurementRecord(
         eigenvalues=setup.eigenvalues,
@@ -130,10 +126,4 @@ def sample_outcomes(record: MeasurementRecord, n_trials: int, seed: int) -> Outc
     counts = np.bincount(draws, minlength=len(record.eigenvalues))
     frequencies = counts / n_trials
     deviation = float(np.abs(frequencies - record.weights).max())
-    return OutcomeFrequencies(
-        n_trials=n_trials,
-        seed=seed,
-        counts=counts,
-        frequencies=frequencies,
-        max_abs_deviation=deviation,
-    )
+    return OutcomeFrequencies(counts=counts, frequencies=frequencies, max_abs_deviation=deviation)

@@ -55,15 +55,10 @@ def polar_decompose(psi: ComplexField) -> MadelungForm:
     rho = psi.density()
     mask = node_mask(rho)
     phase = np.angle(psi.values)
-    if psi.grid.dim >= 1:
-        phase[(slice(None),) + (0,) * (psi.grid.dim - 1)] = np.unwrap(
-            phase[(slice(None),) + (0,) * (psi.grid.dim - 1)]
-        )
-    if psi.grid.dim >= 2:
-        sl = (slice(None), slice(None)) + (0,) * (psi.grid.dim - 2)
-        phase[sl] = np.unwrap(phase[sl], axis=1)
-    if psi.grid.dim == 3:
-        phase = np.unwrap(phase, axis=2)
+    dim = psi.grid.dim
+    for axis in range(dim):
+        sweep = (slice(None),) * (axis + 1) + (0,) * (dim - axis - 1)
+        phase[sweep] = np.unwrap(phase[sweep], axis=axis)
     return MadelungForm(grid=psi.grid, rho=rho, phase=phase, branch_mask=mask)
 
 
@@ -141,7 +136,7 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     div = spectral.divergence([(CGS.hbar / m_star) * f for f in flux], form.grid).real
     residual = rho_dot + div
     keep = ~form.branch_mask
-    length_scale = float(np.prod(form.grid.lengths)) ** (1.0 / form.grid.dim)
+    length_scale = form.grid.volume ** (1.0 / form.grid.dim)
     floor = (CGS.hbar / m_star) * float(form.rho.max()) / length_scale**2
     denom = float(np.abs(rho_dot).max()) + floor
     return float(np.sqrt(np.mean(residual[keep] ** 2))) / denom
@@ -207,10 +202,7 @@ class QuantumPotentialInterpolator:
         self._mask = qfield.mask
 
     def _fractional_index(self, x: np.ndarray) -> np.ndarray:
-        coords = []
-        for i in range(self.grid.dim):
-            coords.append((x[i] % self.grid.lengths[i]) / self.grid.spacings[i])
-        return np.asarray(coords)
+        return np.mod(x, self.grid.lengths) / self.grid.spacings
 
     def grad_q_at(self, x: np.ndarray) -> np.ndarray:
         idx = self._fractional_index(x)[:, None]
@@ -283,7 +275,6 @@ class BohmTrajectory:
     times: np.ndarray
     positions: np.ndarray
     momenta: np.ndarray
-    regime: str
     status: str
 
 
@@ -313,6 +304,5 @@ def run_trajectory(
         times=np.asarray(times),
         positions=np.asarray(xs),
         momenta=np.asarray(ps),
-        regime=regime,
         status=status,
     )

@@ -117,7 +117,7 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def luders_update(
-    rho: DensityMatrix, projectors: ProjectorSet, k: int, prob_floor: float = PROB_FLOOR
+    rho: DensityMatrix, projectors: ProjectorSet, k: int
 ) -> tuple[DensityMatrix, float]:
     """Selective update: (P_k rho P_k / Tr(P_k rho), Tr(P_k rho))."""
     if rho.dim != projectors.dim:
@@ -126,7 +126,7 @@ def luders_update(
         raise ValueError(f"outcome {k} is outside [0, {len(projectors.projectors)})")
     p_k = projectors.projectors[k]
     prob = float(np.real(np.trace(p_k @ rho.entries)))
-    if prob <= prob_floor:
+    if prob <= PROB_FLOOR:
         raise ValueError(f"outcome {k} has zero probability (Tr P_k rho = {prob})")
     updated = _hermitize(p_k @ rho.entries @ p_k) / prob
     return DensityMatrix(entries=updated), prob
@@ -214,10 +214,9 @@ def sawtooth_coordinate(grid, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CommutatorCheck:
-    """max |[D_i, x_j] psi + i s delta_ij psi| / max |psi| plus seam telemetry."""
+    """max |[D_i, x_j] psi + i s delta_ij psi| / max |psi| plus a seam warning."""
 
     residual: float
-    seam_amplitude: float
     seam_warning: bool
 
 
@@ -249,11 +248,7 @@ def commutator_check(
     take = [slice(None)] * grid.dim
     take[j] = slice(seam_index - 1, seam_index + 2)
     seam_amplitude = float(np.abs(field.values[tuple(take)]).max()) / peak
-    return CommutatorCheck(
-        residual=residual,
-        seam_amplitude=seam_amplitude,
-        seam_warning=seam_amplitude > 1e-8,
-    )
+    return CommutatorCheck(residual=residual, seam_warning=seam_amplitude > 1e-8)
 
 
 @dataclass(frozen=True)

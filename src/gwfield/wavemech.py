@@ -52,8 +52,6 @@ class EffectiveMassParams:
     @property
     def v0(self) -> float:
         """Constant potential as an angular frequency [rad/s]; 0 when mu = 0."""
-        if self.mu == 0.0:
-            return 0.0
         return self.mu**2 * CGS.c / self.k0
 
 

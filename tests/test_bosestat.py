@@ -303,6 +303,10 @@ class TestPlanckDensity:
         with pytest.raises(ValueError):
             planck_density(-1.0, 2.7)
 
+    def test_underflowing_density_is_zero_without_a_warning(self):
+        # h nu / kT ~ 1.8e4: expm1 overflows to inf and the density is exactly 0
+        assert planck_density(1e15, 2.7) == 0.0
+
 
 class TestSpontaneousEquilibrium:
     def test_identity_for_random_triples(self, rng):

@@ -526,6 +526,14 @@ class TestSpecTypeErrors:
         ("measure", ["eigenvalues"], 5),
         ("measure", ["w"], [1.0]),
         ("propagate", ["grid", "n_points"], [64.5]),
+        ("maxent", ["r_max"], True),
+        ("propagate", ["packet", "sigma0"], "0.05"),
+        ("propagate", ["packet", "center"], [True]),
+        ("measure", ["g"], True),
+        ("propagate", ["grid", "lengths"], ["1.0"]),
+        ("propagate", ["times"], [0.0, True]),
+        ("propagate", ["packet", "amplitude"], False),
+        ("maxent", ["tol"], 1e-8),
     ])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, subcommand, path, value):
         spec = copy.deepcopy(self.SPECS[subcommand])
@@ -698,8 +706,10 @@ class TestOutOfRangeValues:
          ["t_s", "equal_stamps"]),
         (["helicity", "--series-dir", "{decreasing_stamps}", "--k0-rad-per-cm", 1.0],
          ["t_s", "decreasing_stamps"]),
+        (BOHM[:-4] + ["--seed-positions", "0.5,abc", "--seed-momenta", 0.0, "--dt-s", 1e-12,
+                      "--steps", 3], ["--seed-positions"]),
     ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "helicity-equal-stamps",
-            "helicity-decreasing-stamps"])
+            "helicity-decreasing-stamps", "bohm-seed-not-a-number"])
     def test_error_names_its_flag(self, inputs, capsys, argv, names):
         argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
                 for a in argv]
@@ -720,6 +730,54 @@ class TestOutOfRangeValues:
         assert not (inputs / "out").exists()
 
 
+class TestNumericalFailureStderr:
+    """Arithmetic errors and floating-point overflow inside a step exit 3 with
+    one JSON line on stderr; an underflow to zero is no failure."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        write_field(gaussian_packet(GaussianPacketSpec(center=(0.5,), sigma0=0.05, k_carrier=(0.0,)),
+                                    Grid.of(64, 1.0)), tmp_path / "packet.csv")
+        k = 8.0 * math.pi
+        (tmp_path / "huge_wave.json").write_text(json.dumps({
+            "equation": "wave",
+            "grid": {"n_points": [64], "lengths": [1.0]},
+            "planewave": {"amplitude": 1e300, "k_vec": [k], "omega": CGS.c * k},
+            "times": [0.0, 1e-12],
+        }))
+        return tmp_path
+
+    def run(self, inputs, argv):
+        # a fresh interpreter, so a numpy or scipy warning would reach stderr as text
+        argv = [str(inputs / a[1:-1]) if str(a).startswith("{") else str(a) for a in argv]
+        return subprocess.run(
+            [sys.executable, "-m", "gwfield.cli", *argv, "--output-dir", str(inputs / "out")],
+            env=subprocess_env(), capture_output=True, text=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["casimir", "--a-cm", 1e-60],
+        ["cmbr", "--omega-c-rad-per-s", 1e300],
+        ["cmbr", "--omega-c-rad-per-s", 1e20, "--t-kelvin", 1e-300],
+        ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11, "--regime", "massive",
+         "--seed-positions", 0.5, "--seed-momenta", 1e300, "--dt-s", 1e10, "--steps", 3],
+        ["propagate", "--spec", "{huge_wave.json}"],
+    ], ids=["casimir-a-underflow", "cmbr-omega-overflow", "cmbr-quadrature-fails",
+            "bohm-momentum-overflow", "propagate-amplitude-overflow"])
+    def test_exits_3_with_one_json_line(self, inputs, argv):
+        done = self.run(inputs, argv)
+        assert done.returncode == 3, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert json.loads(lines[0])["code"] == 3
+        assert not (inputs / "out").exists()
+
+    def test_underflowing_planck_rows_are_silent(self, inputs):
+        done = self.run(inputs, ["planck", "--t-kelvin", 2.7, "--nu-min-hz", 1e9,
+                                 "--nu-max-hz", 1e15])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert read_rows(inputs / "out" / "planck.csv")[-1][1] == "0.0"
+
+
 class TestExitClassRule:
     """``main`` alone maps an exception type to its exit code."""
 
@@ -731,8 +789,10 @@ class TestExitClassRule:
         (np.linalg.LinAlgError("SVD did not converge"), 3),
         (OSError("disk full"), 4),
         (KeyError("unforeseen"), 1),
+        (ZeroDivisionError("float division by zero"), 3),
+        (OverflowError("math range error"), 3),
     ], ids=["ValueError", "ConfigError", "RuntimeError", "FloatingPointError", "LinAlgError",
-            "OSError", "KeyError"])
+            "OSError", "KeyError", "ZeroDivisionError", "OverflowError"])
     def test_exit_code_by_exception_type(self, tmp_path, capsys, monkeypatch, exc, code):
         def step(args):
             raise exc

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gwfield.hybridmeas import (
+    MAX_OUTCOMES,
     MeasurementSetup,
     partial_trace_system,
     run_measurement,
@@ -69,6 +70,12 @@ class TestRunMeasurement:
             amplitudes=(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
         )
         with pytest.raises(ValueError, match="duplicate"):
+            run_measurement(setup)
+
+    def test_outcome_count_is_capped(self):
+        n = MAX_OUTCOMES + 1
+        setup = MeasurementSetup(eigenvalues=tuple(range(n)), amplitudes=(n**-0.5,) * n)
+        with pytest.raises(ValueError, match=f"{n} outcomes"):
             run_measurement(setup)
 
     def test_post_state_diagonal_weights(self):
