@@ -279,9 +279,9 @@ def maximize_entropy(
     for all bands), and beta is then root-found (Brent) so the optimal table
     hits ``e_target`` to :data:`ENERGY_TOL` relative.
     ``ThermoState.energy_evaluations`` counts the trial multipliers,
-    bracketing plus Brent.  Raises :class:`ConvergenceError` when the bracket
-    fails and ValueError when the target energy is not representable with the
-    given ``r_max``.
+    bracketing plus Brent.  Raises ValueError for no band, a non-positive
+    ``e_target`` or ``r_max < 1``, and :class:`ConvergenceError` when the
+    bracket fails or ``r_max`` cannot hold the target energy.
     """
     if not bands:
         raise ValueError("at least one band is required")
@@ -292,7 +292,7 @@ def maximize_entropy(
 
     e_ceiling = sum(CGS.h * b.nu * b.n_states * r_max / 2.0 for b in bands)
     if e_target >= 0.98 * e_ceiling:
-        raise ValueError(
+        raise ConvergenceError(
             f"e_target = {e_target} is not representable below r_max = {r_max} "
             f"(uniform-occupancy ceiling {e_ceiling})"
         )

@@ -12,8 +12,9 @@ success; 4 for an ``OSError`` (I/O); 3 for a ``RuntimeError``, any
 ``ArithmeticError`` (a floating-point overflow inside a step included) or
 ``numpy.linalg.LinAlgError`` (numerical failure); 2 for any other
 ``ValueError``, :class:`ConfigError` and the library's input validation
-included (configuration or schema violation, such as a spec number given as
-a boolean or a string); 1 for anything else.
+included (configuration or schema violation, such as a number given as a
+boolean or a string in a spec, matrix file or dump sidecar, all of which
+``fieldio.read_object`` reads); 1 for anything else.
 Every failure, a command-line usage error included, is reported as one JSON
 line on stderr, never as a traceback or usage text.
 
@@ -35,6 +36,7 @@ import os
 import shutil
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +44,10 @@ import numpy as np
 from .constants import CGS
 from . import __version__, hybridmeas, statequant, wavemech
 from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
-from .fieldio import read_field, read_table, write_field, write_table
+from .fieldio import (ConfigError, _complex_from_pair, _load_json, _spec_float, _spec_floats,
+                      _spec_int, _spec_items, _spec_matrix, read_field, read_object, read_table,
+                      write_field, write_table)
 from .helicity import TimeSeriesField, partial_wave_split, time_averaged_current
-
-
-class ConfigError(ValueError):
-    """Configuration or schema violation (exit code 2)."""
-
-    def __init__(self, message: str, context: dict | None = None):
-        super().__init__(message)
-        self.context = context or {}
 
 
 class CheckFailed(RuntimeError):
@@ -70,15 +66,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _load_json(path: str | Path) -> dict:
-    p = Path(path)
-    text = p.read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {p}: {exc}", {"file": str(p)}) from exc
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a :class:`ConfigError`, so it leaves :func:`main`
     as the one JSON line; ``--help`` and ``--version`` still exit 0."""
@@ -95,63 +82,19 @@ def _read_nonzero(path: str) -> ComplexField:
     return field
 
 
-def _ensure_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key '{unknown[0]}' in {where}", {"unknown_keys": unknown})
-    missing = sorted(required - set(obj))
-    if missing:
-        raise ConfigError(f"missing required key '{missing[0]}' in {where}")
+def _spec_choice(*choices: str):
+    """A converter for a JSON string that must be one of ``choices``."""
+    def choice(value, where: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{where} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+        return value
+    return choice
 
 
-def _spec_float(value, where: str) -> float:
-    """A finite JSON number: an int or a float, never a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return number
-
-
-def _spec_int(value, where: str) -> int:
-    number = _spec_float(value, where)
-    if not number.is_integer():
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(number)
-
-
-def _spec_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list, got {value!r}")
-    return value
-
-
-def _spec_floats(value, where: str) -> tuple[float, ...]:
-    return tuple(_spec_float(v, where) for v in _spec_list(value, where))
-
-
-def _finite_matrix(m: np.ndarray, where: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise ConfigError(f"{where} holds a non-finite entry")
-    return m
-
-
-def _complex_matrix_from_json(obj: dict, where: str) -> np.ndarray:
-    _ensure_keys(obj, {"re", "im"}, {"re"}, where)
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must hold numeric matrices: {exc}") from None
-    if re.shape != im.shape:
-        raise ConfigError(f"re/im shape mismatch in {where}")
-    return _finite_matrix(re + 1j * im, where)
+def _one_or_each(convert):
+    """A converter for one value or a list of values (one per axis)."""
+    each = _spec_items(convert)
+    return lambda value, where: each(value, where) if isinstance(value, list) else convert(value, where)
 
 
 def _complex_matrix_to_json(m: np.ndarray) -> dict:
@@ -165,24 +108,10 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
         raise ConfigError(f"matrix CSV header must be re0,im0,re1,im1,... got {header}")
     if data.size == 0 or data.shape[1] != len(header):
         raise ConfigError(f"matrix CSV {path} needs data rows of {len(header)} values")
-    return _finite_matrix(data[:, 0::2] + 1j * data[:, 1::2], f"matrix CSV {path}")
-
-
-def _grid_from_spec(obj: dict, where: str) -> Grid:
-    """A grid whose ``n_points`` and ``lengths`` are each a number or a list."""
-    _ensure_keys(obj, {"n_points", "lengths"}, {"n_points", "lengths"}, where)
-    raw_n, raw_l = (obj[key] if isinstance(obj[key], list) else [obj[key]]
-                    for key in ("n_points", "lengths"))
-    n_points = [_spec_int(n, f"{where}.n_points") for n in raw_n]
-    return Grid.of(n_points, _spec_floats(raw_l, f"{where}.lengths"))
-
-
-def _complex_from_pair(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(_spec_float(value, where))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_spec_float(value[0], where), _spec_float(value[1], where))
-    raise ConfigError(f"{where} must be a number or an [re, im] pair")
+    matrix = data[:, 0::2] + 1j * data[:, 1::2]
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"matrix CSV {path} holds a non-finite entry")
+    return matrix
 
 
 def _write_output(path: Path, value) -> None:
@@ -236,67 +165,49 @@ def _write_run(target: Path, config: dict, outputs: dict, t_start: float) -> Non
 # ----------------------------------------------------------------- propagate
 
 
+# each key declaration maps a key to (converter, required); see fieldio.read_object
+_GRID_KEYS = {"n_points": (_one_or_each(_spec_int), True), "lengths": (_one_or_each(_spec_float), True)}
+_PACKET_KEYS = {"center": (_spec_floats, True), "sigma0": (_spec_float, True),
+                "k_carrier": (_spec_floats, True), "amplitude": (_complex_from_pair, False)}
+_PLANEWAVE_KEYS = {"amplitude": (_complex_from_pair, True), "k_vec": (_spec_floats, True),
+                   "omega": (_spec_float, True), "mu": (_spec_float, False)}
 _PROPAGATE_KEYS = {
-    "equation", "grid", "packet", "planewave", "mu", "omega_ref", "wave_initial", "times",
+    "equation": (_spec_choice("wave", "schrodinger"), True),
+    "grid": (partial(read_object, _GRID_KEYS), True),
+    "packet": (partial(read_object, _PACKET_KEYS), False),
+    "planewave": (partial(read_object, _PLANEWAVE_KEYS), False),
+    "mu": (_spec_float, False), "omega_ref": (_spec_float, False),
+    "wave_initial": (_spec_choice("right_moving", "static"), False),
+    "times": (_spec_floats, True),
 }
-
-
-def _initial_field(spec: dict, grid: Grid) -> ComplexField:
-    if ("packet" in spec) == ("planewave" in spec):
-        raise ConfigError("exactly one of 'packet' or 'planewave' is required in propagate spec")
-    if "packet" in spec:
-        obj = spec["packet"]
-        _ensure_keys(obj, {"center", "sigma0", "k_carrier", "amplitude"},
-                     {"center", "sigma0", "k_carrier"}, "packet")
-        packet = wavemech.GaussianPacketSpec(
-            center=_spec_floats(obj["center"], "packet.center"),
-            sigma0=_spec_float(obj["sigma0"], "packet.sigma0"),
-            k_carrier=_spec_floats(obj["k_carrier"], "packet.k_carrier"),
-            amplitude=_complex_from_pair(obj.get("amplitude", 1.0), "packet.amplitude"),
-        )
-        return wavemech.gaussian_packet(packet, grid)
-    obj = spec["planewave"]
-    _ensure_keys(obj, {"amplitude", "k_vec", "omega", "mu"}, {"amplitude", "k_vec", "omega"},
-                 "planewave")
-    pw = PlaneWaveSpec(
-        amplitude=_complex_from_pair(obj["amplitude"], "planewave.amplitude"),
-        k_vec=_spec_floats(obj["k_vec"], "planewave.k_vec"),
-        omega=_spec_float(obj["omega"], "planewave.omega"),
-        mu=_spec_float(obj.get("mu", 0.0), "planewave.mu"),
-    )
-    return make_plane_wave(pw, grid)
 
 
 def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = _load_json(args.spec)
-    _ensure_keys(spec, _PROPAGATE_KEYS, {"equation", "grid", "times"}, "propagate spec")
-    equation = spec["equation"]
-    if equation not in ("wave", "schrodinger"):
-        raise ConfigError("equation must be 'wave' or 'schrodinger'")
-    grid = _grid_from_spec(spec["grid"], "grid")
-    mu = _spec_float(spec.get("mu", 0.0), "mu")
-    times = _spec_floats(spec["times"], "times")
+    values = read_object(_PROPAGATE_KEYS, spec, args.spec)
+    grid = Grid.of(**values["grid"])
+    mu = values.get("mu", 0.0)
+    times = values["times"]
     if any(t < 0.0 for t in times):
         raise ConfigError(f"times must be >= 0, got {min(times)!r}")
-    psi0 = _initial_field(spec, grid)
-    if equation == "schrodinger":
-        if "omega_ref" not in spec:
-            raise ConfigError("missing required key 'omega_ref' in propagate spec")
-        omega_ref = _spec_float(spec["omega_ref"], "omega_ref")
-        params = wavemech.EffectiveMassParams(omega_ref=omega_ref, mu=mu)
+    if ("packet" in values) == ("planewave" in values):
+        raise ConfigError(f"exactly one of 'packet' or 'planewave' is required in {args.spec}")
+    psi0 = (wavemech.gaussian_packet(wavemech.GaussianPacketSpec(**values["packet"]), grid)
+            if "packet" in values else make_plane_wave(PlaneWaveSpec(**values["planewave"]), grid))
+    if values["equation"] == "schrodinger":
+        if "omega_ref" not in values:
+            raise ConfigError(f"missing required key 'omega_ref' in {args.spec}")
+        params = wavemech.EffectiveMassParams(omega_ref=values["omega_ref"], mu=mu)
 
         def evolve(t: float) -> tuple[ComplexField, float]:
             field = wavemech.evolve_schrodinger(psi0, params, t)
             return field, wavemech.schrodinger_energy(field, params)
     else:
-        initial = spec.get("wave_initial", "right_moving")
-        if initial == "right_moving":
+        if values.get("wave_initial", "right_moving") == "right_moving":
             state0 = wavemech.right_moving_state(psi0)
-        elif initial == "static":
+        else:
             zero = ComplexField(grid=grid, values=np.zeros(grid.shape, dtype=complex))
             state0 = wavemech.ClassicalWaveState(psi=psi0, psi_dot=zero)
-        else:
-            raise ConfigError("wave_initial must be 'right_moving' or 'static'")
 
         def evolve(t: float) -> tuple[ComplexField, float]:
             state = wavemech.evolve_classical_wave(state0, mu, t)
@@ -431,16 +342,10 @@ def _cmd_schmidt(args: argparse.Namespace) -> tuple[dict, dict]:
 def _cmd_update(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.rule == "luders" and args.outcome is None:
         raise ConfigError("--outcome is required for the luders rule")
-    rho_obj = _load_json(args.rho)
-    rho = statequant.DensityMatrix(entries=_complex_matrix_from_json(rho_obj, "rho file"))
-    proj_obj = _load_json(args.projectors)
-    _ensure_keys(proj_obj, {"projectors"}, {"projectors"}, "projector file")
-    projectors = statequant.ProjectorSet(
-        projectors=tuple(
-            _complex_matrix_from_json(p, f"projector {i}")
-            for i, p in enumerate(_spec_list(proj_obj["projectors"], "projectors"))
-        )
-    )
+    rho = statequant.DensityMatrix(entries=_spec_matrix(_load_json(args.rho), args.rho))
+    projectors = statequant.ProjectorSet(**read_object(
+        {"projectors": (_spec_items(_spec_matrix), True)}, _load_json(args.projectors),
+        args.projectors))
     payload: dict = {"rule": args.rule}
     if args.rule == "luders":
         n_outcomes = len(projectors.projectors)
@@ -501,24 +406,19 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
 # ------------------------------------------------------------------- measure
 
 
+_MEASURE_KEYS = {"eigenvalues": (_spec_floats, True),
+                 "amplitudes": (_spec_items(_complex_from_pair), True),
+                 **{key: (_spec_float, False) for key in ("y0", "w", "g", "tau")}}
+
+
 def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = _load_json(args.spec)
-    _ensure_keys(spec, {"eigenvalues", "amplitudes", "y0", "w", "g", "tau"},
-                 {"eigenvalues", "amplitudes"}, "measurement spec")
-    setup = hybridmeas.MeasurementSetup(
-        eigenvalues=_spec_floats(spec["eigenvalues"], "eigenvalues"),
-        amplitudes=tuple(_complex_from_pair(c, "amplitudes")
-                         for c in _spec_list(spec["amplitudes"], "amplitudes")),
-        y0=_spec_float(spec.get("y0", 0.0), "y0"),
-        w=_spec_float(spec.get("w", 1.0), "w"),
-        g=_spec_float(spec.get("g", 1.0), "g"),
-        tau=_spec_float(spec.get("tau", 1.0), "tau"),
-    )
+    setup = hybridmeas.MeasurementSetup(**read_object(_MEASURE_KEYS, spec, args.spec))
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     record = hybridmeas.run_measurement(setup)
-    table = hybridmeas.sample_outcomes(record, args.trials, args.seed)
     reduced = hybridmeas.partial_trace_system(record)
+    table = hybridmeas.sample_outcomes(record, args.trials, args.seed)
     payload = {
         "eigenvalues": list(record.eigenvalues),
         "pointer_positions": record.pointer_positions.tolist(),
@@ -554,28 +454,20 @@ def _cmd_planck(args: argparse.Namespace) -> tuple[dict, dict]:
 # -------------------------------------------------------------------- maxent
 
 
+_BAND_KEYS = {"nu_hz": (_spec_float, True), "d_nu_hz": (_spec_float, True),
+              "volume_cm3": (_spec_float, False)}
+_MAXENT_KEYS = {"bands": (_spec_items(partial(read_object, _BAND_KEYS)), True),
+                "e_target_erg": (_spec_float, True), "r_max": (_spec_int, True)}
+
+
 def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import bosestat
 
     spec = _load_json(args.spec)
-    _ensure_keys(spec, {"bands", "e_target_erg", "r_max"}, {"bands", "e_target_erg", "r_max"},
-                 "maxent spec")
-    bands = []
-    for i, b in enumerate(_spec_list(spec["bands"], "bands")):
-        _ensure_keys(b, {"nu_hz", "d_nu_hz", "volume_cm3"}, {"nu_hz", "d_nu_hz"}, f"band {i}")
-        bands.append(bosestat.FrequencyBand(
-            nu=_spec_float(b["nu_hz"], f"band {i} nu_hz"),
-            d_nu=_spec_float(b["d_nu_hz"], f"band {i} d_nu_hz"),
-            volume=_spec_float(b.get("volume_cm3", 1.0), f"band {i} volume_cm3"),
-        ))
-    e_target = _spec_float(spec["e_target_erg"], "e_target_erg")
-    r_max = _spec_int(spec["r_max"], "r_max")
-    if not bands or e_target <= 0.0 or r_max < 1:
-        raise ConfigError("maxent needs at least one band, e_target_erg > 0 and r_max >= 1")
-    try:
-        table, thermo = bosestat.maximize_entropy(bands, e_target, r_max)
-    except ValueError as exc:  # an e_target beyond what r_max can hold: a numerical failure
-        raise RuntimeError(str(exc)) from exc
+    values = read_object(_MAXENT_KEYS, spec, args.spec)
+    # a band's keys are FrequencyBand's fields in order, with their units spelled out
+    bands = [bosestat.FrequencyBand(*band.values()) for band in values["bands"]]
+    table, thermo = bosestat.maximize_entropy(bands, values["e_target_erg"], values["r_max"])
     n_bands, n_r = table.p.shape
     columns = [np.repeat(np.arange(n_bands), n_r),
                np.repeat([band.nu for band in table.bands], n_r),

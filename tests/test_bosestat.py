@@ -207,7 +207,7 @@ class TestMaximizeEntropy:
     def test_unrepresentable_energy_rejected(self):
         band = FrequencyBand(nu=1e10, d_nu=1e8, volume=1.0)
         huge = CGS.h * band.nu * band.n_states * 100.0
-        with pytest.raises(ValueError, match="not representable"):
+        with pytest.raises(ConvergenceError, match="not representable"):
             maximize_entropy([band], huge, r_max=10)
 
     def test_band_optimum_reports_exhausted_iterations(self):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import csv
 import hashlib
 import json
@@ -14,9 +15,11 @@ import pytest
 import gwfield
 from gwfield import cli
 from gwfield.cli import main
+from gwfield.bosestat import FrequencyBand
 from gwfield.constants import CGS
-from gwfield.fields import ComplexField, Grid, normalize
+from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, normalize
 from gwfield.fieldio import write_field
+from gwfield.hybridmeas import MeasurementSetup
 from gwfield.wavemech import GaussianPacketSpec, gaussian_packet
 
 
@@ -847,3 +850,107 @@ class TestAtomicRunDirectory:
         assert run_cli("casimir", "--a-cm", 1e-4, "--output-dir", out) == 0
         assert sorted(p.name for p in out.iterdir()) == ["casimir.json", "manifest.json"]
         assert [p.name for p in tmp_path.iterdir()] == ["cas"]
+
+
+class TestJsonInputs:
+    """Matrix files and dump sidecars follow the spec rule: JSON numbers of the
+    declared type, known keys only.  A violation exits 2 with one JSON line
+    naming the file or key, and writes nothing."""
+
+    PROJECTORS = {"projectors": [{"re": [[1.0, 0.0], [0.0, 0.0]]}, {"re": [[0.0, 0.0], [0.0, 1.0]]}]}
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "rho.json").write_text(json.dumps({"re": [[0.5, 0.0], [0.0, 0.5]]}))
+        (tmp_path / "proj.json").write_text(json.dumps(self.PROJECTORS))
+        (tmp_path / "series").mkdir()
+        for idx in range(8):
+            write_field(ComplexField(grid=Grid.of(16, 1.0), values=np.ones(16)),
+                        tmp_path / "series" / f"field_{idx:04d}.csv", t_s=float(idx))
+        return tmp_path
+
+    def expect_exit_2(self, argv, out, capsys, names):
+        assert run_cli(*argv, "--output-dir", out) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["code"] == 2
+        assert any(name in err["message"] for name in names), err["message"]
+        assert not out.exists()
+
+    def test_matrix_entries_must_be_json_numbers(self, inputs, capsys):
+        rho = inputs / "strings.json"
+        rho.write_text(json.dumps({"re": [["0.5", False], [False, "0.5"]]}))
+        self.expect_exit_2(["update", "--rule", "vonneumann", "--rho", rho,
+                            "--projectors", inputs / "proj.json"],
+                           inputs / "out", capsys, ["strings.json", "'re'"])
+
+    def test_projector_given_as_boolean(self, inputs, capsys):
+        projectors = inputs / "bool_proj.json"
+        projectors.write_text(json.dumps({"projectors": [True, self.PROJECTORS["projectors"][1]]}))
+        self.expect_exit_2(["update", "--rule", "vonneumann", "--rho", inputs / "rho.json",
+                            "--projectors", projectors],
+                           inputs / "out", capsys, ["bool_proj.json", "'projectors'"])
+
+    @pytest.mark.parametrize("edit, names", [
+        (lambda meta: meta.pop("dim"), ["field_0003.json", "'dim'"]),
+        (lambda meta: meta.update(n_points=["16"]), ["field_0003.json", "'n_points'"]),
+        (lambda meta: meta.update(t_s="3.0"), ["field_0003.json", "'t_s'"]),
+        (lambda meta: meta.update(origin=[0.0]), ["field_0003.json", "origin"]),
+    ], ids=["no-dim", "n-points-string", "t-s-string", "unknown-key"])
+    def test_sidecar_values_are_typed(self, inputs, capsys, edit, names):
+        side = inputs / "series" / "field_0003.json"
+        meta = json.loads(side.read_text())
+        edit(meta)
+        side.write_text(json.dumps(meta))
+        self.expect_exit_2(["helicity", "--series-dir", inputs / "series", "--k0-rad-per-cm", 1.0],
+                           inputs / "out", capsys, names)
+
+    @pytest.mark.parametrize("text", ["[16, 1.0]", '{"dim": 1,'], ids=["list", "malformed"])
+    def test_sidecar_must_be_a_json_object(self, inputs, capsys, text):
+        (inputs / "series" / "field_0000.json").write_text(text)
+        self.expect_exit_2(["madelung", "--field", inputs / "series" / "field_0000.csv",
+                            "--omega-ref-rad-per-s", 1e11],
+                           inputs / "out", capsys, [str(inputs / "series" / "field_0000.json")])
+
+
+class TestAbsentKeysTakeLibraryDefaults:
+    """A spec without an optional key writes the same files as the spec with
+    the library record's default spelled out."""
+
+    PACKET = {"equation": "schrodinger", "grid": {"n_points": [64], "lengths": [1.0]},
+              "packet": {"center": [0.5], "sigma0": 0.05, "k_carrier": [25.0]},
+              "omega_ref": 1e11, "times": [0.0, 1e-12]}
+    PLANEWAVE = {"equation": "wave", "grid": {"n_points": 64, "lengths": 1.0},
+                 "planewave": {"amplitude": [0.5, 0.5], "k_vec": [8.0 * math.pi],
+                               "omega": CGS.c * 8.0 * math.pi},
+                 "times": [0.0, 1e-12]}
+    MEASURE = {"eigenvalues": [-1.0, 0.0, 2.0], "amplitudes": [0.6, [0.0, 0.8], 0.0]}
+    MAXENT = {"bands": [{"nu_hz": 1e11, "d_nu_hz": 1e9}], "e_target_erg": 1e-15, "r_max": 10}
+
+    @pytest.mark.parametrize("subcommand, extra, spec, path, record, keys", [
+        ("propagate", [], PACKET, ["packet"], GaussianPacketSpec, {"amplitude": "amplitude"}),
+        ("propagate", [], PLANEWAVE, ["planewave"], PlaneWaveSpec, {"mu": "mu"}),
+        ("measure", ["--trials", 100, "--seed", 3], MEASURE, [], MeasurementSetup,
+         {key: key for key in ("y0", "w", "g", "tau")}),
+        ("maxent", [], MAXENT, ["bands", 0], FrequencyBand, {"volume_cm3": "volume"}),
+    ], ids=["packet-amplitude", "planewave-mu", "measure-pointer", "band-volume"])
+    def test_same_files(self, tmp_path, subcommand, extra, spec, path, record, keys):
+        defaults = {f.name: f.default for f in dataclasses.fields(record)}
+        spelled = copy.deepcopy(spec)
+        target = spelled
+        for step in path:
+            target = target[step]
+        for key, field in keys.items():
+            assert key not in target
+            value = defaults[field]
+            target[key] = [value.real, value.imag] if isinstance(value, complex) else value
+        outputs = []
+        for name, body in [("absent", spec), ("spelled", spelled)]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(body))
+            out = tmp_path / name
+            assert run_cli(subcommand, "--spec", tmp_path / f"{name}.json", *extra,
+                           "--output-dir", out) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+        assert len(outputs[0]) >= 2
+        assert outputs[0] == outputs[1]

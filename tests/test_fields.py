@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from gwfield.fields import (
     normalize,
 )
 from gwfield import spectral
-from gwfield.fieldio import read_field, read_table, write_field, write_table
+from gwfield.fieldio import (_SIDECAR_KEYS, ConfigError, _spec_floats, _spec_int, read_field,
+                             read_object, read_table, write_field, write_table)
 
 from conftest import random_field
 
@@ -217,6 +219,11 @@ class TestFieldIO:
         np.testing.assert_array_equal(np.signbit(back.values.real), np.signbit(values.real))
         np.testing.assert_array_equal(np.signbit(back.values.imag), np.signbit(values.imag))
 
+    def test_sidecar_declares_the_keys_write_field_writes(self, tmp_path):
+        field = ComplexField(grid=Grid.of(8, 1.0), values=np.ones(8))
+        _, side = write_field(field, tmp_path / "dump.csv", t_s=0.5)
+        assert set(json.loads(side.read_text())) == set(_SIDECAR_KEYS)
+
     def test_missing_sidecar(self, tmp_path):
         (tmp_path / "orphan.csv").write_text("i,re,im\n0,1.0,0.0\n")
         with pytest.raises(FileNotFoundError):
@@ -298,3 +305,23 @@ class TestBadDumps:
         csv_path.write_text("i,re,im\r\n")
         with pytest.raises(ValueError, match="dump.csv"):
             read_field(csv_path)
+
+
+class TestReadObject:
+    KEYS = {"n": (_spec_int, True), "x": (_spec_floats, False)}
+
+    def test_converts_keys_present(self):
+        assert read_object(self.KEYS, {"x": [1, 2.5], "n": 3.0}, "f.json") == {"n": 3, "x": (1.0, 2.5)}
+        assert read_object(self.KEYS, {"n": 3}, "f.json") == {"n": 3}
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"n": 3, "x": [1.0, True]}, r"f.json\['x'\]\[1\] must be a number, got True"),
+        ({"n": "3"}, r"f.json\['n'\] must be a number"),
+        ({"n": 3, "y": 1}, "unknown key 'y' in f.json"),
+        ({"x": []}, "missing required key 'n' in f.json"),
+        ([3], "f.json must be a JSON object, got a list"),
+        ({"n": 3, "x": 1.0}, r"f.json\['x'\] must be a list"),
+    ])
+    def test_errors_name_the_key_path(self, obj, message):
+        with pytest.raises(ConfigError, match=message):
+            read_object(self.KEYS, obj, "f.json")

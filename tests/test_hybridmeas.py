@@ -37,7 +37,6 @@ class TestRunMeasurement:
                                  g=3.0, tau=2.0)
         record = run_measurement(setup)
         assert record.pointer_positions[0] == setup.y0 + 3.0 * 1.0 * 2.0
-        assert record.post_state.purity() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(record.weights, [1.0, 0.0])
 
     def test_pointer_positions_affine_exact(self):
@@ -77,19 +76,6 @@ class TestRunMeasurement:
         setup = MeasurementSetup(eigenvalues=tuple(range(n)), amplitudes=(n**-0.5,) * n)
         with pytest.raises(ValueError, match=f"{n} outcomes"):
             run_measurement(setup)
-
-    def test_post_state_diagonal_weights(self):
-        setup = MeasurementSetup(
-            eigenvalues=(0.0, 1.0, 2.0),
-            amplitudes=tuple(math.sqrt(x) for x in (0.5, 0.25, 0.25)),
-            g=20.0,
-        )
-        record = run_measurement(setup)
-        diag = np.real(np.diag(record.post_state.entries))
-        # joint basis (p, pointer-label p): weight w_p at the twin index
-        n = 3
-        for p in range(n):
-            assert diag[p * n + p] == pytest.approx(record.weights[p], abs=1e-15)
 
 
 class TestPartialTrace:
