@@ -18,12 +18,11 @@ boolean or a string in a spec, matrix file or dump sidecar, all of which
 Every failure, a command-line usage error included, is reported as one JSON
 line on stderr, never as a traceback or usage text.
 
-Only ``bohm`` and ``cmbr`` load scipy, and only inside the library calls
-that need it (the trajectory interpolator and the exact vacuum-energy
-quadrature): importing scipy costs ~0.9 s of a ~1.2 s start, which the other
-subcommands should not pay.  The layers beyond the numpy-only core
-(``bosestat``, ``cmbrvac``, ``madelung``, ``selfcheck``) are imported inside
-the steps that run them.
+Only ``bohm`` loads scipy, and only inside the library call that needs it
+(the trajectory interpolator): importing scipy costs ~0.9 s of a ~1.2 s
+start, which the other subcommands should not pay.  The layers beyond the
+numpy-only core (``bosestat``, ``cmbrvac``, ``madelung``, ``selfcheck``) are
+imported inside the steps that run them.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
     """Complex matrix CSV: header re0,im0,re1,im1,...; one row per matrix row."""
     header, data = read_table(path)
     if header != [f"{kind}{c}" for c in range(len(header) // 2) for kind in ("re", "im")]:
-        raise ConfigError(f"matrix CSV header must be re0,im0,re1,im1,... got {header}")
+        raise ConfigError(f"matrix CSV {path} needs the header re0,im0,re1,im1,... got {header}")
     if data.size == 0 or data.shape[1] != len(header):
         raise ConfigError(f"matrix CSV {path} needs data rows of {len(header)} values")
     matrix = data[:, 0::2] + 1j * data[:, 1::2]
@@ -170,7 +169,7 @@ _GRID_KEYS = {"n_points": (_one_or_each(_spec_int), True), "lengths": (_one_or_e
 _PACKET_KEYS = {"center": (_spec_floats, True), "sigma0": (_spec_float, True),
                 "k_carrier": (_spec_floats, True), "amplitude": (_complex_from_pair, False)}
 _PLANEWAVE_KEYS = {"amplitude": (_complex_from_pair, True), "k_vec": (_spec_floats, True),
-                   "omega": (_spec_float, True), "mu": (_spec_float, False)}
+                   "omega": (_spec_float, True)}
 _PROPAGATE_KEYS = {
     "equation": (_spec_choice("wave", "schrodinger"), True),
     "grid": (partial(read_object, _GRID_KEYS), True),
@@ -193,7 +192,7 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
     if ("packet" in values) == ("planewave" in values):
         raise ConfigError(f"exactly one of 'packet' or 'planewave' is required in {args.spec}")
     psi0 = (wavemech.gaussian_packet(wavemech.GaussianPacketSpec(**values["packet"]), grid)
-            if "packet" in values else make_plane_wave(PlaneWaveSpec(**values["planewave"]), grid))
+            if "packet" in values else make_plane_wave(PlaneWaveSpec(**values["planewave"], mu=mu), grid))
     if values["equation"] == "schrodinger":
         if "omega_ref" not in values:
             raise ConfigError(f"missing required key 'omega_ref' in {args.spec}")
@@ -383,7 +382,7 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
         raise ConfigError(f"t_s stamps of the field dumps in {series_dir} must increase")
     if np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])):
         raise ConfigError("field series is not uniformly spaced in time")
-    series = TimeSeriesField.from_fields(fields, dt=float(steps[0]), t0=float(times[0]))
+    series = TimeSeriesField.from_fields(fields, dt=float(steps[0]))
     plus, minus = partial_wave_split(series)
     recon = float(np.abs(plus.values + minus.values - series.values).max())
     payload = {

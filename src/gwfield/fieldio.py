@@ -34,10 +34,9 @@ class ConfigError(ValueError):
 
 
 def _load_json(path: str | Path):
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}", {"file": str(path)}) from exc
 
 
@@ -187,8 +186,8 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     ValueError naming the file; an empty body gives an empty array.
     """
     with Path(path).open(newline="") as handle:
-        header = handle.readline().rstrip("\r\n").split(",")
-        try:
+        try:  # the header read decodes a whole chunk: a byte that is not UTF-8 fails here too
+            header = handle.readline().rstrip("\r\n").split(",")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns on an empty body
                 data = np.loadtxt(handle, delimiter=",", ndmin=2)
@@ -202,15 +201,20 @@ def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:
     converted values.
 
     Raises ValueError naming the file unless the sidecar holds only keys that
-    :func:`write_field` writes, each of its type, and unless every grid point
-    appears exactly once with in-range indices and the file ends in a newline
-    (a dump cut inside its last number still parses as a shorter number).
+    :func:`write_field` writes, each of its type, with ``dim`` entries in
+    ``n_points`` and ``lengths``, and unless every grid point appears exactly
+    once with in-range indices and the file ends in a newline (a dump cut
+    inside its last number still parses as a shorter number).
     """
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
     if not side.exists():
         raise FileNotFoundError(f"missing sidecar {side}")
     meta = read_object(_SIDECAR_KEYS, _load_json(side), str(side))
+    for key in ("n_points", "lengths"):
+        if len(meta[key]) != meta["dim"]:
+            raise ConfigError(f"{side}['dim'] is {meta['dim']}, but {side}[{key!r}] has "
+                              f"length {len(meta[key])}")
     grid = Grid(dim=meta["dim"], n_points=meta["n_points"], lengths=meta["lengths"])
     header, data = read_table(csv_path)
     expected = list(_INDEX_NAMES[: grid.dim]) + ["re", "im"]

@@ -27,13 +27,12 @@ NYQUIST_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TimeSeriesField:
-    """Uniformly spaced snapshots of a field: values[m] is the field at
-    t0 + m*dt."""
+    """Uniformly spaced snapshots of a field: values[m] is the field m*dt
+    after the first snapshot."""
 
     grid: Grid
     values: np.ndarray
     dt: float
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.complex128).copy()
@@ -56,9 +55,8 @@ class TimeSeriesField:
         return ComplexField(grid=self.grid, values=self.values[m])
 
     @classmethod
-    def from_fields(cls, fields: list[ComplexField], dt: float, t0: float = 0.0) -> "TimeSeriesField":
-        grid = fields[0].grid
-        return cls(grid=grid, values=np.stack([f.values for f in fields]), dt=dt, t0=t0)
+    def from_fields(cls, fields: list[ComplexField], dt: float) -> "TimeSeriesField":
+        return cls(grid=fields[0].grid, values=np.stack([f.values for f in fields]), dt=dt)
 
     def norm(self) -> float:
         """sqrt of the snapshot-averaged squared field norm."""
@@ -89,7 +87,7 @@ def partial_wave_split(series: TimeSeriesField) -> tuple[TimeSeriesField, TimeSe
     minus_mask = (freqs <= 0.0).reshape(shape)
     plus = np.fft.ifft(spec * (~minus_mask), axis=0)
     minus = np.fft.ifft(spec * minus_mask, axis=0)
-    make = lambda v: TimeSeriesField(grid=series.grid, values=v, dt=series.dt, t0=series.t0)
+    make = lambda v: TimeSeriesField(grid=series.grid, values=v, dt=series.dt)
     return make(plus), make(minus)
 
 

@@ -18,7 +18,7 @@ from gwfield.cli import main
 from gwfield.bosestat import FrequencyBand
 from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, normalize
-from gwfield.fieldio import write_field
+from gwfield.fieldio import read_field, write_field
 from gwfield.hybridmeas import MeasurementSetup
 from gwfield.wavemech import GaussianPacketSpec, gaussian_packet
 
@@ -258,6 +258,31 @@ class TestFieldPipelines:
         assert payload["norm_plus"] < 1e-10 * payload["norm_minus"]
         assert payload["reconstruction_error"] < 1e-10
 
+    def static_massive_wave(self, tmp_path, mu_in_planewave):
+        """Propagate a static plane wave of mu = 3/cm to a quarter period, with ``mu``
+        given at the top level or in ``planewave``; returns the exit code."""
+        k, mu = 8.0 * math.pi, 3.0
+        omega = CGS.c * math.hypot(k, mu)
+        spec = {"equation": "wave", "grid": {"n_points": [64], "lengths": [1.0]},
+                "planewave": {"amplitude": 1.0, "k_vec": [k], "omega": omega},
+                "wave_initial": "static", "times": [0.0, 0.5 * math.pi / omega]}
+        (spec["planewave"] if mu_in_planewave else spec)["mu"] = mu
+        (tmp_path / "static.json").write_text(json.dumps(spec))
+        return run_cli("propagate", "--spec", tmp_path / "static.json",
+                       "--output-dir", tmp_path / "out")
+
+    def test_top_level_mu_sets_plane_wave_and_evolution(self, tmp_path):
+        assert self.static_massive_wave(tmp_path, mu_in_planewave=False) == 0
+        psi0, psi1 = (read_field(tmp_path / "out" / f"field_{m:04d}.csv")[0].values for m in (0, 1))
+        # a static mode of frequency omega evolves as psi(0) cos(omega t): zero at a quarter period
+        assert np.max(np.abs(psi1 / psi0)) < 1e-12
+
+    def test_plane_wave_takes_no_mu_of_its_own(self, tmp_path, capsys):
+        assert self.static_massive_wave(tmp_path, mu_in_planewave=True) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "unknown key 'mu' in" in message and "['planewave']" in message
+        assert not (tmp_path / "out").exists()
+
     def test_helicity_rejects_nonuniform_series(self, tmp_path):
         grid = Grid.of(64, 1.0)
         series_dir = tmp_path / "ragged"
@@ -426,7 +451,7 @@ def scipy_modules_after(runs, module="gwfield.cli"):
 
 class TestImportBudget:
     """Subcommands that never call scipy must not pay for importing it; only
-    ``bohm`` and ``cmbr`` do."""
+    ``bohm`` does."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after([]) == []
@@ -447,6 +472,7 @@ class TestImportBudget:
              "--output-dir", tmp_path / "planck"],
             ["maxent", "--spec", maxent, "--output-dir", tmp_path / "maxent"],
             ["casimir", "--a-cm", 1e-4, "--output-dir", tmp_path / "casimir"],
+            ["cmbr", "--omega-c-rad-per-s", 2.87e9, "--output-dir", tmp_path / "cmbr"],
             ["madelung", "--field", tmp_path / "packet.csv", "--omega-ref-rad-per-s", 1e11,
              "--next-field", tmp_path / "packet.csv", "--dt-s", 1e-12,
              "--output-dir", tmp_path / "madelung"],
@@ -455,16 +481,14 @@ class TestImportBudget:
         assert scipy_modules_after(runs) == []
         assert (tmp_path / "check" / "check.json").exists()
 
-    def test_bohm_and_cmbr_load_scipy(self, tmp_path):
+    def test_bohm_loads_scipy(self, tmp_path):
         psi = gaussian_packet(
             GaussianPacketSpec(center=(0.5,), sigma0=0.05, k_carrier=(0.0,)), Grid.of(64, 1.0))
         write_field(psi, tmp_path / "packet.csv")
         bohm = ["bohm", "--field", tmp_path / "packet.csv", "--omega-ref-rad-per-s", 1e11,
                 "--regime", "massive", "--seed-positions", 0.5, "--seed-momenta", 0.0,
                 "--dt-s", 1e-12, "--steps", 2, "--output-dir", tmp_path / "bohm"]
-        cmbr = ["cmbr", "--omega-c-rad-per-s", 2.87e9, "--output-dir", tmp_path / "cmbr"]
         assert "scipy.ndimage" in scipy_modules_after([bohm])
-        assert "scipy.integrate" in scipy_modules_after([cmbr])
 
     def test_numpy_only_subcommands_load_no_scipy(self, tmp_path):
         rho = tmp_path / "rho.json"
@@ -897,7 +921,10 @@ class TestJsonInputs:
         (lambda meta: meta.update(n_points=["16"]), ["field_0003.json", "'n_points'"]),
         (lambda meta: meta.update(t_s="3.0"), ["field_0003.json", "'t_s'"]),
         (lambda meta: meta.update(origin=[0.0]), ["field_0003.json", "origin"]),
-    ], ids=["no-dim", "n-points-string", "t-s-string", "unknown-key"])
+        (lambda meta: meta.update(dim=2), ["field_0003.json['dim']"]),
+        (lambda meta: meta.update(lengths=[1.0, 1.0]), ["field_0003.json['lengths']"]),
+    ], ids=["no-dim", "n-points-string", "t-s-string", "unknown-key", "dim-disagrees",
+            "lengths-count"])
     def test_sidecar_values_are_typed(self, inputs, capsys, edit, names):
         side = inputs / "series" / "field_0003.json"
         meta = json.loads(side.read_text())
@@ -912,6 +939,24 @@ class TestJsonInputs:
         self.expect_exit_2(["madelung", "--field", inputs / "series" / "field_0000.csv",
                             "--omega-ref-rad-per-s", 1e11],
                            inputs / "out", capsys, [str(inputs / "series" / "field_0000.json")])
+
+
+    @pytest.mark.parametrize("argv", [
+        ["maxent", "--spec", "bad.json"],
+        ["update", "--rule", "vonneumann", "--rho", "bad.json", "--projectors", "proj.json"],
+        ["update", "--rule", "vonneumann", "--rho", "rho.json", "--projectors", "bad.json"],
+        ["schmidt", "--matrix", "bad.csv"],
+    ], ids=["maxent-spec", "update-rho", "update-projectors", "schmidt-matrix"])
+    def test_non_utf8_input_names_its_file(self, inputs, capsys, argv):
+        argv = [inputs / a if a.endswith((".json", ".csv")) else a for a in argv]
+        bad = next(a for a in argv if isinstance(a, Path) and a.name.startswith("bad"))
+        bad.write_bytes(b"re0,im0\r\n1.0,0.0\xff\r\n")
+        self.expect_exit_2(argv, inputs / "out", capsys, [str(bad)])
+
+    def test_matrix_header_error_names_its_file(self, inputs, capsys):
+        matrix = inputs / "amps.csv"
+        matrix.write_text("a,b\r\n1.0,0.0\r\n")
+        self.expect_exit_2(["schmidt", "--matrix", matrix], inputs / "out", capsys, [str(matrix)])
 
 
 class TestAbsentKeysTakeLibraryDefaults:
@@ -930,7 +975,7 @@ class TestAbsentKeysTakeLibraryDefaults:
 
     @pytest.mark.parametrize("subcommand, extra, spec, path, record, keys", [
         ("propagate", [], PACKET, ["packet"], GaussianPacketSpec, {"amplitude": "amplitude"}),
-        ("propagate", [], PLANEWAVE, ["planewave"], PlaneWaveSpec, {"mu": "mu"}),
+        ("propagate", [], PLANEWAVE, [], PlaneWaveSpec, {"mu": "mu"}),
         ("measure", ["--trials", 100, "--seed", 3], MEASURE, [], MeasurementSetup,
          {key: key for key in ("y0", "w", "g", "tau")}),
         ("maxent", [], MAXENT, ["bands", 0], FrequencyBand, {"volume_cm3": "volume"}),

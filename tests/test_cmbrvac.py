@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from gwfield import cmbrvac
 from gwfield.constants import CGS
 from gwfield.cmbrvac import (
     OBSERVED_VACUUM_BOUND,
@@ -22,6 +23,15 @@ from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave
 from gwfield.wavemech import EffectiveMassParams, GaussianPacketSpec, gaussian_packet
 
 from conftest import random_field
+
+
+def model_at_ratio(x, T=1e4):
+    """A model with hbar omega_c / kT near ``x``; that ratio and the prefactor of the
+    dimensionless integral as :func:`vacuum_energy` computes them.  At 1e4 K the
+    density stays a normal float down to x = 1e-60."""
+    model = VacuumModel(omega_c=x * CGS.k_B * T / CGS.hbar, T=T)
+    ratio = CGS.hbar * model.omega_c / (CGS.k_B * T)
+    return model, ratio, (CGS.k_B * T) ** 4 / (CGS.hbar**3 * math.pi**2 * CGS.c**3)
 
 
 class TestVacuumEnergy:
@@ -73,8 +83,8 @@ class TestVacuumEnergy:
 
     def test_integrand_matches_band_counting(self):
         # d rho_vac / d omega_c = (state density per rad/s) * hbar omega
-        # * (zero-photon fraction 1 - exp(-hbar omega/kT)): ties the vacuum
-        # quadrature to the per-band state count
+        # * (zero-photon fraction 1 - exp(-hbar omega/kT)): ties the closed-form
+        # vacuum energy to the per-band state count
         from gwfield.bosestat import band_state_count
 
         T, omega = 2.7, 3e9
@@ -91,6 +101,40 @@ class TestVacuumEnergy:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             vacuum_energy(VacuumModel(omega_c=1e9), "both")
+
+    def test_exact_matches_quadrature(self):
+        from scipy.integrate import quad  # the reference only: the module loads no scipy
+
+        for x in np.geomspace(1e-6, 300.0, 60):
+            model, x, scale = model_at_ratio(x)
+            reference = quad(lambda t: t**3 * -math.expm1(-t), 0.0, x, epsabs=0.0, epsrel=1e-12,
+                             limit=200)[0]
+            assert vacuum_energy(model, "exact") == pytest.approx(scale * reference, rel=1e-10), x
+
+    def test_exact_matches_high_precision_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        ratios = np.concatenate([np.geomspace(1e-60, 1e3, 400), np.linspace(1.9, 2.1, 101)])
+        # x^4/4 - 6 cancels down to ~x^5/5: 300 digits at x = 1e-60
+        with mpmath.workdps(400):
+            for x in ratios:
+                model, x, scale = model_at_ratio(x)
+                t = mpmath.mpf(x)
+                reference = scale * (t**4 / 4 - 6 + mpmath.exp(-t) * (t**3 + 3 * t**2 + 6 * t + 6))
+                assert abs(vacuum_energy(model, "exact") - reference) <= 1e-15 * reference, x
+
+    def test_series_meets_closed_form_at_switch(self):
+        # the power series summed below x = 2 and the closed form used from x = 2 on
+        series = float(np.polyval(cmbrvac._SERIES, 2.0)) * 2.0**5
+        closed = 2.0**4 / 4.0 - 6.0 + math.exp(-2.0) * (((2.0 + 3.0) * 2.0 + 6.0) * 2.0 + 6.0)
+        assert series == pytest.approx(closed, rel=1e-15, abs=0.0)
+
+    def test_exponential_vanishes_at_large_ratio(self):
+        model, x, scale = model_at_ratio(1e3)
+        assert vacuum_energy(model, "exact") == scale * (x**4 / 4.0 - 6.0)
+
+    def test_non_finite_ratio_overflows(self):
+        with pytest.raises(OverflowError, match="hbar omega_c / kT"):
+            vacuum_energy(VacuumModel(omega_c=1e20, T=1e-300), "exact")
 
 
 class TestAnomalousMoment:
