@@ -85,11 +85,14 @@ def vacuum_energy(model: VacuumModel, method: str = "exact") -> float:
     x = CGS.hbar * model.omega_c / (CGS.k_B * model.T)
     if not math.isfinite(x):
         raise OverflowError(f"hbar omega_c / kT overflows at omega_c = {model.omega_c}, T = {model.T}")
-    scale = (CGS.k_B * model.T) ** 4 / (CGS.hbar**3 * math.pi**2 * CGS.c**3)
+    # rho = (kT)^4 / (hbar^3 pi^2 c^3) * I(x) = hbar omega_c^4 / (pi^2 c^3) * I(x) / x^4: the
+    # second form has no (kT)^4, which underflows at low T while rho is still a normal float
+    prefactor = CGS.hbar * model.omega_c * (model.omega_c / CGS.c) ** 3 / math.pi**2
     if x < 2.0:  # the closed form below cancels here: sum the series, smallest term first
-        return scale * (float(np.polyval(_SERIES, x)) * x**5)
-    # int_0^x t^3 (1 - e^-t) dt = x^4/4 - 6 + e^-x (x^3 + 3x^2 + 6x + 6)
-    return scale * (x**4 / 4.0 - 6.0 + math.exp(-x) * (((x + 3.0) * x + 6.0) * x + 6.0))
+        return prefactor * (float(np.polyval(_SERIES, x)) * x)
+    # I(x) = int_0^x t^3 (1 - e^-t) dt = x^4/4 - 6 + e^-x (x^3 + 3x^2 + 6x + 6), over x^4 in powers of 1/x
+    y = 1.0 / x
+    return prefactor * (0.25 - 6.0 * y**4 + math.exp(-x) * y * (1.0 + y * (3.0 + y * (6.0 + 6.0 * y))))
 
 
 def anomalous_moment(model: VacuumModel, variant: str = "symbolic") -> float:

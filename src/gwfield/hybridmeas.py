@@ -110,13 +110,13 @@ def partial_trace_system(record: MeasurementRecord) -> DensityMatrix:
 
 
 def sample_outcomes(record: MeasurementRecord, n_trials: int, seed: int) -> OutcomeFrequencies:
-    """Draw outcomes with the Born weights; identical seeds give identical
+    """Draw outcome counts with the Born weights in one multinomial draw, so
+    memory does not grow with ``n_trials``; identical seeds give identical
     tables.  Reports the worst |empirical - weight| deviation."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(record.eigenvalues), size=n_trials, p=record.weights)
-    counts = np.bincount(draws, minlength=len(record.eigenvalues))
+    counts = rng.multinomial(n_trials, record.weights / record.weights.sum())
     frequencies = counts / n_trials
     deviation = float(np.abs(frequencies - record.weights).max())
     return OutcomeFrequencies(counts=counts, frequencies=frequencies, max_abs_deviation=deviation)

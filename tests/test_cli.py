@@ -130,6 +130,17 @@ class TestDeterminism:
         assert record["weights"] == [pytest.approx(0.36), pytest.approx(0.64)]
         assert record["resolved"] is True
 
+    def test_measure_trial_count_takes_no_memory(self, tmp_path):
+        # one multinomial draw: 1e13 trials would be a 73 TiB array of single draws
+        spec = tmp_path / "setup.json"
+        spec.write_text(json.dumps({"eigenvalues": [1.0, -1.0], "amplitudes": [0.6, 0.8]}))
+        out = tmp_path / "m"
+        trials = 10_000_000_000_000
+        assert run_cli("measure", "--spec", spec, "--trials", trials, "--seed", 5,
+                       "--output-dir", out) == 0
+        counts = [int(row[3]) for row in read_rows(out / "frequencies.csv")[1:]]
+        assert sum(counts) == trials
+
 
 class TestManifest:
     def test_manifest_contents(self, tmp_path):
@@ -161,6 +172,15 @@ class TestCmbrAndCasimir:
         assert abs(payload["a_e_paper"] / 0.0011614 - 1.0) < 0.01
         assert payload["rho_vac_exact"] <= payload["rho_vac_asymptotic"]
         assert payload["qed_comparison"]["decades_above_observed_bound"] > 118.0
+
+    def test_cold_vacuum_energy_does_not_underflow(self, tmp_path):
+        # (kT)^4 underflows at 1e-80 K; rho = hbar omega_c^4 / (4 pi^2 c^3) does not
+        out = tmp_path / "cmbr"
+        rc = run_cli("cmbr", "--omega-c-rad-per-s", 1e-60, "--t-kelvin", 1e-80, "--output-dir", out)
+        assert rc == 0
+        payload = json.loads((out / "cmbr.json").read_text())
+        expected = CGS.hbar * 1e-60**4 / (4.0 * math.pi**2 * CGS.c**3)
+        assert payload["rho_vac_exact"] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_casimir_payload(self, tmp_path):
         out = tmp_path / "cas"
@@ -348,6 +368,29 @@ class TestCheck:
         results = json.loads((tmp_path / "check" / "check.json").read_text())
         assert all(entry["passed"] for entry in results)
 
+    def test_reruns_write_identical_files(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli("check", "--output-dir", out1) == 0
+        assert run_cli("check", "--output-dir", out2) == 0
+        assert (out1 / "check.json").read_bytes() == (out2 / "check.json").read_bytes()
+        results = json.loads((out1 / "check.json").read_text())
+        assert sorted(e["criterion"] for e in results if e["criterion"] is not None) == list(range(1, 11))
+        assert all(e["measurements"] for e in results)
+
+    def test_raising_entry_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        from gwfield import selfcheck
+
+        def measure():
+            raise ValueError("no state")
+
+        monkeypatch.setattr(selfcheck, "REGISTRY", (selfcheck.Check("raises", 4, "raises", 1.0, measure),))
+        out = tmp_path / "check"
+        assert run_cli("check", "--output-dir", out) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["context"]["failed_criteria"] == [4]
+        assert err["context"]["misses"] == {"raises": ["raised ValueError: no state"]}
+        assert not out.exists()
+
 
 class TestFailedRunsWriteNothing:
     def rho_and_projectors(self, tmp_path):
@@ -394,15 +437,17 @@ class TestFailedRunsWriteNothing:
     def test_failing_check_writes_nothing(self, tmp_path, capsys, monkeypatch):
         from gwfield import selfcheck
 
-        checks = list(selfcheck.ALL_CHECKS)
-        checks[1] = lambda: selfcheck.CheckResult("forced_failure", False, "monkeypatched")
-        monkeypatch.setattr(selfcheck, "ALL_CHECKS", tuple(checks))
+        forced = selfcheck.Check("forced_failure", 7, "forced failure", 1.0,
+                                 lambda: [selfcheck.Measurement("always", 1.0, 0.5)])
+        monkeypatch.setattr(selfcheck, "REGISTRY", (forced,))
         out = tmp_path / "check"
         rc = run_cli("check", "--output-dir", out)
         assert rc == 3
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["code"] == 3
         assert err["context"]["failed_checks"] == ["forced_failure"]
+        assert err["context"]["failed_criteria"] == [7]
+        assert "criterion 7 forced_failure (always = 1 (needs < 0.5))" in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("corrupt", ["truncate", "index_40"])

@@ -26,9 +26,9 @@ from conftest import random_field
 
 
 def model_at_ratio(x, T=1e4):
-    """A model with hbar omega_c / kT near ``x``; that ratio and the prefactor of the
-    dimensionless integral as :func:`vacuum_energy` computes them.  At 1e4 K the
-    density stays a normal float down to x = 1e-60."""
+    """A model with hbar omega_c / kT near ``x``; that ratio as :func:`vacuum_energy`
+    computes it and the prefactor (kT)^4 / (hbar^3 pi^2 c^3) of the dimensionless
+    integral.  At 1e4 K the density stays a normal float down to x = 1e-60."""
     model = VacuumModel(omega_c=x * CGS.k_B * T / CGS.hbar, T=T)
     ratio = CGS.hbar * model.omega_c / (CGS.k_B * T)
     return model, ratio, (CGS.k_B * T) ** 4 / (CGS.hbar**3 * math.pi**2 * CGS.c**3)
@@ -114,13 +114,20 @@ class TestVacuumEnergy:
     def test_exact_matches_high_precision_reference(self):
         mpmath = pytest.importorskip("mpmath")
         ratios = np.concatenate([np.geomspace(1e-60, 1e3, 400), np.linspace(1.9, 2.1, 101)])
+        models = [model_at_ratio(x)[0] for x in ratios]
+        # the cutoffs of the moment-matching range, and a cold vacuum whose
+        # (kT)^4 = 3.6e-384 is below the smallest float while rho ~ 9.9e-301 is not
+        models += [VacuumModel(omega_c=float(w)) for w in np.geomspace(2.87e9, 1e13, 25)]
+        models.append(VacuumModel(omega_c=1e-60, T=1e-80))
         # x^4/4 - 6 cancels down to ~x^5/5: 300 digits at x = 1e-60
         with mpmath.workdps(400):
-            for x in ratios:
-                model, x, scale = model_at_ratio(x)
-                t = mpmath.mpf(x)
-                reference = scale * (t**4 / 4 - 6 + mpmath.exp(-t) * (t**3 + 3 * t**2 + 6 * t + 6))
-                assert abs(vacuum_energy(model, "exact") - reference) <= 1e-15 * reference, x
+            hbar, k_B, c = (mpmath.mpf(v) for v in (CGS.hbar, CGS.k_B, CGS.c))
+            for model in models:
+                kT = k_B * mpmath.mpf(model.T)
+                t = hbar * mpmath.mpf(model.omega_c) / kT
+                integral = t**4 / 4 - 6 + mpmath.exp(-t) * (t**3 + 3 * t**2 + 6 * t + 6)
+                reference = kT**4 / (hbar**3 * mpmath.pi**2 * c**3) * integral
+                assert abs(vacuum_energy(model, "exact") - reference) <= 1e-15 * reference, model
 
     def test_series_meets_closed_form_at_switch(self):
         # the power series summed below x = 2 and the closed form used from x = 2 on
@@ -129,8 +136,10 @@ class TestVacuumEnergy:
         assert series == pytest.approx(closed, rel=1e-15, abs=0.0)
 
     def test_exponential_vanishes_at_large_ratio(self):
-        model, x, scale = model_at_ratio(1e3)
-        assert vacuum_energy(model, "exact") == scale * (x**4 / 4.0 - 6.0)
+        model, x, _ = model_at_ratio(1e3)
+        # hbar omega_c^4 / (pi^2 c^3) * I(x) / x^4, with e^-x = 0 in I(x)
+        prefactor = CGS.hbar * model.omega_c * (model.omega_c / CGS.c) ** 3 / math.pi**2
+        assert vacuum_energy(model, "exact") == prefactor * (0.25 - 6.0 * (1.0 / x) ** 4)
 
     def test_non_finite_ratio_overflows(self):
         with pytest.raises(OverflowError, match="hbar omega_c / kT"):
