@@ -263,7 +263,7 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------- bohm
 
 
-def _parse_points(raw: str, dim: int, flag: str) -> list[np.ndarray]:
+def _parse_points(raw: str, dim: int, flag: str) -> np.ndarray:
     points = []
     for chunk in raw.split(";"):
         try:
@@ -274,8 +274,8 @@ def _parse_points(raw: str, dim: int, flag: str) -> list[np.ndarray]:
             raise ConfigError(f"{flag} entry '{chunk}' must be finite")
         if len(coords) != dim:
             raise ConfigError(f"{flag} entry '{chunk}' must have {dim} coordinates")
-        points.append(np.asarray(coords))
-    return points
+        points.append(coords)
+    return np.array(points)
 
 
 def _cmd_bohm(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -292,18 +292,14 @@ def _cmd_bohm(args: argparse.Namespace) -> tuple[dict, dict]:
     momenta = _parse_points(args.seed_momenta, dim, "--seed-momenta")
     if len(positions) != len(momenta):
         raise ConfigError("--seed-positions and --seed-momenta must list the same number of points")
-    trajs = [madelung.run_trajectory(qfield, x0, p0, args.dt_s, args.steps, args.regime)
-             for x0, p0 in zip(positions, momenta)]
-    lengths = [len(traj.times) for traj in trajs]
-    columns = [
-        np.repeat(np.arange(len(trajs)), lengths),
-        np.concatenate([np.arange(n) for n in lengths]),
-        np.concatenate([traj.times for traj in trajs]),
-        *np.concatenate([traj.positions for traj in trajs]).T,
-        *np.concatenate([traj.momenta for traj in trajs]).T,
-        # every row is "ok" but a trajectory's last, which carries its final status
-        [s for traj in trajs for s in ["ok"] * (len(traj.times) - 1) + [traj.status]],
-    ]
+    traj = madelung.run_trajectory(qfield, positions, momenta, args.dt_s, args.steps, args.regime)
+    # particle i has rows 0..last_step[i]; each is "ok" but the last row of a
+    # particle that stopped early
+    which, step = np.nonzero(np.arange(args.steps + 1) <= traj.last_step[:, None])
+    last = traj.last_step[which]
+    columns = [which, step, traj.times[step], *traj.positions[step, which].T,
+               *traj.momenta[step, which].T,
+               np.where((step == last) & (last < args.steps), "terminated_masked", "ok")]
     header = (["trajectory", "step", "t_s"] + [f"x{i}_cm" for i in range(dim)]
               + [f"p{i}_g_cm_per_s" for i in range(dim)] + ["status"])
     return vars(args), {"trajectories.csv": (header, columns)}

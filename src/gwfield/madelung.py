@@ -175,15 +175,15 @@ def phase_gradient_momentum(psi: ComplexField) -> float:
 
 
 class QuantumPotentialInterpolator:
-    """Cubic interpolation of -grad Q on the periodic grid.
+    """Cubic interpolation of grad Q on the periodic grid.
 
     The gradient is evaluated spectrally once and each component is
     B-spline prefiltered once, so a query only evaluates the spline; off-grid
-    queries wrap around the box.  ``masked_at`` reports whether the nearest
-    grid point sits in a masked (undefined-Q) region.  Forces are
-    quantitatively reliable only when the density stays above the floor
-    everywhere: masked zeros put a cliff into the Q array whose ringing leaks
-    into the spectral gradient.
+    queries wrap around the box.  Queries take (n, dim) points.  ``masked_at``
+    reports, per point, whether the nearest grid point sits in a masked
+    (undefined-Q) region.  Forces are quantitatively reliable only when the
+    density stays above the floor everywhere: masked zeros put a cliff into
+    the Q array whose ringing leaks into the spectral gradient.
     """
 
     def __init__(self, qfield: QuantumPotentialField):
@@ -205,19 +205,18 @@ class QuantumPotentialInterpolator:
         return np.mod(x, self.grid.lengths) / self.grid.spacings
 
     def grad_q_at(self, x: np.ndarray) -> np.ndarray:
-        idx = self._fractional_index(x)[:, None]
-        return np.array(
+        idx = self._fractional_index(x).T
+        return np.stack(
             [
-                self._map_coordinates(c, idx, order=3, mode="grid-wrap", prefilter=False)[0]
+                self._map_coordinates(c, idx, order=3, mode="grid-wrap", prefilter=False)
                 for c in self._coefficients
-            ]
+            ],
+            axis=1,
         )
 
-    def masked_at(self, x: np.ndarray) -> bool:
-        idx = tuple(
-            int(round(c)) % n for c, n in zip(self._fractional_index(x), self.grid.n_points)
-        )
-        return bool(self._mask[idx])
+    def masked_at(self, x: np.ndarray) -> np.ndarray:
+        idx = np.rint(self._fractional_index(x)).astype(int) % self.grid.n_points
+        return self._mask[tuple(idx.T)]
 
 
 def bohm_step(
@@ -226,15 +225,16 @@ def bohm_step(
     dt: float,
     regime: str,
     interp: QuantumPotentialInterpolator,
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """One 4th-order Runge-Kutta step of the trajectory equations.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One 4th-order Runge-Kutta step of the trajectory equations for
+    (n_particles, dim) positions and momenta.
 
     massless: dx/dt = c p/|p|, dp/dt = -grad Q
     massive:  dx/dt = p/m*,    dp/dt = -grad Q
     classical: dx/dt = p/m*,   dp/dt = 0 (Q is ignored)
 
-    Returns (x, p, status); status is "terminated_masked" when any stage
-    lands in a masked region, in which case the inputs are returned unchanged.
+    Returns (x, p, masked); ``masked[i]`` is True when a stage of particle i
+    lands in a masked region, in which case its rows come back unchanged.
     """
     if regime not in _REGIMES:
         raise ValueError(f"regime must be one of {_REGIMES}")
@@ -247,8 +247,10 @@ def bohm_step(
         force = -interp.grad_q_at(xs)
         if regime == "massive":
             return ps / interp.m_star, force
-        p_mag = float(np.sqrt(np.sum(ps**2)))
-        if p_mag == 0.0:
+        p_mag = np.sqrt(np.sum(ps**2, axis=1, keepdims=True))
+        # checked for every particle before dividing: one at rest is a
+        # configuration error, not a 0/0
+        if np.any(p_mag == 0.0):
             raise ValueError("massless regime requires nonzero momentum")
         return CGS.c * ps / p_mag, force
 
@@ -262,19 +264,22 @@ def bohm_step(
     k4x, k4p = rhs(stages_x[-1], p + dt * k3p)
     x_new = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     p_new = p + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    for probe in stages_x + [x_new]:
-        if interp.masked_at(probe):
-            return x, p, "terminated_masked"
-    return x_new, p_new, "ok"
+    masked = np.any([interp.masked_at(probe) for probe in stages_x + [x_new]], axis=0)
+    return np.where(masked[:, None], x, x_new), np.where(masked[:, None], p, p_new), masked
 
 
 @dataclass(frozen=True)
 class BohmTrajectory:
-    """Integrated trajectory with per-step times, positions and momenta."""
+    """An integrated ensemble: times (steps+1,), positions and momenta
+    (steps+1, n, dim), and each particle's ``last_step``, the number of steps
+    it completed.  A particle's rows after its last step repeat its final
+    state.  ``status`` is "ok" when every particle ran all steps, otherwise
+    "terminated_masked"."""
 
     times: np.ndarray
     positions: np.ndarray
     momenta: np.ndarray
+    last_step: np.ndarray
     status: str
 
 
@@ -286,23 +291,29 @@ def run_trajectory(
     n_steps: int,
     regime: str,
 ) -> BohmTrajectory:
+    """Integrate (n_particles, dim) seeds ``x0``, ``p0`` for ``n_steps`` steps.
+
+    One interpolator serves the whole ensemble, and only the running rows are
+    stepped, so each particle follows the path it would follow alone.  A
+    particle is frozen at the step whose stage probe lands in a masked region.
+    """
+    x = np.array(x0, dtype=float)
+    p = np.array(p0, dtype=float)
+    if x.ndim != 2 or x.shape != p.shape or x.shape[1] != qfield.grid.dim:
+        raise ValueError(f"x0 and p0 must both be (n_particles, {qfield.grid.dim}) arrays")
     interp = QuantumPotentialInterpolator(qfield)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    p = np.atleast_1d(np.asarray(p0, dtype=float))
-    times = [0.0]
-    xs = [x.copy()]
-    ps = [p.copy()]
-    status = "ok"
+    positions = np.empty((n_steps + 1, *x.shape))
+    momenta = np.empty_like(positions)
+    positions[0], momenta[0] = x, p
+    last_step = np.full(len(x), n_steps)
+    active = np.ones(len(x), dtype=bool)
     for step in range(n_steps):
-        x, p, status = bohm_step(x, p, dt, regime, interp)
-        if status != "ok":
-            break
-        times.append((step + 1) * dt)
-        xs.append(x.copy())
-        ps.append(p.copy())
-    return BohmTrajectory(
-        times=np.asarray(times),
-        positions=np.asarray(xs),
-        momenta=np.asarray(ps),
-        status=status,
-    )
+        if active.any():
+            x[active], p[active], masked = bohm_step(x[active], p[active], dt, regime, interp)
+            last_step[np.flatnonzero(active)[masked]] = step
+            active[active] = ~masked
+        positions[step + 1], momenta[step + 1] = x, p
+    # 0 * dt would be -0.0 for a backward run
+    times = np.concatenate(([0.0], np.arange(1, n_steps + 1) * dt))
+    return BohmTrajectory(times, positions, momenta, last_step,
+                          "ok" if active.all() else "terminated_masked")

@@ -719,6 +719,9 @@ class TestOutOfRangeValues:
         ["maxent", "--spec", "{negative_energy.json}"],
         ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11, "--regime", "massless",
          "--seed-positions", 0.5, "--seed-momenta", 0.0, "--dt-s", 1e-12, "--steps", 3],
+        ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11, "--regime", "massless",
+         "--seed-positions", "0.5;0.45;0.55", "--seed-momenta", "1e-20;0.0;-1e-20",
+         "--dt-s", 1e-12, "--steps", 3],
         ["madelung", "--field", "{zero.csv}", "--omega-ref-rad-per-s", 1e11],
         ["madelung", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11,
          "--next-field", "{zero.csv}", "--dt-s", 1e-12],
@@ -743,6 +746,7 @@ class TestOutOfRangeValues:
             "madelung-dt0", "propagate-narrow-packet", "bohm-dt-nan", "bohm-steps-neg",
             "casimir-a-inf", "helicity-k0-neg", "update-nan-rho", "schmidt-nan-matrix",
             "measure-duplicate-eigenvalues", "maxent-negative-energy", "bohm-massless-at-rest",
+            "bohm-massless-one-at-rest",
             "madelung-zero-dump", "madelung-zero-next-dump", "bohm-zero-dump",
             "helicity-mixed-grids", "measure-seed-neg", "schmidt-unnormalized",
             "schmidt-renormalize-zero", "update-zero-probability-outcome",

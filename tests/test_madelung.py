@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
 from gwfield import madelung, spectral
+from gwfield.cli import main as cli_main
+from gwfield.fieldio import write_field
 from gwfield.madelung import (
     bohm_step,
     continuity_residual,
@@ -289,19 +292,19 @@ class TestBohmTrajectories:
         m_star = qfield.m_star
         p0 = m_star * 1e5  # 1 km/s in cm/s
         dt = 1e-6
-        traj = run_trajectory(qfield, center, p0, dt, n_steps=50, regime="classical")
+        traj = run_trajectory(qfield, [[center]], [[p0]], dt, n_steps=50, regime="classical")
         expected = center + (p0 / m_star) * traj.times
-        np.testing.assert_allclose(traj.positions[:, 0], expected, rtol=1e-12)
-        np.testing.assert_allclose(traj.momenta[:, 0], p0, rtol=1e-12)
+        np.testing.assert_allclose(traj.positions[:, 0, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(traj.momenta[:, 0, 0], p0, rtol=1e-12)
 
     def test_constant_q_massless(self):
         grid = Grid.of(128, 10.0)
         psi = ComplexField(grid=grid, values=np.ones(128, dtype=complex))
         qfield = quantum_potential(polar_decompose(psi), 1e-30)
         dt = 1e-12
-        traj = run_trajectory(qfield, 1.0, 1e-20, dt, n_steps=20, regime="massless")
-        np.testing.assert_allclose(traj.momenta[:, 0], 1e-20, rtol=1e-12)
-        speeds = np.diff(traj.positions[:, 0]) / dt
+        traj = run_trajectory(qfield, [[1.0]], [[1e-20]], dt, n_steps=20, regime="massless")
+        np.testing.assert_allclose(traj.momenta[:, 0, 0], 1e-20, rtol=1e-12)
+        speeds = np.diff(traj.positions[:, 0, 0]) / dt
         np.testing.assert_allclose(speeds, CGS.c, rtol=1e-9)
 
     def test_momentum_change_matches_gradient(self):
@@ -319,9 +322,9 @@ class TestBohmTrajectories:
         force_exact = (CGS.hbar**2 / (2.0 * m_star)) * ((x0 - center) / (2.0 * sigma**4))
         interp = QuantumPotentialInterpolator(qfield)
         for dt in (1e-11, 5e-12):
-            _, p1, status = bohm_step(np.array([x0]), np.array([0.0]), dt, "massive", interp)
-            assert status == "ok"
-            rel = abs(p1[0] - force_exact * dt) / (abs(force_exact) * dt)
+            _, p1, masked = bohm_step(np.array([[x0]]), np.array([[0.0]]), dt, "massive", interp)
+            assert not masked.any()
+            rel = abs(p1[0, 0] - force_exact * dt) / (abs(force_exact) * dt)
             assert rel < 1e-5
 
     def test_masked_region_terminates(self):
@@ -334,9 +337,68 @@ class TestBohmTrajectories:
         m_star = qfield.m_star
         v = 1e3
         traj = run_trajectory(
-            qfield, center, m_star * v, dt=sigma / v / 10.0, n_steps=200, regime="classical")
+            qfield, [[center]], [[m_star * v]], dt=sigma / v / 10.0, n_steps=200, regime="classical")
         assert traj.status == "terminated_masked"
-        assert traj.positions[-1, 0] < center + 12.0 * sigma
+        assert traj.last_step[0] < 200
+        assert traj.positions[-1, 0, 0] < center + 12.0 * sigma
+
+    @pytest.mark.parametrize("regime", ["massless", "massive", "classical"])
+    @pytest.mark.parametrize("n_points", [(1024,), (32, 32, 32)], ids=["1d", "3d"])
+    def test_ensemble_matches_single_particle_runs(self, rng, regime, n_points):
+        sigma, m_star = 3.0, 1e-37
+        dim = len(n_points)
+        grid = Grid.of(n_points, (10.0 * sigma,) * dim)
+        center = 5.0 * sigma
+        psi = gaussian_packet(
+            GaussianPacketSpec(center=(center,) * dim, sigma0=sigma, k_carrier=(0.0,) * dim), grid)
+        qfield = quantum_potential(polar_decompose(psi), m_star)
+        # speeds at which the quantum force bends a path by about as much as
+        # the initial momentum carries it over the run
+        speed = CGS.c if regime == "massless" else 2e8
+        x0 = center + rng.uniform(-sigma, sigma, size=(5, dim))
+        p0 = m_star * rng.normal(0.0, 2e8, size=(5, dim))
+        dt = 0.1 * sigma / (20 * speed)
+        ensemble = run_trajectory(qfield, x0, p0, dt, 20, regime)
+        assert ensemble.status == "ok"
+        assert ensemble.positions.shape == ensemble.momenta.shape == (21, 5, dim)
+        for i in range(len(x0)):
+            alone = run_trajectory(qfield, x0[i:i + 1], p0[i:i + 1], dt, 20, regime)
+            assert np.array_equal(ensemble.times, alone.times)
+            assert np.array_equal(ensemble.positions[:, i:i + 1], alone.positions)
+            assert np.array_equal(ensemble.momenta[:, i:i + 1], alone.momenta)
+
+    def test_masked_particle_freezes_while_others_finish(self, tmp_path):
+        grid = Grid.of(512, 80.0)
+        values = np.exp(-((grid.axis(0) - 40.0) ** 2) / 4.0)
+        psi = ComplexField(grid=grid, values=values + 0j)
+        omega_ref = 2e-37 * CGS.c**2 / CGS.hbar
+        qfield = quantum_potential(polar_decompose(psi), EffectiveMassParams(omega_ref).m_star)
+        # the node floor lies 7.43 cm from the centre: the first particle
+        # crosses it in its 75th step of 0.1 cm, the others barely move
+        x0, p0 = [[40.0], [41.0], [39.0]], [[1e-34], [0.0], [-1e-36]]
+        traj = run_trajectory(qfield, x0, p0, 1e-4, 200, "classical")
+        assert traj.status == "terminated_masked"
+        assert traj.last_step.tolist() == [74, 200, 200]
+        assert np.all(traj.positions[75:, 0] == traj.positions[74, 0])
+        for i in range(3):
+            alone = run_trajectory(qfield, x0[i:i + 1], p0[i:i + 1], 1e-4, 200, "classical")
+            assert np.array_equal(traj.positions[:, i:i + 1], alone.positions)
+            assert alone.last_step[0] == traj.last_step[i]
+
+        write_field(psi, tmp_path / "packet.csv")
+        out = tmp_path / "bohm"
+        assert cli_main(["bohm", "--field", str(tmp_path / "packet.csv"),
+                         "--omega-ref-rad-per-s", repr(omega_ref), "--regime", "classical",
+                         "--seed-positions", "40;41;39", "--seed-momenta", "1e-34;0;-1e-36",
+                         "--dt-s", "1e-4", "--steps", "200", "--output-dir", str(out)]) == 0
+        with (out / "trajectories.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        for i, last in enumerate([74, 200, 200]):
+            mine = [r for r in rows if r[0] == str(i)]
+            assert [r[1] for r in mine] == [str(s) for s in range(last + 1)]
+            expected = ["ok"] * last + ["terminated_masked" if last < 200 else "ok"]
+            assert [r[-1] for r in mine] == expected
+        assert float(rows[74][3]) == traj.positions[74, 0, 0]
 
     @pytest.mark.parametrize("n_points, lengths", [
         (64, 1.0), ((16, 24), (1.0, 1.5)), ((12, 10, 8), (1.0, 0.8, 0.6))])
@@ -352,10 +414,10 @@ class TestBohmTrajectories:
                             zip(x, grid.lengths, grid.spacings)])[:, None]
             expected = [ndimage.map_coordinates(g, idx, order=3, mode="grid-wrap", prefilter=True)[0]
                         for g in gradients]
-            assert np.array_equal(interp.grad_q_at(x), expected)
+            assert np.array_equal(interp.grad_q_at(x[None])[0], expected)
 
     def test_bad_regime_rejected(self):
         qfield, center, _ = _gaussian_qfield()
         interp = QuantumPotentialInterpolator(qfield)
         with pytest.raises(ValueError):
-            bohm_step(np.array([center]), np.array([0.0]), 1e-6, "ballistic", interp)
+            bohm_step(np.array([[center]]), np.array([[0.0]]), 1e-6, "ballistic", interp)
