@@ -18,11 +18,10 @@ boolean or a string in a spec, matrix file or dump sidecar, all of which
 Every failure, a command-line usage error included, is reported as one JSON
 line on stderr, never as a traceback or usage text.
 
-Only ``bohm`` loads scipy, and only inside the library call that needs it
-(the trajectory interpolator): importing scipy costs ~0.9 s of a ~1.2 s
-start, which the other subcommands should not pay.  The layers beyond the
-numpy-only core (``bosestat``, ``cmbrvac``, ``madelung``, ``selfcheck``) are
-imported inside the steps that run them.
+The CLI runs on numpy alone.  The layers beyond its core (``bosestat``,
+``cmbrvac``, ``madelung``, ``selfcheck``) are imported inside the steps that
+run them: at module level, every process that imports this module, the
+benchmark runner included, would load them, which raises its peak RSS.
 """
 
 from __future__ import annotations

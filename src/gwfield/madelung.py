@@ -174,45 +174,62 @@ def phase_gradient_momentum(psi: ComplexField) -> float:
     return float(np.sum(form.rho * mag) / np.sum(form.rho))
 
 
-class QuantumPotentialInterpolator:
-    """Cubic interpolation of grad Q on the periodic grid.
+def _spline_coefficients(samples: np.ndarray, dim: int) -> np.ndarray:
+    """Periodic cubic B-spline coefficients of ``samples`` over its first ``dim`` axes.
 
-    The gradient is evaluated spectrally once and each component is
-    B-spline prefiltered once, so a query only evaluates the spline; off-grid
-    queries wrap around the box.  Queries take (n, dim) points.  ``masked_at``
-    reports, per point, whether the nearest grid point sits in a masked
-    (undefined-Q) region.  Forces are quantitatively reliable only when the
-    density stays above the floor everywhere: masked zeros put a cliff into
-    the Q array whose ringing leaks into the spectral gradient.
+    At the integers the cubic B-spline is (1, 4, 1)/6, a circular convolution
+    that the Fourier transform turns into the factor prod_i (4 + 2 cos 2 pi
+    m_i/N_i)/6 >= 3^-dim, so one division interpolates the samples exactly
+    (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 41, 821 (1993)).
+    """
+    axes = tuple(range(dim))
+    spectrum = np.fft.rfftn(samples, axes=axes)
+    for axis in axes:
+        m = np.arange(spectrum.shape[axis])
+        factor = (4.0 + 2.0 * np.cos(2.0 * np.pi * m / samples.shape[axis])) / 6.0
+        spectrum /= factor.reshape((-1,) + (1,) * (spectrum.ndim - axis - 1))
+    return np.fft.irfftn(spectrum, s=samples.shape[:dim], axes=axes)
+
+
+class QuantumPotentialInterpolator:
+    """Periodic cubic B-spline interpolation of grad Q at (n, dim) points.
+
+    The gradient is evaluated spectrally and its components are prefiltered
+    together, once; a query gathers each point's 4^dim coefficient stencil
+    and weights it one axis at a time, independently of the other points.
+    Off-grid queries wrap around the box.  ``masked_at`` reports, per point,
+    whether the nearest grid point sits in a masked (undefined-Q) region.
+    Forces are quantitatively reliable only when the density stays above the
+    floor everywhere: masked zeros put a cliff into the Q array whose ringing
+    leaks into the spectral gradient.
     """
 
     def __init__(self, qfield: QuantumPotentialField):
-        # imported here, not with the module: only trajectories need scipy
-        from scipy import ndimage
-
         self.grid = qfield.grid
         self.m_star = qfield.m_star
-        # grid-wrap pads nothing before filtering, so these coefficients are
-        # exactly what map_coordinates(prefilter=True) would rebuild per call
-        self._coefficients = [
-            ndimage.spline_filter(g.real, order=3, mode="grid-wrap")
-            for g in spectral.gradient(qfield.Q, qfield.grid)
-        ]
-        self._map_coordinates = ndimage.map_coordinates
+        gradient = np.stack([g.real for g in spectral.gradient(qfield.Q, qfield.grid)], axis=-1)
+        self._coefficients = _spline_coefficients(gradient, qfield.grid.dim)
         self._mask = qfield.mask
 
     def _fractional_index(self, x: np.ndarray) -> np.ndarray:
         return np.mod(x, self.grid.lengths) / self.grid.spacings
 
     def grad_q_at(self, x: np.ndarray) -> np.ndarray:
-        idx = self._fractional_index(x).T
-        return np.stack(
-            [
-                self._map_coordinates(c, idx, order=3, mode="grid-wrap", prefilter=False)
-                for c in self._coefficients
-            ],
-            axis=1,
-        )
+        u = self._fractional_index(x)
+        base = np.floor(u)
+        t = u - base
+        s = 1.0 - t
+        # weights of the nodes floor(u) - 1 .. floor(u) + 2 on each axis, (n, dim, 4)
+        weights = np.stack([s**3, 4.0 - 6.0 * t**2 + 3.0 * t**3,
+                            4.0 - 6.0 * s**2 + 3.0 * s**3, t**3], axis=-1) / 6.0
+        nodes = (base.astype(int)[..., None] + np.arange(-1, 3)) % np.asarray(self.grid.n_points)[:, None]
+        dim = self.grid.dim
+        # elementwise products and sums, unlike einsum or @, keep each point's order fixed
+        values = self._coefficients[tuple(
+            nodes[:, a].reshape((-1,) + (1,) * a + (4,) + (1,) * (dim - a - 1)) for a in range(dim))]
+        for a in range(dim):
+            values = (values * weights[:, a].reshape((-1, 4) + (1,) * (dim - a))).sum(axis=1)
+        return values
 
     def masked_at(self, x: np.ndarray) -> np.ndarray:
         idx = np.rint(self._fractional_index(x)).astype(int) % self.grid.n_points
@@ -226,8 +243,7 @@ def bohm_step(
     regime: str,
     interp: QuantumPotentialInterpolator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One 4th-order Runge-Kutta step of the trajectory equations for
-    (n_particles, dim) positions and momenta.
+    """One 4th-order Runge-Kutta step for (n_particles, dim) positions and momenta.
 
     massless: dx/dt = c p/|p|, dp/dt = -grad Q
     massive:  dx/dt = p/m*,    dp/dt = -grad Q
@@ -248,8 +264,7 @@ def bohm_step(
         if regime == "massive":
             return ps / interp.m_star, force
         p_mag = np.sqrt(np.sum(ps**2, axis=1, keepdims=True))
-        # checked for every particle before dividing: one at rest is a
-        # configuration error, not a 0/0
+        # every particle is checked before dividing, so one at rest is not a 0/0
         if np.any(p_mag == 0.0):
             raise ValueError("massless regime requires nonzero momentum")
         return CGS.c * ps / p_mag, force
@@ -271,10 +286,9 @@ def bohm_step(
 @dataclass(frozen=True)
 class BohmTrajectory:
     """An integrated ensemble: times (steps+1,), positions and momenta
-    (steps+1, n, dim), and each particle's ``last_step``, the number of steps
-    it completed.  A particle's rows after its last step repeat its final
-    state.  ``status`` is "ok" when every particle ran all steps, otherwise
-    "terminated_masked"."""
+    (steps+1, n, dim), and each particle's ``last_step`` (steps completed;
+    later rows repeat its final state).  ``status`` is "ok" when every
+    particle ran all steps, otherwise "terminated_masked"."""
 
     times: np.ndarray
     positions: np.ndarray

@@ -495,8 +495,8 @@ def scipy_modules_after(runs, module="gwfield.cli"):
 
 
 class TestImportBudget:
-    """Subcommands that never call scipy must not pay for importing it; only
-    ``bohm`` does."""
+    """scipy is a test oracle, not a runtime dependency: no import and no
+    subcommand loads it."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after([]) == []
@@ -522,18 +522,13 @@ class TestImportBudget:
              "--next-field", tmp_path / "packet.csv", "--dt-s", 1e-12,
              "--output-dir", tmp_path / "madelung"],
             ["check", "--output-dir", tmp_path / "check"],
+            ["bohm", "--field", tmp_path / "packet.csv", "--omega-ref-rad-per-s", 1e11,
+             "--regime", "massive", "--seed-positions", "0.5;0.4", "--seed-momenta", "0.0;1e-20",
+             "--dt-s", 1e-12, "--steps", 2, "--output-dir", tmp_path / "bohm"],
         ]
         assert scipy_modules_after(runs) == []
         assert (tmp_path / "check" / "check.json").exists()
-
-    def test_bohm_loads_scipy(self, tmp_path):
-        psi = gaussian_packet(
-            GaussianPacketSpec(center=(0.5,), sigma0=0.05, k_carrier=(0.0,)), Grid.of(64, 1.0))
-        write_field(psi, tmp_path / "packet.csv")
-        bohm = ["bohm", "--field", tmp_path / "packet.csv", "--omega-ref-rad-per-s", 1e11,
-                "--regime", "massive", "--seed-positions", 0.5, "--seed-momenta", 0.0,
-                "--dt-s", 1e-12, "--steps", 2, "--output-dir", tmp_path / "bohm"]
-        assert "scipy.ndimage" in scipy_modules_after([bohm])
+        assert (tmp_path / "bohm" / "trajectories.csv").exists()
 
     def test_numpy_only_subcommands_load_no_scipy(self, tmp_path):
         rho = tmp_path / "rho.json"

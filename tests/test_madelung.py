@@ -400,21 +400,45 @@ class TestBohmTrajectories:
             assert [r[-1] for r in mine] == expected
         assert float(rows[74][3]) == traj.positions[74, 0, 0]
 
-    @pytest.mark.parametrize("n_points, lengths", [
+    GRIDS = pytest.mark.parametrize("n_points, lengths", [
         (64, 1.0), ((16, 24), (1.0, 1.5)), ((12, 10, 8), (1.0, 0.8, 0.6))])
-    def test_prefiltered_spline_matches_per_call_prefilter(self, rng, n_points, lengths):
-        from scipy import ndimage
 
+    @staticmethod
+    def _random_gradient(rng, n_points, lengths):
         grid = Grid.of(n_points, lengths)
         qfield = quantum_potential(polar_decompose(normalize(random_field(grid, rng))), 1e-37)
-        gradients = [g.real for g in spectral.gradient(qfield.Q, grid)]
-        interp = QuantumPotentialInterpolator(qfield)
-        for x in rng.uniform(-1.0, 2.0, size=(20, grid.dim)) * np.asarray(grid.lengths):
-            idx = np.array([(xi % length) / h for xi, length, h in
-                            zip(x, grid.lengths, grid.spacings)])[:, None]
-            expected = [ndimage.map_coordinates(g, idx, order=3, mode="grid-wrap", prefilter=True)[0]
-                        for g in gradients]
-            assert np.array_equal(interp.grad_q_at(x[None])[0], expected)
+        gradients = np.stack([g.real for g in spectral.gradient(qfield.Q, grid)], axis=-1)
+        return grid, QuantumPotentialInterpolator(qfield), gradients
+
+    @GRIDS
+    def test_prefiltered_spline_matches_per_call_prefilter(self, rng, n_points, lengths):
+        # scipy's recursive prefilter and spline are the reference; the
+        # interpolator divides in Fourier space instead, so they agree to rounding
+        from scipy import ndimage
+
+        grid, interp, gradients = self._random_gradient(rng, n_points, lengths)
+        x = rng.uniform(-1.0, 2.0, size=(20, grid.dim)) * np.asarray(grid.lengths)
+        idx = (np.mod(x, grid.lengths) / grid.spacings).T
+        expected = np.stack([
+            ndimage.map_coordinates(gradients[..., i], idx, order=3, mode="grid-wrap", prefilter=True)
+            for i in range(grid.dim)], axis=-1)
+        assert np.max(np.abs(interp.grad_q_at(x) - expected)) <= 1e-12 * np.max(np.abs(gradients))
+
+    @GRIDS
+    def test_spline_returns_the_samples_at_grid_nodes(self, rng, n_points, lengths):
+        grid, interp, gradients = self._random_gradient(rng, n_points, lengths)
+        nodes = np.stack(np.meshgrid(*(grid.axis(i) for i in range(grid.dim)), indexing="ij"), axis=-1)
+        got = interp.grad_q_at(nodes.reshape(-1, grid.dim))
+        error = np.max(np.abs(got - gradients.reshape(-1, grid.dim)))
+        assert error <= 1e-13 * np.max(np.abs(gradients))
+
+    @GRIDS
+    def test_point_value_does_not_depend_on_ensemble_size(self, rng, n_points, lengths):
+        grid, interp, _ = self._random_gradient(rng, n_points, lengths)
+        x = rng.uniform(-1.0, 2.0, size=(1000, grid.dim)) * np.asarray(grid.lengths)
+        together = interp.grad_q_at(x)
+        for i in rng.choice(1000, size=25, replace=False):
+            assert interp.grad_q_at(x[i:i + 1]).tobytes() == together[i:i + 1].tobytes()
 
     def test_bad_regime_rejected(self):
         qfield, center, _ = _gaussian_qfield()
