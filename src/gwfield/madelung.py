@@ -224,9 +224,9 @@ class QuantumPotentialInterpolator:
                             4.0 - 6.0 * s**2 + 3.0 * s**3, t**3], axis=-1) / 6.0
         nodes = (base.astype(int)[..., None] + np.arange(-1, 3)) % np.asarray(self.grid.n_points)[:, None]
         dim = self.grid.dim
-        # elementwise products and sums, unlike einsum or @, keep each point's order fixed
         values = self._coefficients[tuple(
             nodes[:, a].reshape((-1,) + (1,) * a + (4,) + (1,) * (dim - a - 1)) for a in range(dim))]
+        # elementwise products and sums, unlike einsum or @, keep each point's order fixed
         for a in range(dim):
             values = (values * weights[:, a].reshape((-1, 4) + (1,) * (dim - a))).sum(axis=1)
         return values
