@@ -237,7 +237,7 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
         "E_erg": decomposition.E,
         "pc_erg": decomposition.pc,
         "Q_mean_erg": decomposition.Q_mean,
-        "phase_gradient_momentum_g_cm_per_s": madelung.phase_gradient_momentum(psi),
+        "phase_gradient_momentum_g_cm_per_s": madelung.phase_gradient_momentum(form),
         "defect_rms_per_cm2": float(np.sqrt(np.mean(qfield.classicality_defect[keep] ** 2))),
         "mask_fraction": float(np.mean(form.branch_mask)),
         "continuity_residual": None,

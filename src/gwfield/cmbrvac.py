@@ -27,10 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CGS
-from .fields import ComplexField
-from .madelung import polar_decompose, quantum_potential
-from .wavemech import EffectiveMassParams
-from . import spectral
 
 # Reference values used by the "paper-numeric" moment variant and the
 # comparison tests; kept as named constants, never inlined.
@@ -153,32 +149,3 @@ def casimir_pressure(a: float, T: float = 2.7) -> float:
         raise ValueError("plate separation must be positive")
     return -casimir_coefficient(T) / a**6
 
-
-def magnetic_energy_identity_check(psi: ComplexField, params: EffectiveMassParams) -> float:
-    """Relative residual of the gradient-energy split
-
-        int |grad psi|^2 dV = (omega_ref / (hbar c^2)) int Q rho dV
-                              + int |grad phase|^2 rho dV.
-
-    The total-divergence term drops on the periodic box.  Points under the
-    density floor are excluded from the right-hand side, so the check is
-    meaningful for fields whose density stays above the floor.
-    """
-    grid = psi.grid
-    n_total = float(np.prod(grid.n_points))
-    lhs = spectral.power_sum(psi.values, grid, lambda k_sq: k_sq) * grid.cell_volume / n_total
-
-    form = polar_decompose(psi)
-    qfield = quantum_potential(form, params.m_star)
-    q_term = (
-        params.omega_ref
-        / (CGS.hbar * CGS.c**2)
-        * float(np.sum(form.rho * qfield.Q))
-        * grid.cell_volume
-    )
-    keep = ~form.branch_mask
-    safe_rho = np.where(form.branch_mask, 1.0, form.rho)
-    phase_term = 0.0
-    for flux in spectral.phase_flux(psi.values, grid):
-        phase_term += float(np.sum((flux**2 / safe_rho)[keep])) * grid.cell_volume
-    return abs(lhs - (q_term + phase_term)) / abs(lhs)

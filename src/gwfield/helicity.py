@@ -12,7 +12,9 @@ input exactly.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +52,6 @@ class TimeSeriesField:
     @property
     def n_snapshots(self) -> int:
         return self.values.shape[0]
-
-    def snapshot(self, m: int) -> ComplexField:
-        return ComplexField(grid=self.grid, values=self.values[m])
 
     @classmethod
     def from_fields(cls, fields: list[ComplexField], dt: float) -> "TimeSeriesField":
@@ -125,8 +124,8 @@ def current_continuity(series: TimeSeriesField, k0: float) -> float:
     residuals = []
     for m in range(1, series.n_snapshots - 1):
         rho_dot = (rho_t[m + 1] - rho_t[m - 1]) / (2.0 * series.dt)
-        current = convection_current(series.snapshot(m), k0)
-        div = spectral.divergence([2.0 * CGS.c * comp for comp in current.j], grid).real
+        flux = spectral.phase_flux(series.values[m], grid)
+        div = spectral.divergence([2.0 * CGS.c * (CGS.hbar * f) for f in flux], grid).real
         residuals.append(rho_dot + div)
     residuals = np.asarray(residuals)
     rho_dot_all = (rho_t[2:] - rho_t[:-2]) / (2.0 * series.dt)
@@ -143,12 +142,5 @@ def time_averaged_current(series: TimeSeriesField, k0: float) -> tuple[np.ndarra
     whole common period of the retained modes, so over such a window
     avg j(psi) = avg j(psi_plus) + avg j(psi_minus).
     """
-    acc = None
-    for m in range(series.n_snapshots):
-        current = convection_current(series.snapshot(m), k0)
-        if acc is None:
-            acc = [comp.copy() for comp in current.j]
-        else:
-            for i, comp in enumerate(current.j):
-                acc[i] += comp
-    return tuple(comp / series.n_snapshots for comp in acc)
+    currents = (CGS.hbar * np.array(spectral.phase_flux(values, series.grid)) for values in series.values)
+    return tuple(functools.reduce(operator.add, currents) / series.n_snapshots)

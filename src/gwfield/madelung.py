@@ -1,12 +1,14 @@
 """Polar (density/phase) decomposition and everything downstream of it:
 the quantum potential, Hamilton-Jacobi and continuity residuals, the
-energy split E = pc + Q, and trajectory integration in the gradient of Q.
+generalized dispersion defect, the gradient-energy identity, the energy
+split E = pc + Q, and trajectory integration in the gradient of Q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -21,15 +23,19 @@ _REGIMES = ("massless", "massive", "classical")
 
 @dataclass(frozen=True)
 class MadelungForm:
-    """Polar form of a field: density rho, phase S/hbar, and a node mask.
+    """Polar form of a field psi = sqrt(rho) exp(i phase), with a node mask.
 
     The phase is unwrapped by 1D sweeps (axis 0 line through the origin, then
     axis 1 lines, then axis 2), resolving each step to the nearest multiple
     of 2*pi.  Where rho falls below the floor the phase is undefined; those
     points are masked and unwrap chains through them are unreliable.
+
+    The form is the one polar analysis of its field: the density curvature
+    and the phase flux are computed on first use and kept, so every
+    diagnostic of the form shares their FFTs.
     """
 
-    grid: Grid
+    psi: ComplexField
     rho: np.ndarray
     phase: np.ndarray
     branch_mask: np.ndarray
@@ -42,13 +48,34 @@ class MadelungForm:
         if np.any(self.rho < 0.0):
             raise ValueError("rho must be >= 0 everywhere")
 
+    @property
+    def grid(self) -> Grid:
+        return self.psi.grid
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """lap(sqrt rho)/sqrt(rho) [1/cm^2], read-only; masked points carry zeros."""
+        curvature = spectral.sqrt_density_curvature(self.rho, self.grid, self.branch_mask)
+        curvature.setflags(write=False)
+        return curvature
+
+    @cached_property
+    def flux(self) -> list[np.ndarray]:
+        """Im(psi* d_i psi) = rho d_i(phase) per axis, smooth across phase seams."""
+        return spectral.phase_flux(self.psi.values, self.grid)
+
     def action(self) -> np.ndarray:
         """S = hbar * phase [erg s]."""
         return CGS.hbar * self.phase
 
-    def to_field(self) -> ComplexField:
-        """Reconstruct sqrt(rho) * exp(i phase)."""
-        return ComplexField(grid=self.grid, values=np.sqrt(self.rho) * np.exp(1j * self.phase))
+    def action_gradient_sq(self) -> np.ndarray:
+        """|grad S|^2 = (hbar flux/rho)^2 [erg^2 s^2/cm^2]; masked points carry zeros."""
+        safe_rho = np.where(self.branch_mask, 1.0, self.rho)
+        return np.where(self.branch_mask, 0.0, sum((CGS.hbar * f / safe_rho) ** 2 for f in self.flux))
+
+    def mean(self, values: np.ndarray) -> float:
+        """rho-weighted mean of ``values``."""
+        return float(np.sum(self.rho * values) / np.sum(self.rho))
 
 
 def polar_decompose(psi: ComplexField) -> MadelungForm:
@@ -59,7 +86,7 @@ def polar_decompose(psi: ComplexField) -> MadelungForm:
     for axis in range(dim):
         sweep = (slice(None),) * (axis + 1) + (0,) * (dim - axis - 1)
         phase[sweep] = np.unwrap(phase[sweep], axis=axis)
-    return MadelungForm(grid=psi.grid, rho=rho, phase=phase, branch_mask=mask)
+    return MadelungForm(psi=psi, rho=rho, phase=phase, branch_mask=mask)
 
 
 @dataclass(frozen=True)
@@ -83,23 +110,10 @@ def quantum_potential(form: MadelungForm, m_star: float) -> QuantumPotentialFiel
         raise ValueError("m_star must be finite and positive")
     if np.all(form.branch_mask):
         raise ValueError("density is below the floor everywhere")
-    defect = spectral.sqrt_density_curvature(form.rho, form.grid, form.branch_mask)
-    q = -(CGS.hbar**2) / (2.0 * m_star) * defect
+    q = -(CGS.hbar**2) / (2.0 * m_star) * form.curvature
     return QuantumPotentialField(
-        grid=form.grid, Q=q, classicality_defect=defect, m_star=m_star, mask=form.branch_mask
+        grid=form.grid, Q=q, classicality_defect=form.curvature, m_star=m_star, mask=form.branch_mask
     )
-
-
-def _action_gradient_sq(form: MadelungForm) -> np.ndarray:
-    """|grad S|^2 [erg^2 s^2/cm^2] extracted from the reconstructed field.
-
-    Im(psi* grad psi) = rho * grad(phase) is smooth even where the unwrapped
-    phase array has seams, so the gradient is taken from the reconstruction
-    rather than from the phase array.  Masked points carry zeros.
-    """
-    safe_rho = np.where(form.branch_mask, 1.0, form.rho)
-    fluxes = spectral.phase_flux(form.to_field().values, form.grid)
-    return np.where(form.branch_mask, 0.0, sum((CGS.hbar * f / safe_rho) ** 2 for f in fluxes))
 
 
 def hj_residual(
@@ -115,7 +129,7 @@ def hj_residual(
     if dt_action is None:
         raise ValueError("dt_action (the dS/dt field) is required")
     qfield = quantum_potential(form, params.m_star)
-    kinetic = _action_gradient_sq(form) / (2.0 * params.m_star)
+    kinetic = form.action_gradient_sq() / (2.0 * params.m_star)
     residual = np.asarray(dt_action) + kinetic + CGS.hbar * params.v0 + qfield.Q
     keep = ~form.branch_mask
     return float(np.sqrt(np.mean(residual[keep] ** 2)))
@@ -132,14 +146,43 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     rho_dot = np.asarray(rho_dot, dtype=float)
     if rho_dot.shape != form.grid.shape:
         raise ValueError("rho_dot shape does not match the grid")
-    flux = spectral.phase_flux(form.to_field().values, form.grid)
-    div = spectral.divergence([(CGS.hbar / m_star) * f for f in flux], form.grid).real
+    div = spectral.divergence([(CGS.hbar / m_star) * f for f in form.flux], form.grid).real
     residual = rho_dot + div
     keep = ~form.branch_mask
     length_scale = form.grid.volume ** (1.0 / form.grid.dim)
     floor = (CGS.hbar / m_star) * float(form.rho.max()) / length_scale**2
     denom = float(np.abs(rho_dot).max()) + floor
     return float(np.sqrt(np.mean(residual[keep] ** 2))) / denom
+
+
+def dispersion_defect(form: MadelungForm, omega: float, mu: float, k: float) -> float:
+    """Volume-RMS of k^2 - omega^2/c^2 + mu^2 - lap(sqrt rho)/sqrt(rho).
+
+    Zero iff the generalized dispersion relation holds pointwise.  Points with
+    rho below the shared floor are excluded (the curvature is undefined there).
+    """
+    if np.all(form.branch_mask):
+        raise ValueError("dispersion defect is undefined: all points fall below the density floor")
+    defect = k**2 - (omega / CGS.c) ** 2 + mu**2 - form.curvature
+    return float(np.sqrt(np.mean(defect[~form.branch_mask] ** 2)))
+
+
+def magnetic_energy_identity_check(form: MadelungForm, params: EffectiveMassParams) -> float:
+    """Relative residual of the gradient-energy split
+
+        int |grad psi|^2 dV = (omega_ref / (hbar c^2)) int Q rho dV
+                              + int |grad phase|^2 rho dV.
+
+    The total-divergence term drops on the periodic box.  Points under the
+    density floor are excluded from the right-hand side, so the check is
+    meaningful for fields whose density stays above the floor.
+    """
+    # each term is a sum over the cells: the common factor dV cancels in the ratio
+    lhs = spectral.power_sum(form.psi.values, form.grid, lambda k_sq: k_sq) / form.rho.size
+    qfield = quantum_potential(form, params.m_star)
+    q_term = params.omega_ref / (CGS.hbar * CGS.c**2) * float(np.sum(form.rho * qfield.Q))
+    phase_term = float(np.sum(form.rho * form.action_gradient_sq())) / CGS.hbar**2
+    return abs(lhs - (q_term + phase_term)) / abs(lhs)
 
 
 class EnergyDecomposition(NamedTuple):
@@ -162,16 +205,13 @@ def energy_decomposition(psi: ComplexField, params: EffectiveMassParams) -> Ener
         raise ValueError("energy decomposition requires a normalized field")
     pc = CGS.hbar * CGS.c * spectral.power_mean(psi.values, psi.grid, np.sqrt)
     form = polar_decompose(psi)
-    qfield = quantum_potential(form, params.m_star)
-    q_mean = float(np.sum(form.rho * qfield.Q) / np.sum(form.rho))
+    q_mean = form.mean(quantum_potential(form, params.m_star).Q)
     return EnergyDecomposition(E=pc + q_mean, pc=pc, Q_mean=q_mean)
 
 
-def phase_gradient_momentum(psi: ComplexField) -> float:
+def phase_gradient_momentum(form: MadelungForm) -> float:
     """rho-weighted mean of |grad S| [g cm/s]; zero for real standing waves."""
-    form = polar_decompose(psi)
-    mag = np.sqrt(_action_gradient_sq(form))
-    return float(np.sum(form.rho * mag) / np.sum(form.rho))
+    return form.mean(np.sqrt(form.action_gradient_sq()))
 
 
 def _spline_coefficients(samples: np.ndarray, dim: int) -> np.ndarray:
@@ -251,6 +291,8 @@ def bohm_step(
 
     Returns (x, p, masked); ``masked[i]`` is True when a stage of particle i
     lands in a masked region, in which case its rows come back unchanged.
+    Raises RuntimeError when an unmasked particle of a Q-driven regime moves
+    half the box length or more along an axis.
     """
     if regime not in _REGIMES:
         raise ValueError(f"regime must be one of {_REGIMES}")
@@ -280,6 +322,11 @@ def bohm_step(
     x_new = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     p_new = p + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     masked = np.any([interp.masked_at(probe) for probe in stages_x + [x_new]], axis=0)
+    # the interpolator wraps positions, so a Q-driven step of half a box or more is not resolved
+    jump = np.abs(x_new - x)[~masked] / np.asarray(interp.grid.lengths)
+    if regime != "classical" and np.any(jump >= 0.5):
+        raise RuntimeError(f"a {regime} step of dt = {dt} s moved a particle {jump.max():.3g} box "
+                           "lengths along an axis (at most 0.5 is resolved); lower the time step")
     return np.where(masked[:, None], x, x_new), np.where(masked[:, None], p, p_new), masked
 
 

@@ -168,8 +168,7 @@ def _zero_point_energies() -> list[Measurement]:
     for k_n, psi in _box_ground_states(5):
         form = madelung.polar_decompose(psi)
         qfield = madelung.quantum_potential(form, m_star=CGS.hbar * k_n / (2.0 * CGS.c))
-        q_mean = float(np.sum(form.rho * qfield.Q) / np.sum(form.rho))
-        box.append(abs(q_mean / (k_n * CGS.hbar * CGS.c) - 1.0))
+        box.append(abs(form.mean(qfield.Q) / (k_n * CGS.hbar * CGS.c) - 1.0))
     omega_ref = 2.0 * math.pi * 1e10
     params = wavemech.EffectiveMassParams(omega_ref=omega_ref)
     curvature = 3.7e-20  # potential (1/2) beta x^2

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CGS
-from .fields import ComplexField, Grid, node_mask
+from .fields import ComplexField, Grid
 from . import spectral
 
 
@@ -196,24 +196,9 @@ def helmholtz_residual(psi: ComplexField, k: float) -> float:
     if norm <= 0.0:
         raise ValueError("helmholtz residual of a zero field is undefined")
     grid = psi.grid
-    residual = np.fft.ifftn((k**2 - spectral.k_squared(grid)) * np.fft.fftn(psi.values))
+    residual = spectral.laplacian(psi.values, grid) + k**2 * psi.values
     res_norm = math.sqrt(float(np.sum(np.abs(residual) ** 2)) * grid.cell_volume)
     return res_norm / norm
-
-
-def dispersion_defect(psi: ComplexField, omega: float, mu: float, k: float) -> float:
-    """Volume-RMS of k^2 - omega^2/c^2 + mu^2 - lap(sqrt rho)/sqrt(rho).
-
-    Zero iff the generalized dispersion relation holds pointwise.  Points with
-    rho below the shared floor are excluded (the curvature is undefined there).
-    """
-    rho = psi.density()
-    mask = node_mask(rho)
-    if np.all(mask):
-        raise ValueError("dispersion defect is undefined: all points fall below the density floor")
-    curvature = spectral.sqrt_density_curvature(rho, psi.grid, mask)
-    defect = k**2 - (omega / CGS.c) ** 2 + mu**2 - curvature
-    return float(np.sqrt(np.mean(defect[~mask] ** 2)))
 
 
 def packet_widths(field: ComplexField) -> tuple[float, ...]:

@@ -450,6 +450,21 @@ class TestFailedRunsWriteNothing:
         assert "criterion 7 forced_failure (always = 1 (needs < 0.5))" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("travel, code", [(0.49, 0), (0.51, 3), (2.5, 3)])
+    def test_bohm_step_of_half_a_box_fails(self, tmp_path, capsys, travel, code):
+        # constant density: Q is flat and no point is masked, so only the step size decides
+        field = ComplexField(grid=Grid.of(64, 1.0), values=np.ones(64, dtype=complex))
+        field_csv, _ = write_field(field, tmp_path / "flat.csv")
+        out = tmp_path / "bohm"
+        rc = run_cli("bohm", "--field", field_csv, "--omega-ref-rad-per-s", 1e11,
+                     "--regime", "massless", "--seed-positions", "0.1", "--seed-momenta", "1e-20",
+                     "--dt-s", travel / CGS.c, "--steps", 2, "--output-dir", out)
+        assert rc == code
+        if code:
+            err = json.loads(capsys.readouterr().err)
+            assert err["code"] == 3 and "box lengths" in err["message"]
+            assert not out.exists()
+
     @pytest.mark.parametrize("corrupt", ["truncate", "index_40"])
     def test_bad_field_dump(self, tmp_path, capsys, corrupt):
         field = ComplexField(grid=Grid.of(32, 1.0), values=np.exp(1j * np.arange(32.0)))
@@ -476,27 +491,28 @@ def subprocess_env():
 
 
 # Imports a module, runs its main on each argv of a JSON list, then prints the
-# scipy modules the interpreter has loaded.
-_SCIPY_PROBE = """
+# loaded modules whose names start with a prefix.
+_MODULE_PROBE = """
 import importlib, json, sys
 module = importlib.import_module(sys.argv[1])
 for argv in json.loads(sys.argv[2]):
     assert module.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(sys.argv[3]))))
 """
 
 
-def scipy_modules_after(runs, module="gwfield.cli"):
-    """scipy modules loaded by a fresh interpreter that imports ``module`` and runs ``runs``."""
+def scipy_modules_after(runs, module="gwfield.cli", prefix="scipy"):
+    """Modules named ``prefix``... loaded by a fresh interpreter that imports
+    ``module`` and runs ``runs``."""
     argvs = json.dumps([[str(a) for a in argv] for argv in runs])
-    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, module, argvs], env=subprocess_env(),
-                          capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, module, argvs, prefix],
+                          env=subprocess_env(), capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestImportBudget:
     """scipy is a test oracle, not a runtime dependency: no import and no
-    subcommand loads it."""
+    subcommand loads it.  The vacuum subcommands do not load the polar layer."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after([]) == []
@@ -504,6 +520,11 @@ class TestImportBudget:
     @pytest.mark.parametrize("module", ["gwfield.bosestat", "gwfield.madelung", "gwfield.cmbrvac"])
     def test_layer_import_loads_no_scipy(self, module):
         assert scipy_modules_after([], module) == []
+
+    def test_vacuum_subcommands_load_no_polar_layer(self, tmp_path):
+        runs = [["casimir", "--a-cm", 1e-4, "--output-dir", tmp_path / "casimir"],
+                ["cmbr", "--omega-c-rad-per-s", 2.87e9, "--output-dir", tmp_path / "cmbr"]]
+        assert scipy_modules_after(runs, prefix="gwfield.madelung") == []
 
     def test_compute_subcommands_load_no_scipy(self, tmp_path):
         psi = gaussian_packet(

@@ -72,7 +72,7 @@ class TestPolarDecompose:
         psi = random_field(grid, rng)
         form = polar_decompose(psi)
         keep = ~form.branch_mask
-        recon = form.to_field().values
+        recon = np.sqrt(form.rho) * np.exp(1j * form.phase)
         assert np.abs((recon - psi.values)[keep]).max() < 1e-10 * np.abs(psi.values).max()
 
     def test_2d_unwrap(self):
@@ -142,8 +142,7 @@ class TestQuantumPotential:
         grad = spectral.gradient(np.sqrt(rho), grid)[0].real
         rhs = -float(np.sum(grad**2)) * grid.cell_volume
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
-        q_mean = float(np.sum(form.rho * q.Q) / np.sum(form.rho))
-        assert q_mean >= 0.0
+        assert form.mean(q.Q) >= 0.0
 
     def test_all_masked_rejected(self):
         grid = Grid.of(16, 1.0)
@@ -216,6 +215,58 @@ class TestContinuity:
         assert residual < 1e-3
 
 
+def counting(monkeypatch, module, names):
+    """Replace ``module.<name>`` for each name by a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
+    return calls
+
+
+class TestOnePolarAnalysis:
+    """A form computes its curvature and phase flux once for every diagnostic."""
+
+    def test_every_diagnostic_shares_one_curvature_and_flux(self, rng, monkeypatch):
+        calls = counting(monkeypatch, spectral, ["sqrt_density_curvature", "phase_flux"])
+        grid = Grid.of((16, 8), (1.0, 0.5))
+        psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
+        params = EffectiveMassParams(omega_ref=3e11)
+        form = polar_decompose(psi)
+        assert calls == {"sqrt_density_curvature": 0, "phase_flux": 0}
+        quantum_potential(form, params.m_star)
+        hj_residual(form, params, 0.0)
+        continuity_residual(form, np.zeros(grid.shape), params.m_star)
+        phase_gradient_momentum(form)
+        madelung.dispersion_defect(form, 3e11, 0.0, 10.0)
+        madelung.magnetic_energy_identity_check(form, params)
+        assert calls == {"sqrt_density_curvature": 1, "phase_flux": 1}
+
+    def test_cached_curvature_is_read_only(self, rng):
+        form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
+        with pytest.raises(ValueError):
+            quantum_potential(form, 1e-30).classicality_defect[0] = 1.0
+
+    def test_madelung_step_fft_count(self, tmp_path, monkeypatch):
+        # curvature 5, energy split 6 (its own form), phase flux 4, divergence 6
+        grid = Grid.of((24, 24, 24), (1.0, 1.0, 1.0))
+        psi = gaussian_packet(GaussianPacketSpec(
+            center=(0.5, 0.5, 0.5), sigma0=0.1, k_carrier=(0.0, 2.0 * math.pi, 0.0)), grid)
+        write_field(psi, tmp_path / "packet.csv")
+        calls = counting(monkeypatch, np.fft, ["fftn", "ifftn"])
+        assert cli_main(["madelung", "--field", str(tmp_path / "packet.csv"),
+                         "--next-field", str(tmp_path / "packet.csv"), "--dt-s", "1e-12",
+                         "--omega-ref-rad-per-s", "1e11", "--energy-erg", "1e-16",
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        assert sum(calls.values()) == 21
+
+
 class TestEnergyDecomposition:
     def test_plane_wave(self):
         grid = Grid.of(64, 1.0)
@@ -239,7 +290,7 @@ class TestEnergyDecomposition:
             q_expected = n * math.pi * CGS.hbar * CGS.c / a
             assert abs(result.Q_mean / q_expected - 1.0) < 1e-6
             assert abs(result.pc / (CGS.hbar * CGS.c * k_n) - 1.0) < 1e-9
-            assert phase_gradient_momentum(psi) * CGS.c < 1e-6 * q_expected
+            assert phase_gradient_momentum(polar_decompose(psi)) * CGS.c < 1e-6 * q_expected
 
     def test_oscillator_zero_point(self):
         omega_ref = 2.0 * math.pi * 1e10

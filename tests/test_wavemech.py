@@ -222,7 +222,8 @@ class TestDispersionDefect:
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 4 / grid.lengths[0]
         psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
-        assert wavemech.dispersion_defect(psi, CGS.c * k, 0.0, k) < 1e-8 * k**2
+        form = madelung.polar_decompose(psi)
+        assert madelung.dispersion_defect(form, CGS.c * k, 0.0, k) < 1e-8 * k**2
 
     def test_constant_offset(self):
         grid = Grid.of(64, 1.0)
@@ -230,7 +231,7 @@ class TestDispersionDefect:
         psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
         delta = 0.37 * k**2
         omega_shifted = CGS.c * math.sqrt(k**2 + delta)
-        defect = wavemech.dispersion_defect(psi, omega_shifted, 0.0, k)
+        defect = madelung.dispersion_defect(madelung.polar_decompose(psi), omega_shifted, 0.0, k)
         assert abs(defect - delta) < 1e-9 * k**2
 
     def test_gaussian_matches_quantum_potential_curvature(self):
@@ -239,8 +240,8 @@ class TestDispersionDefect:
         psi = gaussian_packet(
             GaussianPacketSpec(center=(0.5,), sigma0=grid.lengths[0] / 24.0, k_carrier=(k,)),
             grid)
-        defect = wavemech.dispersion_defect(psi, CGS.c * k, 0.0, k)
         form = madelung.polar_decompose(psi)
+        defect = madelung.dispersion_defect(form, CGS.c * k, 0.0, k)
         qfield = madelung.quantum_potential(form, m_star=1.0e-30)
         keep = ~form.branch_mask
         oracle = math.sqrt(float(np.mean(qfield.classicality_defect[keep] ** 2)))
@@ -250,7 +251,7 @@ class TestDispersionDefect:
         grid = Grid.of(16, 1.0)
         psi = ComplexField(grid=grid, values=np.zeros(16, dtype=complex))
         with pytest.raises(ValueError):
-            wavemech.dispersion_defect(psi, 1.0, 0.0, 1.0)
+            madelung.dispersion_defect(madelung.polar_decompose(psi), 1.0, 0.0, 1.0)
 
 
 class TestChargeDensity:
