@@ -125,7 +125,7 @@ def current_continuity(series: TimeSeriesField, k0: float) -> float:
     for m in range(1, series.n_snapshots - 1):
         rho_dot = (rho_t[m + 1] - rho_t[m - 1]) / (2.0 * series.dt)
         flux = spectral.phase_flux(series.values[m], grid)
-        div = spectral.divergence([2.0 * CGS.c * (CGS.hbar * f) for f in flux], grid).real
+        div = spectral.divergence([2.0 * CGS.c * (CGS.hbar * f) for f in flux], grid)
         residuals.append(rho_dot + div)
     residuals = np.asarray(residuals)
     rho_dot_all = (rho_t[2:] - rho_t[:-2]) / (2.0 * series.dt)

@@ -7,6 +7,7 @@ split E = pc + Q, and trajectory integration in the gradient of Q.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -32,7 +33,8 @@ class MadelungForm:
 
     The form is the one polar analysis of its field: the density curvature
     and the phase flux are computed on first use and kept, so every
-    diagnostic of the form shares their FFTs.
+    diagnostic of the form shares their FFTs.  ``rho``, ``phase`` and
+    ``branch_mask`` are read-only.
     """
 
     psi: ComplexField
@@ -78,7 +80,14 @@ class MadelungForm:
         return float(np.sum(self.rho * values) / np.sum(self.rho))
 
 
+# live forms by id(psi); a form holds its field, so the id is not reused while the entry lives
+_FORMS: weakref.WeakValueDictionary[int, MadelungForm] = weakref.WeakValueDictionary()
+
+
 def polar_decompose(psi: ComplexField) -> MadelungForm:
+    """The polar form of ``psi``, shared while a form of this field object lives."""
+    if (form := _FORMS.get(id(psi))) is not None and form.psi is psi:
+        return form
     rho = psi.density()
     mask = node_mask(rho)
     phase = np.angle(psi.values)
@@ -86,7 +95,10 @@ def polar_decompose(psi: ComplexField) -> MadelungForm:
     for axis in range(dim):
         sweep = (slice(None),) * (axis + 1) + (0,) * (dim - axis - 1)
         phase[sweep] = np.unwrap(phase[sweep], axis=axis)
-    return MadelungForm(psi=psi, rho=rho, phase=phase, branch_mask=mask)
+    for arr in (rho, phase, mask):
+        arr.setflags(write=False)
+    form = _FORMS[id(psi)] = MadelungForm(psi=psi, rho=rho, phase=phase, branch_mask=mask)
+    return form
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,7 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     rho_dot = np.asarray(rho_dot, dtype=float)
     if rho_dot.shape != form.grid.shape:
         raise ValueError("rho_dot shape does not match the grid")
-    div = spectral.divergence([(CGS.hbar / m_star) * f for f in form.flux], form.grid).real
+    div = spectral.divergence([(CGS.hbar / m_star) * f for f in form.flux], form.grid)
     residual = rho_dot + div
     keep = ~form.branch_mask
     length_scale = form.grid.volume ** (1.0 / form.grid.dim)

@@ -21,6 +21,12 @@ def wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
+def half_wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
+    """:func:`wavenumbers` on the ``rfftn`` half spectrum (last axis: n/2 + 1, non-negative)."""
+    *axes, last = wavenumbers(grid)
+    return (*axes, np.abs(last[..., :grid.n_points[-1] // 2 + 1]))
+
+
 def k_squared(grid: Grid) -> np.ndarray:
     return sum(k * k for k in wavenumbers(grid))
 
@@ -40,8 +46,11 @@ def gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
 
 
 def divergence(components: list[np.ndarray], grid: Grid) -> np.ndarray:
-    return sum(np.fft.ifftn(1j * k * np.fft.fftn(comp))
-               for comp, k in zip(components, wavenumbers(grid)))
+    """Spectral divergence of a real vector field, one real array per axis."""
+    if any(np.iscomplexobj(comp) for comp in components):
+        raise ValueError("divergence takes real components")
+    spec = sum(1j * k * np.fft.rfftn(comp) for comp, k in zip(components, half_wavenumbers(grid)))
+    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.dim)))
 
 
 def phase_flux(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
@@ -85,7 +94,9 @@ def sqrt_density_curvature(rho: np.ndarray, grid: Grid, mask: np.ndarray) -> np.
     matters: at density nodes sqrt(rho) has a kink that would poison the
     spectrum, while rho itself stays smooth.  Entries under ``mask`` are set
     to zero (the value is undefined there).  ``rho`` is transformed once for
-    both derivatives.
+    both derivatives.  The transforms stay complex: where rho is
+    below ~1e-9 of its peak the result is rounding noise, which an ``rfftn``
+    version rounds differently enough to move Q-driven trajectories.
     """
     rho = np.asarray(rho, dtype=float)
     spec = np.fft.fftn(rho)

@@ -121,14 +121,18 @@ def evolve_schrodinger(psi: ComplexField, params: EffectiveMassParams, t: float)
     """Advance the first-order equation by time t (exact spectral map).
 
     Each mode k acquires the phase exp(-i [hbar k^2/(2 m*) + V0] t).  The map
-    is unitary, so the norm is conserved to rounding.
+    is unitary, so the norm is conserved to rounding.  The phase is applied
+    as one factor per axis and the scalar exp(-i V0 t), with no k^2 mesh.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
     grid = psi.grid
-    rate = _schrodinger_rate(spectral.k_squared(grid), params)
-    spec_values = np.fft.fftn(psi.values) * np.exp(-1j * rate * t)
-    return ComplexField(grid=grid, values=np.fft.ifftn(spec_values))
+    spec = np.fft.fftn(psi.values)
+    kinetic = CGS.hbar * t / (2.0 * params.m_star)
+    for k in spectral.wavenumbers(grid):
+        spec *= np.exp(-1j * kinetic * (k * k))
+    spec *= np.exp(-1j * params.v0 * t)
+    return ComplexField(grid=grid, values=np.fft.ifftn(spec))
 
 
 def schrodinger_energy(psi: ComplexField, params: EffectiveMassParams) -> float:
@@ -173,12 +177,10 @@ def right_moving_state(psi: ComplexField) -> ClassicalWaveState:
 
 def wave_energy(state: ClassicalWaveState, mu: float) -> float:
     """Conserved functional int [ |psi_dot|^2/c^2 + |grad psi|^2 + mu^2 |psi|^2 ] dV."""
-    grid = state.grid
-    n_total = float(np.prod(grid.n_points))
-    weight = grid.cell_volume / n_total
-    total = (spectral.power_sum(state.psi_dot.values, grid) / CGS.c**2
-             + spectral.power_sum(state.psi.values, grid, lambda k_sq: k_sq + mu**2))
-    return total * weight
+    psi, grid = state.psi.values, state.grid
+    local = np.sum(np.abs(state.psi_dot.values) ** 2) / CGS.c**2 + mu**2 * np.sum(np.abs(psi) ** 2)
+    gradient = spectral.power_sum(psi, grid, lambda k_sq: k_sq) / psi.size
+    return float(local + gradient) * grid.cell_volume
 
 
 def wave_charge_density(state: ClassicalWaveState) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 
 import numpy as np
@@ -215,6 +216,10 @@ class TestContinuity:
         assert residual < 1e-3
 
 
+# every transform a spectral path may take, so a switch between them cannot hide calls
+FFT_TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn")
+
+
 def counting(monkeypatch, module, names):
     """Replace ``module.<name>`` for each name by a wrapper that counts its calls."""
     calls = dict.fromkeys(names, 0)
@@ -254,17 +259,58 @@ class TestOnePolarAnalysis:
             quantum_potential(form, 1e-30).classicality_defect[0] = 1.0
 
     def test_madelung_step_fft_count(self, tmp_path, monkeypatch):
-        # curvature 5, energy split 6 (its own form), phase flux 4, divergence 6
+        # curvature 5, energy split 1 (the step's form is reused), phase flux 4, divergence 4
         grid = Grid.of((24, 24, 24), (1.0, 1.0, 1.0))
         psi = gaussian_packet(GaussianPacketSpec(
             center=(0.5, 0.5, 0.5), sigma0=0.1, k_carrier=(0.0, 2.0 * math.pi, 0.0)), grid)
         write_field(psi, tmp_path / "packet.csv")
-        calls = counting(monkeypatch, np.fft, ["fftn", "ifftn"])
+        calls = counting(monkeypatch, np.fft, FFT_TRANSFORMS)
         assert cli_main(["madelung", "--field", str(tmp_path / "packet.csv"),
                          "--next-field", str(tmp_path / "packet.csv"), "--dt-s", "1e-12",
                          "--omega-ref-rad-per-s", "1e11", "--energy-erg", "1e-16",
                          "--output-dir", str(tmp_path / "out")]) == 0
-        assert sum(calls.values()) == 21
+        assert sum(calls.values()) == 14
+
+
+class TestOneFormPerField:
+    """polar_decompose hands back the live form of the same field object."""
+
+    def test_same_field_gets_the_same_form(self, rng):
+        psi = random_field(Grid.of(32, 1.0), rng)
+        form = polar_decompose(psi)
+        assert polar_decompose(psi) is form
+
+    def test_equal_but_distinct_field_gets_its_own_form(self, rng):
+        psi = random_field(Grid.of(32, 1.0), rng)
+        twin = ComplexField(grid=psi.grid, values=psi.values)
+        form = polar_decompose(psi)
+        other = polar_decompose(twin)
+        assert other is not form and other.psi is twin
+        assert np.array_equal(other.rho, form.rho) and np.array_equal(other.phase, form.phase)
+
+    def test_form_arrays_are_read_only(self, rng):
+        form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
+        for arr in (form.rho, form.phase, form.branch_mask):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+
+    def test_entry_dies_with_its_form(self, rng):
+        psi = random_field(Grid.of(32, 1.0), rng)
+        form = polar_decompose(psi)
+        assert madelung._FORMS.get(id(psi)) is form
+        del form
+        gc.collect()
+        assert id(psi) not in madelung._FORMS
+
+    def test_energy_decomposition_reuses_the_callers_form(self, rng, monkeypatch):
+        grid = Grid.of((16, 8), (1.0, 0.5))
+        psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
+        params = EffectiveMassParams(omega_ref=3e11)
+        form = polar_decompose(psi)
+        quantum_potential(form, params.m_star)
+        calls = counting(monkeypatch, spectral, ["sqrt_density_curvature"])
+        energy_decomposition(psi, params)
+        assert calls == {"sqrt_density_curvature": 0}
 
 
 class TestEnergyDecomposition:

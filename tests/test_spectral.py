@@ -41,12 +41,35 @@ class TestOpenAxesMatchFullMeshes:
         assert len(result) == grid.dim
         assert all(np.array_equal(r, e) for r, e in zip(result, reference))
 
+    def test_half_wavenumbers_are_the_rfftn_half(self, grid):
+        full = spectral.wavenumbers(grid)
+        half = spectral.half_wavenumbers(grid)
+        last = grid.n_points[-1] // 2 + 1
+        assert all(np.array_equal(h, f) for h, f in zip(half[:-1], full[:-1]))
+        assert np.array_equal(half[-1], np.abs(full[-1][..., :last]))
+
     def test_divergence(self, grid, rng):
-        components = [random_field(grid, rng).values for _ in range(grid.dim)]
+        # the real-input transform against the real part of the complex reference
+        components = [random_field(grid, rng, band_fraction=1.0).values.real for _ in range(grid.dim)]
         reference = np.zeros(grid.shape, dtype=np.complex128)
         for comp, m in zip(components, full_wavenumber_meshes(grid)):
             reference = reference + np.fft.ifftn(1j * m * np.fft.fftn(comp))
-        assert np.array_equal(spectral.divergence(components, grid), reference)
+        result = spectral.divergence(components, grid)
+        assert result.dtype == np.float64
+        assert np.abs(result - reference.real).max() < 1e-12 * np.abs(reference.real).max()
+
+    def test_divergence_of_sines(self, grid):
+        # div (sin k.x, ...) = (sum_i k_i) cos k.x
+        k_vec = [2.0 * math.pi * m / length for m, length in zip((3, -2, 1), grid.lengths)]
+        arg = sum(k * x for k, x in zip(k_vec, grid.meshes()))
+        result = spectral.divergence([np.sin(arg)] * grid.dim, grid)
+        expected = sum(k_vec) * np.cos(arg)
+        assert np.abs(result - expected).max() < 1e-12 * max(abs(k) for k in k_vec)
+
+    def test_divergence_rejects_complex_components(self, grid, rng):
+        components = [random_field(grid, rng).values for _ in range(grid.dim)]
+        with pytest.raises(ValueError, match="real components"):
+            spectral.divergence(components, grid)
 
 
 class TestPhaseFlux:

@@ -5,7 +5,7 @@ import pytest
 
 from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
-from gwfield import madelung, wavemech
+from gwfield import madelung, spectral, wavemech
 from gwfield.wavemech import (
     ClassicalWaveState,
     EffectiveMassParams,
@@ -131,6 +131,49 @@ class TestEvolveSchrodinger:
         assert abs(measured_phase / reduced_phase - 1.0) < 1e-6
 
 
+PROPAGATOR_GRIDS = [
+    Grid.of(256, 1.0),
+    Grid.of((64, 32), (1.0, 0.8)),
+    Grid.of((32, 32, 24), (1.0, 1.2, 0.9)),
+]
+
+
+@pytest.mark.parametrize("mu", [0.0, 40.0], ids=["massless", "massive"])
+@pytest.mark.parametrize("grid", PROPAGATOR_GRIDS, ids=["1d", "2d", "3d"])
+class TestPropagatorOracle:
+    """The per-axis phase factors against the full-grid exp(-i rate t)."""
+
+    SIGMA = 0.09
+
+    def packet(self, grid, mu):
+        k_carrier = tuple(2.0 * math.pi * m / length for m, length in zip((3, -2, 1), grid.lengths))
+        psi = normalize(gaussian_packet(GaussianPacketSpec(
+            center=(0.4, 0.55, 0.5)[:grid.dim], sigma0=self.SIGMA, k_carrier=k_carrier), grid))
+        params = EffectiveMassParams(omega_ref=CGS.c * 2.0 * math.pi * 8, mu=mu)
+        return psi, params, 2.0 * params.m_star * self.SIGMA**2 / CGS.hbar
+
+    def test_norm_is_kept(self, grid, mu):
+        psi, params, spread_time = self.packet(grid, mu)
+        for ratio in (0.5, 1.0, 3.0):
+            assert abs(evolve_schrodinger(psi, params, ratio * spread_time).norm_squared() - 1.0) < 1e-12
+
+    def test_matches_full_grid_phase(self, grid, mu):
+        psi, params, spread_time = self.packet(grid, mu)
+        scale = np.abs(psi.values).max()
+        rate = wavemech._schrodinger_rate(spectral.k_squared(grid), params)
+        for ratio in (0.1, 1.0, 3.0):
+            t = ratio * spread_time
+            reference = np.fft.ifftn(np.fft.fftn(psi.values) * np.exp(-1j * rate * t))
+            assert np.abs(evolve_schrodinger(psi, params, t).values - reference).max() < 1e-14 * scale
+
+    def test_steps_compose(self, grid, mu):
+        psi, params, spread_time = self.packet(grid, mu)
+        t1, t2 = 0.7 * spread_time, 1.6 * spread_time
+        once = evolve_schrodinger(psi, params, t1 + t2)
+        twice = evolve_schrodinger(evolve_schrodinger(psi, params, t1), params, t2)
+        assert np.abs(once.values - twice.values).max() < 1e-13 * np.abs(psi.values).max()
+
+
 class TestEvolveClassicalWave:
     def test_one_way_packet_translates_rigidly(self):
         grid = Grid.of(1024, 1.0)
@@ -170,6 +213,18 @@ class TestEvolveClassicalWave:
         for _ in range(1000):
             state = evolve_classical_wave(state, mu, dt)
         assert abs(wavemech.wave_energy(state, mu) / e0 - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("grid", [Grid.of(128, 1.0), Grid.of((16, 8, 12), (1.0, 0.5, 0.7))],
+                             ids=["1d", "3d"])
+    def test_energy_matches_all_spectral_sum(self, grid, rng):
+        # Parseval: the real-space sums of the local terms equal their spectral sums
+        state = ClassicalWaveState(psi=random_field(grid, rng), psi_dot=ComplexField(
+            grid=grid, values=random_field(grid, rng).values * CGS.c / grid.lengths[0]))
+        mu = 7.5
+        spectral_sum = (spectral.power_sum(state.psi_dot.values, grid) / CGS.c**2
+                        + spectral.power_sum(state.psi.values, grid, lambda k_sq: k_sq + mu**2))
+        expected = spectral_sum * grid.cell_volume / float(np.prod(grid.n_points))
+        assert wavemech.wave_energy(state, mu) == pytest.approx(expected, rel=1e-13)
 
     def test_secular_zero_mode(self):
         grid = Grid.of(16, 1.0)
