@@ -126,10 +126,6 @@ class OccupancyTable:
                 )
         object.__setattr__(self, "p", p)
 
-    @property
-    def r_max(self) -> int:
-        return self.p.shape[1] - 1
-
     def photon_numbers(self) -> np.ndarray:
         r = np.arange(self.p.shape[1])
         return self.p @ r
@@ -235,14 +231,12 @@ def _band_optimum(n_states, h_nu, beta: float, r_max: int) -> np.ndarray:
 
     Entropic mirror ascent with step 0.5: each iteration halves the distance
     of ln p from the fixed point, so ~60 iterations reach rounding level.
-    Scalar ``n_states`` and ``h_nu`` give one (r_max+1,) row; 1-D arrays give
-    one row per band, (n_bands, r_max+1), all advanced together.  A row is
-    frozen once it converges, so each is the row its band alone would give.
+    The 1-D arrays ``n_states`` and ``h_nu`` give one row per band,
+    (n_bands, r_max+1), all advanced together.  A row is frozen once it
+    converges, so each is the row its band alone would give.
     Raises :class:`ConvergenceError` if 200 iterations do not converge every row.
     """
-    scalar = np.ndim(h_nu) == 0
-    n_states = np.atleast_1d(n_states)[:, None]
-    h_nu = np.atleast_1d(h_nu)
+    n_states = n_states[:, None]
     gamma = h_nu[:, None] / beta
     r = np.arange(r_max + 1, dtype=float)
     p = np.repeat(n_states / (r_max + 1.0), r_max + 1, axis=1)
@@ -260,7 +254,7 @@ def _band_optimum(n_states, h_nu, beta: float, r_max: int) -> np.ndarray:
         p[active] = p_new
         active[active] = ~done
         if not active.any():
-            return p[0] if scalar else p
+            return p
     stuck = np.flatnonzero(active)
     more = f" and {len(stuck) - 5} more" if len(stuck) > 5 else ""
     raise ConvergenceError(

@@ -42,10 +42,10 @@ import numpy as np
 from .constants import CGS
 from . import __version__, hybridmeas, statequant, wavemech
 from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
-from .fieldio import (ConfigError, _complex_from_pair, _load_json, _spec_float, _spec_floats,
-                      _spec_int, _spec_items, _spec_matrix, read_field, read_object, read_table,
-                      write_field, write_table)
-from .helicity import TimeSeriesField, partial_wave_split, time_averaged_current
+from .fieldio import (ConfigError, _complex_from_pair, _index_columns, _load_json, _spec_float,
+                      _spec_floats, _spec_int, _spec_items, _spec_matrix, read_field, read_object,
+                      read_table, write_field, write_table)
+from .helicity import TimeSeriesField, convection_current, partial_wave_split
 
 
 def _sha256(path: Path) -> str:
@@ -226,19 +226,18 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
     psi = normalize(_read_nonzero(args.field))
     form = madelung.polar_decompose(psi)
     qfield = madelung.quantum_potential(form, params.m_star)
+    decomposition = madelung.energy_decomposition(psi, params)
     grid = psi.grid
     columns = [m.ravel() for m in grid.meshes()] + [
-        a.ravel() for a in (form.rho, form.action(), qfield.Q, qfield.classicality_defect)
+        a.ravel() for a in (form.rho, form.action(), qfield.Q, form.curvature)
     ]
     axis_names = [f"x{i}_cm" for i in range(grid.dim)]
-    decomposition = madelung.energy_decomposition(psi, params)
-    keep = ~form.branch_mask
     summary = {
         "E_erg": decomposition.E,
         "pc_erg": decomposition.pc,
         "Q_mean_erg": decomposition.Q_mean,
         "phase_gradient_momentum_g_cm_per_s": madelung.phase_gradient_momentum(form),
-        "defect_rms_per_cm2": float(np.sqrt(np.mean(qfield.classicality_defect[keep] ** 2))),
+        "defect_rms_per_cm2": form.rms(form.curvature),
         "mask_fraction": float(np.mean(form.branch_mask)),
         "continuity_residual": None,
         "hj_residual_erg": None,
@@ -377,15 +376,10 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
         "norm_minus": minus.norm(),
         "reconstruction_error": recon,
     }
-    averaged = time_averaged_current(series, args.k0_rad_per_cm)
-    rho_t_avg = np.mean(
-        CGS.hbar * args.k0_rad_per_cm * np.abs(series.values) ** 2, axis=0
-    )
-    grid = series.grid
-    columns = [*np.indices(grid.shape).reshape(grid.dim, -1),
-               *(comp.ravel() for comp in averaged), rho_t_avg.ravel()]
-    header = (list("ijl"[: grid.dim])
-              + [f"j{i}_avg" for i in range(grid.dim)] + ["rho_t_avg"])
+    averaged = convection_current(series, args.k0_rad_per_cm).mean()
+    names, indices = _index_columns(series.grid)
+    columns = [*indices, *(comp.ravel() for comp in averaged.j), averaged.rho_t.ravel()]
+    header = names + [f"j{i}_avg" for i in range(series.grid.dim)] + ["rho_t_avg"]
     return vars(args), {"helicity.json": payload, "currents.csv": (header, columns)}
 
 

@@ -153,6 +153,11 @@ def write_table(path: str | Path, header: list[str], columns) -> None:
         handle.writelines(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
 
 
+def _index_columns(grid: Grid) -> tuple[list[str], list[np.ndarray]]:
+    """Names and values of the per-axis index columns, one row per grid point in C order."""
+    return list(_INDEX_NAMES[: grid.dim]), list(np.indices(grid.shape).reshape(grid.dim, -1))
+
+
 def write_field(field: ComplexField, csv_path: str | Path, t_s: float | None = None) -> tuple[Path, Path]:
     """Write field values to ``csv_path`` and grid metadata to a sidecar.
 
@@ -162,8 +167,8 @@ def write_field(field: ComplexField, csv_path: str | Path, t_s: float | None = N
     csv_path = Path(csv_path)
     grid = field.grid
     values = field.values.ravel()
-    write_table(csv_path, list(_INDEX_NAMES[: grid.dim]) + ["re", "im"],
-                [*np.indices(grid.shape).reshape(grid.dim, -1), values.real, values.imag])
+    names, indices = _index_columns(grid)
+    write_table(csv_path, names + ["re", "im"], [*indices, values.real, values.imag])
     meta = {
         "dim": grid.dim,
         "n_points": list(grid.n_points),

@@ -12,9 +12,7 @@ input exactly.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +90,8 @@ def partial_wave_split(series: TimeSeriesField) -> tuple[TimeSeriesField, TimeSe
 
 @dataclass(frozen=True)
 class CurrentField:
-    """Convection current j = hbar Im(psi* grad psi) with its positive
-    time component rho_t = hbar k0 |psi|^2."""
+    """Convection current j = hbar Im(psi* grad psi) and its positive time component
+    rho_t = hbar k0 |psi|^2, of a field or of each snapshot of a series (axis 0)."""
 
     grid: Grid
     j: tuple[np.ndarray, ...]
@@ -103,10 +101,18 @@ class CurrentField:
         if np.any(self.rho_t < 0.0):
             raise ValueError("rho_t must be >= 0")
 
+    def mean(self) -> "CurrentField":
+        """The current of a series averaged over its snapshots."""
+        if self.rho_t.ndim == self.grid.dim:
+            raise ValueError("the current of one field has no snapshots to average")
+        return CurrentField(grid=self.grid, j=tuple(np.mean(comp, axis=0) for comp in self.j),
+                            rho_t=np.mean(self.rho_t, axis=0))
 
-def convection_current(psi: ComplexField, k0: float) -> CurrentField:
+
+def convection_current(psi: ComplexField | TimeSeriesField, k0: float) -> CurrentField:
+    """The current of a field, or of every snapshot of a series at once."""
     j = tuple(CGS.hbar * flux for flux in spectral.phase_flux(psi.values, psi.grid))
-    rho_t = CGS.hbar * k0 * psi.density()
+    rho_t = CGS.hbar * k0 * np.abs(psi.values) ** 2
     return CurrentField(grid=psi.grid, j=j, rho_t=rho_t)
 
 
@@ -120,18 +126,12 @@ def current_continuity(series: TimeSeriesField, k0: float) -> float:
     residual is limited by the sampling interval, not the physics.
     """
     grid = series.grid
-    rho_t = CGS.hbar * k0 * np.abs(series.values) ** 2
-    residuals = []
-    for m in range(1, series.n_snapshots - 1):
-        rho_dot = (rho_t[m + 1] - rho_t[m - 1]) / (2.0 * series.dt)
-        flux = spectral.phase_flux(series.values[m], grid)
-        div = spectral.divergence([2.0 * CGS.c * (CGS.hbar * f) for f in flux], grid)
-        residuals.append(rho_dot + div)
-    residuals = np.asarray(residuals)
-    rho_dot_all = (rho_t[2:] - rho_t[:-2]) / (2.0 * series.dt)
+    current = convection_current(series, k0)
+    rho_dot = (current.rho_t[2:] - current.rho_t[:-2]) / (2.0 * series.dt)
+    residuals = rho_dot + spectral.divergence([2.0 * CGS.c * comp[1:-1] for comp in current.j], grid)
     length_scale = grid.volume ** (1.0 / grid.dim)
     floor = 2.0 * CGS.c * CGS.hbar * float(np.abs(series.values).max() ** 2) / length_scale**2
-    denom = float(np.abs(rho_dot_all).max()) + floor
+    denom = float(np.abs(rho_dot).max()) + floor
     return float(np.sqrt(np.mean(residuals**2))) / denom
 
 
@@ -142,5 +142,4 @@ def time_averaged_current(series: TimeSeriesField, k0: float) -> tuple[np.ndarra
     whole common period of the retained modes, so over such a window
     avg j(psi) = avg j(psi_plus) + avg j(psi_minus).
     """
-    currents = (CGS.hbar * np.array(spectral.phase_flux(values, series.grid)) for values in series.values)
-    return tuple(functools.reduce(operator.add, currents) / series.n_snapshots)
+    return convection_current(series, k0).mean().j

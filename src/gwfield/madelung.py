@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +22,15 @@ from . import spectral
 _REGIMES = ("massless", "massive", "classical")
 
 
+def _read_only(compute):
+    """A cached property whose array is computed on first use and kept read-only."""
+    def cached(self) -> np.ndarray:
+        values = compute(self)
+        values.setflags(write=False)
+        return values
+    return cached_property(wraps(compute)(cached))
+
+
 @dataclass(frozen=True)
 class MadelungForm:
     """Polar form of a field psi = sqrt(rho) exp(i phase), with a node mask.
@@ -31,35 +40,39 @@ class MadelungForm:
     of 2*pi.  Where rho falls below the floor the phase is undefined; those
     points are masked and unwrap chains through them are unreliable.
 
-    The form is the one polar analysis of its field: the density curvature
-    and the phase flux are computed on first use and kept, so every
-    diagnostic of the form shares their FFTs.  ``rho``, ``phase`` and
-    ``branch_mask`` are read-only.
+    The form is the one polar analysis of its field: everything is derived from
+    ``psi`` on first use and kept, so every diagnostic of the form shares its
+    FFTs.  ``rho``, ``branch_mask``, ``phase`` and ``curvature`` are read-only.
     """
 
     psi: ComplexField
-    rho: np.ndarray
-    phase: np.ndarray
-    branch_mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("rho", "phase", "branch_mask"):
-            arr = getattr(self, name)
-            if arr.shape != self.grid.shape:
-                raise ValueError(f"{name} shape {arr.shape} does not match grid")
-        if np.any(self.rho < 0.0):
-            raise ValueError("rho must be >= 0 everywhere")
 
     @property
     def grid(self) -> Grid:
         return self.psi.grid
 
-    @cached_property
+    @_read_only
+    def rho(self) -> np.ndarray:
+        return self.psi.density()
+
+    @_read_only
+    def branch_mask(self) -> np.ndarray:
+        return node_mask(self.rho)
+
+    @_read_only
+    def phase(self) -> np.ndarray:
+        phase = np.angle(self.psi.values)
+        dim = self.grid.dim
+        for axis in range(dim):
+            sweep = (slice(None),) * (axis + 1) + (0,) * (dim - axis - 1)
+            phase[sweep] = np.unwrap(phase[sweep], axis=axis)
+        return phase
+
+    @_read_only
     def curvature(self) -> np.ndarray:
-        """lap(sqrt rho)/sqrt(rho) [1/cm^2], read-only; masked points carry zeros."""
-        curvature = spectral.sqrt_density_curvature(self.rho, self.grid, self.branch_mask)
-        curvature.setflags(write=False)
-        return curvature
+        """lap(sqrt rho)/sqrt(rho) [1/cm^2]; masked points carry zeros.  Its vanishing
+        makes a wave packet non-dispersive: it doubles as the classicality diagnostic."""
+        return spectral.sqrt_density_curvature(self.rho, self.grid, self.branch_mask)
 
     @cached_property
     def flux(self) -> list[np.ndarray]:
@@ -79,6 +92,10 @@ class MadelungForm:
         """rho-weighted mean of ``values``."""
         return float(np.sum(self.rho * values) / np.sum(self.rho))
 
+    def rms(self, values: np.ndarray) -> float:
+        """Root mean square of ``values`` over the unmasked points."""
+        return float(np.sqrt(np.mean(values[~self.branch_mask] ** 2)))
+
 
 # live forms by id(psi); a form holds its field, so the id is not reused while the entry lives
 _FORMS: weakref.WeakValueDictionary[int, MadelungForm] = weakref.WeakValueDictionary()
@@ -86,46 +103,32 @@ _FORMS: weakref.WeakValueDictionary[int, MadelungForm] = weakref.WeakValueDictio
 
 def polar_decompose(psi: ComplexField) -> MadelungForm:
     """The polar form of ``psi``, shared while a form of this field object lives."""
-    if (form := _FORMS.get(id(psi))) is not None and form.psi is psi:
-        return form
-    rho = psi.density()
-    mask = node_mask(rho)
-    phase = np.angle(psi.values)
-    dim = psi.grid.dim
-    for axis in range(dim):
-        sweep = (slice(None),) * (axis + 1) + (0,) * (dim - axis - 1)
-        phase[sweep] = np.unwrap(phase[sweep], axis=axis)
-    for arr in (rho, phase, mask):
-        arr.setflags(write=False)
-    form = _FORMS[id(psi)] = MadelungForm(psi=psi, rho=rho, phase=phase, branch_mask=mask)
+    if (form := _FORMS.get(id(psi))) is None or form.psi is not psi:
+        form = _FORMS[id(psi)] = MadelungForm(psi)
     return form
 
 
 @dataclass(frozen=True)
 class QuantumPotentialField:
-    """Q = -(hbar^2 / 2 m*) * lap(sqrt rho)/sqrt(rho) and the bare curvature.
+    """Q = -(hbar^2 / 2 m*) * lap(sqrt rho)/sqrt(rho) [erg] of a polar form, read-only;
+    masked points carry zeros.  The curvature, grid and mask are the form's own."""
 
-    ``classicality_defect`` is lap(sqrt rho)/sqrt(rho) [1/cm^2]; its vanishing
-    is what makes a wave packet non-dispersive, so it doubles as the
-    classicality diagnostic.  Masked points carry zeros.
-    """
-
-    grid: Grid
-    Q: np.ndarray
-    classicality_defect: np.ndarray
+    form: MadelungForm
     m_star: float
-    mask: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not (self.m_star > 0.0 and math.isfinite(self.m_star)):
+            raise ValueError("m_star must be finite and positive")
+        if np.all(self.form.branch_mask):
+            raise ValueError("density is below the floor everywhere")
+
+    @_read_only
+    def Q(self) -> np.ndarray:
+        return -(CGS.hbar**2) / (2.0 * self.m_star) * self.form.curvature
 
 
 def quantum_potential(form: MadelungForm, m_star: float) -> QuantumPotentialField:
-    if not (m_star > 0.0 and math.isfinite(m_star)):
-        raise ValueError("m_star must be finite and positive")
-    if np.all(form.branch_mask):
-        raise ValueError("density is below the floor everywhere")
-    q = -(CGS.hbar**2) / (2.0 * m_star) * form.curvature
-    return QuantumPotentialField(
-        grid=form.grid, Q=q, classicality_defect=form.curvature, m_star=m_star, mask=form.branch_mask
-    )
+    return QuantumPotentialField(form, m_star)
 
 
 def hj_residual(
@@ -142,9 +145,7 @@ def hj_residual(
         raise ValueError("dt_action (the dS/dt field) is required")
     qfield = quantum_potential(form, params.m_star)
     kinetic = form.action_gradient_sq() / (2.0 * params.m_star)
-    residual = np.asarray(dt_action) + kinetic + CGS.hbar * params.v0 + qfield.Q
-    keep = ~form.branch_mask
-    return float(np.sqrt(np.mean(residual[keep] ** 2)))
+    return form.rms(np.asarray(dt_action) + kinetic + CGS.hbar * params.v0 + qfield.Q)
 
 
 def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) -> float:
@@ -159,12 +160,10 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     if rho_dot.shape != form.grid.shape:
         raise ValueError("rho_dot shape does not match the grid")
     div = spectral.divergence([(CGS.hbar / m_star) * f for f in form.flux], form.grid)
-    residual = rho_dot + div
-    keep = ~form.branch_mask
     length_scale = form.grid.volume ** (1.0 / form.grid.dim)
     floor = (CGS.hbar / m_star) * float(form.rho.max()) / length_scale**2
     denom = float(np.abs(rho_dot).max()) + floor
-    return float(np.sqrt(np.mean(residual[keep] ** 2))) / denom
+    return form.rms(rho_dot + div) / denom
 
 
 def dispersion_defect(form: MadelungForm, omega: float, mu: float, k: float) -> float:
@@ -175,8 +174,7 @@ def dispersion_defect(form: MadelungForm, omega: float, mu: float, k: float) -> 
     """
     if np.all(form.branch_mask):
         raise ValueError("dispersion defect is undefined: all points fall below the density floor")
-    defect = k**2 - (omega / CGS.c) ** 2 + mu**2 - form.curvature
-    return float(np.sqrt(np.mean(defect[~form.branch_mask] ** 2)))
+    return form.rms(k**2 - (omega / CGS.c) ** 2 + mu**2 - form.curvature)
 
 
 def magnetic_energy_identity_check(form: MadelungForm, params: EffectiveMassParams) -> float:
@@ -257,11 +255,11 @@ class QuantumPotentialInterpolator:
     """
 
     def __init__(self, qfield: QuantumPotentialField):
-        self.grid = qfield.grid
+        self.grid = qfield.form.grid
         self.m_star = qfield.m_star
-        gradient = np.stack([g.real for g in spectral.gradient(qfield.Q, qfield.grid)], axis=-1)
-        self._coefficients = _spline_coefficients(gradient, qfield.grid.dim)
-        self._mask = qfield.mask
+        gradient = np.stack([g.real for g in spectral.gradient(qfield.Q, self.grid)], axis=-1)
+        self._coefficients = _spline_coefficients(gradient, self.grid.dim)
+        self._mask = qfield.form.branch_mask
 
     def _fractional_index(self, x: np.ndarray) -> np.ndarray:
         return np.mod(x, self.grid.lengths) / self.grid.spacings
@@ -372,8 +370,8 @@ def run_trajectory(
     """
     x = np.array(x0, dtype=float)
     p = np.array(p0, dtype=float)
-    if x.ndim != 2 or x.shape != p.shape or x.shape[1] != qfield.grid.dim:
-        raise ValueError(f"x0 and p0 must both be (n_particles, {qfield.grid.dim}) arrays")
+    if x.ndim != 2 or x.shape != p.shape or x.shape[1] != qfield.form.grid.dim:
+        raise ValueError(f"x0 and p0 must both be (n_particles, {qfield.form.grid.dim}) arrays")
     interp = QuantumPotentialInterpolator(qfield)
     positions = np.empty((n_steps + 1, *x.shape))
     momenta = np.empty_like(positions)

@@ -4,6 +4,10 @@ All propagators and residual checks in this package differentiate spectrally:
 for band-limited periodic data the derivatives are exact to rounding, which
 keeps the physics claims separated from discretization error.  Every k-space
 formula of the package lives here.
+
+The grid axes of an array are its trailing ``grid.dim`` axes: :func:`gradient`,
+:func:`phase_flux` and :func:`divergence` transform over those alone, so leading
+axes index the snapshots of a series.  The other functions take one field.
 """
 
 from __future__ import annotations
@@ -31,9 +35,13 @@ def k_squared(grid: Grid) -> np.ndarray:
     return sum(k * k for k in wavenumbers(grid))
 
 
+def _grid_axes(grid: Grid) -> tuple[int, ...]:
+    return tuple(range(-grid.dim, 0))
+
+
 def _gradient_of(spec: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Gradient of the field whose forward transform is ``spec``."""
-    return [np.fft.ifftn(1j * k * spec) for k in wavenumbers(grid)]
+    """Gradient of the field whose forward transform over the grid axes is ``spec``."""
+    return [np.fft.ifftn(1j * k * spec, axes=_grid_axes(grid)) for k in wavenumbers(grid)]
 
 
 def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -42,15 +50,16 @@ def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Spectral gradient, one complex array per axis."""
-    return _gradient_of(np.fft.fftn(values), grid)
+    return _gradient_of(np.fft.fftn(values, axes=_grid_axes(grid)), grid)
 
 
 def divergence(components: list[np.ndarray], grid: Grid) -> np.ndarray:
     """Spectral divergence of a real vector field, one real array per axis."""
     if any(np.iscomplexobj(comp) for comp in components):
         raise ValueError("divergence takes real components")
-    spec = sum(1j * k * np.fft.rfftn(comp) for comp, k in zip(components, half_wavenumbers(grid)))
-    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.dim)))
+    axes = _grid_axes(grid)
+    spec = sum(1j * k * np.fft.rfftn(comp, axes=axes) for comp, k in zip(components, half_wavenumbers(grid)))
+    return np.fft.irfftn(spec, s=grid.shape, axes=axes)
 
 
 def phase_flux(values: np.ndarray, grid: Grid) -> list[np.ndarray]:

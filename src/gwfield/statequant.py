@@ -100,8 +100,7 @@ class ProjectorSet:
 
     @classmethod
     def computational(cls, dim: int) -> "ProjectorSet":
-        eye = np.eye(dim, dtype=np.complex128)
-        return cls(projectors=tuple(np.outer(eye[:, k], eye[:, k].conj()) for k in range(dim)))
+        return cls.from_basis(np.eye(dim))
 
     @classmethod
     def from_basis(cls, basis: np.ndarray) -> "ProjectorSet":

@@ -1,8 +1,11 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from gwfield import spectral
 from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
 from gwfield.helicity import (
@@ -22,6 +25,8 @@ from gwfield.wavemech import (
     right_moving_state,
     wave_charge_density,
 )
+
+from conftest import random_field
 
 
 GRID = Grid.of(32, 1.0)
@@ -114,6 +119,51 @@ class TestConvectionCurrent:
         psi = ComplexField(grid=GRID, values=np.sin(K1 * x) + 0j)
         current = convection_current(psi, K1)
         assert current.rho_t.min() >= 0.0
+
+
+class TestSeriesCurrent:
+    """One convection current serves a field or a whole series."""
+
+    @staticmethod
+    def series(rng, n_t=9):
+        grid = Grid.of((16, 12), (1.0, 0.5))
+        values = [random_field(grid, rng).values for _ in range(n_t)]
+        return TimeSeriesField(grid=grid, values=np.stack(values), dt=1e-12)
+
+    def test_series_current_is_the_per_snapshot_current(self, rng):
+        series = self.series(rng)
+        current = convection_current(series, K1)
+        for m, values in enumerate(series.values):
+            alone = convection_current(ComplexField(grid=series.grid, values=values), K1)
+            assert all(np.array_equal(c[m], a) for c, a in zip(current.j, alone.j))
+            assert np.array_equal(current.rho_t[m], alone.rho_t)
+
+    def test_mean_is_the_snapshot_average(self, rng):
+        series = self.series(rng)
+        currents = [convection_current(ComplexField(grid=series.grid, values=v), K1)
+                    for v in series.values]
+        mean = convection_current(series, K1).mean()
+        for i in range(series.grid.dim):
+            total = currents[0].j[i]
+            for current in currents[1:]:
+                total = total + current.j[i]
+            assert np.array_equal(mean.j[i], total / series.n_snapshots)
+        assert np.array_equal(mean.rho_t, np.mean([c.rho_t for c in currents], axis=0))
+
+    def test_time_averaged_current_matches_a_sum_over_snapshots(self, rng):
+        series = self.series(rng)
+        # the snapshot loop: hbar * flux of each snapshot, added in order, over the count
+        currents = (CGS.hbar * np.array(spectral.phase_flux(values, series.grid))
+                    for values in series.values)
+        expected = tuple(functools.reduce(operator.add, currents) / series.n_snapshots)
+        result = time_averaged_current(series, K1)
+        assert len(result) == len(expected) == series.grid.dim
+        assert all(np.array_equal(r, e) for r, e in zip(result, expected))
+
+    def test_one_field_has_no_snapshots_to_average(self):
+        psi = make_plane_wave(PlaneWaveSpec(1.0, (K1,), CGS.c * K1), GRID)
+        with pytest.raises(ValueError, match="no snapshots"):
+            convection_current(psi, K1).mean()
 
 
 class TestCurrentContinuity:

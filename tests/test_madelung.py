@@ -126,9 +126,9 @@ class TestQuantumPotential:
         scaled = ComplexField(grid=grid, values=(3.0 - 4.0j) * psi.values)
         q1 = quantum_potential(polar_decompose(psi), 1e-30)
         q2 = quantum_potential(polar_decompose(scaled), 1e-30)
-        keep = ~(q1.mask | q2.mask)
-        scale = np.abs(q1.classicality_defect[keep]).max()
-        assert np.abs((q1.classicality_defect - q2.classicality_defect)[keep]).max() < 1e-9 * scale
+        keep = ~(q1.form.branch_mask | q2.form.branch_mask)
+        scale = np.abs(q1.form.curvature[keep]).max()
+        assert np.abs((q1.form.curvature - q2.form.curvature)[keep]).max() < 1e-9 * scale
 
     def test_weighted_mean_is_nonnegative(self, rng):
         # int rho * curvature dV = -int |grad sqrt(rho)|^2 dV <= 0
@@ -139,7 +139,7 @@ class TestQuantumPotential:
         psi = ComplexField(grid=grid, values=np.sqrt(rho) + 0j)
         form = polar_decompose(psi)
         q = quantum_potential(form, 1e-30)
-        lhs = float(np.sum(form.rho * q.classicality_defect)) * grid.cell_volume
+        lhs = float(np.sum(form.rho * form.curvature)) * grid.cell_volume
         grad = spectral.gradient(np.sqrt(rho), grid)[0].real
         rhs = -float(np.sum(grad**2)) * grid.cell_volume
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
@@ -256,7 +256,7 @@ class TestOnePolarAnalysis:
     def test_cached_curvature_is_read_only(self, rng):
         form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
         with pytest.raises(ValueError):
-            quantum_potential(form, 1e-30).classicality_defect[0] = 1.0
+            form.curvature[0] = 1.0
 
     def test_madelung_step_fft_count(self, tmp_path, monkeypatch):
         # curvature 5, energy split 1 (the step's form is reused), phase flux 4, divergence 4
@@ -270,6 +270,49 @@ class TestOnePolarAnalysis:
                          "--omega-ref-rad-per-s", "1e11", "--energy-erg", "1e-16",
                          "--output-dir", str(tmp_path / "out")]) == 0
         assert sum(calls.values()) == 14
+
+
+class TestFormFromPsiAlone:
+    """A form is built from psi alone and derives the rest when it is read."""
+
+    def test_only_psi_is_settable(self, rng):
+        psi = random_field(Grid.of(32, 1.0), rng)
+        form = polar_decompose(psi)
+        assert list(vars(form)) == ["psi"]
+        qfield = quantum_potential(form, 1e-30)
+        assert list(vars(qfield)) == ["form", "m_star"]
+
+    def test_diagnostics_leave_the_phase_uncomputed(self, rng):
+        grid = Grid.of((16, 8), (1.0, 0.5))
+        psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
+        params = EffectiveMassParams(omega_ref=3e11)
+        form = polar_decompose(psi)
+        quantum_potential(form, params.m_star).Q
+        energy_decomposition(psi, params)
+        hj_residual(form, params, 0.0)
+        assert "phase" not in vars(form)
+        form.action()
+        assert "phase" in vars(form)
+
+    def test_rms_is_the_masked_rms(self):
+        grid = Grid.of(512, 80.0)
+        psi = ComplexField(grid=grid, values=np.exp(-((grid.axis(0) - 40.0) ** 2) / 4.0) + 0j)
+        form = polar_decompose(psi)
+        assert 0 < form.branch_mask.sum() < grid.n_points[0]
+        values = np.cos(grid.axis(0))
+        keep = ~form.branch_mask
+        assert form.rms(values) == math.sqrt(float(np.mean(values[keep] ** 2)))
+
+    @pytest.mark.parametrize("m_star", [0.0, -1e-30, math.inf, math.nan])
+    def test_quantum_potential_field_checks_its_mass(self, rng, m_star):
+        form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
+        with pytest.raises(ValueError, match="m_star"):
+            madelung.QuantumPotentialField(form, m_star)
+
+    def test_q_is_read_only(self, rng):
+        qfield = quantum_potential(polar_decompose(random_field(Grid.of(32, 1.0), rng)), 1e-30)
+        with pytest.raises(ValueError):
+            qfield.Q[0] = 1.0
 
 
 class TestOneFormPerField:
@@ -307,7 +350,7 @@ class TestOneFormPerField:
         psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
         params = EffectiveMassParams(omega_ref=3e11)
         form = polar_decompose(psi)
-        quantum_potential(form, params.m_star)
+        quantum_potential(form, params.m_star).Q
         calls = counting(monkeypatch, spectral, ["sqrt_density_curvature"])
         energy_decomposition(psi, params)
         assert calls == {"sqrt_density_curvature": 0}
@@ -413,7 +456,7 @@ class TestBohmTrajectories:
         psi = gaussian_packet(
             GaussianPacketSpec(center=(center,), sigma0=sigma, k_carrier=(0.0,)), grid)
         qfield = quantum_potential(polar_decompose(psi), m_star)
-        assert not qfield.mask.any()
+        assert not qfield.form.branch_mask.any()
         x0 = center + sigma
         # closed-form force -dQ/dx at x0 for the Gaussian density
         force_exact = (CGS.hbar**2 / (2.0 * m_star)) * ((x0 - center) / (2.0 * sigma**4))

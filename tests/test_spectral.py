@@ -72,6 +72,26 @@ class TestOpenAxesMatchFullMeshes:
             spectral.divergence(components, grid)
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+class TestSnapshotStacks:
+    """Leading axes index snapshots: a stack transforms as one call per snapshot."""
+
+    def test_gradient_and_phase_flux(self, grid, rng):
+        stack = np.stack([random_field(grid, rng).values for _ in range(3)])
+        for transform in (spectral.gradient, spectral.phase_flux):
+            result = transform(stack, grid)
+            for m, values in enumerate(stack):
+                assert all(np.array_equal(r[m], e) for r, e in zip(result, transform(values, grid)))
+
+    def test_divergence(self, grid, rng):
+        stacks = [np.stack([random_field(grid, rng).values.real for _ in range(3)])
+                  for _ in range(grid.dim)]
+        result = spectral.divergence(stacks, grid)
+        assert result.shape == (3, *grid.shape)
+        for m in range(3):
+            assert np.array_equal(result[m], spectral.divergence([c[m] for c in stacks], grid))
+
+
 class TestPhaseFlux:
     def test_plane_wave_flux_is_density_times_k(self):
         grid = Grid.of((16, 32, 8), (1.0, 2.0, 0.5))

@@ -299,7 +299,7 @@ class TestDispersionDefect:
         defect = madelung.dispersion_defect(form, CGS.c * k, 0.0, k)
         qfield = madelung.quantum_potential(form, m_star=1.0e-30)
         keep = ~form.branch_mask
-        oracle = math.sqrt(float(np.mean(qfield.classicality_defect[keep] ** 2)))
+        oracle = math.sqrt(float(np.mean(qfield.form.curvature[keep] ** 2)))
         assert abs(defect - oracle) <= 1e-10 * max(1.0, oracle)
 
     def test_zero_field_rejected(self):
