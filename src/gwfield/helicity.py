@@ -111,7 +111,8 @@ class CurrentField:
 
 def convection_current(psi: ComplexField | TimeSeriesField, k0: float) -> CurrentField:
     """The current of a field, or of every snapshot of a series at once."""
-    j = tuple(CGS.hbar * flux for flux in spectral.phase_flux(psi.values, psi.grid))
+    spec = spectral.transform(psi.values, psi.grid)
+    j = tuple(CGS.hbar * flux for flux in spectral.phase_flux(psi.values, spec, psi.grid))
     rho_t = CGS.hbar * k0 * np.abs(psi.values) ** 2
     return CurrentField(grid=psi.grid, j=j, rho_t=rho_t)
 

@@ -40,9 +40,9 @@ class MadelungForm:
     of 2*pi.  Where rho falls below the floor the phase is undefined; those
     points are masked and unwrap chains through them are unreliable.
 
-    The form is the one polar analysis of its field: everything is derived from
-    ``psi`` on first use and kept, so every diagnostic of the form shares its
-    FFTs.  ``rho``, ``branch_mask``, ``phase`` and ``curvature`` are read-only.
+    The form is the one polar analysis of its field, derived from ``psi`` on first use
+    and kept read-only.  The flux, the curvature and pc read psi's one ``spectrum``: psi
+    must be periodic and band-limited (``gaussian_packet`` wraps; a dump need not).
     """
 
     psi: ComplexField
@@ -69,15 +69,19 @@ class MadelungForm:
         return phase
 
     @_read_only
+    def spectrum(self) -> np.ndarray:
+        return spectral.transform(self.psi.values, self.grid)
+
+    @_read_only
     def curvature(self) -> np.ndarray:
         """lap(sqrt rho)/sqrt(rho) [1/cm^2]; masked points carry zeros.  Its vanishing
         makes a wave packet non-dispersive: it doubles as the classicality diagnostic."""
-        return spectral.sqrt_density_curvature(self.rho, self.grid, self.branch_mask)
+        return spectral.sqrt_density_curvature(self.psi, self.spectrum, self.flux, self.branch_mask)
 
     @cached_property
     def flux(self) -> list[np.ndarray]:
         """Im(psi* d_i psi) = rho d_i(phase) per axis, smooth across phase seams."""
-        return spectral.phase_flux(self.psi.values, self.grid)
+        return spectral.phase_flux(self.psi.values, self.spectrum, self.grid)
 
     def action(self) -> np.ndarray:
         """S = hbar * phase [erg s]."""
@@ -188,7 +192,7 @@ def magnetic_energy_identity_check(form: MadelungForm, params: EffectiveMassPara
     meaningful for fields whose density stays above the floor.
     """
     # each term is a sum over the cells: the common factor dV cancels in the ratio
-    lhs = spectral.power_sum(form.psi.values, form.grid, lambda k_sq: k_sq) / form.rho.size
+    lhs = spectral.power_sum(form.spectrum, form.grid, lambda k_sq: k_sq) / form.rho.size
     qfield = quantum_potential(form, params.m_star)
     q_term = params.omega_ref / (CGS.hbar * CGS.c**2) * float(np.sum(form.rho * qfield.Q))
     phase_term = float(np.sum(form.rho * form.action_gradient_sq())) / CGS.hbar**2
@@ -213,8 +217,8 @@ def energy_decomposition(psi: ComplexField, params: EffectiveMassParams) -> Ener
     """
     if abs(psi.norm_squared() - 1.0) > 1e-6:
         raise ValueError("energy decomposition requires a normalized field")
-    pc = CGS.hbar * CGS.c * spectral.power_mean(psi.values, psi.grid, np.sqrt)
     form = polar_decompose(psi)
+    pc = CGS.hbar * CGS.c * spectral.power_mean(form.spectrum, psi.grid, np.sqrt)
     q_mean = form.mean(quantum_potential(form, params.m_star).Q)
     return EnergyDecomposition(E=pc + q_mean, pc=pc, Q_mean=q_mean)
 

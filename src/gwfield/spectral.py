@@ -5,9 +5,9 @@ for band-limited periodic data the derivatives are exact to rounding, which
 keeps the physics claims separated from discretization error.  Every k-space
 formula of the package lives here.
 
-The grid axes of an array are its trailing ``grid.dim`` axes: :func:`gradient`,
-:func:`phase_flux` and :func:`divergence` transform over those alone, so leading
-axes index the snapshots of a series.  The other functions take one field.
+The grid axes of an array are its trailing ``grid.dim`` axes: :func:`transform` and
+the derivatives transform over those alone, so leading axes index the snapshots
+of a series.  The power sums take one field.
 """
 
 from __future__ import annotations
@@ -39,18 +39,24 @@ def _grid_axes(grid: Grid) -> tuple[int, ...]:
     return tuple(range(-grid.dim, 0))
 
 
+def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Forward transform over the grid axes, the spectrum the derivatives read."""
+    return np.fft.fftn(values, axes=_grid_axes(grid))
+
+
 def _gradient_of(spec: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Gradient of the field whose forward transform over the grid axes is ``spec``."""
+    """Gradient of the field whose :func:`transform` is ``spec``."""
     return [np.fft.ifftn(1j * k * spec, axes=_grid_axes(grid)) for k in wavenumbers(grid)]
 
 
-def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.fft.ifftn(-k_squared(grid) * np.fft.fftn(values))
+def laplacian(spec: np.ndarray, grid: Grid) -> np.ndarray:
+    """Laplacian of the field whose :func:`transform` is ``spec``."""
+    return np.fft.ifftn(-k_squared(grid) * spec, axes=_grid_axes(grid))
 
 
 def gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Spectral gradient, one complex array per axis."""
-    return _gradient_of(np.fft.fftn(values, axes=_grid_axes(grid)), grid)
+    return _gradient_of(transform(values, grid), grid)
 
 
 def divergence(components: list[np.ndarray], grid: Grid) -> np.ndarray:
@@ -62,55 +68,45 @@ def divergence(components: list[np.ndarray], grid: Grid) -> np.ndarray:
     return np.fft.irfftn(spec, s=grid.shape, axes=axes)
 
 
-def phase_flux(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Im(conj(psi) d_i psi) = rho d_i(phase) per axis, smooth across phase
-    seams: times hbar it is the convection current."""
-    return [np.imag(np.conj(values) * comp) for comp in gradient(values, grid)]
+def phase_flux(values: np.ndarray, spec: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """Im(conj(psi) d_i psi) = rho d_i(phase) per axis of psi = ``values`` (``spec`` is its
+    :func:`transform`): smooth across phase seams, times hbar the convection current."""
+    return [np.imag(np.conj(values) * comp) for comp in _gradient_of(spec, grid)]
 
 
-def power_mean(values: np.ndarray, grid: Grid, weight) -> float:
-    """Mean of ``weight(k^2)`` (a function of the k^2 array) over the power
-    spectrum |fftn(values)|^2.  Raises ValueError for a zero field, whose
-    spectrum has no power to average over."""
-    power = np.abs(np.fft.fftn(values)) ** 2
-    total = np.sum(power)
+def power_sum(spec: np.ndarray, grid: Grid, weight=None) -> float:
+    """Sum of ``weight(k^2)`` (a function of the k^2 array; 1 when None) over
+    the power spectrum |spec|^2 of a forward transform ``spec``.  Times dV/N it
+    is the Parseval partner of the matching real-space integral."""
+    power = np.abs(spec) ** 2
+    return float(np.sum(power if weight is None else weight(k_squared(grid)) * power))
+
+
+def power_mean(spec: np.ndarray, grid: Grid, weight) -> float:
+    """Mean of ``weight(k^2)`` over the power spectrum |spec|^2.  Raises
+    ValueError for a zero field, whose spectrum has no power to average over."""
+    total = power_sum(spec, grid)
     if total == 0.0:
         raise ValueError("the spectral mean of a zero field is undefined (zero total power)")
-    return float(np.sum(weight(k_squared(grid)) * power) / total)
-
-
-def power_sum(values: np.ndarray, grid: Grid, weight=None) -> float:
-    """Sum of ``weight(k^2)`` (a function of the k^2 array; 1 when None) over
-    the power spectrum |fftn(values)|^2.  Times dV/N it is the Parseval
-    partner of the matching real-space integral."""
-    power = np.abs(np.fft.fftn(values)) ** 2
-    if weight is None:
-        return float(np.sum(power))
-    return float(np.sum(weight(k_squared(grid)) * power))
+    return power_sum(spec, grid, weight) / total
 
 
 def fourier_norm_squared(field: ComplexField) -> float:
     """Parseval partner of ``ComplexField.norm_squared``."""
     n_total = float(np.prod(field.grid.n_points))
-    return power_sum(field.values, field.grid) * field.grid.cell_volume / n_total
+    return power_sum(np.fft.fftn(field.values), field.grid) * field.grid.cell_volume / n_total
 
 
-def sqrt_density_curvature(rho: np.ndarray, grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """laplacian(sqrt(rho))/sqrt(rho), evaluated through the density.
+def sqrt_density_curvature(psi: ComplexField, spec: np.ndarray, flux: list[np.ndarray],
+                           mask: np.ndarray) -> np.ndarray:
+    """lap(sqrt rho)/sqrt(rho) = [Re(psi* lap psi) + |flux|^2/rho]/rho of the field psi
+    (rho = |psi|^2) from its :func:`transform` ``spec`` and :func:`phase_flux` ``flux``.
 
-    Uses the identity lap(sqrt(rho))/sqrt(rho) = lap(rho)/(2 rho)
-    - |grad rho|^2/(4 rho^2).  Differentiating rho rather than sqrt(rho)
-    matters: at density nodes sqrt(rho) has a kink that would poison the
-    spectrum, while rho itself stays smooth.  Entries under ``mask`` are set
-    to zero (the value is undefined there).  ``rho`` is transformed once for
-    both derivatives.  The transforms stay complex: where rho is
-    below ~1e-9 of its peak the result is rounding noise, which an ``rfftn``
-    version rounds differently enough to move Q-driven trajectories.
+    One inverse transform of the smooth field psi, whose rounding grows as
+    eps sqrt(rho_max/rho) towards the node floor.  psi must be periodic and
+    band-limited on the grid: a field cut off at the box edge rings into the
+    whole spectrum.  Entries under ``mask`` are zero (the value is undefined there).
     """
-    rho = np.asarray(rho, dtype=float)
-    spec = np.fft.fftn(rho)
-    lap_rho = np.fft.ifftn(-k_squared(grid) * spec).real
-    grad_sq = sum(comp.real**2 for comp in _gradient_of(spec, grid))
-    safe_rho = np.where(mask, 1.0, rho)
-    curvature = lap_rho / (2.0 * safe_rho) - grad_sq / (4.0 * safe_rho**2)
+    rho = np.where(mask, 1.0, psi.density())
+    curvature = (np.real(np.conj(psi.values) * laplacian(spec, psi.grid)) + sum(f * f for f in flux) / rho) / rho
     return np.where(mask, 0.0, curvature)

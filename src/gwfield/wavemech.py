@@ -106,9 +106,7 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid) -> ComplexField:
         for image in range(-3, 4):
             d = x - spec.center[i] + image * length
             profile += np.exp(-(d**2) / (4.0 * spec.sigma0**2) + 1j * spec.k_carrier[i] * d)
-        shape = [1] * grid.dim
-        shape[i] = len(x)
-        values = values * profile.reshape(shape)
+        values = values * profile.reshape([-1 if j == i else 1 for j in range(grid.dim)])
     return ComplexField(grid=grid, values=values)
 
 
@@ -138,7 +136,7 @@ def evolve_schrodinger(psi: ComplexField, params: EffectiveMassParams, t: float)
 def schrodinger_energy(psi: ComplexField, params: EffectiveMassParams) -> float:
     """hbar <hbar k^2/(2 m*) + V0> [erg] over the power spectrum, which
     :func:`evolve_schrodinger` conserves mode by mode."""
-    return CGS.hbar * spectral.power_mean(psi.values, psi.grid,
+    return CGS.hbar * spectral.power_mean(np.fft.fftn(psi.values), psi.grid,
                                           lambda k_sq: _schrodinger_rate(k_sq, params))
 
 
@@ -179,7 +177,7 @@ def wave_energy(state: ClassicalWaveState, mu: float) -> float:
     """Conserved functional int [ |psi_dot|^2/c^2 + |grad psi|^2 + mu^2 |psi|^2 ] dV."""
     psi, grid = state.psi.values, state.grid
     local = np.sum(np.abs(state.psi_dot.values) ** 2) / CGS.c**2 + mu**2 * np.sum(np.abs(psi) ** 2)
-    gradient = spectral.power_sum(psi, grid, lambda k_sq: k_sq) / psi.size
+    gradient = spectral.power_sum(np.fft.fftn(psi), grid, lambda k_sq: k_sq) / psi.size
     return float(local + gradient) * grid.cell_volume
 
 
@@ -198,7 +196,7 @@ def helmholtz_residual(psi: ComplexField, k: float) -> float:
     if norm <= 0.0:
         raise ValueError("helmholtz residual of a zero field is undefined")
     grid = psi.grid
-    residual = spectral.laplacian(psi.values, grid) + k**2 * psi.values
+    residual = spectral.laplacian(np.fft.fftn(psi.values), grid) + k**2 * psi.values
     res_norm = math.sqrt(float(np.sum(np.abs(residual) ** 2)) * grid.cell_volume)
     return res_norm / norm
 

@@ -20,3 +20,20 @@ def random_field(grid: Grid, rng, band_fraction: float = 0.25) -> ComplexField:
     spec[keep] = noise[keep]
     values = np.fft.ifftn(spec)
     return ComplexField(grid=grid, values=values)
+
+
+def wrapped_gaussian_curvature(grid: Grid, center, sigma: float, images=range(-3, 4)) -> np.ndarray:
+    """Analytic lap(sqrt rho)/sqrt(rho) of a Gaussian packet of width ``sigma``
+    summed over its periodic ``images`` (those ``gaussian_packet`` wraps).
+
+    sqrt(rho) is a product of per-axis sums g = sum_n exp(-d_n^2/4 sigma^2) with
+    d_n = x - center + n L, so the curvature is sum_i g_i''/g_i, where
+    g'' = sum_n exp(-d_n^2/4 sigma^2) (d_n^2/4 sigma^4 - 1/2 sigma^2).
+    """
+    total = np.zeros(grid.shape)
+    for i in range(grid.dim):
+        d = np.stack([grid.axis(i) - center[i] + n * grid.lengths[i] for n in images])
+        g = np.exp(-d**2 / (4.0 * sigma**2))
+        ratio = np.sum(g * (d**2 / (4.0 * sigma**4) - 1.0 / (2.0 * sigma**2)), axis=0) / np.sum(g, axis=0)
+        total = total + ratio.reshape([-1 if j == i else 1 for j in range(grid.dim)])
+    return total

@@ -153,7 +153,8 @@ class TestSeriesCurrent:
     def test_time_averaged_current_matches_a_sum_over_snapshots(self, rng):
         series = self.series(rng)
         # the snapshot loop: hbar * flux of each snapshot, added in order, over the count
-        currents = (CGS.hbar * np.array(spectral.phase_flux(values, series.grid))
+        currents = (CGS.hbar * np.array(spectral.phase_flux(
+                        values, spectral.transform(values, series.grid), series.grid))
                     for values in series.values)
         expected = tuple(functools.reduce(operator.add, currents) / series.n_snapshots)
         result = time_averaged_current(series, K1)

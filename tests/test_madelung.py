@@ -1,5 +1,6 @@
 import csv
 import gc
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from gwfield.wavemech import (
     gaussian_packet,
 )
 
-from conftest import random_field
+from conftest import random_field, wrapped_gaussian_curvature
 
 
 def box_mode(n: int, a: float = 1.0, points: int = 512) -> tuple[ComplexField, float]:
@@ -152,6 +153,58 @@ class TestQuantumPotential:
             quantum_potential(polar_decompose(psi), 1e-30)
 
 
+class TestCurvatureFromPsi:
+    """The curvature differentiates psi, so its rounding grows as eps sqrt(rho_max/rho)
+    towards the node floor; for a periodic, band-limited psi nothing else enters."""
+
+    EPS = float(np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n_points, length, center, sigma, modes", [
+        ((512,), 1.0, (0.3137,), 0.066, (3,)),
+        ((128, 128), 2.0, (1.41, 0.37), 0.136, (-2, 3)),
+        ((64, 64, 64), 1.0, (0.236811, 0.801274, 0.582162), 0.07, (-3, -3, -1)),
+    ], ids=["1d", "2d", "3d"])
+    def test_every_shell_meets_the_psi_rounding_bound(self, n_points, length, center, sigma, modes):
+        grid = Grid.of(n_points, (length,) * len(n_points))
+        psi = gaussian_packet(GaussianPacketSpec(
+            center=center, sigma0=sigma, k_carrier=tuple(2.0 * math.pi * m / length for m in modes)), grid)
+        form = polar_decompose(psi)
+        keep = ~form.branch_mask
+        error = np.abs(form.curvature - wrapped_gaussian_curvature(grid, center, sigma))[keep]
+        k_nyquist = max(math.pi * n / length for n in n_points)
+        bound = 4.0 * self.EPS * np.sqrt(form.rho.max() / form.rho[keep]) * k_nyquist**2
+        # the shells down to the node floor are all populated
+        assert form.rho[keep].min() < 1e-11 * form.rho.max()
+        assert np.all(error <= bound), float(np.max(error / bound))
+
+    def test_a_packet_cut_at_the_box_edge_breaks_the_band_limit(self):
+        # one image only: psi is 1.5e-5 of its peak at the seam, where its slope jumps
+        sigma = 0.075
+        grid = Grid.of(512, 1.0)
+        d = grid.axis(0) - 0.5
+        psi = ComplexField(grid=grid, values=np.exp(-d**2 / (4.0 * sigma**2) + 6j * math.pi * d))
+        form = polar_decompose(psi)
+        error = np.abs(form.curvature - wrapped_gaussian_curvature(grid, (0.5,), sigma, images=(0,)))
+        assert error[np.abs(d) <= 2.0 * sigma].max() > 1e-7 / sigma**2
+
+    def test_cli_defect_of_a_wrapped_packet_is_the_analytic_rms(self, tmp_path):
+        # the seed-3 packet of the cli_field3d benchmark, in full precision: rounding its
+        # centre to 6 digits moves one point across the node floor
+        sigma, center = 0.06585649167143624, (0.2368105065960997, 0.8012744652063969, 0.5821620360643678)
+        grid = Grid.of((32, 32, 32), (1.0, 1.0, 1.0))
+        psi = gaussian_packet(GaussianPacketSpec(
+            center=center, sigma0=sigma, k_carrier=(-6.0 * math.pi, -6.0 * math.pi, -2.0 * math.pi)), grid)
+        write_field(psi, tmp_path / "packet.csv")
+        out = tmp_path / "out"
+        assert cli_main(["madelung", "--field", str(tmp_path / "packet.csv"),
+                         "--omega-ref-rad-per-s", "1e11", "--output-dir", str(out)]) == 0
+        defect = json.loads((out / "summary.json").read_text())["defect_rms_per_cm2"]
+        keep = ~polar_decompose(psi).branch_mask
+        exact = math.sqrt(float(np.mean(wrapped_gaussian_curvature(grid, center, sigma)[keep] ** 2)))
+        assert exact == pytest.approx(1781.3049, rel=1e-7)
+        assert defect == pytest.approx(exact, rel=1e-9)
+
+
 class TestHamiltonJacobi:
     def test_on_shell_plane_wave(self):
         grid = Grid.of(64, 1.0)
@@ -239,19 +292,20 @@ class TestOnePolarAnalysis:
     """A form computes its curvature and phase flux once for every diagnostic."""
 
     def test_every_diagnostic_shares_one_curvature_and_flux(self, rng, monkeypatch):
-        calls = counting(monkeypatch, spectral, ["sqrt_density_curvature", "phase_flux"])
+        calls = counting(monkeypatch, spectral, ["transform", "sqrt_density_curvature", "phase_flux"])
         grid = Grid.of((16, 8), (1.0, 0.5))
         psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
         params = EffectiveMassParams(omega_ref=3e11)
         form = polar_decompose(psi)
-        assert calls == {"sqrt_density_curvature": 0, "phase_flux": 0}
+        assert calls == {"transform": 0, "sqrt_density_curvature": 0, "phase_flux": 0}
         quantum_potential(form, params.m_star)
         hj_residual(form, params, 0.0)
         continuity_residual(form, np.zeros(grid.shape), params.m_star)
         phase_gradient_momentum(form)
         madelung.dispersion_defect(form, 3e11, 0.0, 10.0)
         madelung.magnetic_energy_identity_check(form, params)
-        assert calls == {"sqrt_density_curvature": 1, "phase_flux": 1}
+        energy_decomposition(psi, params)
+        assert calls == {"transform": 1, "sqrt_density_curvature": 1, "phase_flux": 1}
 
     def test_cached_curvature_is_read_only(self, rng):
         form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
@@ -259,7 +313,8 @@ class TestOnePolarAnalysis:
             form.curvature[0] = 1.0
 
     def test_madelung_step_fft_count(self, tmp_path, monkeypatch):
-        # curvature 5, energy split 1 (the step's form is reused), phase flux 4, divergence 4
+        # the form's forward transform of psi 1 (read by the flux, the curvature and pc),
+        # phase flux 3, curvature 1, divergence 4
         grid = Grid.of((24, 24, 24), (1.0, 1.0, 1.0))
         psi = gaussian_packet(GaussianPacketSpec(
             center=(0.5, 0.5, 0.5), sigma0=0.1, k_carrier=(0.0, 2.0 * math.pi, 0.0)), grid)
@@ -269,7 +324,7 @@ class TestOnePolarAnalysis:
                          "--next-field", str(tmp_path / "packet.csv"), "--dt-s", "1e-12",
                          "--omega-ref-rad-per-s", "1e11", "--energy-erg", "1e-16",
                          "--output-dir", str(tmp_path / "out")]) == 0
-        assert sum(calls.values()) == 14
+        assert sum(calls.values()) == 9
 
 
 class TestFormFromPsiAlone:
@@ -333,7 +388,7 @@ class TestOneFormPerField:
 
     def test_form_arrays_are_read_only(self, rng):
         form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
-        for arr in (form.rho, form.phase, form.branch_mask):
+        for arr in (form.rho, form.phase, form.branch_mask, form.spectrum):
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
 
@@ -352,8 +407,10 @@ class TestOneFormPerField:
         form = polar_decompose(psi)
         quantum_potential(form, params.m_star).Q
         calls = counting(monkeypatch, spectral, ["sqrt_density_curvature"])
+        transforms = counting(monkeypatch, np.fft, ["fftn"])
         energy_decomposition(psi, params)
         assert calls == {"sqrt_density_curvature": 0}
+        assert transforms == {"fftn": 0}
 
 
 class TestEnergyDecomposition:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gwfield import spectral
-from gwfield.fields import Grid, node_mask
+from gwfield.fields import ComplexField, Grid, node_mask
 
 from conftest import random_field
 
@@ -78,7 +78,12 @@ class TestSnapshotStacks:
 
     def test_gradient_and_phase_flux(self, grid, rng):
         stack = np.stack([random_field(grid, rng).values for _ in range(3)])
-        for transform in (spectral.gradient, spectral.phase_flux):
+        assert np.array_equal(spectral.transform(stack, grid)[1], spectral.transform(stack[1], grid))
+
+        def phase_flux(values, grid):
+            return spectral.phase_flux(values, spectral.transform(values, grid), grid)
+
+        for transform in (spectral.gradient, phase_flux):
             result = transform(stack, grid)
             for m, values in enumerate(stack):
                 assert all(np.array_equal(r[m], e) for r, e in zip(result, transform(values, grid)))
@@ -98,7 +103,8 @@ class TestPhaseFlux:
         k_vec = [2.0 * math.pi * m / length for m, length in zip((3, -2, 1), grid.lengths)]
         amplitude = 0.7 - 1.9j
         phase = sum(k * x for k, x in zip(k_vec, grid.meshes()))
-        flux = spectral.phase_flux(amplitude * np.exp(1j * phase), grid)
+        values = amplitude * np.exp(1j * phase)
+        flux = spectral.phase_flux(values, spectral.transform(values, grid), grid)
         for f, k in zip(flux, k_vec):
             np.testing.assert_allclose(f, abs(amplitude) ** 2 * k, rtol=1e-12)
 
@@ -106,7 +112,7 @@ class TestPhaseFlux:
         grid = Grid.of((16, 16), (1.0, 1.0))
         values = random_field(grid, rng).values.real
         scale = float(np.abs(values).max()) ** 2 * 2.0 * math.pi * grid.n_points[0]
-        for f in spectral.phase_flux(values, grid):
+        for f in spectral.phase_flux(values, spectral.transform(values, grid), grid):
             assert float(np.abs(f).max()) < 1e-13 * scale
 
 
@@ -115,17 +121,18 @@ class TestPowerMean:
         grid = Grid.of((16, 16), (1.0, 1.0))
         k_vec = (2.0 * math.pi * 3, 2.0 * math.pi * 4)
         values = np.exp(1j * sum(k * x for k, x in zip(k_vec, grid.meshes())))
-        assert spectral.power_mean(values, grid, np.sqrt) == pytest.approx(2.0 * math.pi * 5, rel=1e-12)
+        spec = np.fft.fftn(values)
+        assert spectral.power_mean(spec, grid, np.sqrt) == pytest.approx(2.0 * math.pi * 5, rel=1e-12)
 
     def test_constant_weight_is_its_value(self, rng):
         grid = Grid.of(64, 1.0)
-        values = random_field(grid, rng).values
-        assert spectral.power_mean(values, grid, lambda k_sq: np.full(k_sq.shape, 2.5)) == pytest.approx(2.5)
+        spec = np.fft.fftn(random_field(grid, rng).values)
+        assert spectral.power_mean(spec, grid, lambda k_sq: np.full(k_sq.shape, 2.5)) == pytest.approx(2.5)
 
     def test_zero_field_is_a_value_error(self):
         grid = Grid.of(64, 1.0)
         with pytest.raises(ValueError, match="zero total power"):
-            spectral.power_mean(np.zeros(64, dtype=complex), grid, np.sqrt)
+            spectral.power_mean(np.fft.fftn(np.zeros(64, dtype=complex)), grid, np.sqrt)
 
 
 class TestPowerSum:
@@ -134,13 +141,13 @@ class TestPowerSum:
         field = random_field(grid, rng)
         n_total = float(np.prod(grid.n_points))
         expected = spectral.fourier_norm_squared(field) * n_total / grid.cell_volume
-        assert spectral.power_sum(field.values, grid) == pytest.approx(expected, rel=1e-14)
+        assert spectral.power_sum(np.fft.fftn(field.values), grid) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
     def test_k_squared_weight_is_gradient_energy(self, grid, rng):
         values = random_field(grid, rng).values
         n_total = float(np.prod(grid.n_points))
-        fourier = spectral.power_sum(values, grid, lambda k_sq: k_sq) * grid.cell_volume / n_total
+        fourier = spectral.power_sum(np.fft.fftn(values), grid, lambda k_sq: k_sq) * grid.cell_volume / n_total
         physical = sum(float(np.sum(np.abs(g) ** 2)) for g in spectral.gradient(values, grid))
         assert fourier == pytest.approx(physical * grid.cell_volume, rel=1e-12)
 
@@ -150,9 +157,13 @@ class TestSqrtDensityCurvature:
         grid = Grid.of(128, 1.0)
         x = grid.axis(0)
         sqrt_rho = 1.5 + np.cos(2.0 * math.pi * x)
-        rho = sqrt_rho**2
-        expected = spectral.laplacian(sqrt_rho, grid).real / sqrt_rho
-        result = spectral.sqrt_density_curvature(rho, grid, node_mask(rho))
+        # a carrier and a smooth phase: the flux term must cancel the phase's share of lap psi
+        psi = ComplexField(grid=grid, values=sqrt_rho * np.exp(
+            1j * (2.0 * math.pi * 3 * x + 0.5 * np.sin(2.0 * math.pi * x))))
+        spec = spectral.transform(psi.values, grid)
+        flux = spectral.phase_flux(psi.values, spec, grid)
+        expected = spectral.laplacian(np.fft.fftn(sqrt_rho), grid).real / sqrt_rho
+        result = spectral.sqrt_density_curvature(psi, spec, flux, node_mask(psi.density()))
         np.testing.assert_allclose(result, expected, rtol=1e-9, atol=1e-9)
 
 

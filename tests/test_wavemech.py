@@ -221,8 +221,8 @@ class TestEvolveClassicalWave:
         state = ClassicalWaveState(psi=random_field(grid, rng), psi_dot=ComplexField(
             grid=grid, values=random_field(grid, rng).values * CGS.c / grid.lengths[0]))
         mu = 7.5
-        spectral_sum = (spectral.power_sum(state.psi_dot.values, grid) / CGS.c**2
-                        + spectral.power_sum(state.psi.values, grid, lambda k_sq: k_sq + mu**2))
+        spectral_sum = (spectral.power_sum(np.fft.fftn(state.psi_dot.values), grid) / CGS.c**2
+                        + spectral.power_sum(np.fft.fftn(state.psi.values), grid, lambda k_sq: k_sq + mu**2))
         expected = spectral_sum * grid.cell_volume / float(np.prod(grid.n_points))
         assert wavemech.wave_energy(state, mu) == pytest.approx(expected, rel=1e-13)
 
