@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-One subcommand per capability.  Each ``_cmd_*`` step only computes: it
-returns the resolved configuration and its outputs, and :func:`main` alone
+One subcommand per capability.  :func:`build_parser` binds each subcommand to
+its ``_cmd_*`` step and its default output directory.  A step only computes:
+it returns the resolved configuration and its outputs, and :func:`main` alone
 writes them, plus a manifest echoing the configuration, the tool version, a
 checksum of the constant table, and per-file content checksums.  A run whose
 configuration or computation fails writes nothing.  All physics flags are CGS
@@ -333,7 +334,7 @@ def _cmd_update(args: argparse.Namespace) -> tuple[dict, dict]:
         args.projectors))
     payload: dict = {"rule": args.rule}
     if args.rule == "luders":
-        n_outcomes = len(projectors.projectors)
+        n_outcomes = len(projectors)
         if not 0 <= args.outcome < n_outcomes:
             raise ConfigError(f"--outcome {args.outcome} is outside [0, {n_outcomes})")
         updated, prob = statequant.luders_update(rho, projectors, args.outcome)
@@ -513,27 +514,6 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, dict]:
     return vars(args), {"check.json": selfcheck.certify()}
 
 
-_DISPATCH = {
-    "propagate": _cmd_propagate,
-    "madelung": _cmd_madelung,
-    "bohm": _cmd_bohm,
-    "schmidt": _cmd_schmidt,
-    "update": _cmd_update,
-    "helicity": _cmd_helicity,
-    "measure": _cmd_measure,
-    "planck": _cmd_planck,
-    "maxent": _cmd_maxent,
-    "cmbr": _cmd_cmbr,
-    "casimir": _cmd_casimir,
-    "check": _cmd_check,
-}
-
-
-def _default_output_dir(subcommand: str) -> str:
-    root = os.environ.get("GWFIELD_OUTPUT_DIR", ".")
-    return str(Path(root) / f"gwfield-{subcommand}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gwfield",
@@ -541,18 +521,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    output_root = Path(os.environ.get("GWFIELD_OUTPUT_DIR", "."))
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, step) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--output-dir", default=None,
+        p.set_defaults(run=step)
+        p.add_argument("--output-dir", default=str(output_root / f"gwfield-{name}"),
                        help="output directory (must not already hold files); "
                             "defaults under $GWFIELD_OUTPUT_DIR")
         return p
 
-    p = add("propagate", "evolve a field per a JSON spec and dump snapshots")
+    p = add("propagate", "evolve a field per a JSON spec and dump snapshots", _cmd_propagate)
     p.add_argument("--spec", required=True, help="JSON propagation spec")
 
-    p = add("madelung", "polar-form analysis of a field dump")
+    p = add("madelung", "polar-form analysis of a field dump", _cmd_madelung)
     p.add_argument("--field", required=True, help="field CSV (with JSON sidecar)")
     p.add_argument("--omega-ref-rad-per-s", type=float, required=True)
     p.add_argument("--mu-per-cm", type=float, default=0.0)
@@ -562,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--energy-erg", type=float, default=None,
                    help="stationary energy for the Hamilton-Jacobi residual")
 
-    p = add("bohm", "integrate trajectories in the quantum-potential gradient")
+    p = add("bohm", "integrate trajectories in the quantum-potential gradient", _cmd_bohm)
     p.add_argument("--field", required=True)
     p.add_argument("--omega-ref-rad-per-s", type=float, required=True)
     p.add_argument("--regime", choices=["massless", "massive", "classical"], required=True)
@@ -573,47 +555,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt-s", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
 
-    p = add("schmidt", "Schmidt decomposition of an amplitude matrix CSV")
+    p = add("schmidt", "Schmidt decomposition of an amplitude matrix CSV", _cmd_schmidt)
     p.add_argument("--matrix", required=True)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--renormalize", action="store_true")
 
-    p = add("update", "apply a measurement update rule to a density matrix")
+    p = add("update", "apply a measurement update rule to a density matrix", _cmd_update)
     p.add_argument("--rule", choices=["luders", "vonneumann"], required=True)
     p.add_argument("--rho", required=True, help="density matrix JSON ({re, im})")
     p.add_argument("--projectors", required=True, help="projector set JSON")
     p.add_argument("--outcome", type=int, default=None)
 
-    p = add("helicity", "partial-wave split of a snapshot directory")
+    p = add("helicity", "partial-wave split of a snapshot directory", _cmd_helicity)
     p.add_argument("--series-dir", required=True)
     p.add_argument("--k0-rad-per-cm", type=float, required=True)
 
-    p = add("measure", "impulsive pointer measurement with seeded sampling")
+    p = add("measure", "impulsive pointer measurement with seeded sampling", _cmd_measure)
     p.add_argument("--spec", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("planck", "tabulate the blackbody spectral density")
+    p = add("planck", "tabulate the blackbody spectral density", _cmd_planck)
     p.add_argument("--t-kelvin", type=float, required=True)
     p.add_argument("--nu-min-hz", type=float, required=True)
     p.add_argument("--nu-max-hz", type=float, required=True)
     p.add_argument("--nu-points", type=int, default=1000)
 
-    p = add("maxent", "maximize the occupancy multiplicity at fixed energy")
+    p = add("maxent", "maximize the occupancy multiplicity at fixed energy", _cmd_maxent)
     p.add_argument("--spec", required=True, help="JSON band spec")
 
-    p = add("cmbr", "thermal vacuum energy, moment paths and the QED contrast")
+    p = add("cmbr", "thermal vacuum energy, moment paths and the QED contrast", _cmd_cmbr)
     p.add_argument("--omega-c-rad-per-s", type=float, required=True)
     p.add_argument("--t-kelvin", type=float, default=2.7)
     p.add_argument("--xi", type=float, default=1.0)
     p.add_argument("--v-over-b", dest="v_over_b_cm3_per_g_unit", metavar="V_OVER_B",
                    type=float, default=1.0)
 
-    p = add("casimir", "plate pressure from the thermal vacuum density")
+    p = add("casimir", "plate pressure from the thermal vacuum density", _cmd_casimir)
     p.add_argument("--a-cm", type=float, required=True)
     p.add_argument("--t-kelvin", type=float, default=2.7)
 
-    add("check", "certify the 10 acceptance criteria and 3 invariants")
+    add("check", "certify the 10 acceptance criteria and 3 invariants", _cmd_check)
     return parser
 
 
@@ -625,8 +607,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         t_start = time.monotonic()
-        if args.output_dir is None:
-            args.output_dir = _default_output_dir(args.subcommand)
+        run = vars(args).pop("run")
         outdir = Path(args.output_dir)
         non_finite = sorted(k for k, v in vars(args).items()
                             if isinstance(v, float) and not math.isfinite(v))
@@ -638,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         # an overflow, a division by zero or a NaN inside a step is a numerical
         # failure; underflow to zero is not
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            config, outputs = _DISPATCH[args.subcommand](args)
+            config, outputs = run(args)
         _write_run(outdir.resolve(), config, outputs, t_start)
     except OSError as exc:
         _emit_error(4, str(exc), {})

@@ -106,23 +106,12 @@ def anomalous_moment(model: VacuumModel, variant: str = "symbolic") -> float:
     raise ValueError(f"variant must be one of {MOMENT_VARIANTS}")
 
 
-def cutoff_for_moment(
-    a_target: float,
-    T: float = 2.7,
-    xi: float = 1.0,
-    V_over_B: float = 1.0,
-    variant: str = "symbolic",
-) -> float:
-    """Invert :func:`anomalous_moment` for the cutoff frequency [rad/s]."""
-    if a_target <= 0.0:
-        raise ValueError("a_target must be positive")
-    if variant == "symbolic":
-        prefactor = vacuum_asymptotic_prefactor(T) / CGS.mu_B
-    elif variant == "paper-numeric":
-        prefactor = QUOTED_VACUUM_PREFACTOR / QUOTED_BOHR_MAGNETON
-    else:
-        raise ValueError(f"variant must be one of {MOMENT_VARIANTS}")
-    return (a_target / (xi * V_over_B * prefactor)) ** 0.2
+def cutoff_for_moment(a_target: float, variant: str = "symbolic") -> float:
+    """Invert :func:`anomalous_moment` at the default model for the cutoff
+    frequency [rad/s]: the moment grows as omega_c^5."""
+    if not (a_target > 0.0 and math.isfinite(a_target)):
+        raise ValueError("a_target must be finite and positive")
+    return (a_target / anomalous_moment(VacuumModel(omega_c=1.0), variant)) ** 0.2
 
 
 def qed_vacuum_energy(omega_c: float) -> float:

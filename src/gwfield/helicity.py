@@ -42,6 +42,8 @@ class TimeSeriesField:
             raise ValueError("snapshot shape does not match grid")
         if values.shape[0] < 8:
             raise ValueError("a time series needs at least 8 snapshots")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("time series values must be finite (no NaN/Inf)")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError("dt must be finite and positive")
         values.setflags(write=False)

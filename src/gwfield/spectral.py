@@ -60,11 +60,12 @@ def gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
 
 
 def divergence(components: list[np.ndarray], grid: Grid) -> np.ndarray:
-    """Spectral divergence of a real vector field, one real array per axis."""
+    """Spectral divergence of a real vector field, one real array per axis of ``grid``."""
     if any(np.iscomplexobj(comp) for comp in components):
         raise ValueError("divergence takes real components")
     axes = _grid_axes(grid)
-    spec = sum(1j * k * np.fft.rfftn(comp, axes=axes) for comp, k in zip(components, half_wavenumbers(grid)))
+    spec = sum(1j * k * np.fft.rfftn(comp, axes=axes)
+               for comp, k in zip(components, half_wavenumbers(grid), strict=True))
     return np.fft.irfftn(spec, s=grid.shape, axes=axes)
 
 

@@ -121,8 +121,8 @@ def luders_update(
     """Selective update: (P_k rho P_k / Tr(P_k rho), Tr(P_k rho))."""
     if rho.dim != projectors.dim:
         raise ValueError("state and projector dimensions differ")
-    if not 0 <= k < len(projectors.projectors):
-        raise ValueError(f"outcome {k} is outside [0, {len(projectors.projectors)})")
+    if not 0 <= k < len(projectors):
+        raise ValueError(f"outcome {k} is outside [0, {len(projectors)})")
     p_k = projectors.projectors[k]
     prob = float(np.real(np.trace(p_k @ rho.entries)))
     if prob <= PROB_FLOOR:
@@ -135,9 +135,7 @@ def von_neumann_update(rho: DensityMatrix, projectors: ProjectorSet) -> DensityM
     """Non-selective update: sum_k P_k rho P_k (diagonal in the projector basis)."""
     if rho.dim != projectors.dim:
         raise ValueError("state and projector dimensions differ")
-    out = np.zeros_like(rho.entries)
-    for p_k in projectors.projectors:
-        out = out + p_k @ rho.entries @ p_k
+    out = sum(p_k @ rho.entries @ p_k for p_k in projectors.projectors)
     return DensityMatrix(entries=_hermitize(out))
 
 

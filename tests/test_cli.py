@@ -1,3 +1,4 @@
+import argparse
 import copy
 import dataclasses
 import csv
@@ -644,7 +645,7 @@ class TestSpecTypeErrors:
         def fail(args):
             raise KeyError("unforeseen")
 
-        monkeypatch.setitem(cli._DISPATCH, "casimir", fail)
+        monkeypatch.setattr(cli, "_cmd_casimir", fail)
         out = tmp_path / "cas"
         rc = run_cli("casimir", "--a-cm", 1e-4, "--output-dir", out)
         assert rc == 1
@@ -889,7 +890,7 @@ class TestExitClassRule:
         def step(args):
             raise exc
 
-        monkeypatch.setitem(cli._DISPATCH, "casimir", step)
+        monkeypatch.setattr(cli, "_cmd_casimir", step)
         out = tmp_path / "cas"
         assert run_cli("casimir", "--a-cm", 1e-4, "--output-dir", out) == code
         assert json.loads(capsys.readouterr().err)["code"] == code
@@ -903,9 +904,37 @@ class TestExitClassRule:
         assert capsys.readouterr().err == ""
 
 
+SUBCOMMANDS = ["propagate", "madelung", "bohm", "schmidt", "update", "helicity", "measure",
+               "planck", "maxent", "cmbr", "casimir", "check"]
+
+
+class TestParserBinding:
+    """Each subparser carries its step and its default output directory."""
+
+    @staticmethod
+    def subparsers():
+        parser = cli.build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_subcommand_is_bound(self):
+        assert sorted(self.subparsers()) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_binds_step_and_output_dir(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.setenv("GWFIELD_OUTPUT_DIR", str(tmp_path))
+        sub = self.subparsers()[name]
+        assert sub.get_default("run") is getattr(cli, f"_cmd_{name}")
+        assert Path(sub.get_default("output_dir")) == tmp_path / f"gwfield-{name}"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(name, "--help")
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: gwfield {name}")
+        assert captured.err == ""
+
 class TestFiniteJson:
     def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(cli._DISPATCH, "casimir",
+        monkeypatch.setattr(cli, "_cmd_casimir",
                             lambda args: (vars(args), {"casimir.json": {"x": float("nan")}}))
         out = tmp_path / "cas"
         rc = run_cli("casimir", "--a-cm", 1e-4, "--output-dir", out)

@@ -159,6 +159,21 @@ class TestAnomalousMoment:
         model = VacuumModel(omega_c=omega_c)
         assert anomalous_moment(model, "paper-numeric") == pytest.approx(target, rel=1e-12)
 
+    @pytest.mark.parametrize("target", [3.3e-7, 1e-3, 0.0011614])
+    def test_symbolic_round_trip(self, target):
+        model = VacuumModel(omega_c=cutoff_for_moment(target, variant="symbolic"))
+        assert anomalous_moment(model, "symbolic") == pytest.approx(target, rel=1e-12)
+
+    def test_inverse_solve_takes_no_model_keywords(self):
+        # the inverse holds at the default model only
+        with pytest.raises(TypeError):
+            cutoff_for_moment(1e-3, T=-2.7)
+
+    @pytest.mark.parametrize("target", [0.0, -1e-3, math.nan, math.inf])
+    def test_inverse_solve_rejects_a_non_positive_or_non_finite_moment(self, target):
+        with pytest.raises(ValueError, match="a_target"):
+            cutoff_for_moment(target)
+
     def test_prefactor_paths_disagree_by_documented_factor(self):
         # symbolic CGS evaluation gives ~2.2e-72 at 2.7 K, the quoted value
         # is 5.5e-71: a factor ~25 apart, both shipped
@@ -179,6 +194,8 @@ class TestAnomalousMoment:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             anomalous_moment(VacuumModel(omega_c=1e9), "hybrid")
+        with pytest.raises(ValueError):
+            cutoff_for_moment(1e-3, variant="hybrid")
 
 
 class TestQedComparison:

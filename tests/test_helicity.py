@@ -88,6 +88,13 @@ class TestPartialWaveSplit:
         with pytest.raises(ValueError, match="Nyquist"):
             partial_wave_split(series)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.ones((16, 32), dtype=complex)
+        values[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TimeSeriesField(grid=GRID, values=values, dt=1e-12)
+
     def test_too_few_snapshots_rejected(self):
         with pytest.raises(ValueError, match="8 snapshots"):
             TimeSeriesField(grid=GRID, values=np.ones((4, 32), dtype=complex), dt=1e-12)

@@ -66,6 +66,12 @@ class TestOpenAxesMatchFullMeshes:
         expected = sum(k_vec) * np.cos(arg)
         assert np.abs(result - expected).max() < 1e-12 * max(abs(k) for k in k_vec)
 
+    def test_divergence_takes_one_component_per_axis(self, grid, rng):
+        comp = random_field(grid, rng).values.real
+        for count in set(range(1, grid.dim + 2)) - {grid.dim}:
+            with pytest.raises(ValueError):
+                spectral.divergence([comp] * count, grid)
+
     def test_divergence_rejects_complex_components(self, grid, rng):
         components = [random_field(grid, rng).values for _ in range(grid.dim)]
         with pytest.raises(ValueError, match="real components"):
