@@ -8,18 +8,3 @@ phenomenology.  CGS-Gaussian units throughout.
 """
 
 __version__ = "0.1.0"
-
-from .constants import CGS, CgsConstants
-from .fields import ComplexField, Grid, PlaneWaveSpec, inner_product, make_plane_wave, normalize
-
-__all__ = [
-    "CGS",
-    "CgsConstants",
-    "ComplexField",
-    "Grid",
-    "PlaneWaveSpec",
-    "inner_product",
-    "make_plane_wave",
-    "normalize",
-    "__version__",
-]

@@ -107,13 +107,13 @@ def geometric_occupancy(band: FrequencyBand, T: float, r_max: int | None = None)
 
 @dataclass(frozen=True)
 class OccupancyTable:
-    """Per-band occupation counts p[s, r], r = 0..r_max."""
+    """Per-band occupation counts p[s, r], r = 0..r_max, kept as a read-only copy."""
 
     bands: tuple[FrequencyBand, ...]
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != len(self.bands):
             raise ValueError("p must be a (n_bands, r_max+1) array")
         if np.any(p < -1e-30):
@@ -124,6 +124,7 @@ class OccupancyTable:
                 raise ValueError(
                     f"band {s} occupancies sum to {total}, expected {band.n_states}"
                 )
+        p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
     def photon_numbers(self) -> np.ndarray:

@@ -68,8 +68,9 @@ def partial_wave_split(series: TimeSeriesField) -> tuple[TimeSeriesField, TimeSe
     """Split into (psi_plus, psi_minus) by temporal frequency sign.
 
     Errors out if the Nyquist bin carries more than :data:`NYQUIST_TOL` of the
-    total spectral energy: that content is aliased and its frequency sign is
-    ambiguous.
+    total spectral energy: its frequency sign is ambiguous.  That content is
+    aliased, or leaked from a series that does not return to its first snapshot
+    (such a leak reaches every bin, and its Nyquist share falls as dt^2).
     """
     n_t = series.n_snapshots
     spec = np.fft.fft(series.values, axis=0)
@@ -80,7 +81,8 @@ def partial_wave_split(series: TimeSeriesField) -> tuple[TimeSeriesField, TimeSe
         nyquist_fraction = float(energy[n_t // 2]) / total
         if nyquist_fraction > NYQUIST_TOL:
             raise ValueError(
-                f"aliased content at the Nyquist bin ({nyquist_fraction:.3e} of energy)"
+                f"content at the Nyquist bin ({nyquist_fraction:.3e} of energy): "
+                "aliased, or leaked from a series that does not span whole periods"
             )
     shape = (n_t,) + (1,) * series.grid.dim
     minus_mask = (freqs <= 0.0).reshape(shape)
@@ -92,11 +94,12 @@ def partial_wave_split(series: TimeSeriesField) -> tuple[TimeSeriesField, TimeSe
 
 @dataclass(frozen=True)
 class CurrentField:
-    """Convection current j = hbar Im(psi* grad psi) and its positive time component
-    rho_t = hbar k0 |psi|^2, of a field or of each snapshot of a series (axis 0)."""
+    """Convection current j = hbar Im(psi* grad psi), hbar times the polar form's phase flux
+    (one real ``(dim, ...)`` array), and its positive time component rho_t = hbar k0 |psi|^2,
+    of a field or of each snapshot of a series (axis 0 of rho_t, axis 1 of j)."""
 
     grid: Grid
-    j: tuple[np.ndarray, ...]
+    j: np.ndarray
     rho_t: np.ndarray
 
     def __post_init__(self) -> None:
@@ -107,14 +110,13 @@ class CurrentField:
         """The current of a series averaged over its snapshots."""
         if self.rho_t.ndim == self.grid.dim:
             raise ValueError("the current of one field has no snapshots to average")
-        return CurrentField(grid=self.grid, j=tuple(np.mean(comp, axis=0) for comp in self.j),
-                            rho_t=np.mean(self.rho_t, axis=0))
+        return CurrentField(grid=self.grid, j=np.mean(self.j, axis=1), rho_t=np.mean(self.rho_t, axis=0))
 
 
 def convection_current(psi: ComplexField | TimeSeriesField, k0: float) -> CurrentField:
     """The current of a field, or of every snapshot of a series at once."""
     spec = spectral.transform(psi.values, psi.grid)
-    j = tuple(CGS.hbar * flux for flux in spectral.phase_flux(psi.values, spec, psi.grid))
+    j = CGS.hbar * spectral.phase_flux(psi.values, spec, psi.grid)
     rho_t = CGS.hbar * k0 * np.abs(psi.values) ** 2
     return CurrentField(grid=psi.grid, j=j, rho_t=rho_t)
 
@@ -131,15 +133,15 @@ def current_continuity(series: TimeSeriesField, k0: float) -> float:
     grid = series.grid
     current = convection_current(series, k0)
     rho_dot = (current.rho_t[2:] - current.rho_t[:-2]) / (2.0 * series.dt)
-    residuals = rho_dot + spectral.divergence([2.0 * CGS.c * comp[1:-1] for comp in current.j], grid)
+    residuals = rho_dot + spectral.divergence(2.0 * CGS.c * current.j[:, 1:-1], grid)
     length_scale = grid.volume ** (1.0 / grid.dim)
     floor = 2.0 * CGS.c * CGS.hbar * float(np.abs(series.values).max() ** 2) / length_scale**2
     denom = float(np.abs(rho_dot).max()) + floor
     return float(np.sqrt(np.mean(residuals**2))) / denom
 
 
-def time_averaged_current(series: TimeSeriesField, k0: float) -> tuple[np.ndarray, ...]:
-    """Snapshot-averaged convection current.
+def time_averaged_current(series: TimeSeriesField, k0: float) -> np.ndarray:
+    """Snapshot-averaged convection current, one real ``(dim, ...)`` array.
 
     Cross terms between partial waves average out when the series spans a
     whole common period of the retained modes, so over such a window

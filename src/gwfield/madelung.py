@@ -78,9 +78,9 @@ class MadelungForm:
         makes a wave packet non-dispersive: it doubles as the classicality diagnostic."""
         return spectral.sqrt_density_curvature(self.psi, self.spectrum, self.flux, self.branch_mask)
 
-    @cached_property
-    def flux(self) -> list[np.ndarray]:
-        """Im(psi* d_i psi) = rho d_i(phase) per axis, smooth across phase seams."""
+    @_read_only
+    def flux(self) -> np.ndarray:
+        """Im(psi* grad psi) = rho grad(phase), one ``(dim, ...)`` array, smooth across phase seams."""
         return spectral.phase_flux(self.psi.values, self.spectrum, self.grid)
 
     def action(self) -> np.ndarray:
@@ -163,7 +163,7 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     rho_dot = np.asarray(rho_dot, dtype=float)
     if rho_dot.shape != form.grid.shape:
         raise ValueError("rho_dot shape does not match the grid")
-    div = spectral.divergence([(CGS.hbar / m_star) * f for f in form.flux], form.grid)
+    div = spectral.divergence((CGS.hbar / m_star) * form.flux, form.grid)
     length_scale = form.grid.volume ** (1.0 / form.grid.dim)
     floor = (CGS.hbar / m_star) * float(form.rho.max()) / length_scale**2
     denom = float(np.abs(rho_dot).max()) + floor
@@ -261,7 +261,7 @@ class QuantumPotentialInterpolator:
     def __init__(self, qfield: QuantumPotentialField):
         self.grid = qfield.form.grid
         self.m_star = qfield.m_star
-        gradient = np.stack([g.real for g in spectral.gradient(qfield.Q, self.grid)], axis=-1)
+        gradient = np.moveaxis(spectral.gradient(qfield.Q, self.grid).real, 0, -1)
         self._coefficients = _spline_coefficients(gradient, self.grid.dim)
         self._mask = qfield.form.branch_mask
 

@@ -7,7 +7,8 @@ formula of the package lives here.
 
 The grid axes of an array are its trailing ``grid.dim`` axes: :func:`transform` and
 the derivatives transform over those alone, so leading axes index the snapshots
-of a series.  The power sums take one field.
+of a series.  A grid vector field is one ``(dim, ...)`` array, its component axis
+first.  The power sums take one field.
 """
 
 from __future__ import annotations
@@ -44,9 +45,13 @@ def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.fftn(values, axes=_grid_axes(grid))
 
 
-def _gradient_of(spec: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Gradient of the field whose :func:`transform` is ``spec``."""
-    return [np.fft.ifftn(1j * k * spec, axes=_grid_axes(grid)) for k in wavenumbers(grid)]
+def _gradient_rows(spec: np.ndarray, grid: Grid, part, dtype) -> np.ndarray:
+    """The ``(dim, ...)`` array whose row i is ``part(d_i psi)`` of the field psi whose
+    :func:`transform` is ``spec``, holding one complex component d_i psi at a time."""
+    rows = np.empty((grid.dim, *spec.shape), dtype=dtype)
+    for row, k in zip(rows, wavenumbers(grid)):
+        row[...] = part(np.fft.ifftn(1j * k * spec, axes=_grid_axes(grid)))
+    return rows
 
 
 def laplacian(spec: np.ndarray, grid: Grid) -> np.ndarray:
@@ -54,25 +59,26 @@ def laplacian(spec: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.ifftn(-k_squared(grid) * spec, axes=_grid_axes(grid))
 
 
-def gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Spectral gradient, one complex array per axis."""
-    return _gradient_of(transform(values, grid), grid)
+def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spectral gradient, one complex ``(dim, ...)`` array: row i is d_i ``values``."""
+    return _gradient_rows(transform(values, grid), grid, lambda comp: comp, complex)
 
 
-def divergence(components: list[np.ndarray], grid: Grid) -> np.ndarray:
-    """Spectral divergence of a real vector field, one real array per axis of ``grid``."""
-    if any(np.iscomplexobj(comp) for comp in components):
+def divergence(field: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spectral divergence of a real ``(dim, ...)`` vector field, one row per axis of ``grid``."""
+    if np.iscomplexobj(field):
         raise ValueError("divergence takes real components")
     axes = _grid_axes(grid)
     spec = sum(1j * k * np.fft.rfftn(comp, axes=axes)
-               for comp, k in zip(components, half_wavenumbers(grid), strict=True))
+               for comp, k in zip(field, half_wavenumbers(grid), strict=True))
     return np.fft.irfftn(spec, s=grid.shape, axes=axes)
 
 
-def phase_flux(values: np.ndarray, spec: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Im(conj(psi) d_i psi) = rho d_i(phase) per axis of psi = ``values`` (``spec`` is its
-    :func:`transform`): smooth across phase seams, times hbar the convection current."""
-    return [np.imag(np.conj(values) * comp) for comp in _gradient_of(spec, grid)]
+def phase_flux(values: np.ndarray, spec: np.ndarray, grid: Grid) -> np.ndarray:
+    """Im(conj(psi) grad psi) = rho grad(phase) of psi = ``values`` (``spec`` is its
+    :func:`transform`), one real ``(dim, ...)`` array: smooth across phase seams, times
+    hbar the convection current."""
+    return _gradient_rows(spec, grid, lambda comp: np.imag(np.conj(values) * comp), float)
 
 
 def power_sum(spec: np.ndarray, grid: Grid, weight=None) -> float:
@@ -98,7 +104,7 @@ def fourier_norm_squared(field: ComplexField) -> float:
     return power_sum(np.fft.fftn(field.values), field.grid) * field.grid.cell_volume / n_total
 
 
-def sqrt_density_curvature(psi: ComplexField, spec: np.ndarray, flux: list[np.ndarray],
+def sqrt_density_curvature(psi: ComplexField, spec: np.ndarray, flux: np.ndarray,
                            mask: np.ndarray) -> np.ndarray:
     """lap(sqrt rho)/sqrt(rho) = [Re(psi* lap psi) + |flux|^2/rho]/rho of the field psi
     (rho = |psi|^2) from its :func:`transform` ``spec`` and :func:`phase_flux` ``flux``.

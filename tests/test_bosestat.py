@@ -88,6 +88,17 @@ class TestGeometricOccupancy:
         assert abs(row.sum() - band.n_states) < 1e-11 * band.n_states
 
 
+class TestOccupancyTable:
+    def test_table_owns_a_read_only_copy(self):
+        band = FrequencyBand(nu=1e10, d_nu=1e7)
+        p = np.stack([geometric_occupancy(band, CGS.h * band.nu / CGS.k_B)])
+        table = OccupancyTable(bands=(band,), p=p)
+        p[:] = 0.0
+        assert table.p.sum() == pytest.approx(band.n_states, rel=1e-8)
+        with pytest.raises(ValueError):
+            table.p[0, 0] = 0.0
+
+
 class TestMaximizeEntropy:
     def test_single_band_analytic_solution(self):
         band_a = band_state_count(1e10, 1e8)

@@ -513,10 +513,24 @@ def scipy_modules_after(runs, module="gwfield.cli", prefix="scipy"):
 
 class TestImportBudget:
     """scipy is a test oracle, not a runtime dependency: no import and no
-    subcommand loads it.  The vacuum subcommands do not load the polar layer."""
+    subcommand loads it.  The CLI imports the layers beyond its numpy-only core
+    inside the steps that run them, and the vacuum layers load no other layer."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after([]) == []
+
+    def test_import_loads_no_step_layer(self):
+        loaded = scipy_modules_after([], prefix="gwfield")
+        assert not {"gwfield.bosestat", "gwfield.cmbrvac", "gwfield.madelung",
+                    "gwfield.selfcheck"}.intersection(loaded)
+
+    @pytest.mark.parametrize("module", ["gwfield.bosestat", "gwfield.cmbrvac"])
+    def test_vacuum_layer_loads_only_the_constants(self, module):
+        assert scipy_modules_after([], module, prefix="gwfield") == sorted(
+            ["gwfield", "gwfield.constants", module])
+
+    def test_constants_load_no_numpy(self):
+        assert scipy_modules_after([], "gwfield.constants", prefix="numpy") == []
 
     @pytest.mark.parametrize("module", ["gwfield.bosestat", "gwfield.madelung", "gwfield.cmbrvac"])
     def test_layer_import_loads_no_scipy(self, module):

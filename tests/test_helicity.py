@@ -15,6 +15,7 @@ from gwfield.helicity import (
     partial_wave_split,
     time_averaged_current,
 )
+from gwfield.madelung import MadelungForm
 from gwfield.wavemech import (
     ClassicalWaveState,
     EffectiveMassParams,
@@ -88,6 +89,13 @@ class TestPartialWaveSplit:
         with pytest.raises(ValueError, match="Nyquist"):
             partial_wave_split(series)
 
+    def test_leaked_window_is_refused_naming_both_causes(self):
+        # a tone off every DFT bin: the window does not span whole periods and leaks into the Nyquist bin
+        series = tone_series([(1.0, 1.0, 1.0)], n_t=8, cycles_per_series=1.3)
+        cause = "aliased, or leaked from a series that does not span whole periods"
+        with pytest.raises(ValueError, match=cause):
+            partial_wave_split(series)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_values_rejected(self, bad):
         values = np.ones((16, 32), dtype=complex)
@@ -144,6 +152,14 @@ class TestSeriesCurrent:
             alone = convection_current(ComplexField(grid=series.grid, values=values), K1)
             assert all(np.array_equal(c[m], a) for c, a in zip(current.j, alone.j))
             assert np.array_equal(current.rho_t[m], alone.rho_t)
+
+    def test_current_is_hbar_times_the_polar_flux(self, rng):
+        series = self.series(rng)
+        current = convection_current(series, K1)
+        assert current.j.shape == (series.grid.dim, series.n_snapshots, *series.grid.shape)
+        for m, values in enumerate(series.values):
+            form = MadelungForm(ComplexField(grid=series.grid, values=values))
+            assert np.array_equal(current.j[:, m], CGS.hbar * form.flux)
 
     def test_mean_is_the_snapshot_average(self, rng):
         series = self.series(rng)

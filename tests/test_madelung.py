@@ -312,6 +312,15 @@ class TestOnePolarAnalysis:
         with pytest.raises(ValueError):
             form.curvature[0] = 1.0
 
+    @pytest.mark.parametrize("grid", [Grid.of(32, 1.0), Grid.of((16, 8), (1.0, 0.5)),
+                                      Grid.of((8, 10, 8), (1.0, 0.5, 2.0))], ids=["1d", "2d", "3d"])
+    def test_flux_is_one_read_only_array(self, grid, rng):
+        form = polar_decompose(random_field(grid, rng))
+        assert isinstance(form.flux, np.ndarray)
+        assert form.flux.shape == (grid.dim, *grid.shape)
+        with pytest.raises(ValueError):
+            form.flux[0][:] = 0.0
+
     def test_madelung_step_fft_count(self, tmp_path, monkeypatch):
         # the form's forward transform of psi 1 (read by the flux, the curvature and pc),
         # phase flux 3, curvature 1, divergence 4

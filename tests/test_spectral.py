@@ -41,6 +41,13 @@ class TestOpenAxesMatchFullMeshes:
         assert len(result) == grid.dim
         assert all(np.array_equal(r, e) for r, e in zip(result, reference))
 
+    def test_vector_fields_are_one_array(self, grid, rng):
+        values = random_field(grid, rng).values
+        spec = spectral.transform(values, grid)
+        for field in (spectral.gradient(values, grid), spectral.phase_flux(values, spec, grid)):
+            assert isinstance(field, np.ndarray)
+            assert field.shape == (grid.dim, *grid.shape)
+
     def test_half_wavenumbers_are_the_rfftn_half(self, grid):
         full = spectral.wavenumbers(grid)
         half = spectral.half_wavenumbers(grid)
