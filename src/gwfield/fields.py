@@ -14,6 +14,18 @@ from .constants import CGS
 RHO_FLOOR_REL = 1e-12
 
 
+def frozen_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array of its own.  A read-only ``dtype`` array
+    that owns its data (a library result marked read-only when made) is adopted; anything
+    else, a caller's writable array included, is copied."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype and values.flags.owndata
+            and not values.flags.writeable):
+        return values
+    values = np.array(values, dtype=dtype, order="C")
+    values.setflags(write=False)
+    return values
+
+
 def node_mask(rho: np.ndarray) -> np.ndarray:
     """True where rho is below the node floor (everywhere for a zero density)."""
     peak = float(rho.max())
@@ -82,9 +94,9 @@ class Grid:
 class ComplexField:
     """A complex amplitude sampled on a :class:`Grid`.
 
-    Values are stored as an immutable complex128 array.  When ``normalized``
-    is set the field satisfies sum |psi|^2 dV = 1 over the periodic box (the
-    box plays the role of all space here).
+    Values are stored as an immutable complex128 array (see :func:`frozen_array`).
+    When ``normalized`` is set the field satisfies sum |psi|^2 dV = 1 over the
+    periodic box (the box plays the role of all space here).
     """
 
     grid: Grid
@@ -92,20 +104,19 @@ class ComplexField:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128).copy()
+        values = frozen_array(self.values, np.complex128)
         if values.shape != self.grid.shape:
             raise ValueError(f"values shape {values.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
             raise ValueError("field values must be finite (no NaN/Inf)")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.normalized:
-            total = float(np.sum(np.abs(values) ** 2)) * self.grid.cell_volume
+            total = self.norm_squared()
             if abs(total - 1.0) > 1e-10:
                 raise ValueError(f"normalized flag set but sum |psi|^2 dV = {total}")
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2)) * self.grid.cell_volume
+        return float(np.sum(self.density())) * self.grid.cell_volume
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -163,6 +174,7 @@ def make_plane_wave(spec: PlaneWaveSpec, grid: Grid, t: float = 0.0) -> ComplexF
     for k, mesh in zip(spec.k_vec, meshes):
         acc = acc + k * mesh
     values = spec.amplitude * np.exp(1j * (acc + phase))
+    values.setflags(write=False)
     return ComplexField(grid=grid, values=values)
 
 
@@ -175,7 +187,9 @@ def normalize(psi: ComplexField) -> ComplexField:
     n = psi.norm()
     if n <= 0.0 or not math.isfinite(n):
         raise ValueError("cannot normalize null state")
-    return ComplexField(grid=psi.grid, values=psi.values / n, normalized=True)
+    values = psi.values / n
+    values.setflags(write=False)
+    return ComplexField(grid=psi.grid, values=values, normalized=True)
 
 
 def inner_product(a: ComplexField, b: ComplexField) -> complex:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CGS
-from .fields import ComplexField, Grid
+from .fields import ComplexField, Grid, frozen_array
 from . import spectral
 
 # largest share of the spectral energy a split lets the Nyquist bin carry
@@ -35,7 +35,7 @@ class TimeSeriesField:
     dt: float
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128).copy()
+        values = frozen_array(self.values, np.complex128)
         if values.ndim != self.grid.dim + 1:
             raise ValueError("values must stack snapshots along axis 0")
         if values.shape[1:] != self.grid.shape:
@@ -46,7 +46,6 @@ class TimeSeriesField:
             raise ValueError("time series values must be finite (no NaN/Inf)")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError("dt must be finite and positive")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -96,13 +95,16 @@ def partial_wave_split(series: TimeSeriesField) -> tuple[TimeSeriesField, TimeSe
 class CurrentField:
     """Convection current j = hbar Im(psi* grad psi), hbar times the polar form's phase flux
     (one real ``(dim, ...)`` array), and its positive time component rho_t = hbar k0 |psi|^2,
-    of a field or of each snapshot of a series (axis 0 of rho_t, axis 1 of j)."""
+    of a field or of each snapshot of a series (axis 0 of rho_t, axis 1 of j); both are
+    kept read-only (see :func:`~gwfield.fields.frozen_array`)."""
 
     grid: Grid
     j: np.ndarray
     rho_t: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "j", frozen_array(self.j, np.float64))
+        object.__setattr__(self, "rho_t", frozen_array(self.rho_t, np.float64))
         if np.any(self.rho_t < 0.0):
             raise ValueError("rho_t must be >= 0")
 
@@ -118,6 +120,8 @@ def convection_current(psi: ComplexField | TimeSeriesField, k0: float) -> Curren
     spec = spectral.transform(psi.values, psi.grid)
     j = CGS.hbar * spectral.phase_flux(psi.values, spec, psi.grid)
     rho_t = CGS.hbar * k0 * np.abs(psi.values) ** 2
+    j.setflags(write=False)
+    rho_t.setflags(write=False)
     return CurrentField(grid=psi.grid, j=j, rho_t=rho_t)
 
 

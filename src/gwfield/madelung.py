@@ -89,8 +89,16 @@ class MadelungForm:
 
     def action_gradient_sq(self) -> np.ndarray:
         """|grad S|^2 = (hbar flux/rho)^2 [erg^2 s^2/cm^2]; masked points carry zeros."""
-        safe_rho = np.where(self.branch_mask, 1.0, self.rho)
-        return np.where(self.branch_mask, 0.0, sum((CGS.hbar * f / safe_rho) ** 2 for f in self.flux))
+        unmasked = ~self.branch_mask
+        total = np.zeros(self.grid.shape)
+        term = np.empty_like(total)
+        for f in self.flux:
+            np.multiply(CGS.hbar, f, out=term)
+            np.divide(term, self.rho, out=term, where=unmasked)
+            term **= 2
+            total += term
+        np.copyto(total, 0.0, where=self.branch_mask)
+        return total
 
     def mean(self, values: np.ndarray) -> float:
         """rho-weighted mean of ``values``."""
@@ -98,7 +106,9 @@ class MadelungForm:
 
     def rms(self, values: np.ndarray) -> float:
         """Root mean square of ``values`` over the unmasked points."""
-        return float(np.sqrt(np.mean(values[~self.branch_mask] ** 2)))
+        picked = values[~self.branch_mask]
+        picked **= 2
+        return float(np.sqrt(np.mean(picked)))
 
 
 # live forms by id(psi); a form holds its field, so the id is not reused while the entry lives
@@ -126,9 +136,12 @@ class QuantumPotentialField:
         if np.all(self.form.branch_mask):
             raise ValueError("density is below the floor everywhere")
 
-    @_read_only
+    @property
     def Q(self) -> np.ndarray:
-        return -(CGS.hbar**2) / (2.0 * self.m_star) * self.form.curvature
+        """Derived on each read: the form's cached curvature is its one home."""
+        q = -(CGS.hbar**2) / (2.0 * self.m_star) * self.form.curvature
+        q.setflags(write=False)
+        return q
 
 
 def quantum_potential(form: MadelungForm, m_star: float) -> QuantumPotentialField:
@@ -148,8 +161,12 @@ def hj_residual(
     if dt_action is None:
         raise ValueError("dt_action (the dS/dt field) is required")
     qfield = quantum_potential(form, params.m_star)
-    kinetic = form.action_gradient_sq() / (2.0 * params.m_star)
-    return form.rms(np.asarray(dt_action) + kinetic + CGS.hbar * params.v0 + qfield.Q)
+    residual = form.action_gradient_sq()
+    residual /= 2.0 * params.m_star
+    np.add(dt_action, residual, out=residual)
+    residual += CGS.hbar * params.v0
+    residual += qfield.Q
+    return form.rms(residual)
 
 
 def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) -> float:
@@ -163,11 +180,15 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     rho_dot = np.asarray(rho_dot, dtype=float)
     if rho_dot.shape != form.grid.shape:
         raise ValueError("rho_dot shape does not match the grid")
-    div = spectral.divergence((CGS.hbar / m_star) * form.flux, form.grid)
+    scale = CGS.hbar / m_star
+    # the flux scaled one row at a time into one array, never as a (dim, ...) copy
+    row = np.empty(form.grid.shape)
+    div = spectral.divergence((np.multiply(scale, f, out=row) for f in form.flux), form.grid)
+    div += rho_dot
     length_scale = form.grid.volume ** (1.0 / form.grid.dim)
-    floor = (CGS.hbar / m_star) * float(form.rho.max()) / length_scale**2
+    floor = scale * float(form.rho.max()) / length_scale**2
     denom = float(np.abs(rho_dot).max()) + floor
-    return form.rms(rho_dot + div) / denom
+    return form.rms(div) / denom
 
 
 def dispersion_defect(form: MadelungForm, omega: float, mu: float, k: float) -> float:

@@ -9,6 +9,11 @@ The grid axes of an array are its trailing ``grid.dim`` axes: :func:`transform` 
 the derivatives transform over those alone, so leading axes index the snapshots
 of a series.  A grid vector field is one ``(dim, ...)`` array, its component axis
 first.  The power sums take one field.
+
+A full-grid kernel holds at most one full-grid temporary beyond its inputs and its
+result: the transforms write in place, and an elementwise formula that would need
+more runs over :func:`flat_chunks`.  Each forms the same products and sums, in the
+same order, as the plain whole-array formula, so its result is the same to the last bit.
 """
 
 from __future__ import annotations
@@ -16,6 +21,18 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ComplexField, Grid
+
+# elements per flat chunk: a power of two, so chunk edges fall on SIMD-vector edges
+# and a formula rounds on a chunk exactly as it does on the whole array
+CHUNK = 1 << 10
+
+
+def flat_chunks(*arrays: np.ndarray):
+    """Flat views of ``arrays`` (one shape), :data:`CHUNK` elements at a time.  An array
+    written through its views must be C-contiguous (any other is read from a copy)."""
+    flats = [a.reshape(-1) for a in arrays]
+    for start in range(0, flats[0].size, CHUNK):
+        yield tuple(f[start:start + CHUNK] for f in flats)
 
 
 def wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
@@ -42,66 +59,95 @@ def _grid_axes(grid: Grid) -> tuple[int, ...]:
 
 def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward transform over the grid axes, the spectrum the derivatives read."""
-    return np.fft.fftn(values, axes=_grid_axes(grid))
+    return np.fft.fftn(values, axes=_grid_axes(grid), out=np.empty(np.shape(values), dtype=complex))
 
 
-def _gradient_rows(spec: np.ndarray, grid: Grid, part, dtype) -> np.ndarray:
-    """The ``(dim, ...)`` array whose row i is ``part(d_i psi)`` of the field psi whose
-    :func:`transform` is ``spec``, holding one complex component d_i psi at a time."""
-    rows = np.empty((grid.dim, *spec.shape), dtype=dtype)
-    for row, k in zip(rows, wavenumbers(grid)):
-        row[...] = part(np.fft.ifftn(1j * k * spec, axes=_grid_axes(grid)))
-    return rows
+def _derivative(spec: np.ndarray, k: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
+    """d psi along the axis of ``k`` (one of :func:`wavenumbers`), written into ``out``,
+    of the field psi whose :func:`transform` is ``spec``; ``out`` may be ``spec``."""
+    np.multiply(1j * k, spec, out=out)
+    return np.fft.ifftn(out, axes=_grid_axes(grid), out=out)
 
 
 def laplacian(spec: np.ndarray, grid: Grid) -> np.ndarray:
     """Laplacian of the field whose :func:`transform` is ``spec``."""
-    return np.fft.ifftn(-k_squared(grid) * spec, axes=_grid_axes(grid))
+    k_sq = k_squared(grid)
+    lap = np.multiply(np.negative(k_sq, out=k_sq), spec)
+    return np.fft.ifftn(lap, axes=_grid_axes(grid), out=lap)
+
+
+def derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """Spectral d ``values``/dx_axis, one complex array."""
+    spec = transform(values, grid)
+    return _derivative(spec, wavenumbers(grid)[axis], grid, out=spec)
 
 
 def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral gradient, one complex ``(dim, ...)`` array: row i is d_i ``values``."""
-    return _gradient_rows(transform(values, grid), grid, lambda comp: comp, complex)
+    spec = transform(values, grid)
+    rows = np.empty((grid.dim, *spec.shape), dtype=complex)
+    for row, k in zip(rows, wavenumbers(grid)):
+        _derivative(spec, k, grid, out=row)
+    return rows
 
 
-def divergence(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral divergence of a real ``(dim, ...)`` vector field, one row per axis of ``grid``."""
-    if np.iscomplexobj(field):
-        raise ValueError("divergence takes real components")
+def divergence(field, grid: Grid) -> np.ndarray:
+    """Spectral divergence of a real vector field: one row per axis of ``grid``, given as a
+    ``(dim, ...)`` array or any iterable of rows (so a caller can scale one row at a time)."""
     axes = _grid_axes(grid)
-    spec = sum(1j * k * np.fft.rfftn(comp, axes=axes)
-               for comp, k in zip(field, half_wavenumbers(grid), strict=True))
-    return np.fft.irfftn(spec, s=grid.shape, axes=axes)
+    spec, term = 0.0, None
+    for comp, k in zip(field, half_wavenumbers(grid), strict=True):
+        if np.iscomplexobj(comp):
+            raise ValueError("divergence takes real components")
+        term = np.fft.rfftn(comp, axes=axes, out=term)
+        spec += np.multiply(1j * k, term, out=term)
+    del term
+    # irfftn with its complex passes in place (ifftn runs the axes it is given last to first)
+    np.fft.ifftn(spec, axes=axes[-2::-1], out=spec)
+    return np.fft.irfft(spec, n=grid.n_points[-1], axis=-1)
 
 
 def phase_flux(values: np.ndarray, spec: np.ndarray, grid: Grid) -> np.ndarray:
     """Im(conj(psi) grad psi) = rho grad(phase) of psi = ``values`` (``spec`` is its
     :func:`transform`), one real ``(dim, ...)`` array: smooth across phase seams, times
     hbar the convection current."""
-    return _gradient_rows(spec, grid, lambda comp: np.imag(np.conj(values) * comp), float)
+    rows = np.empty((grid.dim, *spec.shape))
+    component = np.empty_like(spec)
+    for row, k in zip(rows, wavenumbers(grid)):
+        _derivative(spec, k, grid, out=component)
+        for flux, psi, d_psi in flat_chunks(row, values, component):
+            flux[...] = np.imag(np.conj(psi) * d_psi)
+    return rows
+
+
+def _weighted_sum(power: np.ndarray, grid: Grid, weight) -> float:
+    """Sum of ``weight(k^2) * power`` (``power`` alone when ``weight`` is None), formed in ``power``."""
+    if weight is not None:
+        np.multiply(weight(k_squared(grid)), power, out=power)
+    return float(np.sum(power))
 
 
 def power_sum(spec: np.ndarray, grid: Grid, weight=None) -> float:
     """Sum of ``weight(k^2)`` (a function of the k^2 array; 1 when None) over
     the power spectrum |spec|^2 of a forward transform ``spec``.  Times dV/N it
     is the Parseval partner of the matching real-space integral."""
-    power = np.abs(spec) ** 2
-    return float(np.sum(power if weight is None else weight(k_squared(grid)) * power))
+    return _weighted_sum(np.abs(spec) ** 2, grid, weight)
 
 
 def power_mean(spec: np.ndarray, grid: Grid, weight) -> float:
     """Mean of ``weight(k^2)`` over the power spectrum |spec|^2.  Raises
     ValueError for a zero field, whose spectrum has no power to average over."""
-    total = power_sum(spec, grid)
+    power = np.abs(spec) ** 2
+    total = float(np.sum(power))
     if total == 0.0:
         raise ValueError("the spectral mean of a zero field is undefined (zero total power)")
-    return power_sum(spec, grid, weight) / total
+    return _weighted_sum(power, grid, weight) / total
 
 
 def fourier_norm_squared(field: ComplexField) -> float:
     """Parseval partner of ``ComplexField.norm_squared``."""
     n_total = float(np.prod(field.grid.n_points))
-    return power_sum(np.fft.fftn(field.values), field.grid) * field.grid.cell_volume / n_total
+    return power_sum(transform(field.values, field.grid), field.grid) * field.grid.cell_volume / n_total
 
 
 def sqrt_density_curvature(psi: ComplexField, spec: np.ndarray, flux: np.ndarray,
@@ -114,6 +160,17 @@ def sqrt_density_curvature(psi: ComplexField, spec: np.ndarray, flux: np.ndarray
     band-limited on the grid: a field cut off at the box edge rings into the
     whole spectrum.  Entries under ``mask`` are zero (the value is undefined there).
     """
-    rho = np.where(mask, 1.0, psi.density())
-    curvature = (np.real(np.conj(psi.values) * laplacian(spec, psi.grid)) + sum(f * f for f in flux) / rho) / rho
-    return np.where(mask, 0.0, curvature)
+    curvature = flux[0] * flux[0]
+    for f in flux[1:]:
+        curvature += f * f
+    # Re(conj(psi) lap) as Re(conj(lap) psi): the same products, formed in lap
+    lap = laplacian(spec, psi.grid)
+    np.conjugate(lap, out=lap)
+    lap *= psi.values
+    rho = psi.density()
+    np.copyto(rho, 1.0, where=mask)
+    curvature /= rho
+    curvature += lap.real
+    curvature /= rho
+    np.copyto(curvature, 0.0, where=mask)
+    return curvature

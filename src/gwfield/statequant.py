@@ -234,7 +234,7 @@ def commutator_check(
     s = momentum_scale
 
     def displacement(values: np.ndarray) -> np.ndarray:
-        return -1j * s * spectral.gradient(values, grid)[i]
+        return -1j * s * spectral.derivative(values, grid, i)
 
     commutator = displacement(x_j * field.values) - x_j * displacement(field.values)
     delta = 1.0 if i == j else 0.0

@@ -107,6 +107,7 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid) -> ComplexField:
             d = x - spec.center[i] + image * length
             profile += np.exp(-(d**2) / (4.0 * spec.sigma0**2) + 1j * spec.k_carrier[i] * d)
         values = values * profile.reshape([-1 if j == i else 1 for j in range(grid.dim)])
+    values.setflags(write=False)
     return ComplexField(grid=grid, values=values)
 
 
@@ -125,18 +126,25 @@ def evolve_schrodinger(psi: ComplexField, params: EffectiveMassParams, t: float)
     if t < 0.0:
         raise ValueError("t must be >= 0")
     grid = psi.grid
-    spec = np.fft.fftn(psi.values)
+    spec = spectral.transform(psi.values, grid)
     kinetic = CGS.hbar * t / (2.0 * params.m_star)
     for k in spectral.wavenumbers(grid):
         spec *= np.exp(-1j * kinetic * (k * k))
     spec *= np.exp(-1j * params.v0 * t)
-    return ComplexField(grid=grid, values=np.fft.ifftn(spec))
+    return _field_from_spectrum(spec, grid)
+
+
+def _field_from_spectrum(spec: np.ndarray, grid: Grid) -> ComplexField:
+    """The field whose transform is ``spec``, inverted in place and adopted by the field."""
+    values = np.fft.ifftn(spec, out=spec)
+    values.setflags(write=False)
+    return ComplexField(grid=grid, values=values)
 
 
 def schrodinger_energy(psi: ComplexField, params: EffectiveMassParams) -> float:
     """hbar <hbar k^2/(2 m*) + V0> [erg] over the power spectrum, which
     :func:`evolve_schrodinger` conserves mode by mode."""
-    return CGS.hbar * spectral.power_mean(np.fft.fftn(psi.values), psi.grid,
+    return CGS.hbar * spectral.power_mean(spectral.transform(psi.values, psi.grid), psi.grid,
                                           lambda k_sq: _schrodinger_rate(k_sq, params))
 
 
@@ -144,32 +152,34 @@ def evolve_classical_wave(state: ClassicalWaveState, mu: float, t: float) -> Cla
     """Advance the wave equation by time t (exact per-mode rotation).
 
     Modes with omega_k = c*sqrt(k^2 + mu^2) > 0 rotate; the k = 0 mode of the
-    massless equation is secular and evolves linearly in t.
+    massless equation is secular and evolves linearly in t.  The rotation overwrites
+    the two spectra chunk by chunk: omega is its one full-grid temporary.
     """
     grid = state.grid
-    k_sq = spectral.k_squared(grid)
-    omega = CGS.c * np.sqrt(k_sq + mu**2)
-    psi_hat = np.fft.fftn(state.psi.values)
-    dot_hat = np.fft.fftn(state.psi_dot.values)
-    zero = omega == 0.0
-    omega_safe = np.where(zero, 1.0, omega)
-    cos_t = np.cos(omega * t)
-    sin_t = np.sin(omega * t)
-    new_psi = psi_hat * cos_t + dot_hat * sin_t / omega_safe
-    new_dot = -psi_hat * omega * sin_t + dot_hat * cos_t
-    new_psi = np.where(zero, psi_hat + dot_hat * t, new_psi)
-    new_dot = np.where(zero, dot_hat, new_dot)
-    return ClassicalWaveState(
-        psi=ComplexField(grid=grid, values=np.fft.ifftn(new_psi)),
-        psi_dot=ComplexField(grid=grid, values=np.fft.ifftn(new_dot)),
-    )
+    omega = spectral.k_squared(grid)
+    omega += mu**2
+    np.sqrt(omega, out=omega)
+    omega *= CGS.c
+    psi_hat = spectral.transform(state.psi.values, grid)
+    dot_hat = spectral.transform(state.psi_dot.values, grid)
+    for w, p, d in spectral.flat_chunks(omega, psi_hat, dot_hat):
+        zero = w == 0.0
+        w_safe = np.where(zero, 1.0, w)
+        cos_t = np.cos(w * t)
+        sin_t = np.sin(w * t)
+        new_psi = p * cos_t + d * sin_t / w_safe
+        new_dot = -p * w * sin_t + d * cos_t
+        p[...] = np.where(zero, p + d * t, new_psi)
+        d[...] = np.where(zero, d, new_dot)
+    return ClassicalWaveState(psi=_field_from_spectrum(psi_hat, grid),
+                              psi_dot=_field_from_spectrum(dot_hat, grid))
 
 
 def right_moving_state(psi: ComplexField) -> ClassicalWaveState:
     """Initial data psi_dot = -c dpsi/dx for rigid translation at +c (1D)."""
     if psi.grid.dim != 1:
         raise ValueError("one-way initial data is defined for 1D grids")
-    dpsi = spectral.gradient(psi.values, psi.grid)[0]
+    dpsi = spectral.derivative(psi.values, psi.grid, 0)
     return ClassicalWaveState(psi=psi, psi_dot=ComplexField(grid=psi.grid, values=-CGS.c * dpsi))
 
 
@@ -177,7 +187,7 @@ def wave_energy(state: ClassicalWaveState, mu: float) -> float:
     """Conserved functional int [ |psi_dot|^2/c^2 + |grad psi|^2 + mu^2 |psi|^2 ] dV."""
     psi, grid = state.psi.values, state.grid
     local = np.sum(np.abs(state.psi_dot.values) ** 2) / CGS.c**2 + mu**2 * np.sum(np.abs(psi) ** 2)
-    gradient = spectral.power_sum(np.fft.fftn(psi), grid, lambda k_sq: k_sq) / psi.size
+    gradient = spectral.power_sum(spectral.transform(psi, grid), grid, lambda k_sq: k_sq) / psi.size
     return float(local + gradient) * grid.cell_volume
 
 
@@ -196,7 +206,7 @@ def helmholtz_residual(psi: ComplexField, k: float) -> float:
     if norm <= 0.0:
         raise ValueError("helmholtz residual of a zero field is undefined")
     grid = psi.grid
-    residual = spectral.laplacian(np.fft.fftn(psi.values), grid) + k**2 * psi.values
+    residual = spectral.laplacian(spectral.transform(psi.values, grid), grid) + k**2 * psi.values
     res_norm = math.sqrt(float(np.sum(np.abs(residual) ** 2)) * grid.cell_volume)
     return res_norm / norm
 

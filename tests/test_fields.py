@@ -74,6 +74,22 @@ class TestComplexField:
         with pytest.raises(ValueError):
             field.values[0] = 2.0
 
+    def test_adopts_only_read_only_arrays_that_own_their_data(self):
+        grid = Grid.of(8, 1.0)
+        fresh = np.ones(8, dtype=complex)
+        fresh.setflags(write=False)
+        assert ComplexField(grid=grid, values=fresh).values is fresh
+        writable = np.ones(8, dtype=complex)
+        field = ComplexField(grid=grid, values=writable)
+        writable[0] = 5.0
+        assert field.values[0] == 1.0 and not field.values.flags.writeable
+        view = np.ones(16, dtype=complex)[::2]
+        view.setflags(write=False)
+        assert not np.shares_memory(ComplexField(grid=grid, values=view).values, view)
+        real = np.ones(8)
+        real.setflags(write=False)
+        assert ComplexField(grid=grid, values=real).values.dtype == np.complex128
+
     def test_normalized_flag_checked(self):
         grid = Grid.of(8, 1.0)
         with pytest.raises(ValueError):

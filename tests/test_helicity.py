@@ -135,6 +135,13 @@ class TestConvectionCurrent:
         current = convection_current(psi, K1)
         assert current.rho_t.min() >= 0.0
 
+    def test_current_is_read_only(self):
+        current = convection_current(ComplexField(grid=GRID, values=np.exp(1j * K1 * GRID.axis(0))), 1.0)
+        for values in (current.rho_t, current.j, current.j[0]):
+            with pytest.raises(ValueError):
+                values[:] = -1.0
+        assert current.rho_t.min() >= 0.0
+
 
 class TestSeriesCurrent:
     """One convection current serves a field or a whole series."""

@@ -1,0 +1,168 @@
+"""The full-grid kernels: their allocation budgets, and bit equality with the plain
+whole-array formulas, written out here, that they compute in place and in chunks."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gwfield import madelung, spectral, wavemech
+from gwfield.constants import CGS
+from gwfield.fields import ComplexField, Grid, normalize
+from gwfield.wavemech import ClassicalWaveState, EffectiveMassParams, GaussianPacketSpec
+
+from conftest import random_field
+
+GRID = Grid.of((32, 32, 32), (1.0, 1.0, 1.0))
+# one full complex grid at 32^3, the unit of the budgets
+FULL = 32**3 * 16
+# odd-sized grids, and sizes that are not a multiple of spectral.CHUNK
+GRIDS = [Grid.of(4100, 1.0), Grid.of((10, 14), (1.0, 2.0)), Grid.of((10, 12, 14), (1.0, 0.5, 3.0)),
+         Grid.of((24, 24, 24), (1.0, 1.0, 1.0)), GRID]
+IDS = ["1d", "2d", "3d-small", "3d-24", "3d-32"]
+
+
+def packet(grid: Grid) -> ComplexField:
+    return normalize(wavemech.gaussian_packet(GaussianPacketSpec(
+        center=(0.4, 0.5, 0.6)[:grid.dim], sigma0=0.08,
+        k_carrier=(4.0 * math.pi, 0.0, -2.0 * math.pi)[:grid.dim]), grid))
+
+
+def traced_beyond_result(compute) -> float:
+    """Traced peak of ``compute()`` minus what it leaves allocated, in full complex grids.
+    ``compute`` runs once beforehand, so lazy set-up (FFT plans) is not counted."""
+    compute()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = compute()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    assert current >= start
+    return (peak - current) / FULL
+
+
+def plain_flux(psi: ComplexField) -> np.ndarray:
+    spec = np.fft.fftn(psi.values)
+    return np.stack([np.imag(np.conj(psi.values) * np.fft.ifftn(1j * k * spec))
+                     for k in spectral.wavenumbers(psi.grid)])
+
+
+def plain_curvature(psi: ComplexField, mask: np.ndarray) -> np.ndarray:
+    spec = np.fft.fftn(psi.values)
+    flux = plain_flux(psi)
+    rho = np.where(mask, 1.0, np.abs(psi.values) ** 2)
+    lap = np.fft.ifftn(-spectral.k_squared(psi.grid) * spec)
+    curvature = (np.real(np.conj(psi.values) * lap) + sum(f * f for f in flux) / rho) / rho
+    return np.where(mask, 0.0, curvature)
+
+
+def plain_classical_wave(state: ClassicalWaveState, mu: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    omega = CGS.c * np.sqrt(spectral.k_squared(state.grid) + mu**2)
+    psi_hat = np.fft.fftn(state.psi.values)
+    dot_hat = np.fft.fftn(state.psi_dot.values)
+    zero = omega == 0.0
+    omega_safe = np.where(zero, 1.0, omega)
+    cos_t = np.cos(omega * t)
+    sin_t = np.sin(omega * t)
+    new_psi = psi_hat * cos_t + dot_hat * sin_t / omega_safe
+    new_dot = -psi_hat * omega * sin_t + dot_hat * cos_t
+    new_psi = np.where(zero, psi_hat + dot_hat * t, new_psi)
+    new_dot = np.where(zero, dot_hat, new_dot)
+    return np.fft.ifftn(new_psi), np.fft.ifftn(new_dot)
+
+
+def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+class TestSameBitsAsThePlainFormulas:
+    def test_flux(self, grid, rng):
+        psi = random_field(grid, rng)
+        assert bit_equal(madelung.MadelungForm(psi).flux, plain_flux(psi))
+
+    def test_curvature(self, grid, rng):
+        psi = random_field(grid, rng)
+        form = madelung.MadelungForm(psi)
+        assert bit_equal(form.curvature, plain_curvature(psi, form.branch_mask))
+
+    @pytest.mark.parametrize("mu", [0.0, 2.5])
+    def test_classical_wave_state(self, grid, rng, mu):
+        state = ClassicalWaveState(psi=random_field(grid, rng), psi_dot=random_field(grid, rng))
+        t = 0.37 / CGS.c
+        moved = wavemech.evolve_classical_wave(state, mu, t)
+        psi, psi_dot = plain_classical_wave(state, mu, t)
+        assert bit_equal(moved.psi.values, psi) and bit_equal(moved.psi_dot.values, psi_dot)
+
+    def test_power_mean_and_norm_squared(self, grid, rng):
+        psi = random_field(grid, rng)
+        power = np.abs(np.fft.fftn(psi.values)) ** 2
+        weight = np.sqrt(spectral.k_squared(grid))
+        mean = spectral.power_mean(spectral.transform(psi.values, grid), grid, np.sqrt)
+        assert mean == float(np.sum(weight * power)) / float(np.sum(power))
+        assert psi.norm_squared() == float(np.sum(np.abs(psi.values) ** 2)) * grid.cell_volume
+
+    def test_continuity_residual(self, grid, rng):
+        psi = random_field(grid, rng)
+        form = madelung.MadelungForm(psi)
+        rho_dot = np.real(random_field(grid, rng).values)
+        m_star = 1e-30
+        div = np.fft.irfftn(sum(1j * k * np.fft.rfftn(f, axes=tuple(range(grid.dim)))
+                                for f, k in zip((CGS.hbar / m_star) * form.flux, spectral.half_wavenumbers(grid))),
+                            s=grid.shape, axes=tuple(range(grid.dim)))
+        length_scale = grid.volume ** (1.0 / grid.dim)
+        floor = (CGS.hbar / m_star) * float(form.rho.max()) / length_scale**2
+        expected = form.rms(rho_dot + div) / (float(np.abs(rho_dot).max()) + floor)
+        assert madelung.continuity_residual(form, rho_dot, m_star) == expected
+
+
+class TestAllocationBudgets:
+    """Each kernel holds at most the stated number of full complex 32^3 grids beyond
+    its result (a real grid is half of one).  The plain formulas held 2 to 8."""
+
+    @pytest.fixture
+    def psi(self):
+        return packet(GRID)
+
+    @pytest.fixture
+    def params(self):
+        return EffectiveMassParams(omega_ref=CGS.c * 2.0 * math.pi * 8.0, mu=1.5)
+
+    def test_evolve_schrodinger(self, psi, params):
+        # the spectrum is transformed in place and becomes the result
+        assert traced_beyond_result(lambda: wavemech.evolve_schrodinger(psi, params, 1e-12)) <= 0.5
+
+    def test_evolve_classical_wave(self, psi, params):
+        # omega, a real grid; the two spectra become the result
+        state = ClassicalWaveState(psi=psi, psi_dot=ComplexField(grid=GRID, values=-1j * psi.values))
+        assert traced_beyond_result(lambda: wavemech.evolve_classical_wave(state, params.mu, 1e-12)) <= 1.0
+
+    def test_flux(self, psi):
+        # one complex gradient component
+        form = madelung.MadelungForm(psi)
+        form.spectrum
+        assert traced_beyond_result(lambda: madelung.MadelungForm.flux.func(form)) <= 1.5
+
+    def test_curvature(self, psi):
+        # the laplacian, with k^2 or rho beside it
+        form = madelung.MadelungForm(psi)
+        form.flux, form.branch_mask
+        assert traced_beyond_result(lambda: madelung.MadelungForm.curvature.func(form)) <= 2.0
+
+    def test_continuity_residual(self, psi, params):
+        # one scaled flux row and two half spectra, never a scaled copy of the whole flux
+        form = madelung.MadelungForm(psi)
+        form.flux, form.rho, form.branch_mask
+        rho_dot = np.zeros(GRID.shape)
+        assert traced_beyond_result(lambda: madelung.continuity_residual(form, rho_dot, params.m_star)) <= 2.0
+
+    def test_hj_residual(self, psi, params):
+        # the residual and Q, both real
+        form = madelung.MadelungForm(psi)
+        form.curvature
+        assert traced_beyond_result(lambda: madelung.hj_residual(form, params, -1e-16)) <= 1.5

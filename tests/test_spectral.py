@@ -40,6 +40,7 @@ class TestOpenAxesMatchFullMeshes:
         result = spectral.gradient(values, grid)
         assert len(result) == grid.dim
         assert all(np.array_equal(r, e) for r, e in zip(result, reference))
+        assert all(np.array_equal(spectral.derivative(values, grid, i), e) for i, e in enumerate(reference))
 
     def test_vector_fields_are_one_array(self, grid, rng):
         values = random_field(grid, rng).values

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gwfield.constants import CGS
-from gwfield.fields import Grid
+from gwfield.fields import ComplexField, Grid
 from gwfield.statequant import (
     DensityMatrix,
     ProjectorSet,
@@ -249,6 +249,18 @@ class TestCommutator:
         )
         report = commutator_check(field, 0, 0)
         assert report.seam_warning
+
+    def test_one_gradient_row_per_displacement(self, monkeypatch):
+        grid = Grid.of((16, 16, 16), (1.0, 1.0, 1.0))
+        field = ComplexField(grid=grid, values=np.exp(2j * np.pi * grid.meshes()[2]))
+        calls = {"fftn": 0, "ifftn": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        commutator_check(field, 2, 1)
+        assert calls == {"fftn": 2, "ifftn": 2}
 
 
 class TestProjectorScaling:
