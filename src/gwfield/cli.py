@@ -43,9 +43,9 @@ import numpy as np
 from .constants import CGS
 from . import __version__, hybridmeas, statequant, wavemech
 from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
-from .fieldio import (ConfigError, _complex_from_pair, _index_columns, _load_json, _spec_float,
-                      _spec_floats, _spec_int, _spec_items, _spec_matrix, read_field, read_object,
-                      read_table, write_field, write_table)
+from .fieldio import (_INDEX_NAMES, ConfigError, GridColumn, _complex_from_pair, _load_json,
+                      _spec_float, _spec_floats, _spec_int, _spec_items, _spec_matrix, read_field,
+                      read_object, read_table, write_field, write_table)
 from .helicity import TimeSeriesField, convection_current, partial_wave_split
 
 
@@ -229,7 +229,7 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
     qfield = madelung.quantum_potential(form, params.m_star)
     decomposition = madelung.energy_decomposition(psi, params)
     grid = psi.grid
-    columns = [m.ravel() for m in grid.meshes()] + [
+    columns = [GridColumn(grid, axis, spacing) for axis, spacing in enumerate(grid.spacings)] + [
         a.ravel() for a in (form.rho, form.action(), qfield.Q, form.curvature)
     ]
     axis_names = [f"x{i}_cm" for i in range(grid.dim)]
@@ -378,9 +378,10 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
         "reconstruction_error": recon,
     }
     averaged = convection_current(series, args.k0_rad_per_cm).mean()
-    names, indices = _index_columns(series.grid)
-    columns = [*indices, *(comp.ravel() for comp in averaged.j), averaged.rho_t.ravel()]
-    header = names + [f"j{i}_avg" for i in range(series.grid.dim)] + ["rho_t_avg"]
+    grid = series.grid
+    columns = [*(GridColumn(grid, axis) for axis in range(grid.dim)),
+               *(comp.ravel() for comp in averaged.j), averaged.rho_t.ravel()]
+    header = [*_INDEX_NAMES[: grid.dim], *(f"j{i}_avg" for i in range(grid.dim)), "rho_t_avg"]
     return vars(args), {"helicity.json": payload, "currents.csv": (header, columns)}
 
 

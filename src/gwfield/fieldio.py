@@ -5,7 +5,9 @@ The CSV carries one row per grid point with the per-axis indices followed by
 the real and imaginary parts.  Floats are written with ``repr``, whose
 shortest round-trip representation reproduces the double exactly on read.
 Every CSV the package writes goes through :func:`write_table`, and every
-JSON object the tool reads (spec objects, ``{re, im}`` matrix files, dump
+CSV it reads through one block parser: both hold at most :data:`_BLOCK_ROWS`
+rows beyond the data itself, so I/O memory does not grow with the grid.
+Every JSON object the tool reads (spec objects, ``{re, im}`` matrix files, dump
 sidecars) through :func:`read_object`.  Its converters are private, so a
 tracer of the public functions records no span per value.
 """
@@ -16,6 +18,7 @@ import json
 import math
 import os
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,8 @@ import numpy as np
 from .fields import ComplexField, Grid
 
 _INDEX_NAMES = ("i", "j", "l")
+# rows formatted or parsed at once
+_BLOCK_ROWS = 2048
 
 
 class ConfigError(ValueError):
@@ -137,25 +142,43 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
+class GridColumn:
+    """The axis-``axis`` index of each point of ``grid`` in C order, or, given the axis
+    ``spacing``, the point's coordinate (bit for bit ``grid.meshes()[axis].ravel()``): a
+    table column formed one slice of rows at a time, never as a full-grid array."""
+
+    def __init__(self, grid: Grid, axis: int, spacing: float | None = None):
+        self.shape, self.axis, self.spacing = grid.shape, axis, spacing
+        self.dtype = np.dtype(np.intp if spacing is None else np.float64)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        index = np.unravel_index(np.arange(*rows.indices(len(self))), self.shape)[self.axis]
+        return index if self.spacing is None else index * self.spacing
+
+
 def write_table(path: str | Path, header: list[str], columns) -> None:
-    """Write equal-length 1-D ``columns`` under ``header`` as CSV.
+    """Write equal-length 1-D ``columns`` (arrays, lists or :class:`GridColumn`) under
+    ``header`` as CSV, one block of rows at a time.
 
     Float columns are written with ``repr`` (shortest round trip), integer and
     string columns with ``str``.  Rows end in CRLF, as in the csv module's
-    default dialect.
+    default dialect.  Columns of unequal lengths raise ValueError before the
+    file is opened.
     """
-    cells = []
-    for col in columns:
-        col = np.asarray(col)
-        cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    columns = [col if hasattr(col, "dtype") else np.asarray(col) for col in columns]
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"table {path} has columns of unequal lengths {sorted(lengths)}")
+    formats = [repr if col.dtype.kind == "f" else str for col in columns]
     with Path(path).open("w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.writelines(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
-
-
-def _index_columns(grid: Grid) -> tuple[list[str], list[np.ndarray]]:
-    """Names and values of the per-axis index columns, one row per grid point in C order."""
-    return list(_INDEX_NAMES[: grid.dim]), list(np.indices(grid.shape).reshape(grid.dim, -1))
+        for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            cells = [map(fmt, col[rows].tolist()) for fmt, col in zip(formats, columns)]
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_field(field: ComplexField, csv_path: str | Path, t_s: float | None = None) -> tuple[Path, Path]:
@@ -167,8 +190,8 @@ def write_field(field: ComplexField, csv_path: str | Path, t_s: float | None = N
     csv_path = Path(csv_path)
     grid = field.grid
     values = field.values.ravel()
-    names, indices = _index_columns(grid)
-    write_table(csv_path, names + ["re", "im"], [*indices, values.real, values.imag])
+    indices = [GridColumn(grid, axis) for axis in range(grid.dim)]
+    write_table(csv_path, [*_INDEX_NAMES[: grid.dim], "re", "im"], [*indices, values.real, values.imag])
     meta = {
         "dim": grid.dim,
         "n_points": list(grid.n_points),
@@ -184,6 +207,38 @@ def write_field(field: ComplexField, csv_path: str | Path, t_s: float | None = N
     return csv_path, side
 
 
+def _table_reader(handle, path) -> tuple[list[str], Iterator[np.ndarray]]:
+    """The header of the CSV open in ``handle`` and an iterator over its body: 2-D float
+    blocks of at most :data:`_BLOCK_ROWS` rows, of one width.  Parsing is exact for
+    ``repr``-written floats; a malformed row or a byte that is not UTF-8 raises ValueError
+    naming the file."""
+    try:  # the header read decodes a whole chunk: a byte that is not UTF-8 fails here too
+        header = handle.readline().rstrip("\r\n").split(",")
+    except ValueError as exc:
+        raise ValueError(f"malformed CSV {path}: {exc}") from exc
+    return header, _row_blocks(handle, path)
+
+
+def _row_blocks(handle, path) -> Iterator[np.ndarray]:
+    width, n_rows = None, 0
+    while True:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+                block = np.loadtxt(handle, delimiter=",", ndmin=2, max_rows=_BLOCK_ROWS)
+        except ValueError as exc:
+            raise ValueError(f"malformed CSV {path} after row {n_rows}: {exc}") from exc
+        if not len(block):
+            return
+        width = width or block.shape[1]
+        if block.shape[1] != width:
+            raise ValueError(f"malformed CSV {path}: rows of {width} and of {block.shape[1]} values")
+        n_rows += len(block)
+        yield block
+        if len(block) < _BLOCK_ROWS:  # blank lines do not count: a short block ends the body
+            return
+
+
 def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV table: its header and a 2-D float array of its rows.
 
@@ -191,14 +246,9 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     ValueError naming the file; an empty body gives an empty array.
     """
     with Path(path).open(newline="") as handle:
-        try:  # the header read decodes a whole chunk: a byte that is not UTF-8 fails here too
-            header = handle.readline().rstrip("\r\n").split(",")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on an empty body
-                data = np.loadtxt(handle, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"malformed CSV {path}: {exc}") from exc
-    return header, data
+        header, blocks = _table_reader(handle, path)
+        blocks = list(blocks)
+    return header, np.concatenate(blocks) if blocks else np.empty((0, len(header)))
 
 
 def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:
@@ -209,7 +259,8 @@ def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:
     :func:`write_field` writes, each of its type, with ``dim`` entries in
     ``n_points`` and ``lengths``, and unless every grid point appears exactly
     once with in-range indices and the file ends in a newline (a dump cut
-    inside its last number still parses as a shorter number).
+    inside its last number still parses as a shorter number).  The body is
+    parsed and scattered into the field one block of rows at a time.
     """
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
@@ -221,23 +272,42 @@ def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:
             raise ConfigError(f"{side}['dim'] is {meta['dim']}, but {side}[{key!r}] has "
                               f"length {len(meta[key])}")
     grid = Grid(dim=meta["dim"], n_points=meta["n_points"], lengths=meta["lengths"])
-    header, data = read_table(csv_path)
-    expected = list(_INDEX_NAMES[: grid.dim]) + ["re", "im"]
-    if header != expected:
-        raise ValueError(f"unexpected field CSV header {header} in {csv_path}, expected {expected}")
-    n = math.prod(grid.shape)
-    idx = data[:, : grid.dim]
-    if data.shape != (n, grid.dim + 2) or np.any((idx < 0) | (idx >= grid.shape) | (idx % 1 != 0)):
-        raise ValueError(f"field CSV {csv_path} does not hold {n} rows of in-range grid indices")
-    flat = np.ravel_multi_index(tuple(idx.astype(np.intp).T), grid.shape)
-    if np.any(np.bincount(flat, minlength=n) != 1):
-        raise ValueError(f"field CSV {csv_path} does not list every grid point exactly once")
+    with csv_path.open(newline="") as handle:
+        header, blocks = _table_reader(handle, csv_path)
+        expected = list(_INDEX_NAMES[: grid.dim]) + ["re", "im"]
+        if header != expected:
+            raise ValueError(f"unexpected field CSV header {header} in {csv_path}, expected {expected}")
+        values = _scatter_rows(blocks, grid, csv_path)
     with csv_path.open("rb") as handle:
         handle.seek(-1, os.SEEK_END)
         if handle.read() != b"\n":
             raise ValueError(f"field CSV {csv_path} does not end in a newline: its last row is cut")
-    values = np.empty(n, dtype=np.complex128)
-    values.real[flat] = data[:, grid.dim]
-    values.imag[flat] = data[:, grid.dim + 1]
-    field = ComplexField(grid=grid, values=values.reshape(grid.shape), normalized=meta["normalized"])
+    field = ComplexField(grid=grid, values=values, normalized=meta["normalized"])
     return field, meta
+
+
+def _scatter_rows(blocks, grid: Grid, csv_path: Path) -> np.ndarray:
+    """The read-only values of a field dump's row ``blocks``, each checked for in-range
+    indices, once every grid point has appeared exactly once."""
+    n = math.prod(grid.shape)
+    miscounted = f"field CSV {csv_path} does not hold {n} rows of in-range grid indices"
+    values = np.empty(grid.shape, dtype=np.complex128)
+    flat_values = values.reshape(-1)
+    seen = np.zeros(n, dtype=bool)
+    n_rows = 0
+    for block in blocks:
+        idx = block[:, : grid.dim]
+        if block.shape[1] != grid.dim + 2 or np.any((idx < 0) | (idx >= grid.shape) | (idx % 1 != 0)):
+            raise ValueError(miscounted)
+        flat = np.ravel_multi_index(tuple(idx.astype(np.intp).T), grid.shape)
+        flat_values.real[flat] = block[:, grid.dim]
+        flat_values.imag[flat] = block[:, grid.dim + 1]
+        seen[flat] = True
+        n_rows += len(block)
+    if n_rows != n:
+        raise ValueError(miscounted)
+    # n rows that cover every point list each point once
+    if not seen.all():
+        raise ValueError(f"field CSV {csv_path} does not list every grid point exactly once")
+    values.setflags(write=False)
+    return values

@@ -137,9 +137,13 @@ def current_continuity(series: TimeSeriesField, k0: float) -> float:
     grid = series.grid
     current = convection_current(series, k0)
     rho_dot = (current.rho_t[2:] - current.rho_t[:-2]) / (2.0 * series.dt)
-    residuals = rho_dot + spectral.divergence(2.0 * CGS.c * current.j[:, 1:-1], grid)
+    scale = 2.0 * CGS.c
+    # the current scaled one row at a time into one array, never as a (dim, ...) copy
+    row = np.empty(rho_dot.shape)
+    residuals = spectral.divergence((np.multiply(scale, j, out=row) for j in current.j[:, 1:-1]), grid)
+    residuals += rho_dot
     length_scale = grid.volume ** (1.0 / grid.dim)
-    floor = 2.0 * CGS.c * CGS.hbar * float(np.abs(series.values).max() ** 2) / length_scale**2
+    floor = scale * CGS.hbar * float(np.abs(series.values).max() ** 2) / length_scale**2
     denom = float(np.abs(rho_dot).max()) + floor
     return float(np.sqrt(np.mean(residuals**2))) / denom
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from gwfield.fields import (
     make_plane_wave,
     normalize,
 )
-from gwfield import spectral
-from gwfield.fieldio import (_SIDECAR_KEYS, ConfigError, _spec_floats, _spec_int, read_field,
-                             read_object, read_table, write_field, write_table)
+from gwfield import fieldio, spectral
+from gwfield.fieldio import (_BLOCK_ROWS, _SIDECAR_KEYS, ConfigError, GridColumn, _spec_floats, _spec_int,
+                             read_field, read_object, read_table, write_field, write_table)
 
 from conftest import random_field
 
@@ -240,10 +241,51 @@ class TestFieldIO:
         _, side = write_field(field, tmp_path / "dump.csv", t_s=0.5)
         assert set(json.loads(side.read_text())) == set(_SIDECAR_KEYS)
 
+    def test_round_trip_of_rows_shuffled_across_blocks(self, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(fieldio, "_BLOCK_ROWS", 7)
+        grid = Grid.of((10, 8, 8), (1.0, 0.5, 2.0))
+        values = random_field(grid, rng).values.copy()
+        values.flat[:4] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        csv_path, _ = write_field(ComplexField(grid=grid, values=values), tmp_path / "dump.csv")
+        header, *rows = csv_path.read_bytes().split(b"\r\n")[:-1]
+        rng.shuffle(rows)
+        csv_path.write_bytes(b"\r\n".join([header, *rows, b""]))
+        back, _ = read_field(csv_path)
+        assert back.values.tobytes() == values.tobytes()
+
     def test_missing_sidecar(self, tmp_path):
         (tmp_path / "orphan.csv").write_text("i,re,im\n0,1.0,0.0\n")
         with pytest.raises(FileNotFoundError):
             read_field(tmp_path / "orphan.csv")
+
+
+class TestIOMemory:
+    """Traced peak of one 32^3 dump write and read (the field is 0.5 MiB); whole-file
+    I/O traced 3.5 MiB for the write and 2.5 MiB for the read."""
+
+    @staticmethod
+    def traced_mib(compute) -> float:
+        compute()  # lazy set-up is not counted
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            compute()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - start) / 2**20
+
+    @pytest.fixture
+    def field(self, rng):
+        return random_field(Grid.of((32, 32, 32), (1.0, 1.0, 1.0)), rng)
+
+    def test_write_field(self, field, tmp_path):
+        assert self.traced_mib(lambda: write_field(field, tmp_path / "dump.csv")) <= 1.0
+
+    def test_read_field(self, field, tmp_path):
+        csv_path, _ = write_field(field, tmp_path / "dump.csv")
+        assert self.traced_mib(lambda: read_field(csv_path)) <= 1.75
 
 
 class TestTableIO:
@@ -265,9 +307,47 @@ class TestTableIO:
         assert header == ["i", "x"]
         np.testing.assert_array_equal(data[:, 1], x)
 
+    def test_blocks_match_csv_writer(self, rng, tmp_path):
+        n = 2 * _BLOCK_ROWS + 3
+        ints = rng.integers(-2**40, 2**40, n)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[[0, _BLOCK_ROWS, n - 1]] = [-0.0, 5e-324, 0.1]
+        status = [("ok", "terminated_masked")[k % 2] for k in range(n)]
+        write_table(tmp_path / "table.csv", ["n", "x", "status"], [ints, floats, status])
+        with (tmp_path / "reference.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["n", "x", "status"])
+            writer.writerows([int(k), repr(float(x)), s] for k, x, s in zip(ints, floats, status))
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        write_table(tmp_path / "numbers.csv", ["n", "x"], [ints, floats])
+        header, data = read_table(tmp_path / "numbers.csv")
+        assert data.shape == (n, 2) and data[:, 1].tobytes() == floats.tobytes()
+
+    def test_grid_columns_match_the_meshes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fieldio, "_BLOCK_ROWS", 7)
+        grid = Grid.of((10, 8, 12), (1.0, 0.3, 7.0))
+        columns = [*(GridColumn(grid, axis) for axis in range(3)),
+                   *(GridColumn(grid, axis, h) for axis, h in enumerate(grid.spacings))]
+        write_table(tmp_path / "grid.csv", list("ijlxyz"), columns)
+        indices = [a.ravel() for a in np.indices(grid.shape)]
+        with (tmp_path / "reference.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(list("ijlxyz"))
+            writer.writerows([*map(int, row[:3]), *map(repr, map(float, row[3:]))]
+                             for row in zip(*indices, *(m.ravel() for m in grid.meshes())))
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_unequal_columns_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unequal"):
             write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_width_change_between_blocks_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fieldio, "_BLOCK_ROWS", 10)
+        rows = [f"{k},0.5" for k in range(20)] + [f"{k},0.5,1.5" for k in range(20, 23)]
+        (tmp_path / "t.csv").write_text("\n".join(["i,x", *rows, ""]))
+        with pytest.raises(ValueError, match="t.csv"):
+            read_table(tmp_path / "t.csv")
 
 
 class TestBadDumps:
@@ -315,6 +395,27 @@ class TestBadDumps:
         csv_path.write_text(csv_path.read_text().replace("\n31,", "\n30,"))
         with pytest.raises(ValueError, match="exactly once"):
             read_field(csv_path)
+
+    @pytest.fixture
+    def blocks_of_ten(self, monkeypatch):
+        # the 32 rows fall into blocks of rows 0-9, 10-19, 20-29 and 30-31
+        monkeypatch.setattr(fieldio, "_BLOCK_ROWS", 10)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows.__setitem__(25, b"3" + rows[25][2:]), "exactly once"),
+        (lambda rows: rows.__setitem__(31, b"32" + rows[31][2:]), "in-range"),
+        (lambda rows: rows.__setitem__(15, rows[15][: rows[15].rindex(b",")]), "malformed"),
+        (lambda rows: rows.pop(17), "32 rows"),
+    ], ids=["duplicate-across-blocks", "out-of-range-in-last-block", "cut-row-in-middle-block",
+            "one-row-short"])
+    def test_bad_rows_in_blocks_rejected(self, tmp_path, blocks_of_ten, edit, message):
+        csv_path = self.dump(tmp_path)
+        header, *rows = csv_path.read_bytes().split(b"\r\n")[:-1]
+        edit(rows)
+        csv_path.write_bytes(b"\r\n".join([header, *rows, b""]))
+        with pytest.raises(ValueError, match=message) as caught:
+            read_field(csv_path)
+        assert "dump.csv" in str(caught.value)
 
     def test_header_only_rejected(self, tmp_path):
         csv_path = self.dump(tmp_path)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gwfield import madelung, spectral, wavemech
+from gwfield import helicity, madelung, spectral, wavemech
 from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, normalize
 from gwfield.wavemech import ClassicalWaveState, EffectiveMassParams, GaussianPacketSpec
@@ -120,6 +120,21 @@ class TestSameBitsAsThePlainFormulas:
         expected = form.rms(rho_dot + div) / (float(np.abs(rho_dot).max()) + floor)
         assert madelung.continuity_residual(form, rho_dot, m_star) == expected
 
+    def test_current_continuity(self, grid, rng):
+        series = helicity.TimeSeriesField(
+            grid=grid, values=np.stack([random_field(grid, rng).values for _ in range(8)]), dt=1e-12)
+        k0 = 2.0 * math.pi * 8.0
+        current = helicity.convection_current(series, k0)
+        rho_dot = (current.rho_t[2:] - current.rho_t[:-2]) / (2.0 * series.dt)
+        axes = tuple(range(1, grid.dim + 1))
+        div = np.fft.irfftn(sum(1j * k * np.fft.rfftn(f, axes=axes)
+                                for f, k in zip(2.0 * CGS.c * current.j[:, 1:-1], spectral.half_wavenumbers(grid))),
+                            s=grid.shape, axes=axes)
+        length_scale = grid.volume ** (1.0 / grid.dim)
+        floor = 2.0 * CGS.c * CGS.hbar * float(np.abs(series.values).max() ** 2) / length_scale**2
+        expected = float(np.sqrt(np.mean((rho_dot + div) ** 2))) / (float(np.abs(rho_dot).max()) + floor)
+        assert helicity.current_continuity(series, k0) == expected
+
 
 class TestAllocationBudgets:
     """Each kernel holds at most the stated number of full complex 32^3 grids beyond
@@ -160,6 +175,13 @@ class TestAllocationBudgets:
         form.flux, form.rho, form.branch_mask
         rho_dot = np.zeros(GRID.shape)
         assert traced_beyond_result(lambda: madelung.continuity_residual(form, rho_dot, params.m_star)) <= 2.0
+
+    def test_current_continuity(self, psi, params):
+        # the current of 8 snapshots is built at the peak (their spectrum, flux rows and one
+        # complex component); the current is scaled one row at a time, never copied whole
+        series = helicity.TimeSeriesField.from_fields(
+            [wavemech.evolve_schrodinger(psi, params, m * 1e-13) for m in range(8)], dt=1e-13)
+        assert traced_beyond_result(lambda: helicity.current_continuity(series, params.k0)) <= 31.0
 
     def test_hj_residual(self, psi, params):
         # the residual and Q, both real
