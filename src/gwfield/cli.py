@@ -596,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-cm", type=float, required=True)
     p.add_argument("--t-kelvin", type=float, default=2.7)
 
-    add("check", "certify the 10 acceptance criteria and 3 invariants", _cmd_check)
+    add("check", "certify every acceptance criterion and invariant of the registry", _cmd_check)
     return parser
 
 

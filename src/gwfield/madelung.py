@@ -1,7 +1,8 @@
 """Polar (density/phase) decomposition and everything downstream of it:
-the quantum potential, Hamilton-Jacobi and continuity residuals, the
-generalized dispersion defect, the gradient-energy identity, the energy
-split E = pc + Q, and trajectory integration in the gradient of Q.
+the quantum potential, Hamilton-Jacobi and continuity residuals, the energy
+split E = pc + Q, and trajectory integration in the gradient of Q.  The
+generalized dispersion relation and the gradient-energy split are registry
+invariants of :mod:`gwfield.selfcheck`, computed from a form's curvature and flux.
 """
 
 from __future__ import annotations
@@ -189,35 +190,6 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     floor = scale * float(form.rho.max()) / length_scale**2
     denom = float(np.abs(rho_dot).max()) + floor
     return form.rms(div) / denom
-
-
-def dispersion_defect(form: MadelungForm, omega: float, mu: float, k: float) -> float:
-    """Volume-RMS of k^2 - omega^2/c^2 + mu^2 - lap(sqrt rho)/sqrt(rho).
-
-    Zero iff the generalized dispersion relation holds pointwise.  Points with
-    rho below the shared floor are excluded (the curvature is undefined there).
-    """
-    if np.all(form.branch_mask):
-        raise ValueError("dispersion defect is undefined: all points fall below the density floor")
-    return form.rms(k**2 - (omega / CGS.c) ** 2 + mu**2 - form.curvature)
-
-
-def magnetic_energy_identity_check(form: MadelungForm, params: EffectiveMassParams) -> float:
-    """Relative residual of the gradient-energy split
-
-        int |grad psi|^2 dV = (omega_ref / (hbar c^2)) int Q rho dV
-                              + int |grad phase|^2 rho dV.
-
-    The total-divergence term drops on the periodic box.  Points under the
-    density floor are excluded from the right-hand side, so the check is
-    meaningful for fields whose density stays above the floor.
-    """
-    # each term is a sum over the cells: the common factor dV cancels in the ratio
-    lhs = spectral.power_sum(form.spectrum, form.grid, lambda k_sq: k_sq) / form.rho.size
-    qfield = quantum_potential(form, params.m_star)
-    q_term = params.omega_ref / (CGS.hbar * CGS.c**2) * float(np.sum(form.rho * qfield.Q))
-    phase_term = float(np.sum(form.rho * form.action_gradient_sq())) / CGS.hbar**2
-    return abs(lhs - (q_term + phase_term)) / abs(lhs)
 
 
 class EnergyDecomposition(NamedTuple):

@@ -144,12 +144,6 @@ def power_mean(spec: np.ndarray, grid: Grid, weight) -> float:
     return _weighted_sum(power, grid, weight) / total
 
 
-def fourier_norm_squared(field: ComplexField) -> float:
-    """Parseval partner of ``ComplexField.norm_squared``."""
-    n_total = float(np.prod(field.grid.n_points))
-    return power_sum(transform(field.values, field.grid), field.grid) * field.grid.cell_volume / n_total
-
-
 def sqrt_density_curvature(psi: ComplexField, spec: np.ndarray, flux: np.ndarray,
                            mask: np.ndarray) -> np.ndarray:
     """lap(sqrt rho)/sqrt(rho) = [Re(psi* lap psi) + |flux|^2/rho]/rho of the field psi

@@ -1,6 +1,7 @@
 """Finite-dimensional state algebra: density matrices, projector sets,
-selective (Lüders) and non-selective (von Neumann) measurement updates,
-Schmidt decomposition, and operator-identity checks on the grid.
+selective (Lüders) and non-selective (von Neumann) measurement updates, and
+Schmidt decomposition.  The canonical commutator on the grid is a registry
+invariant of :mod:`gwfield.selfcheck`.
 """
 
 from __future__ import annotations
@@ -8,9 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fields import ComplexField
-from . import spectral
 
 _HERM_TOL = 1e-12
 _EIG_TOL = 1e-12
@@ -193,86 +191,3 @@ def schmidt_decompose(
         threshold=tau,
     )
 
-
-def sawtooth_coordinate(grid, axis: int) -> np.ndarray:
-    """Centered periodic coordinate along ``axis``: range [-L/2, L/2).
-
-    The 2*pi-periodic identification puts a jump (the seam) halfway around
-    the box, so operator identities using this coordinate only hold for
-    fields supported away from the seam.
-    """
-    n = grid.n_points[axis]
-    dx = grid.spacings[axis]
-    line = (np.arange(n) - n * (np.arange(n) >= n // 2)) * dx
-    shape = [1] * grid.dim
-    shape[axis] = n
-    return np.broadcast_to(line.reshape(shape), grid.shape).copy()
-
-
-@dataclass(frozen=True)
-class CommutatorCheck:
-    """max |[D_i, x_j] psi + i s delta_ij psi| / max |psi| plus a seam warning."""
-
-    residual: float
-    seam_warning: bool
-
-
-def commutator_check(
-    field: ComplexField, i: int = 0, j: int = 0, momentum_scale: float = 1.0
-) -> CommutatorCheck:
-    """Verify [D_i, x_j] = -i delta_ij on a smooth, seam-avoiding test field.
-
-    D_i = -i s d/dx_i with s = ``momentum_scale`` (1 for the bare displacement
-    operator, hbar for the momentum operator), applied spectrally; x_j is the
-    centered sawtooth coordinate.  Fields with support at the coordinate seam
-    get a warning flag: the sawtooth discontinuity invalidates the check there.
-    """
-    grid = field.grid
-    if not (0 <= i < grid.dim and 0 <= j < grid.dim):
-        raise ValueError("axis indices out of range")
-    x_j = sawtooth_coordinate(grid, j)
-    s = momentum_scale
-
-    def displacement(values: np.ndarray) -> np.ndarray:
-        return -1j * s * spectral.derivative(values, grid, i)
-
-    commutator = displacement(x_j * field.values) - x_j * displacement(field.values)
-    delta = 1.0 if i == j else 0.0
-    residual_field = commutator + 1j * s * delta * field.values
-    peak = float(np.abs(field.values).max())
-    residual = float(np.abs(residual_field).max()) / peak
-    seam_index = grid.n_points[j] // 2
-    take = [slice(None)] * grid.dim
-    take[j] = slice(seam_index - 1, seam_index + 2)
-    seam_amplitude = float(np.abs(field.values[tuple(take)]).max()) / peak
-    return CommutatorCheck(residual=residual, seam_warning=seam_amplitude > 1e-8)
-
-
-@dataclass(frozen=True)
-class ScalingCheck:
-    """Idempotence report for the outer product of a scaled state."""
-
-    residual: float
-    predicted: float
-    idempotent: bool
-
-
-def projector_scaling_check(state, scale: complex) -> ScalingCheck:
-    """Build P = |s psi><s psi| without normalizing and report ||P^2 - P||_F.
-
-    With w = ||s psi||^2 one has P^2 = w P, so the Frobenius residual is
-    |w - 1| * w: zero exactly when |scale| = 1 and the input is normalized.
-    """
-    scale = complex(scale)
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
-    v = scale * np.asarray(state, dtype=np.complex128).ravel()
-    p = np.outer(v, v.conj())
-    w = float(np.real(np.vdot(v, v)))
-    residual = float(np.linalg.norm(p @ p - p))
-    predicted = abs(w - 1.0) * w
-    return ScalingCheck(
-        residual=residual,
-        predicted=predicted,
-        idempotent=residual <= 1e-12 * max(1.0, w**2),
-    )

@@ -191,26 +191,6 @@ def wave_energy(state: ClassicalWaveState, mu: float) -> float:
     return float(local + gradient) * grid.cell_volume
 
 
-def wave_charge_density(state: ClassicalWaveState) -> np.ndarray:
-    """Time component of the second-order current, -2 Im(psi* psi_dot).
-
-    Positive for exp(-i omega t) modes, negative for exp(+i omega t) modes:
-    sign-indefinite in general, unlike the first-order density hbar k0 |psi|^2.
-    """
-    return -2.0 * np.imag(np.conj(state.psi.values) * state.psi_dot.values)
-
-
-def helmholtz_residual(psi: ComplexField, k: float) -> float:
-    """|| (lap + k^2) psi || / || psi ||, computed spectrally."""
-    norm = psi.norm()
-    if norm <= 0.0:
-        raise ValueError("helmholtz residual of a zero field is undefined")
-    grid = psi.grid
-    residual = spectral.laplacian(spectral.transform(psi.values, grid), grid) + k**2 * psi.values
-    res_norm = math.sqrt(float(np.sum(np.abs(residual) ** 2)) * grid.cell_volume)
-    return res_norm / norm
-
-
 def packet_widths(field: ComplexField) -> tuple[float, ...]:
     """Per-axis |psi|^2 standard deviation, computed with wrapped (circular)
     displacements so a packet straddling the periodic seam is measured

@@ -1,12 +1,23 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
+from gwfield import selfcheck
 from gwfield.fields import ComplexField, Grid
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@cache
+def registry_measurements(entry: str) -> dict[str, float]:
+    """Measured values of the ``gwfield.selfcheck`` registry entry named ``entry``,
+    by measurement name: a test of an identity that lives in the registry reads it here."""
+    check = next(c for c in selfcheck.REGISTRY if c.name == entry)
+    return {m.name: m.value for m in selfcheck.run(check).measurements}
 
 
 def random_field(grid: Grid, rng, band_fraction: float = 0.25) -> ComplexField:

@@ -302,8 +302,6 @@ class TestOnePolarAnalysis:
         hj_residual(form, params, 0.0)
         continuity_residual(form, np.zeros(grid.shape), params.m_star)
         phase_gradient_momentum(form)
-        madelung.dispersion_defect(form, 3e11, 0.0, 10.0)
-        madelung.magnetic_energy_identity_check(form, params)
         energy_decomposition(psi, params)
         assert calls == {"transform": 1, "sqrt_density_curvature": 1, "phase_flux": 1}
 

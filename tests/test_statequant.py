@@ -3,18 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gwfield.constants import CGS
-from gwfield.fields import ComplexField, Grid
 from gwfield.statequant import (
     DensityMatrix,
     ProjectorSet,
-    commutator_check,
     luders_update,
-    projector_scaling_check,
     schmidt_decompose,
     von_neumann_update,
 )
-from gwfield.wavemech import GaussianPacketSpec, gaussian_packet
+
+from conftest import registry_measurements
 
 
 def random_unitary(dim, rng):
@@ -211,82 +208,16 @@ class TestSchmidt:
         assert schmidt_decompose(product, threshold=1e-12).rank == 1
 
 
-def seam_avoiding_gaussian(grid):
-    # centered at x = 0: support wraps around the origin, far from the
-    # sawtooth seam at L/2
-    return gaussian_packet(
-        GaussianPacketSpec(
-            center=tuple(0.0 for _ in range(grid.dim)),
-            sigma0=grid.lengths[0] / 20.0,
-            k_carrier=tuple(0.0 for _ in range(grid.dim)),
-        ),
-        grid,
-    )
-
-
 class TestCommutator:
+    """[D_i, x_j] = -i delta_ij lives in the ``canonical-commutator`` invariant."""
+
     def test_displacement_identity_1d(self):
-        grid = Grid.of(256, 1.0)
-        report = commutator_check(seam_avoiding_gaussian(grid), 0, 0)
-        assert not report.seam_warning
-        assert report.residual < 1e-6
+        measured = registry_measurements("canonical-commutator")
+        assert measured["seam_amplitude"] < 1e-8
+        assert measured["diagonal_residual_1d"] < 1e-6
 
     def test_off_diagonal_2d(self):
-        grid = Grid.of((128, 128), (1.0, 1.0))
-        report = commutator_check(seam_avoiding_gaussian(grid), 0, 1)
-        assert report.residual < 1e-6
-
-    def test_hbar_scaled(self):
-        grid = Grid.of(256, 1.0)
-        report = commutator_check(seam_avoiding_gaussian(grid), 0, 0, momentum_scale=CGS.hbar)
-        assert report.residual < 1e-6 * CGS.hbar
-
-    def test_seam_support_warns(self):
-        grid = Grid.of(256, 1.0)
-        field = gaussian_packet(
-            GaussianPacketSpec(center=(0.5,), sigma0=grid.lengths[0] / 20.0, k_carrier=(0.0,)),
-            grid,
-        )
-        report = commutator_check(field, 0, 0)
-        assert report.seam_warning
-
-    def test_one_gradient_row_per_displacement(self, monkeypatch):
-        grid = Grid.of((16, 16, 16), (1.0, 1.0, 1.0))
-        field = ComplexField(grid=grid, values=np.exp(2j * np.pi * grid.meshes()[2]))
-        calls = {"fftn": 0, "ifftn": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
-        commutator_check(field, 2, 1)
-        assert calls == {"fftn": 2, "ifftn": 2}
-
-
-class TestProjectorScaling:
-    def test_normalized_unit_scale(self, rng):
-        v = random_pure_state(4, rng)
-        report = projector_scaling_check(v, 1.0)
-        assert report.idempotent
-        assert report.residual < 1e-12
-
-    def test_scale_two(self, rng):
-        v = random_pure_state(4, rng)
-        report = projector_scaling_check(v, 2.0)
-        # P = 4 P_unit, P^2 = 16 P_unit: residual 12 in Frobenius norm
-        assert abs(report.residual - 12.0) < 1e-10
-        assert abs(report.predicted - 12.0) < 1e-10
-        assert not report.idempotent
-
-    def test_pure_phase_irrelevant(self, rng):
-        v = random_pure_state(4, rng)
-        report = projector_scaling_check(v, np.exp(1j * 0.9))
-        assert report.idempotent
-        assert report.residual < 1e-12
-
-    def test_zero_scale_rejected(self, rng):
-        with pytest.raises(ValueError):
-            projector_scaling_check(random_pure_state(2, rng), 0.0)
+        assert registry_measurements("canonical-commutator")["off_diagonal_residual_2d"] < 1e-6
 
 
 @pytest.mark.parametrize("k", [-1, 2])

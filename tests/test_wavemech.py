@@ -5,7 +5,7 @@ import pytest
 
 from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
-from gwfield import madelung, spectral, wavemech
+from gwfield import spectral, wavemech
 from gwfield.wavemech import (
     ClassicalWaveState,
     EffectiveMassParams,
@@ -16,7 +16,7 @@ from gwfield.wavemech import (
     right_moving_state,
 )
 
-from conftest import random_field
+from conftest import random_field, registry_measurements
 
 
 class TestEffectiveMassParams:
@@ -236,89 +236,22 @@ class TestEvolveClassicalWave:
         np.testing.assert_allclose(out.psi_dot.values, 0.5, rtol=1e-12)
 
 
-class TestHelmholtzResidual:
-    def test_eigenfunction(self):
-        grid = Grid.of(64, 1.0)
-        k = 2.0 * math.pi * 5 / grid.lengths[0]
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
-        assert wavemech.helmholtz_residual(psi, k) < 1e-10
-
-    def test_wrong_wavenumber(self):
-        grid = Grid.of(64, 1.0)
-        k = 2.0 * math.pi * 5 / grid.lengths[0]
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
-        residual = wavemech.helmholtz_residual(psi, 2.0 * k)
-        assert abs(residual / (3.0 * k**2) - 1.0) < 1e-9
-
-    def test_gaussian_spread(self):
-        grid = Grid.of(512, 1.0)
-        sigma0 = grid.lengths[0] / 32.0
-        k = 2.0 * math.pi * 25 / grid.lengths[0]
-        assert sigma0 * k <= 5.0
-        psi = gaussian_packet(
-            GaussianPacketSpec(center=(0.5,), sigma0=sigma0, k_carrier=(k,)), grid)
-        residual = wavemech.helmholtz_residual(psi, k)
-        assert residual > 0.01 * k**2
-        # independent spread oracle straight from the spectrum
-        spec = np.abs(np.fft.fft(psi.values)) ** 2
-        k_modes = 2.0 * math.pi * np.fft.fftfreq(512, d=grid.spacings[0])
-        oracle = math.sqrt(float(np.sum((k**2 - k_modes**2) ** 2 * spec) / np.sum(spec)))
-        assert abs(residual / oracle - 1.0) < 1e-9
-
-    def test_zero_field_rejected(self):
-        grid = Grid.of(16, 1.0)
-        psi = ComplexField(grid=grid, values=np.zeros(16, dtype=complex))
-        with pytest.raises(ValueError):
-            wavemech.helmholtz_residual(psi, 1.0)
-
-
 class TestDispersionDefect:
+    """The generalized dispersion relation lives in the ``dispersion-relation`` invariant."""
+
     def test_on_shell_plane_wave(self):
-        grid = Grid.of(64, 1.0)
-        k = 2.0 * math.pi * 4 / grid.lengths[0]
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
-        form = madelung.polar_decompose(psi)
-        assert madelung.dispersion_defect(form, CGS.c * k, 0.0, k) < 1e-8 * k**2
+        assert registry_measurements("dispersion-relation")["on_shell_defect"] < 1e-8
 
     def test_constant_offset(self):
-        grid = Grid.of(64, 1.0)
-        k = 2.0 * math.pi * 4 / grid.lengths[0]
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
-        delta = 0.37 * k**2
-        omega_shifted = CGS.c * math.sqrt(k**2 + delta)
-        defect = madelung.dispersion_defect(madelung.polar_decompose(psi), omega_shifted, 0.0, k)
-        assert abs(defect - delta) < 1e-9 * k**2
-
-    def test_gaussian_matches_quantum_potential_curvature(self):
-        grid = Grid.of(512, 1.0)
-        k = 2.0 * math.pi * 16 / grid.lengths[0]
-        psi = gaussian_packet(
-            GaussianPacketSpec(center=(0.5,), sigma0=grid.lengths[0] / 24.0, k_carrier=(k,)),
-            grid)
-        form = madelung.polar_decompose(psi)
-        defect = madelung.dispersion_defect(form, CGS.c * k, 0.0, k)
-        qfield = madelung.quantum_potential(form, m_star=1.0e-30)
-        keep = ~form.branch_mask
-        oracle = math.sqrt(float(np.mean(qfield.form.curvature[keep] ** 2)))
-        assert abs(defect - oracle) <= 1e-10 * max(1.0, oracle)
-
-    def test_zero_field_rejected(self):
-        grid = Grid.of(16, 1.0)
-        psi = ComplexField(grid=grid, values=np.zeros(16, dtype=complex))
-        with pytest.raises(ValueError):
-            madelung.dispersion_defect(madelung.polar_decompose(psi), 1.0, 0.0, 1.0)
+        assert registry_measurements("dispersion-relation")["shifted_defect_deviation"] < 1e-9
 
 
 class TestChargeDensity:
+    """The second-order charge lives in the ``charge-positivity-contrast`` invariant."""
+
     def test_minus_frequency_mode_positive(self):
-        grid = Grid.of(32, 1.0)
-        k = 2.0 * math.pi / grid.lengths[0]
-        omega = CGS.c * k
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), omega), grid)
-        state = ClassicalWaveState(
-            psi=psi, psi_dot=ComplexField(grid=grid, values=-1j * omega * psi.values))
-        charge = wavemech.wave_charge_density(state)
-        np.testing.assert_allclose(charge, 2.0 * omega, rtol=1e-12)
+        # max |charge / 2 omega - 1| over the grid: assert_allclose(charge, 2 omega, rtol=1e-12)
+        assert registry_measurements("charge-positivity-contrast")["single_mode_charge_deviation"] <= 1e-12
 
 
 class TestSchrodingerEnergy:
