@@ -348,37 +348,6 @@ def planck_density(nu, T: float):
     return float(out) if out.ndim == 0 else out
 
 
-def planck_peak_x() -> float:
-    """Dimensionless peak location x* = h nu*/kT, the root of 3(1 - e^-x) = x."""
-    return _brentq(lambda x: 3.0 * (1.0 - math.exp(-x)) - x, 1.0, 5.0, xtol=2e-12, rtol=1e-14)
-
-
-def spontaneous_equilibrium_check(
-    nu: float,
-    T: float,
-    g_ratio: float,
-    photon_scale: float = 1.0,
-    include_spontaneous: bool = True,
-) -> float:
-    """Residual of the two-level equilibrium condition
-    |n2 (N + A) h nu / (n1 N h nu) - g2/g1|.
-
-    N = A/(exp(x) - 1) is the thermal photon count (x = h nu/kT) and
-    n2/n1 = (g2/g1) exp(-x) is the Boltzmann population ratio; with those the
-    residual vanishes identically.  ``photon_scale`` perturbs N and
-    ``include_spontaneous`` drops the +A term, both of which break the
-    identity.  The stable evaluation e^-x - expm1(-x)/scale avoids overflow
-    for large x.
-    """
-    if nu <= 0.0 or T <= 0.0 or g_ratio <= 0.0 or photon_scale <= 0.0:
-        raise ValueError("nu, T, g_ratio and photon_scale must be positive")
-    x = CGS.h * nu / (CGS.k_B * T)
-    term = math.exp(-x)
-    if include_spontaneous:
-        term -= math.expm1(-x) / photon_scale
-    return g_ratio * abs(term - 1.0)
-
-
 def symmetrize_photons(modes, occupation):
     """Build the permutation-symmetric N-point evaluator.
 

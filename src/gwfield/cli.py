@@ -179,6 +179,8 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
     grid = Grid.of(**values["grid"])
     mu = values.get("mu", 0.0)
     times = values["times"]
+    if not times:
+        raise ConfigError(f"'times' in {args.spec} lists no snapshot time")
     if any(t < 0.0 for t in times):
         raise ConfigError(f"times must be >= 0, got {min(times)!r}")
     if ("packet" in values) == ("planewave" in values):

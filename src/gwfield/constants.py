@@ -2,7 +2,9 @@
 
 Every numeric output of this package is CGS (erg, cm, s, K, G, esu).  All
 constants live in a single frozen table so that tests and downstream code can
-reference one source instead of scattering literals.
+reference one source instead of scattering literals.  The table is literal
+data; ``gwfield check`` certifies the identities that tie its entries together
+(the ``constants-identities`` entry of :mod:`gwfield.selfcheck`).
 """
 
 from __future__ import annotations
@@ -39,20 +41,6 @@ class CgsConstants:
     alpha: float = 7.2973525693e-3
     l_P: float = 1.616255e-33
     omega_P: float = 1.8548586578e43
-
-    def __post_init__(self) -> None:
-        values = asdict(self)
-        for name, value in values.items():
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"constant {name} must be finite and positive, got {value}")
-        alpha_from_charge = self.e_charge**2 / (self.hbar * self.c)
-        if abs(alpha_from_charge / self.alpha - 1.0) > 1e-6:
-            raise ValueError("alpha is inconsistent with e_charge**2/(hbar*c)")
-        mu_b_from_charge = self.e_charge * self.hbar / (2.0 * self.m_e * self.c)
-        if abs(mu_b_from_charge / self.mu_B - 1.0) > 1e-6:
-            raise ValueError("mu_B is inconsistent with e*hbar/(2*m_e*c)")
-        if abs(self.c / self.l_P / self.omega_P - 1.0) > 1e-6:
-            raise ValueError("omega_P is inconsistent with c/l_P")
 
     @property
     def h(self) -> float:

@@ -153,8 +153,8 @@ class PlaneWaveSpec:
             )
 
 
-def make_plane_wave(spec: PlaneWaveSpec, grid: Grid, t: float = 0.0) -> ComplexField:
-    """Sample A * exp(i(k.x - omega t)) on the grid.
+def make_plane_wave(spec: PlaneWaveSpec, grid: Grid) -> ComplexField:
+    """Sample A * exp(i k.x), the wave A * exp(i(k.x - omega t)) at t = 0, on the grid.
 
     Each wave-vector component must be an integer multiple of 2*pi/length on
     its axis; anything else would break periodicity and is rejected.
@@ -168,12 +168,11 @@ def make_plane_wave(spec: PlaneWaveSpec, grid: Grid, t: float = 0.0) -> ComplexF
                 f"k_vec[{i}] = {k} is not grid-commensurate: k*L/(2*pi) = {mode} "
                 f"(nearest integer mode {round(mode)})"
             )
-    phase = -spec.omega * t
     meshes = grid.meshes()
     acc = np.zeros(grid.shape, dtype=float)
     for k, mesh in zip(spec.k_vec, meshes):
         acc = acc + k * mesh
-    values = spec.amplitude * np.exp(1j * (acc + phase))
+    values = spec.amplitude * np.exp(1j * acc)
     values.setflags(write=False)
     return ComplexField(grid=grid, values=values)
 

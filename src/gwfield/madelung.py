@@ -152,15 +152,13 @@ def quantum_potential(form: MadelungForm, m_star: float) -> QuantumPotentialFiel
 def hj_residual(
     form: MadelungForm,
     params: EffectiveMassParams,
-    dt_action: np.ndarray | float | None,
+    dt_action: np.ndarray | float,
 ) -> float:
     """RMS of dS/dt + |grad S|^2/(2 m*) + hbar*V0 + Q over unmasked points [erg].
 
     ``dt_action`` is the caller-supplied dS/dt field (erg); for a stationary
     state S = W - E t it is the constant -E.
     """
-    if dt_action is None:
-        raise ValueError("dt_action (the dS/dt field) is required")
     qfield = quantum_potential(form, params.m_star)
     residual = form.action_gradient_sq()
     residual /= 2.0 * params.m_star

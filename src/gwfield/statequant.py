@@ -165,7 +165,8 @@ def schmidt_decompose(
     The input must have unit Frobenius norm (i.e. a normalized state) unless
     ``renormalize`` is set.  The rank counts singular values >= threshold
     (default 1e-10 times the largest; an explicit one must be positive, since
-    a zero threshold would count exact zeros); rank > 1 means the state is
+    a zero threshold would count exact zeros, and must not exceed the largest,
+    since a nonzero state has rank >= 1); rank > 1 means the state is
     entangled.
     """
     if threshold is not None and not threshold > 0.0:
@@ -183,6 +184,8 @@ def schmidt_decompose(
     u, s, vh = np.linalg.svd(c, full_matrices=False)
     tau = 1e-10 * float(s[0]) if threshold is None else float(threshold)
     rank = int(np.sum(s >= tau))
+    if rank == 0:
+        raise ValueError(f"threshold {tau:g} is above the largest Schmidt coefficient {s[0]:g}")
     return SchmidtResult(
         coefficients=s[:rank].copy(),
         left_basis=u[:, :rank].copy(),

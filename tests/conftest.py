@@ -12,12 +12,17 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+def run_entry(entry: str) -> selfcheck.CheckResult:
+    """Run the ``gwfield.selfcheck`` registry entry named ``entry`` afresh, as a test
+    that monkeypatches what the entry reads must."""
+    return selfcheck.run(next(c for c in selfcheck.REGISTRY if c.name == entry))
+
+
 @cache
 def registry_measurements(entry: str) -> dict[str, float]:
-    """Measured values of the ``gwfield.selfcheck`` registry entry named ``entry``,
-    by measurement name: a test of an identity that lives in the registry reads it here."""
-    check = next(c for c in selfcheck.REGISTRY if c.name == entry)
-    return {m.name: m.value for m in selfcheck.run(check).measurements}
+    """Measured values of the registry entry named ``entry``, by measurement name, from
+    one run: a test of an identity that lives in the registry reads it here."""
+    return {m.name: m.value for m in run_entry(entry).measurements}
 
 
 def random_field(grid: Grid, rng, band_fraction: float = 0.25) -> ComplexField:

@@ -2,7 +2,8 @@
 named ``test_criterion_<number>_<name>`` or ``test_invariant_<name>``.  Each
 prints the entry's PASS/FAIL line (visible with ``pytest -s``), then asserts
 every measurement against its bound and the run time against the budget.
-A last test keeps every public function and class of the package in use.
+The last two keep every public function and class of the package in use, and
+every option of one set by some call in the package.
 """
 
 import ast
@@ -54,3 +55,47 @@ def test_every_public_name_has_a_reader_in_the_package():
     unread = {name: module for name, module in defined.items()
               if name not in benchmark_only and not any(read == name != owner for owner, read in reads)}
     assert not unread, f"public names nothing in the package reads: {unread}"
+
+
+def test_every_option_is_set_somewhere_in_the_package():
+    """A defaulted parameter of a public function, class or method is passed by some call in
+    ``src/gwfield``: an option that only tests set is a constant, or gone.  A call passes a
+    parameter by keyword, by position, or through a ``*`` or ``**`` spread."""
+    exempt = {
+        ("main", "argv"),  # the console script calls main() bare; argv is for callers that pass a list
+        ("CgsConstants", None),  # its fields are the constant table's data, not options
+    }
+    options, calls = {}, []  # options: (owner, parameter) -> position, None if keyword-only
+
+    def add(owner, args, skip=0):
+        positional = (args.posonlyargs + args.args)[skip:]
+        first = len(positional) - len(args.defaults)
+        options.update({(owner, a.arg): i for i, a in enumerate(positional) if i >= first})
+        options.update({(owner, a.arg): None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d})
+
+    for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                add(node.name, node.args)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                options.update({(node.name, s.target.id): i for i, s in enumerate(fields) if s.value})
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and (
+                            method.name == "__init__" or not method.name.startswith("_")):
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in method.decorator_list)
+                        add(node.name if method.name == "__init__" else method.name, method.args,
+                            skip=0 if static else 1)
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            spread = any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+            calls.append((getattr(call.func, "id", getattr(call.func, "attr", None)), len(call.args),
+                          {k.arg for k in call.keywords}, spread))
+
+    def passed(owner, name, position):
+        return any(callee == owner and (spread or name in keywords or (position is not None and position < n))
+                   for callee, n, keywords, spread in calls)
+
+    unset = sorted(f"{owner}.{name}" for (owner, name), position in options.items()
+                   if not exempt & {(owner, name), (owner, None)} and not passed(owner, name, position))
+    assert not unset, f"options no call in the package passes: {unset}"

@@ -14,12 +14,12 @@ from gwfield.bosestat import (
     geometric_occupancy,
     maximize_entropy,
     planck_density,
-    planck_peak_x,
-    spontaneous_equilibrium_check,
     symmetrize_photons,
 )
 from gwfield.bosestat import ConvergenceError, _band_optimum, suggested_r_max
 from gwfield import bosestat
+
+from conftest import registry_measurements, run_entry
 
 
 class TestBandStateCount:
@@ -298,7 +298,9 @@ class TestPlanckDensity:
             lambda x: -planck_density(x * nu_scale, T), bounds=(1.0, 5.0), method="bounded",
             options={"xatol": 1e-10})
         assert abs(result.x - 2.8214) < 5e-4
-        assert abs(planck_peak_x() - result.x) < 1e-6
+        # criterion 7 reads the peak off sampled densities: both routes agree
+        measured = registry_measurements("planck-law-properties")["peak_x_deviation"]
+        assert measured == pytest.approx(abs(result.x - 2.8214), abs=1e-6)
 
     def test_cubic_temperature_scaling(self):
         x = 1.7
@@ -315,31 +317,36 @@ class TestPlanckDensity:
         assert planck_density(1e15, 2.7) == 0.0
 
 
+def planck_law_misses(monkeypatch, density) -> dict[str, float]:
+    """Criterion 7's missed measurements, by name, with ``planck_density`` replaced by ``density``."""
+    monkeypatch.setattr(bosestat, "planck_density", density)
+    return {m.name: m.value for m in run_entry("planck-law-properties").misses}
+
+
 class TestSpontaneousEquilibrium:
-    def test_identity_for_random_triples(self, rng):
-        worst = 0.0
-        for _ in range(100):
-            x = float(np.exp(rng.uniform(np.log(1e-3), np.log(300.0))))
-            T = float(rng.uniform(1.0, 100.0))
-            nu = x * CGS.k_B * T / CGS.h
-            g_ratio = float(rng.uniform(0.1, 10.0))
-            worst = max(worst, spontaneous_equilibrium_check(nu, T, g_ratio))
-        assert worst < 1e-12
+    """Einstein's emission balance lives in criterion 7 (``planck-law-properties``), which
+    reads the photons per mode off ``planck_density``; these tests feed it wrong densities."""
 
-    def test_photon_number_perturbation_detected(self):
-        for x in (1.0, 2.0, 5.0):
-            T = 2.7
-            nu = x * CGS.k_B * T / CGS.h
-            residual = spontaneous_equilibrium_check(nu, T, 1.0, photon_scale=1.01)
-            expected = 0.01 / 1.01 * (1.0 - math.exp(-x))
-            assert residual > 1e-4
-            assert residual == pytest.approx(expected, rel=1e-9)
+    def test_identity_for_random_triples(self):
+        assert registry_measurements("planck-law-properties")["spontaneous_equilibrium_residual"] < 1e-12
 
-    def test_spontaneous_term_is_load_bearing(self):
-        T = 2.7
-        nu = 2.0 * CGS.k_B * T / CGS.h
-        residual = spontaneous_equilibrium_check(nu, T, 1.0, include_spontaneous=False)
-        assert residual == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
+    def test_photon_number_perturbation_detected(self, monkeypatch):
+        planck = bosestat.planck_density
+        misses = planck_law_misses(monkeypatch, lambda nu, T: 1.01 * planck(nu, T))
+        assert "spontaneous_equilibrium_residual" in misses and "peak_x_deviation" not in misses
+        # each sample leaves g2/g1 (0.01 / 1.01)(1 - e^-x), with g2/g1 < 10
+        assert 1e-4 < misses["spontaneous_equilibrium_residual"] < 10.0 * 0.01 / 1.01
+
+    def test_wien_law_density_fails(self, monkeypatch):
+        def wien(nu, T):
+            nu = np.asarray(nu, dtype=float)
+            out = 8.0 * math.pi * nu**2 / CGS.c**3 * CGS.h * nu * np.exp(-CGS.h * nu / (CGS.k_B * T))
+            return float(out) if out.ndim == 0 else out
+
+        misses = planck_law_misses(monkeypatch, wien)
+        # Wien's law peaks at x = 3, and its N = e^-x balances only without stimulated emission
+        assert misses["peak_x_deviation"] == pytest.approx(3.0 - 2.8214, abs=1e-5)
+        assert misses["spontaneous_equilibrium_residual"] > 1.0
 
 
 def plane_wave_mode(m):

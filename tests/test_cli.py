@@ -193,7 +193,8 @@ class TestCmbrAndCasimir:
 
 
 class TestSchmidtAndUpdate:
-    def test_schmidt_from_csv(self, tmp_path):
+    @staticmethod
+    def bell_csv(tmp_path):
         matrix = tmp_path / "amps.csv"
         s = 1.0 / math.sqrt(2.0)
         with matrix.open("w", newline="") as handle:
@@ -201,6 +202,10 @@ class TestSchmidtAndUpdate:
             writer.writerow(["re0", "im0", "re1", "im1"])
             writer.writerow([s, 0.0, 0.0, 0.0])
             writer.writerow([0.0, 0.0, s, 0.0])
+        return matrix, s
+
+    def test_schmidt_from_csv(self, tmp_path):
+        matrix, s = self.bell_csv(tmp_path)
         out = tmp_path / "schmidt"
         rc = run_cli("schmidt", "--matrix", matrix, "--output-dir", out)
         assert rc == 0
@@ -208,6 +213,15 @@ class TestSchmidtAndUpdate:
         assert payload["rank"] == 2
         assert payload["entangled"] is True
         np.testing.assert_allclose(payload["coefficients"], [s, s], atol=1e-12)
+
+    def test_schmidt_threshold_above_largest_coefficient(self, tmp_path, capsys):
+        matrix, _ = self.bell_csv(tmp_path)
+        out = tmp_path / "schmidt"
+        rc = run_cli("schmidt", "--matrix", matrix, "--threshold", 2, "--output-dir", out)
+        assert rc == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "threshold 2" in message and "largest Schmidt coefficient 0.707107" in message
+        assert not out.exists()
 
     def test_luders_update_via_files(self, tmp_path):
         rho = tmp_path / "rho.json"
@@ -433,6 +447,21 @@ class TestFailedRunsWriteNothing:
         rc = run_cli("propagate", "--spec", path, "--output-dir", out)
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["code"] == 2
+        assert not out.exists()
+
+    def test_propagate_without_times(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "equation": "schrodinger",
+            "grid": {"n_points": [64], "lengths": [1.0]},
+            "planewave": {"amplitude": 1.0, "k_vec": [0.0], "omega": 0.0},
+            "omega_ref": 1e10,
+            "times": [],
+        }))
+        out = tmp_path / "out"
+        rc = run_cli("propagate", "--spec", path, "--output-dir", out)
+        assert rc == 2
+        assert "'times'" in json.loads(capsys.readouterr().err)["message"]
         assert not out.exists()
 
     def test_failing_check_writes_nothing(self, tmp_path, capsys, monkeypatch):

@@ -15,28 +15,29 @@ from gwfield.fields import (
     make_plane_wave,
     normalize,
 )
-from gwfield import fieldio, spectral
+from gwfield import fieldio, selfcheck, spectral
 from gwfield.fieldio import (_BLOCK_ROWS, _SIDECAR_KEYS, ConfigError, GridColumn, _spec_floats, _spec_int,
                              read_field, read_object, read_table, write_field, write_table)
 
-from conftest import random_field
+from conftest import random_field, registry_measurements, run_entry
 
 
 class TestConstants:
+    """The table's identities live in the ``constants-identities`` invariant."""
+
     def test_all_positive(self):
         for name, value in CGS.as_dict().items():
-            assert value > 0.0, name
+            assert value > 0.0 and math.isfinite(value), name
 
     def test_alpha_identity(self):
-        assert abs(CGS.e_charge**2 / (CGS.hbar * CGS.c) / CGS.alpha - 1.0) < 1e-6
+        assert registry_measurements("constants-identities")["alpha_deviation"] < 1e-6
 
     def test_bohr_magneton_identity(self):
-        derived = CGS.e_charge * CGS.hbar / (2.0 * CGS.m_e * CGS.c)
-        assert abs(derived / CGS.mu_B - 1.0) < 1e-6
+        assert registry_measurements("constants-identities")["bohr_magneton_deviation"] < 1e-6
 
-    def test_inconsistent_table_rejected(self):
-        with pytest.raises(ValueError):
-            CgsConstants(alpha=8e-3)
+    def test_inconsistent_table_rejected(self, monkeypatch):
+        monkeypatch.setattr(selfcheck, "CGS", CgsConstants(alpha=8e-3))
+        assert [m.name for m in run_entry("constants-identities").misses] == ["alpha_deviation"]
 
     def test_checksum_stable(self):
         assert CGS.checksum() == CgsConstants().checksum()
@@ -126,15 +127,6 @@ class TestPlaneWave:
         k = 1.5 * 2.0 * math.pi / grid.lengths[0]
         with pytest.raises(ValueError, match="commensurate"):
             make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
-
-    def test_time_argument_advances_phase(self):
-        grid = Grid.of(16, 1.0)
-        k = 2.0 * math.pi / grid.lengths[0]
-        omega = CGS.c * k
-        t = 3.7e-12
-        f0 = make_plane_wave(PlaneWaveSpec(1.0, (k,), omega), grid)
-        ft = make_plane_wave(PlaneWaveSpec(1.0, (k,), omega), grid, t=t)
-        np.testing.assert_allclose(ft.values, f0.values * np.exp(-1j * omega * t), atol=1e-12)
 
 
 class TestNormalize:

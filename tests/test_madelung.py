@@ -228,12 +228,6 @@ class TestHamiltonJacobi:
         params = EffectiveMassParams(omega_ref=CGS.c * 2.0 * math.pi / grid.lengths[0])
         assert hj_residual(polar_decompose(psi), params, 0.0) > 0.0
 
-    def test_missing_time_derivative(self, rng):
-        grid = Grid.of(64, 1.0)
-        psi = random_field(grid, rng)
-        with pytest.raises(ValueError):
-            hj_residual(polar_decompose(psi), EffectiveMassParams(omega_ref=1e10), None)
-
 
 class TestContinuity:
     def test_stationary_box_mode(self):

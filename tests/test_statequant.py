@@ -207,6 +207,13 @@ class TestSchmidt:
             schmidt_decompose(product, threshold=threshold)
         assert schmidt_decompose(product, threshold=1e-12).rank == 1
 
+    def test_threshold_above_largest_coefficient_rejected(self):
+        # a nonzero state has Schmidt rank >= 1: no threshold may leave it none
+        bell = np.eye(2) / math.sqrt(2.0)
+        with pytest.raises(ValueError, match=r"threshold 2 is above the largest Schmidt coefficient 0\.707107"):
+            schmidt_decompose(bell, threshold=2.0)
+        assert schmidt_decompose(bell, threshold=0.7).rank == 2
+
 
 class TestCommutator:
     """[D_i, x_j] = -i delta_ij lives in the ``canonical-commutator`` invariant."""
