@@ -93,7 +93,7 @@ def partial_wave_split(series: TimeSeriesField) -> tuple[TimeSeriesField, TimeSe
 
 @dataclass(frozen=True)
 class CurrentField:
-    """Convection current j = hbar Im(psi* grad psi), hbar times the polar form's phase flux
+    """Convection current j = hbar Im(psi* grad psi), hbar times :func:`spectral.phase_flux`
     (one real ``(dim, ...)`` array), and its positive time component rho_t = hbar k0 |psi|^2,
     of a field or of each snapshot of a series (axis 0 of rho_t, axis 1 of j); both are
     kept read-only (see :func:`~gwfield.fields.frozen_array`)."""

@@ -2,7 +2,7 @@
 the quantum potential, Hamilton-Jacobi and continuity residuals, the energy
 split E = pc + Q, and trajectory integration in the gradient of Q.  The
 generalized dispersion relation and the gradient-energy split are registry
-invariants of :mod:`gwfield.selfcheck`, computed from a form's curvature and flux.
+invariants of :mod:`gwfield.selfcheck`, computed from a form's polar terms.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ class MadelungForm:
     points are masked and unwrap chains through them are unreliable.
 
     The form is the one polar analysis of its field, derived from ``psi`` on first use
-    and kept read-only.  The flux, the curvature and pc read psi's one ``spectrum``: psi
-    must be periodic and band-limited (``gaussian_packet`` wraps; a dump need not).
+    and kept read-only.  Its polar terms come from one transient transform of psi
+    (:func:`spectral.polar_terms`): psi must be periodic and band-limited
+    (``gaussian_packet`` wraps; a dump need not).
     """
 
     psi: ComplexField
@@ -69,37 +70,26 @@ class MadelungForm:
             phase[sweep] = np.unwrap(phase[sweep], axis=axis)
         return phase
 
-    @_read_only
-    def spectrum(self) -> np.ndarray:
-        return spectral.transform(self.psi.values, self.grid)
+    @cached_property
+    def _terms(self) -> spectral.PolarTerms:
+        terms = spectral.polar_terms(self.psi, self.rho, self.branch_mask)
+        for values in terms[:3]:
+            values.setflags(write=False)
+        return terms
 
-    @_read_only
-    def curvature(self) -> np.ndarray:
-        """lap(sqrt rho)/sqrt(rho) [1/cm^2]; masked points carry zeros.  Its vanishing
-        makes a wave packet non-dispersive: it doubles as the classicality diagnostic."""
-        return spectral.sqrt_density_curvature(self.psi, self.spectrum, self.flux, self.branch_mask)
-
-    @_read_only
-    def flux(self) -> np.ndarray:
-        """Im(psi* grad psi) = rho grad(phase), one ``(dim, ...)`` array, smooth across phase seams."""
-        return spectral.phase_flux(self.psi.values, self.spectrum, self.grid)
+    curvature = property(lambda self: self._terms.curvature, doc="""lap(sqrt rho)/sqrt(rho) [1/cm^2];
+        masked points carry zeros.  Its vanishing makes a wave packet non-dispersive: it doubles
+        as the classicality diagnostic.""")
+    action_gradient_sq = property(lambda self: self._terms.action_gradient_sq, doc="""|grad S|^2 =
+        (hbar flux/rho)^2 [erg^2 s^2/cm^2]; masked points carry zeros.""")
+    flux_divergence = property(lambda self: self._terms.flux_divergence,
+                               doc="div Im(psi* grad psi) = Im(psi* lap psi) [1/cm^2].")
+    mean_wavenumber = property(lambda self: self._terms.mean_k,
+                               doc="<|k|> over the power spectrum of psi [1/cm]; None for a zero field.")
 
     def action(self) -> np.ndarray:
         """S = hbar * phase [erg s]."""
         return CGS.hbar * self.phase
-
-    def action_gradient_sq(self) -> np.ndarray:
-        """|grad S|^2 = (hbar flux/rho)^2 [erg^2 s^2/cm^2]; masked points carry zeros."""
-        unmasked = ~self.branch_mask
-        total = np.zeros(self.grid.shape)
-        term = np.empty_like(total)
-        for f in self.flux:
-            np.multiply(CGS.hbar, f, out=term)
-            np.divide(term, self.rho, out=term, where=unmasked)
-            term **= 2
-            total += term
-        np.copyto(total, 0.0, where=self.branch_mask)
-        return total
 
     def mean(self, values: np.ndarray) -> float:
         """rho-weighted mean of ``values``."""
@@ -160,8 +150,7 @@ def hj_residual(
     state S = W - E t it is the constant -E.
     """
     qfield = quantum_potential(form, params.m_star)
-    residual = form.action_gradient_sq()
-    residual /= 2.0 * params.m_star
+    residual = form.action_gradient_sq / (2.0 * params.m_star)
     np.add(dt_action, residual, out=residual)
     residual += CGS.hbar * params.v0
     residual += qfield.Q
@@ -180,14 +169,12 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     if rho_dot.shape != form.grid.shape:
         raise ValueError("rho_dot shape does not match the grid")
     scale = CGS.hbar / m_star
-    # the flux scaled one row at a time into one array, never as a (dim, ...) copy
-    row = np.empty(form.grid.shape)
-    div = spectral.divergence((np.multiply(scale, f, out=row) for f in form.flux), form.grid)
-    div += rho_dot
     length_scale = form.grid.volume ** (1.0 / form.grid.dim)
-    floor = scale * float(form.rho.max()) / length_scale**2
-    denom = float(np.abs(rho_dot).max()) + floor
-    return form.rms(div) / denom
+    denom = float(np.abs(rho_dot).max()) + scale * float(form.rho.max()) / length_scale**2
+    # div(rho grad S / m*) = (hbar/m*) Im(psi* lap psi): the form's flux divergence, scaled once
+    residual = np.multiply(scale, form.flux_divergence)
+    residual += rho_dot
+    return form.rms(residual) / denom
 
 
 class EnergyDecomposition(NamedTuple):
@@ -209,14 +196,14 @@ def energy_decomposition(psi: ComplexField, params: EffectiveMassParams) -> Ener
     if abs(psi.norm_squared() - 1.0) > 1e-6:
         raise ValueError("energy decomposition requires a normalized field")
     form = polar_decompose(psi)
-    pc = CGS.hbar * CGS.c * spectral.power_mean(form.spectrum, psi.grid, np.sqrt)
+    pc = CGS.hbar * CGS.c * form.mean_wavenumber
     q_mean = form.mean(quantum_potential(form, params.m_star).Q)
     return EnergyDecomposition(E=pc + q_mean, pc=pc, Q_mean=q_mean)
 
 
 def phase_gradient_momentum(form: MadelungForm) -> float:
     """rho-weighted mean of |grad S| [g cm/s]; zero for real standing waves."""
-    return form.mean(np.sqrt(form.action_gradient_sq()))
+    return form.mean(np.sqrt(form.action_gradient_sq))
 
 
 def _spline_coefficients(samples: np.ndarray, dim: int) -> np.ndarray:

@@ -3,23 +3,27 @@
 All propagators and residual checks in this package differentiate spectrally:
 for band-limited periodic data the derivatives are exact to rounding, which
 keeps the physics claims separated from discretization error.  Every k-space
-formula of the package lives here.
+formula of the package lives here, down to the polar form's one pass over one
+transform of psi (:func:`polar_terms`).
 
 The grid axes of an array are its trailing ``grid.dim`` axes: :func:`transform` and
 the derivatives transform over those alone, so leading axes index the snapshots
 of a series.  A grid vector field is one ``(dim, ...)`` array, its component axis
 first.  The power sums take one field.
 
-A full-grid kernel holds at most one full-grid temporary beyond its inputs and its
-result: the transforms write in place, and an elementwise formula that would need
-more runs over :func:`flat_chunks`.  Each forms the same products and sums, in the
+A full-grid kernel holds at most one full-grid temporary beyond its inputs, its result and
+the spectrum it transforms: the transforms write in place, and an elementwise formula that
+would need more runs over :func:`flat_chunks`.  Each forms the same products and sums, in the
 same order, as the plain whole-array formula, so its result is the same to the last bit.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from .constants import CGS
 from .fields import ComplexField, Grid
 
 # elements per flat chunk: a power of two, so chunk edges fall on SIMD-vector edges
@@ -70,10 +74,10 @@ def _derivative(spec: np.ndarray, k: np.ndarray, grid: Grid, out: np.ndarray) ->
 
 
 def laplacian(spec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Laplacian of the field whose :func:`transform` is ``spec``."""
+    """Laplacian of the field whose :func:`transform` is ``spec``, written into ``spec``."""
     k_sq = k_squared(grid)
-    lap = np.multiply(np.negative(k_sq, out=k_sq), spec)
-    return np.fft.ifftn(lap, axes=_grid_axes(grid), out=lap)
+    np.multiply(np.negative(k_sq, out=k_sq), spec, out=spec)
+    return np.fft.ifftn(spec, axes=_grid_axes(grid), out=spec)
 
 
 def derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -112,12 +116,20 @@ def phase_flux(values: np.ndarray, spec: np.ndarray, grid: Grid) -> np.ndarray:
     :func:`transform`), one real ``(dim, ...)`` array: smooth across phase seams, times
     hbar the convection current."""
     rows = np.empty((grid.dim, *spec.shape))
-    component = np.empty_like(spec)
-    for row, k in zip(rows, wavenumbers(grid)):
-        _derivative(spec, k, grid, out=component)
-        for flux, psi, d_psi in flat_chunks(row, values, component):
-            flux[...] = np.imag(np.conj(psi) * d_psi)
+    for f, flux in _flux_chunks(values, spec, grid, ((row,) for row in rows)):
+        flux[...] = f
     return rows
+
+
+def _flux_chunks(values: np.ndarray, spec: np.ndarray, grid: Grid, arrays):
+    """Each :func:`flat_chunks` chunk of each row f = Im(conj(psi) d_i psi) of the :func:`phase_flux`
+    of psi = ``values``, one gradient component at a time, beside the matching chunks of that axis's
+    tuple of arrays in ``arrays`` (the buffer and the chunk views live in the generator alone)."""
+    component = np.empty_like(spec)
+    for k, row_arrays in zip(wavenumbers(grid), arrays, strict=True):
+        _derivative(spec, k, grid, out=component)
+        for psi, d_psi, *chunks in flat_chunks(values, component, *row_arrays):
+            yield np.imag(np.conj(psi) * d_psi), *chunks
 
 
 def _weighted_sum(power: np.ndarray, grid: Grid, weight) -> float:
@@ -144,27 +156,38 @@ def power_mean(spec: np.ndarray, grid: Grid, weight) -> float:
     return _weighted_sum(power, grid, weight) / total
 
 
-def sqrt_density_curvature(psi: ComplexField, spec: np.ndarray, flux: np.ndarray,
-                           mask: np.ndarray) -> np.ndarray:
-    """lap(sqrt rho)/sqrt(rho) = [Re(psi* lap psi) + |flux|^2/rho]/rho of the field psi
-    (rho = |psi|^2) from its :func:`transform` ``spec`` and :func:`phase_flux` ``flux``.
+class PolarTerms(NamedTuple):
+    curvature: np.ndarray
+    action_gradient_sq: np.ndarray
+    flux_divergence: np.ndarray
+    mean_k: float | None
 
-    One inverse transform of the smooth field psi, whose rounding grows as
-    eps sqrt(rho_max/rho) towards the node floor.  psi must be periodic and
-    band-limited on the grid: a field cut off at the box edge rings into the
-    whole spectrum.  Entries under ``mask`` are zero (the value is undefined there).
-    """
-    curvature = flux[0] * flux[0]
-    for f in flux[1:]:
-        curvature += f * f
-    # Re(conj(psi) lap) as Re(conj(lap) psi): the same products, formed in lap
-    lap = laplacian(spec, psi.grid)
+
+def polar_terms(psi: ComplexField, rho: np.ndarray, mask: np.ndarray) -> PolarTerms:
+    """The polar terms of psi from one transient :func:`transform` (rho = |psi|^2, nodes under
+    ``mask``, f = Im(psi* grad psi)): lap(sqrt rho)/sqrt(rho) = [Re(psi* lap psi) + |f|^2/rho]/rho
+    and |grad S|^2 = (hbar f/rho)^2, both zero under ``mask``; div f = Im(psi* lap psi); and the
+    mean |k| over the power spectrum, None when every point is a node (a zero field).  psi must be
+    periodic and band-limited: the curvature's rounding then grows as eps sqrt(rho_max/rho)
+    towards the nodes, while a field cut off at the box edge rings into the whole spectrum."""
+    grid, values = psi.grid, psi.values
+    spec = transform(values, grid)
+    mean_k = None if mask.all() else power_mean(spec, grid, np.sqrt)
+    unmasked = ~mask
+    curvature, action_gradient_sq = np.zeros(grid.shape), np.zeros(grid.shape)
+    per_axis = [(rho, unmasked, curvature, action_gradient_sq)] * grid.dim
+    for f, r, keep, curv, act in _flux_chunks(values, spec, grid, per_axis):
+        curv += f * f
+        np.divide(np.multiply(CGS.hbar, f, out=f), r, out=f, where=keep)
+        f **= 2
+        act += f
+    # Re(conj(psi) lap) as Re(conj(lap) psi): the same products, formed in the spectrum
+    lap = laplacian(spec, grid)
     np.conjugate(lap, out=lap)
-    lap *= psi.values
-    rho = psi.density()
-    np.copyto(rho, 1.0, where=mask)
-    curvature /= rho
+    lap *= values
+    np.divide(curvature, rho, out=curvature, where=unmasked)
     curvature += lap.real
-    curvature /= rho
-    np.copyto(curvature, 0.0, where=mask)
-    return curvature
+    np.divide(curvature, rho, out=curvature, where=unmasked)
+    for term in (curvature, action_gradient_sq):
+        np.copyto(term, 0.0, where=mask)
+    return PolarTerms(curvature, action_gradient_sq, np.negative(lap.imag), mean_k)

@@ -2,8 +2,9 @@
 named ``test_criterion_<number>_<name>`` or ``test_invariant_<name>``.  Each
 prints the entry's PASS/FAIL line (visible with ``pytest -s``), then asserts
 every measurement against its bound and the run time against the budget.
-The last two keep every public function and class of the package in use, and
-every option of one set by some call in the package.
+The last three keep every public function and class of the package in use, every
+top-level import of a module read in it, and every option of one set by some call in
+the package.
 """
 
 import ast
@@ -55,6 +56,19 @@ def test_every_public_name_has_a_reader_in_the_package():
     unread = {name: module for name, module in defined.items()
               if name not in benchmark_only and not any(read == name != owner for owner, read in reads)}
     assert not unread, f"public names nothing in the package reads: {unread}"
+
+
+def test_every_module_level_import_is_read():
+    """A name that a module of ``src/gwfield`` imports at its top level is read in that module."""
+    unread = []
+    for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unread += [f"{path.name}: {alias.asname or alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in reads]
+    assert not unread, f"imports nothing reads: {unread}"
 
 
 def test_every_option_is_set_somewhere_in_the_package():

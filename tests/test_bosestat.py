@@ -337,6 +337,13 @@ class TestSpontaneousEquilibrium:
         # each sample leaves g2/g1 (0.01 / 1.01)(1 - e^-x), with g2/g1 < 10
         assert 1e-4 < misses["spontaneous_equilibrium_residual"] < 10.0 * 0.01 / 1.01
 
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_scaled_density_misses_rayleigh_jeans(self, monkeypatch, factor):
+        planck = bosestat.planck_density
+        misses = planck_law_misses(monkeypatch, lambda nu, T: factor * planck(nu, T))
+        # |factor (1 - x/2 + x^2/12) - (1 - x/2)| at x = 0.01, against a bound of 1e-5
+        assert misses["rayleigh_jeans_deviation"] == pytest.approx(abs(factor - 1.0) * 0.995, rel=1e-3)
+
     def test_wien_law_density_fails(self, monkeypatch):
         def wien(nu, T):
             nu = np.asarray(nu, dtype=float)

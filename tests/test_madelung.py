@@ -152,6 +152,12 @@ class TestQuantumPotential:
         with pytest.raises(ValueError):
             quantum_potential(polar_decompose(psi), 1e-30)
 
+    def test_zero_field_keeps_its_masked_curvature_and_has_no_mean_wavenumber(self):
+        form = polar_decompose(ComplexField(grid=Grid.of(16, 1.0), values=np.zeros(16, dtype=complex)))
+        assert form.branch_mask.all() and form.mean_wavenumber is None
+        for values in (form.curvature, form.action_gradient_sq, form.flux_divergence):
+            assert not np.any(values)
+
 
 class TestCurvatureFromPsi:
     """The curvature differentiates psi, so its rounding grows as eps sqrt(rho_max/rho)
@@ -262,6 +268,25 @@ class TestContinuity:
         residual = continuity_residual(polar_decompose(mid), rho_dot, params.m_star)
         assert residual < 1e-3
 
+    def test_central_difference_residual_falls_as_h_squared(self):
+        # psi(t +- h) from the exact propagator, so [rho(t+h) - rho(t-h)]/2h misses d rho/dt
+        # by h^2/6 d^3 rho/dt^3 alone, and (hbar/m*) Im(psi* lap psi) must cancel the rest
+        grid = Grid.of((32, 32, 32), (1.0, 1.0, 1.0))
+        sigma0 = 0.08
+        psi = normalize(gaussian_packet(GaussianPacketSpec(
+            center=(0.4, 0.5, 0.6), sigma0=sigma0, k_carrier=(4.0 * math.pi, 0.0, -2.0 * math.pi)), grid))
+        params = EffectiveMassParams(omega_ref=CGS.c * 2.0 * math.pi * 8.0)
+        spread_time = 2.0 * params.m_star * sigma0**2 / CGS.hbar
+        t = 0.2 * spread_time
+        form = polar_decompose(evolve_schrodinger(psi, params, t))
+        residuals = []
+        for h in (0.04 * spread_time, 0.02 * spread_time, 0.01 * spread_time):
+            rho_dot = (evolve_schrodinger(psi, params, t + h).density()
+                       - evolve_schrodinger(psi, params, t - h).density()) / (2.0 * h)
+            residuals.append(continuity_residual(form, rho_dot, params.m_star))
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(residuals, residuals[1:])]
+        assert all(abs(order - 2.0) < 0.02 for order in orders), orders
+
 
 # every transform a spectral path may take, so a switch between them cannot hide calls
 FFT_TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn")
@@ -283,21 +308,22 @@ def counting(monkeypatch, module, names):
 
 
 class TestOnePolarAnalysis:
-    """A form computes its curvature and phase flux once for every diagnostic."""
+    """A form computes its polar terms in one pass, from one transform, for every diagnostic."""
 
     def test_every_diagnostic_shares_one_curvature_and_flux(self, rng, monkeypatch):
-        calls = counting(monkeypatch, spectral, ["transform", "sqrt_density_curvature", "phase_flux"])
+        calls = counting(monkeypatch, spectral, ["transform", "polar_terms", "phase_flux"])
         grid = Grid.of((16, 8), (1.0, 0.5))
         psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
         params = EffectiveMassParams(omega_ref=3e11)
         form = polar_decompose(psi)
-        assert calls == {"transform": 0, "sqrt_density_curvature": 0, "phase_flux": 0}
+        assert calls == {"transform": 0, "polar_terms": 0, "phase_flux": 0}
         quantum_potential(form, params.m_star)
         hj_residual(form, params, 0.0)
         continuity_residual(form, np.zeros(grid.shape), params.m_star)
         phase_gradient_momentum(form)
         energy_decomposition(psi, params)
-        assert calls == {"transform": 1, "sqrt_density_curvature": 1, "phase_flux": 1}
+        # the flux rows feed the pass and are never formed whole
+        assert calls == {"transform": 1, "polar_terms": 1, "phase_flux": 0}
 
     def test_cached_curvature_is_read_only(self, rng):
         form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
@@ -306,16 +332,17 @@ class TestOnePolarAnalysis:
 
     @pytest.mark.parametrize("grid", [Grid.of(32, 1.0), Grid.of((16, 8), (1.0, 0.5)),
                                       Grid.of((8, 10, 8), (1.0, 0.5, 2.0))], ids=["1d", "2d", "3d"])
-    def test_flux_is_one_read_only_array(self, grid, rng):
+    def test_polar_terms_are_read_only_grids(self, grid, rng):
         form = polar_decompose(random_field(grid, rng))
-        assert isinstance(form.flux, np.ndarray)
-        assert form.flux.shape == (grid.dim, *grid.shape)
-        with pytest.raises(ValueError):
-            form.flux[0][:] = 0.0
+        for values in (form.curvature, form.action_gradient_sq, form.flux_divergence):
+            assert isinstance(values, np.ndarray) and values.shape == grid.shape
+            with pytest.raises(ValueError):
+                values[:] = 0.0
 
     def test_madelung_step_fft_count(self, tmp_path, monkeypatch):
-        # the form's forward transform of psi 1 (read by the flux, the curvature and pc),
-        # phase flux 3, curvature 1, divergence 4
+        # the form's one pass: the forward transform of psi 1 (pc reads its spectrum), one
+        # gradient component per axis 3, the laplacian 1; the continuity residual reads the
+        # pass's flux divergence and transforms nothing
         grid = Grid.of((24, 24, 24), (1.0, 1.0, 1.0))
         psi = gaussian_packet(GaussianPacketSpec(
             center=(0.5, 0.5, 0.5), sigma0=0.1, k_carrier=(0.0, 2.0 * math.pi, 0.0)), grid)
@@ -325,7 +352,7 @@ class TestOnePolarAnalysis:
                          "--next-field", str(tmp_path / "packet.csv"), "--dt-s", "1e-12",
                          "--omega-ref-rad-per-s", "1e11", "--energy-erg", "1e-16",
                          "--output-dir", str(tmp_path / "out")]) == 0
-        assert sum(calls.values()) == 9
+        assert sum(calls.values()) == 5
 
 
 class TestFormFromPsiAlone:
@@ -389,7 +416,8 @@ class TestOneFormPerField:
 
     def test_form_arrays_are_read_only(self, rng):
         form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
-        for arr in (form.rho, form.phase, form.branch_mask, form.spectrum):
+        for arr in (form.rho, form.phase, form.branch_mask, form.curvature, form.action_gradient_sq,
+                    form.flux_divergence):
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
 
@@ -407,10 +435,10 @@ class TestOneFormPerField:
         params = EffectiveMassParams(omega_ref=3e11)
         form = polar_decompose(psi)
         quantum_potential(form, params.m_star).Q
-        calls = counting(monkeypatch, spectral, ["sqrt_density_curvature"])
+        calls = counting(monkeypatch, spectral, ["polar_terms"])
         transforms = counting(monkeypatch, np.fft, ["fftn"])
         energy_decomposition(psi, params)
-        assert calls == {"sqrt_density_curvature": 0}
+        assert calls == {"polar_terms": 0}
         assert transforms == {"fftn": 0}
 
 

@@ -174,11 +174,24 @@ class TestSqrtDensityCurvature:
         # a carrier and a smooth phase: the flux term must cancel the phase's share of lap psi
         psi = ComplexField(grid=grid, values=sqrt_rho * np.exp(
             1j * (2.0 * math.pi * 3 * x + 0.5 * np.sin(2.0 * math.pi * x))))
-        spec = spectral.transform(psi.values, grid)
-        flux = spectral.phase_flux(psi.values, spec, grid)
         expected = spectral.laplacian(np.fft.fftn(sqrt_rho), grid).real / sqrt_rho
-        result = spectral.sqrt_density_curvature(psi, spec, flux, node_mask(psi.density()))
+        result = spectral.polar_terms(psi, psi.density(), node_mask(psi.density())).curvature
         np.testing.assert_allclose(result, expected, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+def test_flux_divergence_is_im_psi_lap_psi(grid, rng):
+    # div Im(psi* grad psi) = Im(|grad psi|^2 + psi* lap psi) = Im(psi* lap psi); the flux of a
+    # field of modes |m| < N/8 holds modes under N/4, so the spectral divergence is exact
+    psi = random_field(grid, rng)
+    values = psi.values
+    flux = spectral.phase_flux(values, spectral.transform(values, grid), grid)
+    lap = spectral.laplacian(spectral.transform(values, grid), grid)
+    expected = np.imag(np.conj(values) * lap)
+    scale = float(np.abs(expected).max())
+    rho = psi.density()
+    for result in (spectral.divergence(flux, grid), spectral.polar_terms(psi, rho, node_mask(rho)).flux_divergence):
+        assert float(np.abs(result - expected).max()) < 1e-12 * scale
 
 
 class TestNodeMask:
