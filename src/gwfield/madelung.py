@@ -206,41 +206,23 @@ def phase_gradient_momentum(form: MadelungForm) -> float:
     return form.mean(np.sqrt(form.action_gradient_sq))
 
 
-def _spline_coefficients(samples: np.ndarray, dim: int) -> np.ndarray:
-    """Periodic cubic B-spline coefficients of ``samples`` over its first ``dim`` axes.
-
-    At the integers the cubic B-spline is (1, 4, 1)/6, a circular convolution
-    that the Fourier transform turns into the factor prod_i (4 + 2 cos 2 pi
-    m_i/N_i)/6 >= 3^-dim, so one division interpolates the samples exactly
-    (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 41, 821 (1993)).
-    """
-    axes = tuple(range(dim))
-    spectrum = np.fft.rfftn(samples, axes=axes)
-    for axis in axes:
-        m = np.arange(spectrum.shape[axis])
-        factor = (4.0 + 2.0 * np.cos(2.0 * np.pi * m / samples.shape[axis])) / 6.0
-        spectrum /= factor.reshape((-1,) + (1,) * (spectrum.ndim - axis - 1))
-    return np.fft.irfftn(spectrum, s=samples.shape[:dim], axes=axes)
-
-
 class QuantumPotentialInterpolator:
     """Periodic cubic B-spline interpolation of grad Q at (n, dim) points.
 
-    The gradient is evaluated spectrally and its components are prefiltered
-    together, once; a query gathers each point's 4^dim coefficient stencil
-    and weights it one axis at a time, independently of the other points.
-    Off-grid queries wrap around the box.  ``masked_at`` reports, per point,
-    whether the nearest grid point sits in a masked (undefined-Q) region.
-    Forces are quantitatively reliable only when the density stays above the
-    floor everywhere: masked zeros put a cliff into the Q array whose ringing
-    leaks into the spectral gradient.
+    The gradient's spline coefficients come from one transform of Q, once
+    (:func:`spectral.gradient_spline`); a query gathers each point's 4^dim
+    coefficient stencil and weights it one axis at a time, independently of
+    the other points.  Off-grid queries wrap around the box.  ``masked_at``
+    reports, per point, whether the nearest grid point sits in a masked
+    (undefined-Q) region.  Forces are quantitatively reliable only when the
+    density stays above the floor everywhere: masked zeros put a cliff into
+    the Q array whose ringing leaks into the spectral gradient.
     """
 
     def __init__(self, qfield: QuantumPotentialField):
         self.grid = qfield.form.grid
         self.m_star = qfield.m_star
-        gradient = np.moveaxis(spectral.gradient(qfield.Q, self.grid).real, 0, -1)
-        self._coefficients = _spline_coefficients(gradient, self.grid.dim)
+        self._coefficients = spectral.gradient_spline(qfield.Q, self.grid)
         self._mask = qfield.form.branch_mask
 
     def _fractional_index(self, x: np.ndarray) -> np.ndarray:
@@ -333,7 +315,9 @@ class BohmTrajectory:
     positions: np.ndarray
     momenta: np.ndarray
     last_step: np.ndarray
-    status: str
+
+    status = property(lambda self: "ok" if np.all(self.last_step == len(self.times) - 1)
+                      else "terminated_masked")
 
 
 def run_trajectory(
@@ -368,5 +352,4 @@ def run_trajectory(
         positions[step + 1], momenta[step + 1] = x, p
     # 0 * dt would be -0.0 for a backward run
     times = np.concatenate(([0.0], np.arange(1, n_steps + 1) * dt))
-    return BohmTrajectory(times, positions, momenta, last_step,
-                          "ok" if active.all() else "terminated_masked")
+    return BohmTrajectory(times, positions, momenta, last_step)

@@ -4,12 +4,13 @@ All propagators and residual checks in this package differentiate spectrally:
 for band-limited periodic data the derivatives are exact to rounding, which
 keeps the physics claims separated from discretization error.  Every k-space
 formula of the package lives here, down to the polar form's one pass over one
-transform of psi (:func:`polar_terms`).
+transform of psi (:func:`polar_terms`), and every kernel reads the complex spectrum
+of :func:`transform` and returns through :func:`inverse`: one transform family.
 
-The grid axes of an array are its trailing ``grid.dim`` axes: :func:`transform` and
-the derivatives transform over those alone, so leading axes index the snapshots
-of a series.  A grid vector field is one ``(dim, ...)`` array, its component axis
-first.  The power sums take one field.
+The grid axes of an array are its trailing ``grid.dim`` axes: the transforms run over
+those alone, so leading axes index the snapshots of a series.  A grid vector field is
+one ``(dim, ...)`` array, its component axis first; spline coefficients put it last, so
+that a point's stencil gathers every component at once.
 
 A full-grid kernel holds at most one full-grid temporary beyond its inputs, its result and
 the spectrum it transforms: the transforms write in place, and an elementwise formula that
@@ -47,12 +48,6 @@ def wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
-def half_wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
-    """:func:`wavenumbers` on the ``rfftn`` half spectrum (last axis: n/2 + 1, non-negative)."""
-    *axes, last = wavenumbers(grid)
-    return (*axes, np.abs(last[..., :grid.n_points[-1] // 2 + 1]))
-
-
 def k_squared(grid: Grid) -> np.ndarray:
     return sum(k * k for k in wavenumbers(grid))
 
@@ -66,18 +61,23 @@ def transform(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.fftn(values, axes=_grid_axes(grid), out=np.empty(np.shape(values), dtype=complex))
 
 
+def inverse(spec: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of :func:`transform`, written into ``spec``."""
+    return np.fft.ifftn(spec, axes=_grid_axes(grid), out=spec)
+
+
 def _derivative(spec: np.ndarray, k: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
     """d psi along the axis of ``k`` (one of :func:`wavenumbers`), written into ``out``,
     of the field psi whose :func:`transform` is ``spec``; ``out`` may be ``spec``."""
     np.multiply(1j * k, spec, out=out)
-    return np.fft.ifftn(out, axes=_grid_axes(grid), out=out)
+    return inverse(out, grid)
 
 
 def laplacian(spec: np.ndarray, grid: Grid) -> np.ndarray:
     """Laplacian of the field whose :func:`transform` is ``spec``, written into ``spec``."""
     k_sq = k_squared(grid)
     np.multiply(np.negative(k_sq, out=k_sq), spec, out=spec)
-    return np.fft.ifftn(spec, axes=_grid_axes(grid), out=spec)
+    return inverse(spec, grid)
 
 
 def derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -86,29 +86,19 @@ def derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return _derivative(spec, wavenumbers(grid)[axis], grid, out=spec)
 
 
-def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral gradient, one complex ``(dim, ...)`` array: row i is d_i ``values``."""
+def gradient_spline(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Periodic cubic B-spline coefficients of the spectral gradient of the real ``values``, one
+    real ``(*grid.shape, dim)`` array.  At the integers the B-spline is (1, 4, 1)/6, a circular
+    convolution that the transform turns into the factor prod_i (4 + 2 cos k_i dx_i)/6, so one
+    division of the spectrum interpolates every component exactly (Unser, Aldroubi & Eden, IEEE
+    Trans. Signal Process. 41, 821 (1993)); the rows are then inverted one at a time."""
     spec = transform(values, grid)
-    rows = np.empty((grid.dim, *spec.shape), dtype=complex)
-    for row, k in zip(rows, wavenumbers(grid)):
-        _derivative(spec, k, grid, out=row)
-    return rows
-
-
-def divergence(field, grid: Grid) -> np.ndarray:
-    """Spectral divergence of a real vector field: one row per axis of ``grid``, given as a
-    ``(dim, ...)`` array or any iterable of rows (so a caller can scale one row at a time)."""
-    axes = _grid_axes(grid)
-    spec, term = 0.0, None
-    for comp, k in zip(field, half_wavenumbers(grid), strict=True):
-        if np.iscomplexobj(comp):
-            raise ValueError("divergence takes real components")
-        term = np.fft.rfftn(comp, axes=axes, out=term)
-        spec += np.multiply(1j * k, term, out=term)
-    del term
-    # irfftn with its complex passes in place (ifftn runs the axes it is given last to first)
-    np.fft.ifftn(spec, axes=axes[-2::-1], out=spec)
-    return np.fft.irfft(spec, n=grid.n_points[-1], axis=-1)
+    for k, dx in zip(wavenumbers(grid), grid.spacings):
+        spec /= (4.0 + 2.0 * np.cos(k * dx)) / 6.0
+    coefficients, row = np.empty((*grid.shape, grid.dim)), np.empty_like(spec)
+    for i, k in enumerate(wavenumbers(grid)):
+        coefficients[..., i] = _derivative(spec, k, grid, out=row).real
+    return coefficients
 
 
 def phase_flux(values: np.ndarray, spec: np.ndarray, grid: Grid) -> np.ndarray:
@@ -132,28 +122,35 @@ def _flux_chunks(values: np.ndarray, spec: np.ndarray, grid: Grid, arrays):
             yield np.imag(np.conj(psi) * d_psi), *chunks
 
 
-def _weighted_sum(power: np.ndarray, grid: Grid, weight) -> float:
-    """Sum of ``weight(k^2) * power`` (``power`` alone when ``weight`` is None), formed in ``power``."""
-    if weight is not None:
-        np.multiply(weight(k_squared(grid)), power, out=power)
+def power_sum(spec: np.ndarray, grid: Grid) -> float:
+    """Sum of k^2 |spec|^2 over the power spectrum of a forward transform ``spec``.  Times
+    dV/N it is the Parseval partner of the gradient energy int |grad psi|^2 dV."""
+    power = np.abs(spec) ** 2
+    power *= k_squared(grid)
     return float(np.sum(power))
 
 
-def power_sum(spec: np.ndarray, grid: Grid, weight=None) -> float:
-    """Sum of ``weight(k^2)`` (a function of the k^2 array; 1 when None) over
-    the power spectrum |spec|^2 of a forward transform ``spec``.  Times dV/N it
-    is the Parseval partner of the matching real-space integral."""
-    return _weighted_sum(np.abs(spec) ** 2, grid, weight)
-
-
 def power_mean(spec: np.ndarray, grid: Grid, weight) -> float:
-    """Mean of ``weight(k^2)`` over the power spectrum |spec|^2.  Raises
-    ValueError for a zero field, whose spectrum has no power to average over."""
+    """Mean of ``weight(k^2)`` (which may write into the k^2 array) over the power spectrum
+    |spec|^2.  Raises ValueError for a zero field, whose spectrum has no power to average over."""
     power = np.abs(spec) ** 2
     total = float(np.sum(power))
     if total == 0.0:
         raise ValueError("the spectral mean of a zero field is undefined (zero total power)")
-    return _weighted_sum(power, grid, weight) / total
+    power *= weight(k_squared(grid))
+    return float(np.sum(power)) / total
+
+
+def _conj_laplacian_product(values: np.ndarray, spec: np.ndarray, grid: Grid) -> np.ndarray:
+    """conj(lap psi) psi of psi = ``values`` (``spec`` is its :func:`transform`), written into
+    ``spec``: its real part is Re(psi* lap psi), its imaginary part -Im(psi* lap psi)."""
+    return np.multiply(np.conjugate(laplacian(spec, grid), out=spec), values, out=spec)
+
+
+def flux_divergence(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """div Im(psi* grad psi) = Im(psi* lap psi) of psi = ``values``, one real array, from one
+    transient :func:`transform` (over the grid axes, so a stack of snapshots in one call)."""
+    return np.negative(_conj_laplacian_product(values, transform(values, grid), grid).imag)
 
 
 class PolarTerms(NamedTuple):
@@ -172,7 +169,7 @@ def polar_terms(psi: ComplexField, rho: np.ndarray, mask: np.ndarray) -> PolarTe
     towards the nodes, while a field cut off at the box edge rings into the whole spectrum."""
     grid, values = psi.grid, psi.values
     spec = transform(values, grid)
-    mean_k = None if mask.all() else power_mean(spec, grid, np.sqrt)
+    mean_k = None if mask.all() else power_mean(spec, grid, lambda k_sq: np.sqrt(k_sq, out=k_sq))
     unmasked = ~mask
     curvature, action_gradient_sq = np.zeros(grid.shape), np.zeros(grid.shape)
     per_axis = [(rho, unmasked, curvature, action_gradient_sq)] * grid.dim
@@ -182,12 +179,10 @@ def polar_terms(psi: ComplexField, rho: np.ndarray, mask: np.ndarray) -> PolarTe
         f **= 2
         act += f
     # Re(conj(psi) lap) as Re(conj(lap) psi): the same products, formed in the spectrum
-    lap = laplacian(spec, grid)
-    np.conjugate(lap, out=lap)
-    lap *= values
+    product = _conj_laplacian_product(values, spec, grid)
     np.divide(curvature, rho, out=curvature, where=unmasked)
-    curvature += lap.real
+    curvature += product.real
     np.divide(curvature, rho, out=curvature, where=unmasked)
     for term in (curvature, action_gradient_sq):
         np.copyto(term, 0.0, where=mask)
-    return PolarTerms(curvature, action_gradient_sq, np.negative(lap.imag), mean_k)
+    return PolarTerms(curvature, action_gradient_sq, np.negative(product.imag), mean_k)

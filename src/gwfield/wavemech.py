@@ -112,8 +112,11 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid) -> ComplexField:
 
 
 def _schrodinger_rate(k_sq: np.ndarray, params: EffectiveMassParams) -> np.ndarray:
-    """Angular frequency hbar k^2/(2 m*) + V0 [rad/s] of each first-order mode."""
-    return CGS.hbar * k_sq / (2.0 * params.m_star) + params.v0
+    """Angular frequency hbar k^2/(2 m*) + V0 [rad/s] of each first-order mode, in ``k_sq``."""
+    k_sq *= CGS.hbar
+    k_sq /= 2.0 * params.m_star
+    k_sq += params.v0
+    return k_sq
 
 
 def evolve_schrodinger(psi: ComplexField, params: EffectiveMassParams, t: float) -> ComplexField:
@@ -136,7 +139,7 @@ def evolve_schrodinger(psi: ComplexField, params: EffectiveMassParams, t: float)
 
 def _field_from_spectrum(spec: np.ndarray, grid: Grid) -> ComplexField:
     """The field whose transform is ``spec``, inverted in place and adopted by the field."""
-    values = np.fft.ifftn(spec, out=spec)
+    values = spectral.inverse(spec, grid)
     values.setflags(write=False)
     return ComplexField(grid=grid, values=values)
 
@@ -187,7 +190,7 @@ def wave_energy(state: ClassicalWaveState, mu: float) -> float:
     """Conserved functional int [ |psi_dot|^2/c^2 + |grad psi|^2 + mu^2 |psi|^2 ] dV."""
     psi, grid = state.psi.values, state.grid
     local = np.sum(np.abs(state.psi_dot.values) ** 2) / CGS.c**2 + mu**2 * np.sum(np.abs(psi) ** 2)
-    gradient = spectral.power_sum(spectral.transform(psi, grid), grid, lambda k_sq: k_sq) / psi.size
+    gradient = spectral.power_sum(spectral.transform(psi, grid), grid) / psi.size
     return float(local + gradient) * grid.cell_volume
 
 

@@ -2,9 +2,9 @@
 named ``test_criterion_<number>_<name>`` or ``test_invariant_<name>``.  Each
 prints the entry's PASS/FAIL line (visible with ``pytest -s``), then asserts
 every measurement against its bound and the run time against the budget.
-The last three keep every public function and class of the package in use, every
-top-level import of a module read in it, and every option of one set by some call in
-the package.
+The last four keep every public function and class of the package in use, every
+top-level import of a module read in it, every grid transform in ``spectral.py``, and
+every option of one set by some call in the package.
 """
 
 import ast
@@ -69,6 +69,19 @@ def test_every_module_level_import_is_read():
                 unread += [f"{path.name}: {alias.asname or alias.name}" for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in reads]
     assert not unread, f"imports nothing reads: {unread}"
+
+
+def test_every_grid_transform_is_in_spectral():
+    """Only ``spectral.py`` calls a grid transform (``np.fft.*fftn``), and no module calls a
+    half-spectrum one (``rfft*``, ``irfft*``): the package has one transform family, in one home."""
+    stray = []
+    for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if name.startswith(("rfft", "irfft")) or (name.endswith("fftn") and path.name != "spectral.py"):
+                    stray.append(f"{path.name}:{node.lineno} {name}")
+    assert not stray, f"grid transforms outside spectral.py: {stray}"
 
 
 def test_every_option_is_set_somewhere_in_the_package():

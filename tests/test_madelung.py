@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import json
 import math
@@ -141,7 +142,7 @@ class TestQuantumPotential:
         form = polar_decompose(psi)
         q = quantum_potential(form, 1e-30)
         lhs = float(np.sum(form.rho * form.curvature)) * grid.cell_volume
-        grad = spectral.gradient(np.sqrt(rho), grid)[0].real
+        grad = spectral.derivative(np.sqrt(rho), grid, 0).real
         rhs = -float(np.sum(grad**2)) * grid.cell_volume
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
         assert form.mean(q.Q) >= 0.0
@@ -593,6 +594,13 @@ class TestBohmTrajectories:
             assert np.array_equal(ensemble.positions[:, i:i + 1], alone.positions)
             assert np.array_equal(ensemble.momenta[:, i:i + 1], alone.momenta)
 
+    def test_status_is_read_from_last_step(self):
+        times, states = np.arange(3.0), np.zeros((3, 2, 1))
+        assert "status" not in {f.name for f in dataclasses.fields(madelung.BohmTrajectory)}
+        for last_step, status in (([2, 2], "ok"), ([1, 2], "terminated_masked")):
+            traj = madelung.BohmTrajectory(times, states, states, np.array(last_step))
+            assert traj.status == status
+
     def test_masked_particle_freezes_while_others_finish(self, tmp_path):
         grid = Grid.of(512, 80.0)
         values = np.exp(-((grid.axis(0) - 40.0) ** 2) / 4.0)
@@ -633,7 +641,7 @@ class TestBohmTrajectories:
     def _random_gradient(rng, n_points, lengths):
         grid = Grid.of(n_points, lengths)
         qfield = quantum_potential(polar_decompose(normalize(random_field(grid, rng))), 1e-37)
-        gradients = np.stack([g.real for g in spectral.gradient(qfield.Q, grid)], axis=-1)
+        gradients = np.stack([spectral.derivative(qfield.Q, grid, i).real for i in range(grid.dim)], axis=-1)
         return grid, QuantumPotentialInterpolator(qfield), gradients
 
     @GRIDS

@@ -37,53 +37,37 @@ class TestOpenAxesMatchFullMeshes:
         values = random_field(grid, rng).values
         spec = np.fft.fftn(values)
         reference = [np.fft.ifftn(1j * m * spec) for m in full_wavenumber_meshes(grid)]
-        result = spectral.gradient(values, grid)
-        assert len(result) == grid.dim
-        assert all(np.array_equal(r, e) for r, e in zip(result, reference))
         assert all(np.array_equal(spectral.derivative(values, grid, i), e) for i, e in enumerate(reference))
+
+    def test_inverse_is_the_whole_array_inverse(self, grid, rng):
+        spec = np.fft.fftn(random_field(grid, rng).values)
+        expected = np.fft.ifftn(spec)
+        assert np.array_equal(spectral.inverse(spec, grid), expected)
 
     def test_vector_fields_are_one_array(self, grid, rng):
         values = random_field(grid, rng).values
-        spec = spectral.transform(values, grid)
-        for field in (spectral.gradient(values, grid), spectral.phase_flux(values, spec, grid)):
-            assert isinstance(field, np.ndarray)
-            assert field.shape == (grid.dim, *grid.shape)
-
-    def test_half_wavenumbers_are_the_rfftn_half(self, grid):
-        full = spectral.wavenumbers(grid)
-        half = spectral.half_wavenumbers(grid)
-        last = grid.n_points[-1] // 2 + 1
-        assert all(np.array_equal(h, f) for h, f in zip(half[:-1], full[:-1]))
-        assert np.array_equal(half[-1], np.abs(full[-1][..., :last]))
+        field = spectral.phase_flux(values, spectral.transform(values, grid), grid)
+        assert isinstance(field, np.ndarray)
+        assert field.shape == (grid.dim, *grid.shape)
 
     def test_divergence(self, grid, rng):
-        # the real-input transform against the real part of the complex reference
-        components = [random_field(grid, rng, band_fraction=1.0).values.real for _ in range(grid.dim)]
-        reference = np.zeros(grid.shape, dtype=np.complex128)
-        for comp, m in zip(components, full_wavenumber_meshes(grid)):
-            reference = reference + np.fft.ifftn(1j * m * np.fft.fftn(comp))
-        result = spectral.divergence(components, grid)
+        # the flux divergence Im(psi* lap psi) through the open axes against the full meshes
+        values = random_field(grid, rng, band_fraction=1.0).values
+        k_sq = sum(m * m for m in full_wavenumber_meshes(grid))
+        reference = np.imag(np.conj(values) * np.fft.ifftn(-k_sq * np.fft.fftn(values)))
+        result = spectral.flux_divergence(values, grid)
         assert result.dtype == np.float64
-        assert np.abs(result - reference.real).max() < 1e-12 * np.abs(reference.real).max()
+        assert np.abs(result - reference).max() < 1e-12 * np.abs(reference).max()
 
     def test_divergence_of_sines(self, grid):
-        # div (sin k.x, ...) = (sum_i k_i) cos k.x
+        # psi = 1 + eps exp(i k.x): Im(psi* grad psi) = eps k cos(k.x) + eps^2 k, whose
+        # divergence is -eps |k|^2 sin(k.x)
         k_vec = [2.0 * math.pi * m / length for m, length in zip((3, -2, 1), grid.lengths)]
         arg = sum(k * x for k, x in zip(k_vec, grid.meshes()))
-        result = spectral.divergence([np.sin(arg)] * grid.dim, grid)
-        expected = sum(k_vec) * np.cos(arg)
-        assert np.abs(result - expected).max() < 1e-12 * max(abs(k) for k in k_vec)
-
-    def test_divergence_takes_one_component_per_axis(self, grid, rng):
-        comp = random_field(grid, rng).values.real
-        for count in set(range(1, grid.dim + 2)) - {grid.dim}:
-            with pytest.raises(ValueError):
-                spectral.divergence([comp] * count, grid)
-
-    def test_divergence_rejects_complex_components(self, grid, rng):
-        components = [random_field(grid, rng).values for _ in range(grid.dim)]
-        with pytest.raises(ValueError, match="real components"):
-            spectral.divergence(components, grid)
+        eps = 0.3
+        result = spectral.flux_divergence(1.0 + eps * np.exp(1j * arg), grid)
+        k_sq = sum(k * k for k in k_vec)
+        assert np.abs(result + eps * k_sq * np.sin(arg)).max() < 1e-12 * k_sq
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
@@ -94,21 +78,23 @@ class TestSnapshotStacks:
         stack = np.stack([random_field(grid, rng).values for _ in range(3)])
         assert np.array_equal(spectral.transform(stack, grid)[1], spectral.transform(stack[1], grid))
 
+        def gradient(values, grid):
+            return [spectral.derivative(values, grid, i) for i in range(grid.dim)]
+
         def phase_flux(values, grid):
             return spectral.phase_flux(values, spectral.transform(values, grid), grid)
 
-        for transform in (spectral.gradient, phase_flux):
+        for transform in (gradient, phase_flux):
             result = transform(stack, grid)
             for m, values in enumerate(stack):
                 assert all(np.array_equal(r[m], e) for r, e in zip(result, transform(values, grid)))
 
     def test_divergence(self, grid, rng):
-        stacks = [np.stack([random_field(grid, rng).values.real for _ in range(3)])
-                  for _ in range(grid.dim)]
-        result = spectral.divergence(stacks, grid)
+        stack = np.stack([random_field(grid, rng).values for _ in range(3)])
+        result = spectral.flux_divergence(stack, grid)
         assert result.shape == (3, *grid.shape)
         for m in range(3):
-            assert np.array_equal(result[m], spectral.divergence([c[m] for c in stacks], grid))
+            assert np.array_equal(result[m], spectral.flux_divergence(stack[m], grid))
 
 
 class TestPhaseFlux:
@@ -151,18 +137,11 @@ class TestPowerMean:
 
 class TestPowerSum:
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
-    def test_unweighted_is_fourier_norm(self, grid, rng):
-        field = random_field(grid, rng)
-        n_total = float(np.prod(grid.n_points))
-        fourier = spectral.power_sum(np.fft.fftn(field.values), grid) * grid.cell_volume / n_total
-        assert fourier == pytest.approx(field.norm_squared(), rel=1e-14)
-
-    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
     def test_k_squared_weight_is_gradient_energy(self, grid, rng):
         values = random_field(grid, rng).values
         n_total = float(np.prod(grid.n_points))
-        fourier = spectral.power_sum(np.fft.fftn(values), grid, lambda k_sq: k_sq) * grid.cell_volume / n_total
-        physical = sum(float(np.sum(np.abs(g) ** 2)) for g in spectral.gradient(values, grid))
+        fourier = spectral.power_sum(np.fft.fftn(values), grid) * grid.cell_volume / n_total
+        physical = sum(float(np.sum(np.abs(spectral.derivative(values, grid, i)) ** 2)) for i in range(grid.dim))
         assert fourier == pytest.approx(physical * grid.cell_volume, rel=1e-12)
 
 
@@ -182,15 +161,17 @@ class TestSqrtDensityCurvature:
 @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
 def test_flux_divergence_is_im_psi_lap_psi(grid, rng):
     # div Im(psi* grad psi) = Im(|grad psi|^2 + psi* lap psi) = Im(psi* lap psi); the flux of a
-    # field of modes |m| < N/8 holds modes under N/4, so the spectral divergence is exact
+    # field of modes |m| < N/8 holds modes under N/4, so the spectral divergence of the flux is exact
     psi = random_field(grid, rng)
     values = psi.values
     flux = spectral.phase_flux(values, spectral.transform(values, grid), grid)
+    divergence = sum(spectral.derivative(f, grid, i).real for i, f in enumerate(flux))
     lap = spectral.laplacian(spectral.transform(values, grid), grid)
     expected = np.imag(np.conj(values) * lap)
     scale = float(np.abs(expected).max())
     rho = psi.density()
-    for result in (spectral.divergence(flux, grid), spectral.polar_terms(psi, rho, node_mask(rho)).flux_divergence):
+    for result in (divergence, spectral.flux_divergence(values, grid),
+                   spectral.polar_terms(psi, rho, node_mask(rho)).flux_divergence):
         assert float(np.abs(result - expected).max()) < 1e-12 * scale
 
 

@@ -221,8 +221,9 @@ class TestEvolveClassicalWave:
         state = ClassicalWaveState(psi=random_field(grid, rng), psi_dot=ComplexField(
             grid=grid, values=random_field(grid, rng).values * CGS.c / grid.lengths[0]))
         mu = 7.5
-        spectral_sum = (spectral.power_sum(np.fft.fftn(state.psi_dot.values), grid) / CGS.c**2
-                        + spectral.power_sum(np.fft.fftn(state.psi.values), grid, lambda k_sq: k_sq + mu**2))
+        psi_hat, dot_hat = np.fft.fftn(state.psi.values), np.fft.fftn(state.psi_dot.values)
+        spectral_sum = (float(np.sum(np.abs(dot_hat) ** 2)) / CGS.c**2 + spectral.power_sum(psi_hat, grid)
+                        + mu**2 * float(np.sum(np.abs(psi_hat) ** 2)))
         expected = spectral_sum * grid.cell_volume / float(np.prod(grid.n_points))
         assert wavemech.wave_energy(state, mu) == pytest.approx(expected, rel=1e-13)
 
