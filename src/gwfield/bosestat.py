@@ -29,8 +29,8 @@ import numpy as np
 from .constants import CGS
 
 MAX_BRUTE_FORCE_PHOTONS = 8
-# ceiling on the occupation cutoff suggested_r_max may ask for: one float row
-# of 1,000,001 entries is 8 MB
+# ceiling on the occupation cutoff suggested_r_max may ask for, and (plus one) on the
+# entries of a maximize_entropy table: one float row of 1,000,001 entries is 8 MB
 MAX_R_MAX = 1_000_000
 # geometric tail mass suggested_r_max cuts off, relative to the band total
 R_MAX_TAIL = 1e-12
@@ -275,8 +275,9 @@ def maximize_entropy(
     hits ``e_target`` to :data:`ENERGY_TOL` relative.
     ``ThermoState.energy_evaluations`` counts the trial multipliers,
     bracketing plus Brent.  Raises ValueError for no band, a non-positive
-    ``e_target`` or ``r_max < 1``, and :class:`ConvergenceError` when the
-    bracket fails or ``r_max`` cannot hold the target energy.
+    ``e_target``, ``r_max < 1`` or a table of more than ``MAX_R_MAX + 1``
+    entries, and :class:`ConvergenceError` when the bracket fails or
+    ``r_max`` cannot hold the target energy.
     """
     if not bands:
         raise ValueError("at least one band is required")
@@ -284,6 +285,8 @@ def maximize_entropy(
         raise ValueError("e_target must be finite and positive")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
+    if len(bands) * (r_max + 1) > MAX_R_MAX + 1:
+        raise ValueError(f"{len(bands)} x {r_max + 1} table entries is above MAX_R_MAX + 1 = {MAX_R_MAX + 1}")
 
     e_ceiling = sum(CGS.h * b.nu * b.n_states * r_max / 2.0 for b in bands)
     if e_target >= 0.98 * e_ceiling:

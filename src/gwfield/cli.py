@@ -46,7 +46,7 @@ from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normaliz
 from .fieldio import (_INDEX_NAMES, ConfigError, GridColumn, _complex_from_pair, _load_json,
                       _spec_float, _spec_floats, _spec_int, _spec_items, _spec_matrix, read_field,
                       read_object, read_table, write_field, write_table)
-from .helicity import TimeSeriesField, convection_current, partial_wave_split
+from .helicity import TimeSeriesField, convection_current, first_order_charge, partial_wave_split
 
 
 def _sha256(path: Path) -> str:
@@ -232,7 +232,7 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
     decomposition = madelung.energy_decomposition(psi, params)
     grid = psi.grid
     columns = [GridColumn(grid, axis, spacing) for axis, spacing in enumerate(grid.spacings)] + [
-        a.ravel() for a in (form.rho, form.action(), qfield.Q, form.curvature)
+        a.ravel() for a in (form.rho, form.action, qfield.Q, form.curvature)
     ]
     axis_names = [f"x{i}_cm" for i in range(grid.dim)]
     summary = {
@@ -354,7 +354,8 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.k0_rad_per_cm <= 0.0:
         raise ConfigError(f"--k0-rad-per-cm must be positive, got {args.k0_rad_per_cm}")
     series_dir = Path(args.series_dir)
-    csv_paths = sorted(p for p in series_dir.glob("field_*.csv"))
+    # iterdir, unlike glob, raises an OSError naming a missing or non-directory path
+    csv_paths = sorted(p for p in series_dir.iterdir() if p.match("field_*.csv"))
     if len(csv_paths) < 8:
         raise ConfigError(f"series directory {series_dir} holds {len(csv_paths)} field dumps; need >= 8")
     fields, times = [], []
@@ -379,10 +380,10 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
         "norm_minus": minus.norm(),
         "reconstruction_error": recon,
     }
-    averaged = convection_current(series, args.k0_rad_per_cm).mean()
     grid = series.grid
     columns = [*(GridColumn(grid, axis) for axis in range(grid.dim)),
-               *(comp.ravel() for comp in averaged.j), averaged.rho_t.ravel()]
+               *(comp.ravel() for comp in np.mean(convection_current(series), axis=1)),
+               np.mean(first_order_charge(series, args.k0_rad_per_cm), axis=0).ravel()]
     header = [*_INDEX_NAMES[: grid.dim], *(f"j{i}_avg" for i in range(grid.dim)), "rho_t_avg"]
     return vars(args), {"helicity.json": payload, "currents.csv": (header, columns)}
 

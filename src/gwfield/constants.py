@@ -47,12 +47,9 @@ class CgsConstants:
         """Planck constant [erg s]."""
         return 2.0 * math.pi * self.hbar
 
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
     def checksum(self) -> str:
         """SHA-256 over the sorted constant table; pinned in run manifests."""
-        payload = json.dumps(self.as_dict(), sort_keys=True).encode()
+        payload = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
 

@@ -271,7 +271,7 @@ def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:
         if len(meta[key]) != meta["dim"]:
             raise ConfigError(f"{side}['dim'] is {meta['dim']}, but {side}[{key!r}] has "
                               f"length {len(meta[key])}")
-    grid = Grid(dim=meta["dim"], n_points=meta["n_points"], lengths=meta["lengths"])
+    grid = Grid(n_points=meta["n_points"], lengths=meta["lengths"])
     with csv_path.open(newline="") as handle:
         header, blocks = _table_reader(handle, csv_path)
         expected = list(_INDEX_NAMES[: grid.dim]) + ["re", "im"]

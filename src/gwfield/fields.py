@@ -41,16 +41,17 @@ class Grid:
     the spectral mode set symmetric.
     """
 
-    dim: int
     n_points: tuple[int, ...]
     lengths: tuple[float, ...]
+
+    dim = property(lambda self: len(self.n_points))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_points", tuple(int(n) for n in self.n_points))
         object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if len(self.n_points) != self.dim or len(self.lengths) != self.dim:
+        if len(self.lengths) != self.dim:
             raise ValueError("n_points and lengths must both have one entry per axis")
         for n in self.n_points:
             if n < 8 or n % 2 != 0:
@@ -61,9 +62,7 @@ class Grid:
 
     @classmethod
     def of(cls, n_points, lengths) -> "Grid":
-        n_points = tuple(np.atleast_1d(n_points).tolist())
-        lengths = tuple(np.atleast_1d(lengths).tolist())
-        return cls(dim=len(n_points), n_points=n_points, lengths=lengths)
+        return cls(tuple(np.atleast_1d(n_points).tolist()), tuple(np.atleast_1d(lengths).tolist()))
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -91,52 +91,39 @@ def partial_wave_split(series: TimeSeriesField) -> tuple[TimeSeriesField, TimeSe
     return make(plus), make(minus)
 
 
-@dataclass(frozen=True)
-class CurrentField:
-    """Convection current j = hbar Im(psi* grad psi), hbar times :func:`spectral.phase_flux`
-    (one real ``(dim, ...)`` array), and its positive time component rho_t = hbar k0 |psi|^2,
-    of a field or of each snapshot of a series (axis 0 of rho_t, axis 1 of j); both are
-    kept read-only (see :func:`~gwfield.fields.frozen_array`)."""
-
-    grid: Grid
-    j: np.ndarray
-    rho_t: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "j", frozen_array(self.j, np.float64))
-        object.__setattr__(self, "rho_t", frozen_array(self.rho_t, np.float64))
-        if np.any(self.rho_t < 0.0):
-            raise ValueError("rho_t must be >= 0")
-
-    def mean(self) -> "CurrentField":
-        """The current of a series averaged over its snapshots."""
-        if self.rho_t.ndim == self.grid.dim:
-            raise ValueError("the current of one field has no snapshots to average")
-        return CurrentField(grid=self.grid, j=np.mean(self.j, axis=1), rho_t=np.mean(self.rho_t, axis=0))
-
-
-def convection_current(psi: ComplexField | TimeSeriesField, k0: float) -> CurrentField:
-    """The current of a field, or of every snapshot of a series at once."""
+def convection_current(psi: ComplexField | TimeSeriesField) -> np.ndarray:
+    """Convection current j = hbar Im(psi* grad psi), hbar times :func:`spectral.phase_flux`, of
+    a field or of every snapshot of a series at once: one read-only ``(dim, ...)`` array whose
+    axis 1 indexes a series' snapshots.  Only the charge carries k0."""
     spec = spectral.transform(psi.values, psi.grid)
     j = CGS.hbar * spectral.phase_flux(psi.values, spec, psi.grid)
-    rho_t = CGS.hbar * k0 * np.abs(psi.values) ** 2
     j.setflags(write=False)
+    return j
+
+
+def first_order_charge(psi: ComplexField | TimeSeriesField, k0: float) -> np.ndarray:
+    """Time component rho_t = hbar k0 |psi|^2 of the first-order current, read-only, of a
+    field or of each snapshot of a series (axis 0).  It is >= 0 for any k0 > 0, the only k0
+    it takes."""
+    if not k0 > 0.0:
+        raise ValueError(f"k0 must be positive, got {k0}")
+    rho_t = CGS.hbar * k0 * np.abs(psi.values) ** 2
     rho_t.setflags(write=False)
-    return CurrentField(grid=psi.grid, j=j, rho_t=rho_t)
+    return rho_t
 
 
 def current_continuity(series: TimeSeriesField, k0: float) -> float:
     """Normalized RMS of d rho_t/dt + div(2c j) over interior snapshots.
 
-    rho_t = hbar k0 |psi|^2 is conserved under the first-order evolution with
-    flux 2c*j: the factor 2c is the group-velocity gearing of the
-    first-order reduction (modes transport at 2c k/k0).  div(2c j) = 2c hbar
-    Im(psi* lap psi) comes from one transform of the interior snapshots, and
-    d rho_t/dt is a centered difference, so for snapshots of the exact propagator
-    the residual is limited by the sampling interval, not the physics.
+    The charge rho_t (:func:`first_order_charge`) is conserved under the
+    first-order evolution with flux 2c*j: the factor 2c is the group-velocity
+    gearing of the first-order reduction (modes transport at 2c k/k0).
+    div(2c j) = 2c hbar Im(psi* lap psi) comes from one transform of the interior
+    snapshots, and d rho_t/dt is a centered difference, so for snapshots of the
+    exact propagator the residual is limited by the sampling interval, not the physics.
     """
     grid = series.grid
-    rho_t = CGS.hbar * k0 * np.abs(series.values) ** 2
+    rho_t = first_order_charge(series, k0)
     rho_dot = (rho_t[2:] - rho_t[:-2]) / (2.0 * series.dt)
     del rho_t
     scale = 2.0 * CGS.c * CGS.hbar
@@ -153,6 +140,7 @@ def time_averaged_current(series: TimeSeriesField, k0: float) -> np.ndarray:
 
     Cross terms between partial waves average out when the series spans a
     whole common period of the retained modes, so over such a window
-    avg j(psi) = avg j(psi_plus) + avg j(psi_minus).
+    avg j(psi) = avg j(psi_plus) + avg j(psi_minus).  ``k0`` is not read: the current
+    does not carry it.
     """
-    return convection_current(series, k0).mean().j
+    return np.mean(convection_current(series), axis=1)

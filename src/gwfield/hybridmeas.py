@@ -58,8 +58,9 @@ class MeasurementRecord:
     pointer_positions: np.ndarray
     weights: np.ndarray
     overlap_matrix: np.ndarray
-    resolved: bool
     unresolved_pairs: tuple[tuple[int, int], ...]
+
+    resolved = property(lambda self: not self.unresolved_pairs)
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,9 @@ class OutcomeFrequencies:
     """Empirical outcome table from seeded sampling."""
 
     counts: np.ndarray
-    frequencies: np.ndarray
     max_abs_deviation: float
+
+    frequencies = property(lambda self: self.counts / self.counts.sum())
 
 
 def run_measurement(setup: MeasurementSetup) -> MeasurementRecord:
@@ -99,7 +101,6 @@ def run_measurement(setup: MeasurementSetup) -> MeasurementRecord:
         pointer_positions=pointers,
         weights=weights,
         overlap_matrix=overlaps,
-        resolved=not unresolved,
         unresolved_pairs=unresolved,
     )
 
@@ -117,6 +118,5 @@ def sample_outcomes(record: MeasurementRecord, n_trials: int, seed: int) -> Outc
         raise ValueError("n_trials must be >= 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_trials, record.weights / record.weights.sum())
-    frequencies = counts / n_trials
-    deviation = float(np.abs(frequencies - record.weights).max())
-    return OutcomeFrequencies(counts=counts, frequencies=frequencies, max_abs_deviation=deviation)
+    deviation = float(np.abs(counts / n_trials - record.weights).max())
+    return OutcomeFrequencies(counts=counts, max_abs_deviation=deviation)

@@ -62,12 +62,14 @@ class MadelungForm:
         return node_mask(self.rho)
 
     @_read_only
-    def phase(self) -> np.ndarray:
+    def action(self) -> np.ndarray:
+        """S = hbar * the unwrapped phase [erg s]."""
         phase = np.angle(self.psi.values)
         dim = self.grid.dim
         for axis in range(dim):
             sweep = (slice(None),) * (axis + 1) + (0,) * (dim - axis - 1)
             phase[sweep] = np.unwrap(phase[sweep], axis=axis)
+        phase *= CGS.hbar
         return phase
 
     @cached_property
@@ -86,10 +88,6 @@ class MadelungForm:
                                doc="div Im(psi* grad psi) = Im(psi* lap psi) [1/cm^2].")
     mean_wavenumber = property(lambda self: self._terms.mean_k,
                                doc="<|k|> over the power spectrum of psi [1/cm]; None for a zero field.")
-
-    def action(self) -> np.ndarray:
-        """S = hbar * phase [erg s]."""
-        return CGS.hbar * self.phase
 
     def mean(self, values: np.ndarray) -> float:
         """rho-weighted mean of ``values``."""
@@ -178,9 +176,10 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
 
 
 class EnergyDecomposition(NamedTuple):
-    E: float
     pc: float
     Q_mean: float
+
+    E = property(lambda self: self.pc + self.Q_mean)
 
 
 def energy_decomposition(psi: ComplexField, params: EffectiveMassParams) -> EnergyDecomposition:
@@ -198,7 +197,7 @@ def energy_decomposition(psi: ComplexField, params: EffectiveMassParams) -> Ener
     form = polar_decompose(psi)
     pc = CGS.hbar * CGS.c * form.mean_wavenumber
     q_mean = form.mean(quantum_potential(form, params.m_star).Q)
-    return EnergyDecomposition(E=pc + q_mean, pc=pc, Q_mean=q_mean)
+    return EnergyDecomposition(pc=pc, Q_mean=q_mean)
 
 
 def phase_gradient_momentum(form: MadelungForm) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .constants import CGS
 from . import bosestat, cmbrvac, hybridmeas, madelung, spectral, statequant, wavemech
 from .fields import ComplexField, Grid, PlaneWaveSpec, inner_product, make_plane_wave, normalize
-from .helicity import TimeSeriesField, convection_current, current_continuity, partial_wave_split
+from .helicity import TimeSeriesField, current_continuity, first_order_charge, partial_wave_split
 
 
 @dataclass(frozen=True)
@@ -483,7 +483,7 @@ def _charge_positivity_contrast() -> list[Measurement]:
     # an exp(-i omega t) mode plus a weaker exp(+i omega t) mode of three times the frequency
     psi = 2.0 * wave + third
     mixed = charge(psi, -2j * omega1 * wave + 3j * omega1 * third)
-    rho_t = convection_current(ComplexField(grid=grid, values=psi), k1).rho_t
+    rho_t = first_order_charge(ComplexField(grid=grid, values=psi), k1)
     return [Measurement("single_mode_charge_deviation", np.max(np.abs(single / (2.0 * omega1) - 1.0)), 1e-12),
             Measurement("min_charge_ratio", mixed.min() / np.abs(mixed).max(), -1e-3),
             Measurement("mean_charge_ratio", mixed.mean() / np.abs(mixed).max(), 0.0, lower=True),

@@ -149,12 +149,10 @@ class SchmidtResult:
     coefficients: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
-    rank: int
     threshold: float
 
-    @property
-    def entangled(self) -> bool:
-        return self.rank > 1
+    rank = property(lambda self: len(self.coefficients))
+    entangled = property(lambda self: self.rank > 1)
 
 
 def schmidt_decompose(
@@ -190,7 +188,6 @@ def schmidt_decompose(
         coefficients=s[:rank].copy(),
         left_basis=u[:, :rank].copy(),
         right_basis=vh[:rank, :].copy(),
-        rank=rank,
         threshold=tau,
     )
 

@@ -2,15 +2,20 @@
 named ``test_criterion_<number>_<name>`` or ``test_invariant_<name>``.  Each
 prints the entry's PASS/FAIL line (visible with ``pytest -s``), then asserts
 every measurement against its bound and the run time against the budget.
-The last four keep every public function and class of the package in use, every
-top-level import of a module read in it, every grid transform in ``spectral.py``, and
-every option of one set by some call in the package.
+The last six keep every public function and class of the package in use, every public
+method and property read outside its class, every top-level import of a module read in it,
+every grid transform in ``spectral.py``, every option of one set by some call in the
+package, and each value that a record derives equal to the value it once stored.
 """
 
 import ast
+import json
 from pathlib import Path
 
-from gwfield import selfcheck
+import numpy as np
+
+from gwfield import fieldio, hybridmeas, madelung, selfcheck, statequant, wavemech
+from gwfield.fields import ComplexField, Grid, normalize
 
 
 def _acceptance_test(check):
@@ -56,6 +61,31 @@ def test_every_public_name_has_a_reader_in_the_package():
     unread = {name: module for name, module in defined.items()
               if name not in benchmark_only and not any(read == name != owner for owner, read in reads)}
     assert not unread, f"public names nothing in the package reads: {unread}"
+
+
+def test_every_public_method_and_property_has_a_reader_outside_its_class():
+    """A public method, or a ``property(...)`` of a public class, of ``src/gwfield`` is read
+    by attribute name somewhere in the package outside its own class: an accessor that only
+    its class reads restates another, and a fact has one accessor."""
+    # perfbench's tracer reads it, and the benchmark changes only on its own (ROADMAP item 1)
+    benchmark_only = {("BohmTrajectory", "status")}
+    members, reads = {}, []
+    for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for cls in classes:
+            for node in cls.body if not cls.name.startswith("_") else ():
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    members[cls.name, node.name] = path.name
+                elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                      and getattr(node.value.func, "id", None) == "property"):
+                    members.update({(cls.name, t.id): path.name for t in node.targets})
+        inside = {id(sub): cls.name for cls in classes for sub in ast.walk(cls)}
+        reads += [(inside.get(id(n)), n.attr) for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    unread = sorted(f"{module}: {owner}.{name}" for (owner, name), module in members.items()
+                    if (owner, name) not in benchmark_only
+                    and not any(attr == name and cls != owner for cls, attr in reads))
+    assert not unread, f"public methods and properties only their own class reads: {unread}"
 
 
 def test_every_module_level_import_is_read():
@@ -126,3 +156,35 @@ def test_every_option_is_set_somewhere_in_the_package():
     unset = sorted(f"{owner}.{name}" for (owner, name), position in options.items()
                    if not exempt & {(owner, name), (owner, None)} and not passed(owner, name, position))
     assert not unset, f"options no call in the package passes: {unset}"
+
+
+def test_derived_values_equal_what_the_records_stored(tmp_path):
+    """Each value a record derives equals what it stored before it was derived, with the
+    same type, so the JSON and CSV outputs that carry it keep their bytes."""
+    rng = np.random.default_rng(5)
+    amplitudes = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    for threshold in (None, 0.3):
+        schmidt = statequant.schmidt_decompose(amplitudes, threshold=threshold, renormalize=True)
+        singular = np.linalg.svd(amplitudes / np.linalg.norm(amplitudes), compute_uv=False)
+        assert type(schmidt.rank) is int and schmidt.rank == int(np.sum(singular >= schmidt.threshold))
+
+    for eigenvalues, resolved in (((0.0, 1.0, 2.0), True), ((0.0, 0.1, 5.0), False)):
+        setup = hybridmeas.MeasurementSetup(eigenvalues, (0.6, 0.6j, 0.28**0.5), g=30.0)
+        record = hybridmeas.run_measurement(setup)
+        separated = record.overlap_matrix[np.triu_indices(3, 1)] <= hybridmeas.RESOLVED_OVERLAP
+        assert record.resolved is bool(np.all(separated)) is resolved
+        table = hybridmeas.sample_outcomes(record, 977, seed=3)
+        assert np.array_equal(table.frequencies, table.counts / 977)
+
+    grid = Grid.of(64, 1.0)
+    psi = normalize(wavemech.gaussian_packet(wavemech.GaussianPacketSpec((0.5,), 0.08, (2 * np.pi * 3,)), grid))
+    split = madelung.energy_decomposition(psi, wavemech.EffectiveMassParams(omega_ref=3e11))
+    assert split.E == split.pc + split.Q_mean
+
+    for n_points, lengths in ((16, 1.0), ((16, 8), (1.0, 0.5)), ((8, 8, 10), (1.0, 2.0, 3.0))):
+        grid = Grid.of(n_points, lengths)
+        assert grid.dim == len(np.atleast_1d(n_points)) == len(grid.lengths)
+        dump = tmp_path / f"field_{grid.dim}d.csv"
+        fieldio.write_field(ComplexField(grid=grid, values=np.ones(grid.shape)), dump)
+        assert json.loads(fieldio.sidecar_path(dump).read_text())["dim"] == grid.dim
+        assert fieldio.read_field(dump)[0].grid == grid

@@ -221,6 +221,16 @@ class TestMaximizeEntropy:
         with pytest.raises(ConvergenceError, match="not representable"):
             maximize_entropy([band], huge, r_max=10)
 
+    def test_table_above_the_ceiling_is_refused(self):
+        # 2 x (MAX_R_MAX + 1) entries is refused before the energy check; 1 x (MAX_R_MAX + 1)
+        # passes the bound and fails only that check.  Neither allocates a table.
+        band = FrequencyBand(nu=1e10, d_nu=1e8, volume=1.0)
+        huge = CGS.h * band.nu * band.n_states * bosestat.MAX_R_MAX
+        with pytest.raises(ValueError, match="MAX_R_MAX"):
+            maximize_entropy([band, band], huge, r_max=bosestat.MAX_R_MAX)
+        with pytest.raises(ConvergenceError, match="not representable"):
+            maximize_entropy([band], huge, r_max=bosestat.MAX_R_MAX)
+
     def test_band_optimum_reports_exhausted_iterations(self):
         # a NaN multiplier never meets the stopping rule; the last iterate is all NaN
         with pytest.raises(ConvergenceError, match="200 iterations"):

@@ -86,6 +86,21 @@ class TestConfigErrors:
                      "--output-dir", tmp_path / "out")
         assert rc == 4
 
+    @pytest.mark.parametrize("kind, code", [("missing", 4), ("file", 4), ("empty", 2)])
+    def test_series_directory_exit_code(self, tmp_path, capsys, kind, code):
+        """A missing or non-directory ``--series-dir`` is an I/O error naming the path; a
+        directory holding fewer than 8 dumps stays a configuration error."""
+        series = tmp_path / "series"
+        if kind == "file":
+            series.write_text("")
+        elif kind == "empty":
+            series.mkdir()
+        rc = run_cli("helicity", "--series-dir", series, "--k0-rad-per-cm", 1.0,
+                     "--output-dir", tmp_path / "out")
+        assert rc == code
+        assert str(series) in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_output_collision(self, tmp_path, capsys):
         out = tmp_path / "busy"
         out.mkdir()
@@ -731,6 +746,9 @@ class TestOutOfRangeValues:
             json.dumps({"eigenvalues": [1.0, 1.0], "amplitudes": [0.6, 0.8]}))
         (tmp_path / "negative_energy.json").write_text(json.dumps(
             {"bands": [{"nu_hz": 1e11, "d_nu_hz": 1e9}], "e_target_erg": -1e-15, "r_max": 10}))
+        # a 10^13-entry table would need 72.8 TiB: refused before anything is allocated
+        (tmp_path / "huge_table.json").write_text(json.dumps(
+            {"bands": [{"nu_hz": 1e11, "d_nu_hz": 1e9}], "e_target_erg": 1e-15, "r_max": 10**13}))
         write_field(ComplexField(grid=Grid.of(16, 1.0), values=np.zeros(16)), tmp_path / "zero.csv")
         (tmp_path / "unnormalized.csv").write_text("re0,im0,re1,im1\n1.0,0.0,0.0,0.0\n0.0,0.0,1.0,0.0\n")
         (tmp_path / "zero_amps.csv").write_text("re0,im0,re1,im1\n0.0,0.0,0.0,0.0\n0.0,0.0,0.0,0.0\n")
@@ -777,6 +795,7 @@ class TestOutOfRangeValues:
         ["schmidt", "--matrix", "{nan_amps.csv}"],
         ["measure", "--spec", "{duplicate.json}", "--trials", 10, "--seed", 1],
         ["maxent", "--spec", "{negative_energy.json}"],
+        ["maxent", "--spec", "{huge_table.json}"],
         ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11, "--regime", "massless",
          "--seed-positions", 0.5, "--seed-momenta", 0.0, "--dt-s", 1e-12, "--steps", 3],
         ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11, "--regime", "massless",
@@ -805,7 +824,8 @@ class TestOutOfRangeValues:
     ], ids=["planck-T0", "casimir-T0", "cmbr-Tneg", "measure-trials0", "madelung-omega0",
             "madelung-dt0", "propagate-narrow-packet", "bohm-dt-nan", "bohm-steps-neg",
             "casimir-a-inf", "helicity-k0-neg", "update-nan-rho", "schmidt-nan-matrix",
-            "measure-duplicate-eigenvalues", "maxent-negative-energy", "bohm-massless-at-rest",
+            "measure-duplicate-eigenvalues", "maxent-negative-energy", "maxent-table-above-ceiling",
+            "bohm-massless-at-rest",
             "bohm-massless-one-at-rest",
             "madelung-zero-dump", "madelung-zero-next-dump", "bohm-zero-dump",
             "helicity-mixed-grids", "measure-seed-neg", "schmidt-unnormalized",

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ class TestConstants:
     """The table's identities live in the ``constants-identities`` invariant."""
 
     def test_all_positive(self):
-        for name, value in CGS.as_dict().items():
+        for name, value in asdict(CGS).items():
             assert value > 0.0 and math.isfinite(value), name
 
     def test_alpha_identity(self):
@@ -58,8 +59,8 @@ class TestGrid:
             Grid.of(4, 1.0)
 
     def test_dim_limit(self):
-        with pytest.raises(ValueError):
-            Grid(dim=4, n_points=(8, 8, 8, 8), lengths=(1.0,) * 4)
+        with pytest.raises(ValueError, match="dim must be 1, 2 or 3, got 4"):
+            Grid(n_points=(8, 8, 8, 8), lengths=(1.0,) * 4)
 
 
 class TestComplexField:

@@ -12,6 +12,7 @@ from gwfield.helicity import (
     TimeSeriesField,
     convection_current,
     current_continuity,
+    first_order_charge,
     partial_wave_split,
     time_averaged_current,
 )
@@ -109,35 +110,40 @@ class TestConvectionCurrent:
     def test_real_field_has_no_current(self):
         x = GRID.axis(0)
         psi = ComplexField(grid=GRID, values=np.cos(K1 * x) + 0j)
-        current = convection_current(psi, K1)
-        assert np.abs(current.j[0]).max() < 1e-12 * CGS.hbar * K1
+        j = convection_current(psi)
+        assert np.abs(j[0]).max() < 1e-12 * CGS.hbar * K1
 
     def test_plane_wave_uniform_current(self):
         k = 4 * K1
         psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), GRID)
-        current = convection_current(psi, k)
-        np.testing.assert_allclose(current.j[0], CGS.hbar * k, rtol=1e-10)
-        np.testing.assert_allclose(current.rho_t, CGS.hbar * k, rtol=1e-12)
+        np.testing.assert_allclose(convection_current(psi)[0], CGS.hbar * k, rtol=1e-10)
+        np.testing.assert_allclose(first_order_charge(psi, k), CGS.hbar * k, rtol=1e-12)
 
     def test_standing_wave_cancellation(self):
         x = GRID.axis(0)
         k = 3 * K1
         psi = ComplexField(grid=GRID, values=(np.exp(1j * k * x) + np.exp(-1j * k * x)) / 2.0)
-        current = convection_current(psi, k)
-        assert np.abs(current.j[0]).max() < 1e-12 * CGS.hbar * k
+        j = convection_current(psi)
+        assert np.abs(j[0]).max() < 1e-12 * CGS.hbar * k
 
     def test_rho_t_nonnegative(self):
         x = GRID.axis(0)
         psi = ComplexField(grid=GRID, values=np.sin(K1 * x) + 0j)
-        current = convection_current(psi, K1)
-        assert current.rho_t.min() >= 0.0
+        assert first_order_charge(psi, K1).min() >= 0.0
+
+    @pytest.mark.parametrize("k0", [0.0, -1.0, math.nan])
+    def test_charge_refuses_a_k0_that_is_not_positive(self, k0):
+        psi = ComplexField(grid=GRID, values=np.exp(1j * K1 * GRID.axis(0)))
+        with pytest.raises(ValueError, match="k0 must be positive"):
+            first_order_charge(psi, k0)
 
     def test_current_is_read_only(self):
-        current = convection_current(ComplexField(grid=GRID, values=np.exp(1j * K1 * GRID.axis(0))), 1.0)
-        for values in (current.rho_t, current.j, current.j[0]):
+        psi = ComplexField(grid=GRID, values=np.exp(1j * K1 * GRID.axis(0)))
+        rho_t, j = first_order_charge(psi, 1.0), convection_current(psi)
+        for values in (rho_t, j, j[0]):
             with pytest.raises(ValueError):
                 values[:] = -1.0
-        assert current.rho_t.min() >= 0.0
+        assert rho_t.min() >= 0.0
 
 
 class TestSeriesCurrent:
@@ -151,31 +157,32 @@ class TestSeriesCurrent:
 
     def test_series_current_is_the_per_snapshot_current(self, rng):
         series = self.series(rng)
-        current = convection_current(series, K1)
+        j, rho_t = convection_current(series), first_order_charge(series, K1)
         for m, values in enumerate(series.values):
-            alone = convection_current(ComplexField(grid=series.grid, values=values), K1)
-            assert all(np.array_equal(c[m], a) for c, a in zip(current.j, alone.j))
-            assert np.array_equal(current.rho_t[m], alone.rho_t)
+            psi = ComplexField(grid=series.grid, values=values)
+            assert all(np.array_equal(c[m], a) for c, a in zip(j, convection_current(psi)))
+            assert np.array_equal(rho_t[m], first_order_charge(psi, K1))
 
     def test_current_is_hbar_times_the_polar_flux(self, rng):
         series = self.series(rng)
-        current = convection_current(series, K1)
-        assert current.j.shape == (series.grid.dim, series.n_snapshots, *series.grid.shape)
+        j = convection_current(series)
+        assert j.shape == (series.grid.dim, series.n_snapshots, *series.grid.shape)
         for m, values in enumerate(series.values):
             flux = spectral.phase_flux(values, spectral.transform(values, series.grid), series.grid)
-            assert np.array_equal(current.j[:, m], CGS.hbar * flux)
+            assert np.array_equal(j[:, m], CGS.hbar * flux)
 
     def test_mean_is_the_snapshot_average(self, rng):
+        """The averages the ``helicity`` step writes: ``np.mean`` over the snapshot axis."""
         series = self.series(rng)
-        currents = [convection_current(ComplexField(grid=series.grid, values=v), K1)
-                    for v in series.values]
-        mean = convection_current(series, K1).mean()
+        fields = [ComplexField(grid=series.grid, values=v) for v in series.values]
+        mean_j = np.mean(convection_current(series), axis=1)
         for i in range(series.grid.dim):
-            total = currents[0].j[i]
-            for current in currents[1:]:
-                total = total + current.j[i]
-            assert np.array_equal(mean.j[i], total / series.n_snapshots)
-        assert np.array_equal(mean.rho_t, np.mean([c.rho_t for c in currents], axis=0))
+            total = convection_current(fields[0])[i]
+            for psi in fields[1:]:
+                total = total + convection_current(psi)[i]
+            assert np.array_equal(mean_j[i], total / series.n_snapshots)
+        assert np.array_equal(np.mean(first_order_charge(series, K1), axis=0),
+                              np.mean([first_order_charge(psi, K1) for psi in fields], axis=0))
 
     def test_time_averaged_current_matches_a_sum_over_snapshots(self, rng):
         series = self.series(rng)
@@ -187,11 +194,6 @@ class TestSeriesCurrent:
         result = time_averaged_current(series, K1)
         assert len(result) == len(expected) == series.grid.dim
         assert all(np.array_equal(r, e) for r, e in zip(result, expected))
-
-    def test_one_field_has_no_snapshots_to_average(self):
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (K1,), CGS.c * K1), GRID)
-        with pytest.raises(ValueError, match="no snapshots"):
-            convection_current(psi, K1).mean()
 
 
 class TestCurrentContinuity:

@@ -47,7 +47,7 @@ class TestPolarDecompose:
         k = 2.0 * math.pi * 5 / grid.lengths[0]
         psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
         form = polar_decompose(psi)
-        np.testing.assert_allclose(form.phase, k * grid.axis(0), atol=1e-10)
+        np.testing.assert_allclose(form.action / CGS.hbar, k * grid.axis(0), atol=1e-10)
         np.testing.assert_allclose(form.rho, 1.0, rtol=1e-12)
 
     def test_real_gaussian_zero_phase(self):
@@ -56,7 +56,7 @@ class TestPolarDecompose:
             GaussianPacketSpec(center=(0.5,), sigma0=0.03, k_carrier=(0.0,)), grid)
         form = polar_decompose(psi)
         keep = ~form.branch_mask
-        assert np.abs(form.phase[keep]).max() < 1e-10
+        assert np.abs(form.action[keep] / CGS.hbar).max() < 1e-10
 
     def test_global_phase_shift(self, rng):
         grid = Grid.of(128, 1.0)
@@ -65,7 +65,7 @@ class TestPolarDecompose:
         shifted = ComplexField(grid=grid, values=psi.values * np.exp(1j * theta))
         f1, f2 = polar_decompose(psi), polar_decompose(shifted)
         keep = ~(f1.branch_mask | f2.branch_mask)
-        diff = f2.phase[keep] - f1.phase[keep]
+        diff = (f2.action[keep] - f1.action[keep]) / CGS.hbar
         # constant offset theta up to 2 pi ambiguity of the unwrap anchor
         wrapped = (diff - theta + math.pi) % (2.0 * math.pi) - math.pi
         assert np.abs(wrapped).max() < 1e-9
@@ -75,7 +75,7 @@ class TestPolarDecompose:
         psi = random_field(grid, rng)
         form = polar_decompose(psi)
         keep = ~form.branch_mask
-        recon = np.sqrt(form.rho) * np.exp(1j * form.phase)
+        recon = np.sqrt(form.rho) * np.exp(1j * form.action / CGS.hbar)
         assert np.abs((recon - psi.values)[keep]).max() < 1e-10 * np.abs(psi.values).max()
 
     def test_2d_unwrap(self):
@@ -86,7 +86,7 @@ class TestPolarDecompose:
         psi = make_plane_wave(PlaneWaveSpec(1.0, (kx, ky), omega), grid)
         form = polar_decompose(psi)
         xm, ym = grid.meshes()
-        np.testing.assert_allclose(form.phase, kx * xm + ky * ym, atol=1e-9)
+        np.testing.assert_allclose(form.action / CGS.hbar, kx * xm + ky * ym, atol=1e-9)
 
 
 class TestQuantumPotential:
@@ -374,9 +374,9 @@ class TestFormFromPsiAlone:
         quantum_potential(form, params.m_star).Q
         energy_decomposition(psi, params)
         hj_residual(form, params, 0.0)
-        assert "phase" not in vars(form)
-        form.action()
-        assert "phase" in vars(form)
+        assert "action" not in vars(form)
+        form.action
+        assert "action" in vars(form)
 
     def test_rms_is_the_masked_rms(self):
         grid = Grid.of(512, 80.0)
@@ -413,11 +413,11 @@ class TestOneFormPerField:
         form = polar_decompose(psi)
         other = polar_decompose(twin)
         assert other is not form and other.psi is twin
-        assert np.array_equal(other.rho, form.rho) and np.array_equal(other.phase, form.phase)
+        assert np.array_equal(other.rho, form.rho) and np.array_equal(other.action, form.action)
 
     def test_form_arrays_are_read_only(self, rng):
         form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
-        for arr in (form.rho, form.phase, form.branch_mask, form.curvature, form.action_gradient_sq,
+        for arr in (form.rho, form.action, form.branch_mask, form.curvature, form.action_gradient_sq,
                     form.flux_divergence):
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
