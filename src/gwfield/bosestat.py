@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS
+from .constants import CGS, require_positive
 
 MAX_BRUTE_FORCE_PHOTONS = 8
 # ceiling on the occupation cutoff suggested_r_max may ask for, and (plus one) on the
@@ -44,8 +44,8 @@ class ConvergenceError(RuntimeError):
 
 def band_state_count(nu: float, d_nu: float) -> float:
     """States per unit volume in [nu, nu + d_nu): 8 pi nu^2 d_nu / c^3."""
-    if not (nu > 0.0 and d_nu > 0.0):
-        raise ValueError("nu and d_nu must be positive")
+    require_positive("nu", nu)
+    require_positive("d_nu", d_nu)
     return 8.0 * math.pi * nu**2 * d_nu / CGS.c**3
 
 
@@ -58,8 +58,8 @@ class FrequencyBand:
     volume: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.nu > 0.0 and self.d_nu > 0.0 and self.volume > 0.0):
-            raise ValueError("nu, d_nu and volume must all be positive")
+        for name in ("nu", "d_nu", "volume"):
+            require_positive(name, getattr(self, name))
 
     @property
     def n_states(self) -> float:
@@ -95,8 +95,7 @@ def geometric_occupancy(band: FrequencyBand, T: float, r_max: int | None = None)
     ``r_max`` is raised automatically until the truncated tail is below
     :data:`R_MAX_TAIL` of the total, so sum_r p_r = M to that accuracy.
     """
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
+    require_positive("T", T)
     needed = suggested_r_max(band, T)
     if r_max is None or r_max < needed:
         r_max = needed
@@ -159,8 +158,7 @@ class ThermoState:
     energy_evaluations: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.beta > 0.0):
-            raise ValueError("beta must be positive at a solution")
+        require_positive("beta", self.beta)
 
     @property
     def temperature(self) -> float:
@@ -281,8 +279,7 @@ def maximize_entropy(
     """
     if not bands:
         raise ValueError("at least one band is required")
-    if not (e_target > 0.0 and math.isfinite(e_target)):
-        raise ValueError("e_target must be finite and positive")
+    require_positive("e_target", e_target)
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     if len(bands) * (r_max + 1) > MAX_R_MAX + 1:
@@ -343,8 +340,9 @@ def planck_density(nu, T: float):
     """Spectral energy density (8 pi nu^2 / c^3) h nu / (exp(h nu/kT) - 1),
     in erg/(cm^3 Hz)."""
     nu = np.asarray(nu, dtype=float)
-    if np.any(nu <= 0.0) or T <= 0.0:
-        raise ValueError("nu and T must be positive")
+    require_positive("T", T)
+    for value in nu[~(np.isfinite(nu) & (nu > 0.0))].flat[:1]:  # raises on the first refused entry
+        require_positive("nu", float(value))
     x = CGS.h * nu / (CGS.k_B * T)
     with np.errstate(over="ignore"):  # expm1(x) = inf where the density underflows to 0
         out = (8.0 * math.pi * nu**2 / CGS.c**3) * CGS.h * nu / np.expm1(x)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS
+from .constants import CGS, require_positive
 
 # Reference values used by the "paper-numeric" moment variant and the
 # comparison tests; kept as named constants, never inlined.
@@ -51,14 +51,10 @@ class VacuumModel:
     V_over_B: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError("T must be finite and positive")
-        if not (self.omega_c > 0.0 and math.isfinite(self.omega_c)):
-            raise ValueError("omega_c must be finite and positive")
+        for name in ("T", "omega_c", "V_over_B"):
+            require_positive(name, getattr(self, name))
         if not (0.0 < self.xi <= 1.0):
             raise ValueError("xi must lie in (0, 1]")
-        if not (self.V_over_B > 0.0):
-            raise ValueError("V_over_B must be positive")
 
 
 def vacuum_asymptotic_prefactor(T: float) -> float:
@@ -109,22 +105,19 @@ def anomalous_moment(model: VacuumModel, variant: str = "symbolic") -> float:
 def cutoff_for_moment(a_target: float, variant: str = "symbolic") -> float:
     """Invert :func:`anomalous_moment` at the default model for the cutoff
     frequency [rad/s]: the moment grows as omega_c^5."""
-    if not (a_target > 0.0 and math.isfinite(a_target)):
-        raise ValueError("a_target must be finite and positive")
+    require_positive("a_target", a_target)
     return (a_target / anomalous_moment(VacuumModel(omega_c=1.0), variant)) ** 0.2
 
 
 def qed_vacuum_energy(omega_c: float) -> float:
     """Half-quantum-per-mode counting: hbar omega_c^4 / (8 pi^2 c^3) [erg/cm^3]."""
-    if omega_c <= 0.0:
-        raise ValueError("omega_c must be positive")
+    require_positive("omega_c", omega_c)
     return CGS.hbar * omega_c**4 / (8.0 * math.pi**2 * CGS.c**3)
 
 
 def casimir_coefficient(T: float = 2.7) -> float:
     """hbar^2 pi^3 c^2 / kT, the 1/a^6 pressure coefficient [dyne cm^4]."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    require_positive("T", T)
     return CGS.hbar**2 * math.pi**3 * CGS.c**2 / (CGS.k_B * T)
 
 
@@ -134,7 +127,6 @@ def casimir_pressure(a: float, T: float = 2.7) -> float:
     This is d rho_vac/d a with the asymptotic rho_vac evaluated at the box
     cutoff omega_c = pi c / a; the negative sign means attraction.
     """
-    if a <= 0.0:
-        raise ValueError("plate separation must be positive")
+    require_positive("a", a)
     return -casimir_coefficient(T) / a**6
 

@@ -5,6 +5,10 @@ constants live in a single frozen table so that tests and downstream code can
 reference one source instead of scattering literals.  The table is literal
 data; ``gwfield check`` certifies the identities that tie its entries together
 (the ``constants-identities`` entry of :mod:`gwfield.selfcheck`).
+
+It also holds :func:`require_positive`, the one refusal of a physical parameter that must
+be finite and positive (a temperature, a length, a frequency, a mass): every layer imports
+this numpy-free module already, so the check costs no layer an import of another.
 """
 
 from __future__ import annotations
@@ -54,3 +58,9 @@ class CgsConstants:
 
 
 CGS = CgsConstants()
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and > 0 (NaN and inf fail)."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")

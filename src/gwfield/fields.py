@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS
+from .constants import CGS, require_positive
 
 # Density below this fraction of max(rho) is treated as a node: the phase is
 # undefined there.  Read only through :func:`node_mask`.
@@ -47,18 +47,17 @@ class Grid:
     dim = property(lambda self: len(self.n_points))
 
     def __post_init__(self) -> None:
+        for i, n in enumerate(self.n_points):
+            if not (float(n).is_integer() and n >= 8 and n % 2 == 0):
+                raise ValueError(f"n_points[{i}] must be a whole even number >= 8, got {n!r}")
         object.__setattr__(self, "n_points", tuple(int(n) for n in self.n_points))
         object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(self.lengths) != self.dim:
             raise ValueError("n_points and lengths must both have one entry per axis")
-        for n in self.n_points:
-            if n < 8 or n % 2 != 0:
-                raise ValueError(f"n_points entries must be even and >= 8, got {n}")
-        for l in self.lengths:
-            if not (l > 0.0 and math.isfinite(l)):
-                raise ValueError(f"lengths entries must be finite and positive, got {l}")
+        for i, l in enumerate(self.lengths):
+            require_positive(f"lengths[{i}]", l)
 
     @classmethod
     def of(cls, n_points, lengths) -> "Grid":
@@ -141,8 +140,8 @@ class PlaneWaveSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_vec", tuple(float(k) for k in self.k_vec))
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if self.mu < 0.0:
-            raise ValueError("mu must be >= 0")
+        if not (self.mu >= 0.0 and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
         lhs = sum(k * k for k in self.k_vec) + self.mu**2
         rhs = (self.omega / CGS.c) ** 2
         scale = max(lhs, rhs)

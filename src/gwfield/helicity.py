@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS
+from .constants import CGS, require_positive
 from .fields import ComplexField, Grid, frozen_array
 from . import spectral
 
@@ -44,8 +44,7 @@ class TimeSeriesField:
             raise ValueError("a time series needs at least 8 snapshots")
         if not np.all(np.isfinite(values)):
             raise ValueError("time series values must be finite (no NaN/Inf)")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be finite and positive")
+        require_positive("dt", self.dt)
         object.__setattr__(self, "values", values)
 
     @property
@@ -105,8 +104,7 @@ def first_order_charge(psi: ComplexField | TimeSeriesField, k0: float) -> np.nda
     """Time component rho_t = hbar k0 |psi|^2 of the first-order current, read-only, of a
     field or of each snapshot of a series (axis 0).  It is >= 0 for any k0 > 0, the only k0
     it takes."""
-    if not k0 > 0.0:
-        raise ValueError(f"k0 must be positive, got {k0}")
+    require_positive("k0", k0)
     rho_t = CGS.hbar * k0 * np.abs(psi.values) ** 2
     rho_t.setflags(write=False)
     return rho_t

@@ -10,11 +10,12 @@ coordinates are dimensionless (conversions happen at the interface).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import require_positive
+from .fields import frozen_array
 from .statequant import DensityMatrix
 
 RESOLVED_OVERLAP = 1e-6
@@ -43,10 +44,8 @@ class MeasurementSetup:
         total = sum(abs(c) ** 2 for c in self.amplitudes)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"amplitudes must satisfy sum |c_p|^2 = 1, got {total}")
-        if not (self.w > 0.0 and math.isfinite(self.w)):
-            raise ValueError("w must be finite and positive")
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be finite and positive")
+        require_positive("w", self.w)
+        require_positive("tau", self.tau)
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,9 @@ def run_measurement(setup: MeasurementSetup) -> MeasurementRecord:
     )
     return MeasurementRecord(
         eigenvalues=setup.eigenvalues,
-        pointer_positions=pointers,
-        weights=weights,
-        overlap_matrix=overlaps,
+        pointer_positions=frozen_array(pointers, float),
+        weights=frozen_array(weights, float),
+        overlap_matrix=frozen_array(overlaps, float),
         unresolved_pairs=unresolved,
     )
 
@@ -119,4 +118,4 @@ def sample_outcomes(record: MeasurementRecord, n_trials: int, seed: int) -> Outc
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_trials, record.weights / record.weights.sum())
     deviation = float(np.abs(counts / n_trials - record.weights).max())
-    return OutcomeFrequencies(counts=counts, max_abs_deviation=deviation)
+    return OutcomeFrequencies(counts=frozen_array(counts, np.int64), max_abs_deviation=deviation)

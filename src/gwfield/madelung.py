@@ -7,7 +7,6 @@ invariants of :mod:`gwfield.selfcheck`, computed from a form's polar terms.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -15,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import CGS
+from .constants import CGS, require_positive
 from .fields import ComplexField, Grid, node_mask
 from .wavemech import EffectiveMassParams
 from . import spectral
@@ -74,10 +73,7 @@ class MadelungForm:
 
     @cached_property
     def _terms(self) -> spectral.PolarTerms:
-        terms = spectral.polar_terms(self.psi, self.rho, self.branch_mask)
-        for values in terms[:3]:
-            values.setflags(write=False)
-        return terms
+        return spectral.polar_terms(self.psi, self.rho, self.branch_mask)
 
     curvature = property(lambda self: self._terms.curvature, doc="""lap(sqrt rho)/sqrt(rho) [1/cm^2];
         masked points carry zeros.  Its vanishing makes a wave packet non-dispersive: it doubles
@@ -120,8 +116,7 @@ class QuantumPotentialField:
     m_star: float
 
     def __post_init__(self) -> None:
-        if not (self.m_star > 0.0 and math.isfinite(self.m_star)):
-            raise ValueError("m_star must be finite and positive")
+        require_positive("m_star", self.m_star)
         if np.all(self.form.branch_mask):
             raise ValueError("density is below the floor everywhere")
 
@@ -305,7 +300,7 @@ def bohm_step(
 
 @dataclass(frozen=True)
 class BohmTrajectory:
-    """An integrated ensemble: times (steps+1,), positions and momenta
+    """An integrated ensemble, read-only: times (steps+1,), positions and momenta
     (steps+1, n, dim), and each particle's ``last_step`` (steps completed;
     later rows repeat its final state).  ``status`` is "ok" when every
     particle ran all steps, otherwise "terminated_masked"."""
@@ -351,4 +346,6 @@ def run_trajectory(
         positions[step + 1], momenta[step + 1] = x, p
     # 0 * dt would be -0.0 for a backward run
     times = np.concatenate(([0.0], np.arange(1, n_steps + 1) * dt))
+    for values in (times, positions, momenta, last_step):
+        values.setflags(write=False)
     return BohmTrajectory(times, positions, momenta, last_step)

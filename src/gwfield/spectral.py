@@ -185,4 +185,7 @@ def polar_terms(psi: ComplexField, rho: np.ndarray, mask: np.ndarray) -> PolarTe
     np.divide(curvature, rho, out=curvature, where=unmasked)
     for term in (curvature, action_gradient_sq):
         np.copyto(term, 0.0, where=mask)
-    return PolarTerms(curvature, action_gradient_sq, np.negative(product.imag), mean_k)
+    terms = PolarTerms(curvature, action_gradient_sq, np.negative(product.imag), mean_k)
+    for values in terms[:3]:
+        values.setflags(write=False)
+    return terms

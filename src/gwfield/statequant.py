@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import require_positive
+from .fields import frozen_array
+
 _HERM_TOL = 1e-12
 _EIG_TOL = 1e-12
 PROB_FLOOR = 1e-14
@@ -167,8 +170,8 @@ def schmidt_decompose(
     since a nonzero state has rank >= 1); rank > 1 means the state is
     entangled.
     """
-    if threshold is not None and not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if threshold is not None:
+        require_positive("threshold", threshold)
     c = np.asarray(amplitudes, dtype=np.complex128)
     if c.ndim != 2:
         raise ValueError("amplitude matrix must be 2D")
@@ -185,9 +188,9 @@ def schmidt_decompose(
     if rank == 0:
         raise ValueError(f"threshold {tau:g} is above the largest Schmidt coefficient {s[0]:g}")
     return SchmidtResult(
-        coefficients=s[:rank].copy(),
-        left_basis=u[:, :rank].copy(),
-        right_basis=vh[:rank, :].copy(),
+        coefficients=frozen_array(s[:rank], float),
+        left_basis=frozen_array(u[:, :rank], np.complex128),
+        right_basis=frozen_array(vh[:rank, :], np.complex128),
         threshold=tau,
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS
+from .constants import CGS, require_positive
 from .fields import ComplexField, Grid
 from . import spectral
 
@@ -36,10 +36,9 @@ class EffectiveMassParams:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.omega_ref > 0.0 and math.isfinite(self.omega_ref)):
-            raise ValueError("omega_ref must be finite and positive")
-        if self.mu < 0.0:
-            raise ValueError("mu must be >= 0")
+        require_positive("omega_ref", self.omega_ref)
+        if not (self.mu >= 0.0 and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
 
     @property
     def k0(self) -> float:
@@ -84,8 +83,7 @@ class GaussianPacketSpec:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "k_carrier", tuple(float(k) for k in self.k_carrier))
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if not (self.sigma0 > 0.0 and math.isfinite(self.sigma0)):
-            raise ValueError("sigma0 must be finite and positive")
+        require_positive("sigma0", self.sigma0)
 
 
 def gaussian_packet(spec: GaussianPacketSpec, grid: Grid) -> ComplexField:

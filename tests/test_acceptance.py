@@ -2,10 +2,11 @@
 named ``test_criterion_<number>_<name>`` or ``test_invariant_<name>``.  Each
 prints the entry's PASS/FAIL line (visible with ``pytest -s``), then asserts
 every measurement against its bound and the run time against the budget.
-The last six keep every public function and class of the package in use, every public
+The last eight keep every public function and class of the package in use, every public
 method and property read outside its class, every top-level import of a module read in it,
 every grid transform in ``spectral.py``, every option of one set by some call in the
-package, and each value that a record derives equal to the value it once stored.
+package, each value that a record derives equal to the value it once stored, every array a
+record stores read-only, and every positivity refusal in ``constants.require_positive``.
 """
 
 import ast
@@ -13,8 +14,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from gwfield import fieldio, hybridmeas, madelung, selfcheck, statequant, wavemech
+from gwfield import bosestat, fieldio, helicity, hybridmeas, madelung, selfcheck, spectral, statequant, wavemech
 from gwfield.fields import ComplexField, Grid, normalize
 
 
@@ -188,3 +190,59 @@ def test_derived_values_equal_what_the_records_stored(tmp_path):
         fieldio.write_field(ComplexField(grid=grid, values=np.ones(grid.shape)), dump)
         assert json.loads(fieldio.sidecar_path(dump).read_text())["dim"] == grid.dim
         assert fieldio.read_field(dump)[0].grid == grid
+
+
+def test_every_array_a_record_stores_is_read_only():
+    """Each public record, built through its public path, stores only read-only arrays, so no
+    write can make it hold two facts that disagree (counts against their deviation, say)."""
+    grid = Grid.of(64, 1.0)
+    psi = normalize(wavemech.gaussian_packet(wavemech.GaussianPacketSpec((0.5,), 0.06, (2 * np.pi * 3,)), grid))
+    params = wavemech.EffectiveMassParams(omega_ref=3e11)
+    form = madelung.polar_decompose(psi)
+    qfield = madelung.quantum_potential(form, params.m_star)
+    series = helicity.TimeSeriesField.from_fields(
+        [ComplexField(grid=grid, values=psi.values * np.exp(-0.25j * np.pi * m)) for m in range(8)], dt=1e-12)
+    band = bosestat.FrequencyBand(1e11, 1e9, 1e3)
+    rho = statequant.DensityMatrix.from_state([0.6, 0.8j])
+    projectors = statequant.ProjectorSet.computational(2)
+    record = hybridmeas.run_measurement(hybridmeas.MeasurementSetup((0.0, 1.0), (0.6, 0.8), g=30.0))
+    table = hybridmeas.sample_outcomes(record, 100, seed=1)
+    records = [
+        psi, series, *helicity.partial_wave_split(series), wavemech.right_moving_state(psi).psi_dot,
+        *bosestat.maximize_entropy([band], 1e-12, 60), rho, projectors,
+        statequant.luders_update(rho, projectors, 1)[0], statequant.von_neumann_update(rho, projectors),
+        statequant.schmidt_decompose([[0.6, 0.0], [0.0, 0.8]]), record, table,
+        form, qfield, madelung.run_trajectory(qfield, [[0.5]], [[0.0]], 1e-14, 3, "massive"),
+        spectral.polar_terms(psi, form.rho, form.branch_mask),
+    ]
+    arrays = []  # ("Record.attribute", array) for each array a record stores
+    for rec in records:
+        for name in dir(rec):  # every public read, which fills the cached ones
+            if not name.startswith("_"):
+                getattr(rec, name)
+        stored = rec._asdict() if isinstance(rec, tuple) else vars(rec)
+        arrays += [(f"{type(rec).__name__}.{name}", array) for name, value in stored.items()
+                   for array in (value if isinstance(value, tuple) else (value,)) if isinstance(array, np.ndarray)]
+    writable = sorted({name for name, array in arrays if array.flags.writeable})
+    assert not writable, f"records that store writable arrays: {writable}"
+    assert {"OutcomeFrequencies.counts", "MeasurementRecord.overlap_matrix", "SchmidtResult.left_basis",
+            "BohmTrajectory.last_step", "PolarTerms.flux_divergence", "MadelungForm._terms"} <= {n for n, _ in arrays}
+    with pytest.raises(ValueError, match="read-only"):
+        table.counts[0] += 50
+
+
+def test_every_positivity_refusal_is_require_positive():
+    """No ``raise ValueError(...)`` in ``src/gwfield`` says "positive" in its message, except
+    the one in ``constants.require_positive``: a parameter that must be finite and > 0 is
+    refused there, with one message, and NaN and inf never slip through a hand-written copy."""
+    stray = []
+    for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = {id(sub) for node in tree.body if path.name == "constants.py"
+                and getattr(node, "name", None) == "require_positive" for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and id(node) not in home
+                    and getattr(node.exc.func, "id", None) == "ValueError"
+                    and any("positive" in ast.unparse(arg) for arg in node.exc.args)):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, f"positivity refusals outside constants.require_positive: {stray}"

@@ -16,7 +16,8 @@ from gwfield.fields import (
     make_plane_wave,
     normalize,
 )
-from gwfield import fieldio, selfcheck, spectral
+from gwfield import (bosestat, cmbrvac, fieldio, helicity, hybridmeas, madelung, selfcheck, spectral,
+                     statequant, wavemech)
 from gwfield.fieldio import (_BLOCK_ROWS, _SIDECAR_KEYS, ConfigError, GridColumn, _spec_floats, _spec_int,
                              read_field, read_object, read_table, write_field, write_table)
 
@@ -44,6 +45,58 @@ class TestConstants:
         assert CGS.checksum() == CgsConstants().checksum()
 
 
+_PSI = ComplexField(grid=Grid.of(16, 1.0), values=np.exp(np.linspace(0.0, 1.0, 16)))
+_BAND = bosestat.FrequencyBand(1e11, 1e9)
+# (site, parameter, call): each library entry that takes a finite positive parameter
+_POSITIVE_SITES = [
+    ("Grid", "lengths", lambda v: Grid.of(16, v)),
+    ("EffectiveMassParams", "omega_ref", lambda v: wavemech.EffectiveMassParams(v)),
+    ("GaussianPacketSpec", "sigma0", lambda v: wavemech.GaussianPacketSpec((0.5,), v, (0.0,))),
+    ("MeasurementSetup", "w", lambda v: hybridmeas.MeasurementSetup((0.0,), (1.0,), w=v)),
+    ("MeasurementSetup", "tau", lambda v: hybridmeas.MeasurementSetup((0.0,), (1.0,), tau=v)),
+    ("VacuumModel", "T", lambda v: cmbrvac.VacuumModel(1e9, T=v)),
+    ("VacuumModel", "omega_c", lambda v: cmbrvac.VacuumModel(v)),
+    ("VacuumModel", "V_over_B", lambda v: cmbrvac.anomalous_moment(cmbrvac.VacuumModel(1e9, V_over_B=v))),
+    ("cutoff_for_moment", "a_target", cmbrvac.cutoff_for_moment),
+    ("qed_vacuum_energy", "omega_c", cmbrvac.qed_vacuum_energy),
+    ("casimir_coefficient", "T", cmbrvac.casimir_coefficient),
+    ("casimir_pressure", "a", cmbrvac.casimir_pressure),
+    ("QuantumPotentialField", "m_star", lambda v: madelung.quantum_potential(madelung.MadelungForm(_PSI), v)),
+    ("TimeSeriesField", "dt", lambda v: helicity.TimeSeriesField(_PSI.grid, np.ones((8, 16)), v)),
+    ("first_order_charge", "k0", lambda v: helicity.first_order_charge(_PSI, v)),
+    ("band_state_count", "nu", lambda v: bosestat.band_state_count(v, 1e9)),
+    ("band_state_count", "d_nu", lambda v: bosestat.band_state_count(1e11, v)),
+    ("FrequencyBand", "nu", lambda v: bosestat.FrequencyBand(v, 1e9)),
+    ("FrequencyBand", "d_nu", lambda v: bosestat.FrequencyBand(1e11, v)),
+    ("FrequencyBand", "volume", lambda v: bosestat.FrequencyBand(1e11, 1e9, v).n_states),
+    ("geometric_occupancy", "T", lambda v: bosestat.geometric_occupancy(_BAND, v)),
+    ("ThermoState", "beta", lambda v: bosestat.ThermoState(v, 1.0, 1.0, 1.0)),
+    ("maximize_entropy", "e_target", lambda v: bosestat.maximize_entropy([_BAND], v, 60)),
+    ("planck_density", "T", lambda v: bosestat.planck_density(1e11, v)),
+    ("planck_density", "nu", lambda v: bosestat.planck_density(v, 2.7)),
+    ("planck_density-array", "nu", lambda v: bosestat.planck_density([1e11, v, 2e11], 2.7)),
+    ("schmidt_decompose", "threshold",
+     lambda v: statequant.schmidt_decompose(np.eye(2) / math.sqrt(2.0), threshold=v)),
+]
+# the masses that may be zero but must be finite
+_NON_NEGATIVE_SITES = [
+    ("EffectiveMassParams", "mu", lambda v: wavemech.EffectiveMassParams(3e11, mu=v)),
+    ("PlaneWaveSpec", "mu", lambda v: PlaneWaveSpec(1.0, (0.0,), 0.0, mu=v)),
+]
+_REFUSED = (-1.0, math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{site}.{name}={value}")
+    for sites, values in ((_POSITIVE_SITES, (0.0, *_REFUSED)), (_NON_NEGATIVE_SITES, _REFUSED))
+    for site, name, call in sites for value in values])
+def test_a_parameter_out_of_its_domain_is_refused_by_name(name, call, value):
+    """A non-finite, negative or (where it must be positive) zero physical parameter raises a
+    ValueError whose message starts with the parameter's name, never a NaN or inf result."""
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call(value)
+
+
 class TestGrid:
     def test_spacing_exact(self):
         grid = Grid.of((16, 32), (2.0, 4.0))
@@ -57,6 +110,12 @@ class TestGrid:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             Grid.of(4, 1.0)
+
+    @pytest.mark.parametrize("n_points", [16.9, math.nan, math.inf])
+    def test_a_fractional_point_count_is_refused(self, n_points):
+        with pytest.raises(ValueError, match=r"^n_points\[0\] must be a whole even number"):
+            Grid.of(n_points, 1.0)
+        assert Grid.of(16.0, 1.0).n_points == Grid.of(16, 1.0).n_points == (16,)
 
     def test_dim_limit(self):
         with pytest.raises(ValueError, match="dim must be 1, 2 or 3, got 4"):

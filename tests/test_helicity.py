@@ -134,7 +134,7 @@ class TestConvectionCurrent:
     @pytest.mark.parametrize("k0", [0.0, -1.0, math.nan])
     def test_charge_refuses_a_k0_that_is_not_positive(self, k0):
         psi = ComplexField(grid=GRID, values=np.exp(1j * K1 * GRID.axis(0)))
-        with pytest.raises(ValueError, match="k0 must be positive"):
+        with pytest.raises(ValueError, match="k0 must be finite and positive"):
             first_order_charge(psi, k0)
 
     def test_current_is_read_only(self):

@@ -203,7 +203,7 @@ class TestSchmidt:
         # a zero threshold would count the exact zero singular value of a
         # product state and call it entangled
         product = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="threshold must be positive"):
+        with pytest.raises(ValueError, match="threshold must be finite and positive"):
             schmidt_decompose(product, threshold=threshold)
         assert schmidt_decompose(product, threshold=1e-12).rank == 1
 
