@@ -29,24 +29,15 @@ import numpy as np
 from .constants import CGS, require_positive
 
 MAX_BRUTE_FORCE_PHOTONS = 8
-# ceiling on the occupation cutoff suggested_r_max may ask for, and (plus one) on the
+# ceiling on the occupation cutoff of a geometric_occupancy row, and (plus one) on the
 # entries of a maximize_entropy table: one float row of 1,000,001 entries is 8 MB
 MAX_R_MAX = 1_000_000
-# geometric tail mass suggested_r_max cuts off, relative to the band total
-R_MAX_TAIL = 1e-12
 # relative energy mismatch maximize_entropy accepts at its solution
 ENERGY_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
     """Raised when the entropy maximizer fails."""
-
-
-def band_state_count(nu: float, d_nu: float) -> float:
-    """States per unit volume in [nu, nu + d_nu): 8 pi nu^2 d_nu / c^3."""
-    require_positive("nu", nu)
-    require_positive("d_nu", d_nu)
-    return 8.0 * math.pi * nu**2 * d_nu / CGS.c**3
 
 
 @dataclass(frozen=True)
@@ -63,43 +54,25 @@ class FrequencyBand:
 
     @property
     def n_states(self) -> float:
-        """Total states in the band, M = A * V (continuous, Stirling regime)."""
-        return band_state_count(self.nu, self.d_nu) * self.volume
+        """Total states in the band, M = A * V with A = 8 pi nu^2 d_nu / c^3
+        (continuous, Stirling regime)."""
+        return 8.0 * math.pi * self.nu**2 * self.d_nu / CGS.c**3 * self.volume
 
 
-def suggested_r_max(band: FrequencyBand, T: float) -> int:
-    """Smallest occupation cutoff whose geometric tail is below :data:`R_MAX_TAIL`.
+def geometric_occupancy(band: FrequencyBand, T: float, r_max: int) -> np.ndarray:
+    """Closed-form occupancies p_r = M (1 - x) x^r, x = exp(-h nu / kT), for
+    r = 0..r_max: they sum to M (1 - x^(r_max+1)).
 
-    Raises ValueError when that cutoff would exceed :data:`MAX_R_MAX`.
-    """
-    x = math.exp(-CGS.h * band.nu / (CGS.k_B * T))
-    if x == 0.0:
-        return 1
-    if x == 1.0:
-        raise ValueError(
-            f"h nu / kT = {CGS.h * band.nu / (CGS.k_B * T):.3e} rounds exp(-h nu / kT) to 1: "
-            f"the geometric tail never falls below {R_MAX_TAIL}"
-        )
-    r = max(int(math.ceil(math.log(R_MAX_TAIL) / math.log(x))), 1)
-    if r > MAX_R_MAX:
-        raise ValueError(
-            f"h nu / kT = {CGS.h * band.nu / (CGS.k_B * T):.3e} needs r_max = {r} for a tail "
-            f"below {R_MAX_TAIL}, above the ceiling MAX_R_MAX = {MAX_R_MAX}"
-        )
-    return r
-
-
-def geometric_occupancy(band: FrequencyBand, T: float, r_max: int | None = None) -> np.ndarray:
-    """Closed-form occupancies p_r = M (1 - x) x^r, x = exp(-h nu / kT).
-
-    ``r_max`` is raised automatically until the truncated tail is below
-    :data:`R_MAX_TAIL` of the total, so sum_r p_r = M to that accuracy.
+    Raises ValueError for an ``r_max`` that is not a whole number in
+    [0, :data:`MAX_R_MAX`], or when h nu / kT is so small that x rounds to 1
+    and every entry would be 0.
     """
     require_positive("T", T)
-    needed = suggested_r_max(band, T)
-    if r_max is None or r_max < needed:
-        r_max = needed
+    if not (0 <= r_max <= MAX_R_MAX and r_max == int(r_max)):
+        raise ValueError(f"r_max must be a whole number in [0, MAX_R_MAX = {MAX_R_MAX}], got {r_max!r}")
     x = math.exp(-CGS.h * band.nu / (CGS.k_B * T))
+    if x == 1.0:
+        raise ValueError(f"T = {T!r} rounds exp(-h nu / kT) to 1 at nu = {band.nu!r}: every occupancy would be 0")
     r = np.arange(r_max + 1)
     return band.n_states * (1.0 - x) * x**r
 

@@ -57,11 +57,6 @@ class VacuumModel:
             raise ValueError("xi must lie in (0, 1]")
 
 
-def vacuum_asymptotic_prefactor(T: float) -> float:
-    """hbar^2 / (5 pi^2 c^3 kT), the omega_c^5 coefficient [erg s^5 / cm^3]."""
-    return CGS.hbar**2 / (5.0 * math.pi**2 * CGS.c**3 * CGS.k_B * T)
-
-
 def vacuum_energy(model: VacuumModel, method: str = "exact") -> float:
     """Vacuum energy density [erg/cm^3].
 
@@ -71,7 +66,8 @@ def vacuum_energy(model: VacuumModel, method: str = "exact") -> float:
     within 0.5%.  A non-finite hbar omega_c / kT raises OverflowError.
     """
     if method == "asymptotic":
-        return vacuum_asymptotic_prefactor(model.T) * model.omega_c**5
+        # hbar^2 / (5 pi^2 c^3 kT), the omega_c^5 coefficient [erg s^5 / cm^3]
+        return CGS.hbar**2 / (5.0 * math.pi**2 * CGS.c**3 * CGS.k_B * model.T) * model.omega_c**5
     if method != "exact":
         raise ValueError("method must be 'exact' or 'asymptotic'")
     x = CGS.hbar * model.omega_c / (CGS.k_B * model.T)

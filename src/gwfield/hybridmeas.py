@@ -42,8 +42,11 @@ class MeasurementSetup:
         if len(self.eigenvalues) != len(self.amplitudes) or not self.eigenvalues:
             raise ValueError("eigenvalues and amplitudes must be non-empty and equal length")
         total = sum(abs(c) ** 2 for c in self.amplitudes)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # a NaN total fails too
             raise ValueError(f"amplitudes must satisfy sum |c_p|^2 = 1, got {total}")
+        for name, values in (("eigenvalues", self.eigenvalues), ("y0", (self.y0,)), ("g", (self.g,))):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         require_positive("w", self.w)
         require_positive("tau", self.tau)
 

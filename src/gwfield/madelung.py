@@ -264,6 +264,8 @@ def bohm_step(
     """
     if regime not in _REGIMES:
         raise ValueError(f"regime must be one of {_REGIMES}")
+    if not np.isfinite(dt):  # a negative dt runs backward
+        raise ValueError(f"dt must be finite, got {dt!r}")
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
 

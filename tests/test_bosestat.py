@@ -10,13 +10,12 @@ from gwfield.bosestat import (
     FrequencyBand,
     MAX_BRUTE_FORCE_PHOTONS,
     OccupancyTable,
-    band_state_count,
     geometric_occupancy,
     maximize_entropy,
     planck_density,
     symmetrize_photons,
 )
-from gwfield.bosestat import ConvergenceError, _band_optimum, suggested_r_max
+from gwfield.bosestat import ConvergenceError, _band_optimum
 from gwfield import bosestat
 
 from conftest import registry_measurements, run_entry
@@ -25,41 +24,41 @@ from conftest import registry_measurements, run_entry
 class TestBandStateCount:
     def test_reference_value(self):
         # nu = c (numerically): A = 8 pi / c
-        value = band_state_count(CGS.c, 1.0)
+        value = FrequencyBand(CGS.c, 1.0).n_states
         assert value == pytest.approx(8.0 * math.pi / CGS.c, rel=1e-12)
         assert value == pytest.approx(8.3833e-10, rel=1e-4)
 
     def test_quadratic_frequency_scaling(self):
-        assert band_state_count(2e10, 1.0) / band_state_count(1e10, 1.0) == pytest.approx(4.0)
+        assert FrequencyBand(2e10, 1.0).n_states / FrequencyBand(1e10, 1.0).n_states == pytest.approx(4.0)
 
     def test_bandwidth_linearity(self):
-        assert band_state_count(1e10, 2.0) == pytest.approx(2.0 * band_state_count(1e10, 1.0))
+        assert FrequencyBand(1e10, 2.0).n_states == pytest.approx(2.0 * FrequencyBand(1e10, 1.0).n_states)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            band_state_count(0.0, 1.0)
+            FrequencyBand(0.0, 1.0)
         with pytest.raises(ValueError):
-            band_state_count(1e10, -1.0)
+            FrequencyBand(1e10, -1.0)
 
 
 class TestGeometricOccupancy:
     def test_frozen_band(self):
         band = FrequencyBand(nu=1e12, d_nu=1e8)
         T = CGS.h * band.nu / (50.0 * CGS.k_B)  # h nu / kT = 50
-        row = geometric_occupancy(band, T)
+        row = geometric_occupancy(band, T, r_max=60)
         assert row[0] == pytest.approx(band.n_states, rel=1e-12)
         assert row[1:].sum() < 1e-20 * band.n_states
 
     def test_unit_ratio_point(self):
         band = FrequencyBand(nu=1e10, d_nu=1e7)
         T = CGS.h * band.nu / CGS.k_B  # h nu / kT = 1
-        row = geometric_occupancy(band, T)
+        row = geometric_occupancy(band, T, r_max=60)
         assert row[0] / band.n_states == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_photon_number_geometric_sum(self):
         band = FrequencyBand(nu=2e10, d_nu=1e7, volume=3.0)
         T = 1.7 * CGS.h * band.nu / CGS.k_B
-        row = geometric_occupancy(band, T)
+        row = geometric_occupancy(band, T, r_max=60)
         x = math.exp(-CGS.h * band.nu / (CGS.k_B * T))
         n_expected = band.n_states * x / (1.0 - x)
         assert row @ np.arange(len(row)) == pytest.approx(n_expected, rel=1e-10)
@@ -67,31 +66,29 @@ class TestGeometricOccupancy:
     def test_unresolvable_tail_is_a_value_error(self):
         # h nu / kT ~ 5e-17 rounds x = exp(-h nu / kT) to exactly 1.0
         band = FrequencyBand(nu=1e10, d_nu=1e8)
-        with pytest.raises(ValueError, match="never falls below"):
-            suggested_r_max(band, 1e16)
-        with pytest.raises(ValueError, match="never falls below"):
-            geometric_occupancy(band, 1e16)
+        with pytest.raises(ValueError, match=r"^T = 1e\+16 rounds exp\(-h nu / kT\) to 1"):
+            geometric_occupancy(band, 1e16, r_max=60)
 
-    def test_cutoff_above_ceiling_is_a_value_error(self):
-        # h nu / kT ~ 4.8e-7 needs r_max = 57,573,707: a ~460 MB row
-        band = FrequencyBand(nu=1e10, d_nu=1e8)
-        with pytest.raises(ValueError, match="needs r_max = 57573707"):
-            suggested_r_max(band, 1e6)
-        with pytest.raises(ValueError, match="MAX_R_MAX"):
-            geometric_occupancy(band, 1e6)
-        assert suggested_r_max(band, 1e4) < bosestat.MAX_R_MAX  # 575,737 is allowed
-
-    def test_tail_below_budget(self):
+    def test_returns_the_cutoff_it_is_given(self):
         band = FrequencyBand(nu=1e10, d_nu=1e7)
         T = 10.0 * CGS.h * band.nu / CGS.k_B  # hot: slow geometric decay
-        row = geometric_occupancy(band, T, r_max=2)  # too small, must be raised
-        assert abs(row.sum() - band.n_states) < 1e-11 * band.n_states
+        x = math.exp(-CGS.h * band.nu / (CGS.k_B * T))
+        for r_max in (0, 2, 60):
+            row = geometric_occupancy(band, T, r_max=r_max)
+            assert len(row) == r_max + 1
+            assert row.sum() == pytest.approx(band.n_states * (1.0 - x ** (r_max + 1)), rel=1e-12)
+
+    @pytest.mark.parametrize("r_max", [-1, 2.5, math.nan, math.inf, bosestat.MAX_R_MAX + 1])
+    def test_a_cutoff_that_is_not_a_whole_number_in_range_is_refused(self, r_max):
+        band = FrequencyBand(nu=1e10, d_nu=1e7)
+        with pytest.raises(ValueError, match=r"^r_max must be a whole number in \[0, MAX_R_MAX"):
+            geometric_occupancy(band, 2.7, r_max=r_max)
 
 
 class TestOccupancyTable:
     def test_table_owns_a_read_only_copy(self):
         band = FrequencyBand(nu=1e10, d_nu=1e7)
-        p = np.stack([geometric_occupancy(band, CGS.h * band.nu / CGS.k_B)])
+        p = np.stack([geometric_occupancy(band, CGS.h * band.nu / CGS.k_B, r_max=60)])
         table = OccupancyTable(bands=(band,), p=p)
         p[:] = 0.0
         assert table.p.sum() == pytest.approx(band.n_states, rel=1e-8)
@@ -101,7 +98,7 @@ class TestOccupancyTable:
 
 class TestMaximizeEntropy:
     def test_single_band_analytic_solution(self):
-        band_a = band_state_count(1e10, 1e8)
+        band_a = FrequencyBand(1e10, 1e8).n_states
         band = FrequencyBand(nu=1e10, d_nu=1e8, volume=100.0 / band_a)
         assert band.n_states == pytest.approx(100.0)
         h_nu = CGS.h * band.nu
@@ -239,7 +236,7 @@ class TestMaximizeEntropy:
     def test_planck_consistency(self):
         band = FrequencyBand(nu=2e11, d_nu=1e8, volume=1.0)
         T = 3.1
-        row = geometric_occupancy(band, T)
+        row = geometric_occupancy(band, T, r_max=60)
         energy_per_volume = CGS.h * band.nu * float(row @ np.arange(len(row))) / band.volume
         assert energy_per_volume == pytest.approx(
             planck_density(band.nu, T) * band.d_nu, rel=1e-8)

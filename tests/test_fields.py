@@ -64,12 +64,10 @@ _POSITIVE_SITES = [
     ("QuantumPotentialField", "m_star", lambda v: madelung.quantum_potential(madelung.MadelungForm(_PSI), v)),
     ("TimeSeriesField", "dt", lambda v: helicity.TimeSeriesField(_PSI.grid, np.ones((8, 16)), v)),
     ("first_order_charge", "k0", lambda v: helicity.first_order_charge(_PSI, v)),
-    ("band_state_count", "nu", lambda v: bosestat.band_state_count(v, 1e9)),
-    ("band_state_count", "d_nu", lambda v: bosestat.band_state_count(1e11, v)),
     ("FrequencyBand", "nu", lambda v: bosestat.FrequencyBand(v, 1e9)),
     ("FrequencyBand", "d_nu", lambda v: bosestat.FrequencyBand(1e11, v)),
     ("FrequencyBand", "volume", lambda v: bosestat.FrequencyBand(1e11, 1e9, v).n_states),
-    ("geometric_occupancy", "T", lambda v: bosestat.geometric_occupancy(_BAND, v)),
+    ("geometric_occupancy", "T", lambda v: bosestat.geometric_occupancy(_BAND, v, r_max=60)),
     ("ThermoState", "beta", lambda v: bosestat.ThermoState(v, 1.0, 1.0, 1.0)),
     ("maximize_entropy", "e_target", lambda v: bosestat.maximize_entropy([_BAND], v, 60)),
     ("planck_density", "T", lambda v: bosestat.planck_density(1e11, v)),
@@ -83,16 +81,28 @@ _NON_NEGATIVE_SITES = [
     ("EffectiveMassParams", "mu", lambda v: wavemech.EffectiveMassParams(3e11, mu=v)),
     ("PlaneWaveSpec", "mu", lambda v: PlaneWaveSpec(1.0, (0.0,), 0.0, mu=v)),
 ]
-_REFUSED = (-1.0, math.nan, math.inf, -math.inf)
+# the values that may take any sign but must be finite (a negative dt runs backward)
+_FINITE_SITES = [
+    ("MeasurementSetup", "y0", lambda v: hybridmeas.MeasurementSetup((0.0, 1.0), (0.6, 0.8), y0=v)),
+    ("MeasurementSetup", "g", lambda v: hybridmeas.MeasurementSetup((0.0, 1.0), (0.6, 0.8), g=v)),
+    ("MeasurementSetup", "eigenvalues", lambda v: hybridmeas.MeasurementSetup((0.0, v), (0.6, 0.8))),
+    ("MeasurementSetup", "amplitudes", lambda v: hybridmeas.MeasurementSetup((0.0, 1.0), (0.6, v))),
+    ("bohm_step", "dt", lambda v: madelung.run_trajectory(
+        madelung.quantum_potential(madelung.MadelungForm(_PSI), 1.0), [[0.5]], [[0.0]], v, 3, "massive")),
+]
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+_REFUSED = (-1.0, *_NON_FINITE)
 
 
 @pytest.mark.parametrize("name, call, value", [
     pytest.param(name, call, value, id=f"{site}.{name}={value}")
-    for sites, values in ((_POSITIVE_SITES, (0.0, *_REFUSED)), (_NON_NEGATIVE_SITES, _REFUSED))
+    for sites, values in ((_POSITIVE_SITES, (0.0, *_REFUSED)), (_NON_NEGATIVE_SITES, _REFUSED),
+                          (_FINITE_SITES, _NON_FINITE))
     for site, name, call in sites for value in values])
 def test_a_parameter_out_of_its_domain_is_refused_by_name(name, call, value):
-    """A non-finite, negative or (where it must be positive) zero physical parameter raises a
-    ValueError whose message starts with the parameter's name, never a NaN or inf result."""
+    """A non-finite, negative (where it must not be) or zero (where it must be positive)
+    physical parameter raises a ValueError whose message starts with the parameter's name,
+    never a NaN or inf result."""
     with pytest.raises(ValueError, match=rf"^{name}\b"):
         call(value)
 

@@ -1,11 +1,13 @@
 """Byte identity of the CLI's outputs on fixed inputs.
 
 ``golden/table.json`` lists argv lists that run on the files in ``golden/inputs``:
-the eight ``cli_toolbox`` commands of the benchmark and one 1D
-propagate -> madelung -> bohm -> helicity chain.  Beside each argv it keeps the sha256 of
-every file the run writes; a manifest is hashed without its ``wall_time_s``.  The runs go
-in process through ``cli.main``, in a fresh working directory and with relative paths, so
-every byte of every output, manifests included, is a function of the inputs alone.
+the eight ``cli_toolbox`` commands of the benchmark, one 1D
+propagate -> madelung -> bohm -> helicity chain, and the ``cli_field3d``
+propagate -> madelung -> bohm chains of seeds 1-3 on a 32^3 packet.  Beside each argv
+it keeps the sha256 of every file the run writes; a manifest is hashed without its
+``wall_time_s``.  The runs go in process through ``cli.main``, in a fresh working
+directory and with relative paths, so every byte of every output, manifests included, is
+a function of the inputs alone.
 
 A change that moves an output on purpose regenerates the table, and says which files moved and why:
 
@@ -51,7 +53,8 @@ def output_digests(runs: list[dict], workdir: Path) -> list[dict[str, str]]:
 def test_outputs_match_the_table(tmp_path, monkeypatch):
     table = json.loads(TABLE.read_text())
     monkeypatch.chdir(tmp_path)
-    moved = [f"{run['argv'][0]}: {name}"
+    # name each file by its output directory: four runs are a bohm, three a madelung
+    moved = [f"{run['argv'][run['argv'].index('--output-dir') + 1]}/{name}"
              for run, got in zip(table["runs"], output_digests(table["runs"], tmp_path), strict=True)
              for name in sorted(got.keys() | run["outputs"].keys()) if got.get(name) != run["outputs"].get(name)]
     assert not moved, f"moved {moved} (table made with numpy {table['numpy']}, this is numpy {np.__version__})"

@@ -524,6 +524,14 @@ class TestBohmTrajectories:
         np.testing.assert_allclose(traj.positions[:, 0, 0], expected, rtol=1e-12)
         np.testing.assert_allclose(traj.momenta[:, 0, 0], p0, rtol=1e-12)
 
+    def test_negative_dt_runs_backward(self):
+        # bohm_step refuses a non-finite dt, not a negative one
+        qfield, center, sigma = _gaussian_qfield()
+        p0 = qfield.m_star * 1e5
+        traj = run_trajectory(qfield, [[center]], [[p0]], -1e-6, n_steps=50, regime="classical")
+        assert traj.status == "ok" and traj.times[-1] < 0.0
+        np.testing.assert_allclose(traj.positions[:, 0, 0], center + 1e5 * traj.times, rtol=1e-12)
+
     def test_constant_q_massless(self):
         grid = Grid.of(128, 10.0)
         psi = ComplexField(grid=grid, values=np.ones(128, dtype=complex))
