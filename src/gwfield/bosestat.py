@@ -12,10 +12,8 @@ and maximizing ln W at fixed total energy E = sum_s h nu^s sum_r r p_r^s
 p_r = M (1 - x) x^r with x = exp(-h nu / beta), which reduce to the Planck
 spectral density once beta is identified with kT.
 
-``maximize_entropy`` performs that maximization numerically (entropic mirror
-ascent on each band's simplex, scalar root-find on the energy multiplier);
-``geometric_occupancy`` evaluates the closed form, which serves as an
-independent certificate of the optimum.
+``maximize_entropy`` performs that maximization numerically, and
+``geometric_occupancy`` evaluates the closed form that certifies its optimum.
 """
 
 from __future__ import annotations
@@ -59,6 +57,13 @@ class FrequencyBand:
         return 8.0 * math.pi * self.nu**2 * self.d_nu / CGS.c**3 * self.volume
 
 
+def _whole_cutoff(r_max, least: int) -> int:
+    """``r_max`` as an int; ValueError unless it is whole in [least, MAX_R_MAX]."""
+    if not (least <= r_max <= MAX_R_MAX and r_max == int(r_max)):
+        raise ValueError(f"r_max must be a whole number in [{least}, MAX_R_MAX = {MAX_R_MAX}], got {r_max!r}")
+    return int(r_max)
+
+
 def geometric_occupancy(band: FrequencyBand, T: float, r_max: int) -> np.ndarray:
     """Closed-form occupancies p_r = M (1 - x) x^r, x = exp(-h nu / kT), for
     r = 0..r_max: they sum to M (1 - x^(r_max+1)).
@@ -68,13 +73,11 @@ def geometric_occupancy(band: FrequencyBand, T: float, r_max: int) -> np.ndarray
     and every entry would be 0.
     """
     require_positive("T", T)
-    if not (0 <= r_max <= MAX_R_MAX and r_max == int(r_max)):
-        raise ValueError(f"r_max must be a whole number in [0, MAX_R_MAX = {MAX_R_MAX}], got {r_max!r}")
+    r_max = _whole_cutoff(r_max, 0)
     x = math.exp(-CGS.h * band.nu / (CGS.k_B * T))
     if x == 1.0:
         raise ValueError(f"T = {T!r} rounds exp(-h nu / kT) to 1 at nu = {band.nu!r}: every occupancy would be 0")
-    r = np.arange(r_max + 1)
-    return band.n_states * (1.0 - x) * x**r
+    return band.n_states * (1.0 - x) * x ** np.arange(r_max + 1)
 
 
 @dataclass(frozen=True)
@@ -93,28 +96,22 @@ class OccupancyTable:
         for s, band in enumerate(self.bands):
             total = float(p[s].sum())
             if abs(total - band.n_states) > 1e-8 * band.n_states:
-                raise ValueError(
-                    f"band {s} occupancies sum to {total}, expected {band.n_states}"
-                )
+                raise ValueError(f"band {s} occupancies sum to {total}, expected {band.n_states}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
     def photon_numbers(self) -> np.ndarray:
-        r = np.arange(self.p.shape[1])
-        return self.p @ r
+        return self.p @ np.arange(self.p.shape[1])
 
     def total_energy(self) -> float:
-        per_band = self.photon_numbers()
-        return float(sum(CGS.h * band.nu * n for band, n in zip(self.bands, per_band)))
+        return float(sum(CGS.h * band.nu * n for band, n in zip(self.bands, self.photon_numbers())))
 
     def ln_multiplicity(self) -> float:
         total = 0.0
-        for s, band in enumerate(self.bands):
-            m = band.n_states
-            p = self.p[s]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_ln_p = np.where(p == 0.0, 0.0, p * np.log(p))
-            total += m * math.log(m) - float(np.sum(p_ln_p))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for band, p in zip(self.bands, self.p):
+                m = band.n_states
+                total += m * math.log(m) - float(np.sum(np.where(p == 0.0, 0.0, p * np.log(p))))
         return total
 
 
@@ -143,9 +140,9 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100)
 
     A step-for-step port of scipy's C ``brentq`` (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 4), so roots and function
-    calls match it exactly: an inverse-quadratic or secant step where it
-    shrinks fast enough, bisection otherwise, stopping once half the bracket
-    is below delta = (xtol + rtol |x|) / 2.  Raises ValueError when f(a) and
+    calls match it exactly: inverse-quadratic or secant steps where they shrink
+    fast enough, else bisection, until half the bracket is below
+    delta = (xtol + rtol |x|) / 2.  Raises ValueError when f(a) and
     f(b) share a sign or ``f`` returns NaN, RuntimeError after ``maxiter``
     iterations.
     """
@@ -198,41 +195,44 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100)
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations, value is {xcur}")
 
 
+@np.errstate(divide="ignore")
 def _band_optimum(n_states, h_nu, beta: float, r_max: int) -> np.ndarray:
     """Maximize -sum p ln p - (h nu / beta) sum r p on the simplex sum p = M.
 
-    Entropic mirror ascent with step 0.5: each iteration halves the distance
-    of ln p from the fixed point, so ~60 iterations reach rounding level.
-    The 1-D arrays ``n_states`` and ``h_nu`` give one row per band,
-    (n_bands, r_max+1), all advanced together.  A row is frozen once it
-    converges, so each is the row its band alone would give.
+    Entropic mirror ascent with step 0.5, in place on the (n_bands, r_max+1) rows of
+    the 1-D ``n_states`` and ``h_nu``: each step halves the distance of ln p from the
+    optimum, and rows converge in 51-58 steps.  A converged row is frozen, so each is
+    the row its band alone would give; the running rows are gathered only on a step
+    where some converge.
     Raises :class:`ConvergenceError` if 200 iterations do not converge every row.
     """
-    n_states = n_states[:, None]
-    gamma = h_nu[:, None] / beta
-    r = np.arange(r_max + 1, dtype=float)
-    p = np.repeat(n_states / (r_max + 1.0), r_max + 1, axis=1)
-    active = np.ones(len(h_nu), dtype=bool)
-    eta = 0.5
+    m = n_states[:, None]
+    drift = 0.5 * (1.0 + h_nu[:, None] / beta * np.arange(r_max + 1.0))
+    floor = 1e-300 * m
+    p = np.repeat(m / (r_max + 1.0), r_max + 1, axis=1)
+    out, q, step = np.empty((3, *p.shape))
+    rows = np.arange(len(h_nu))
     for _ in range(200):
-        p_act, m = p[active], n_states[active]
-        with np.errstate(divide="ignore"):
-            log_p = np.log(p_act)
-        update = (1.0 - eta) * log_p - eta * (1.0 + gamma[active] * r)
-        update -= update.max(axis=1, keepdims=True)
-        q = np.exp(update)
-        p_new = m * q / q.sum(axis=1, keepdims=True)
-        done = np.max(np.abs(p_new - p_act) / np.maximum(p_new, 1e-300 * m), axis=1) < 1e-15
-        p[active] = p_new
-        active[active] = ~done
-        if not active.any():
-            return p
-    stuck = np.flatnonzero(active)
-    more = f" and {len(stuck) - 5} more" if len(stuck) > 5 else ""
-    raise ConvergenceError(
-        f"mirror ascent did not converge in 200 iterations for band rows "
-        f"{stuck[:5].tolist()}{more} (h nu = {h_nu[stuck[:5]].tolist()}, beta = {beta})"
-    )
+        np.log(p, out=q)
+        q *= 0.5
+        q -= drift
+        q -= q.max(axis=1, keepdims=True)
+        np.exp(q, out=q)
+        total = q.sum(axis=1, keepdims=True)
+        q *= m
+        q /= total
+        np.abs(np.subtract(q, p, out=step), out=step)
+        step /= np.maximum(q, floor, out=p)
+        p, q = q, p
+        done = step.max(axis=1) < 1e-15
+        if done.any():
+            out[rows[done]] = p[done]
+            if done.all():
+                return out
+            p, q, step, m, drift, floor, rows = (a[~done] for a in (p, q, step, m, drift, floor, rows))
+    more = f" and {len(rows) - 5} more" if len(rows) > 5 else ""
+    raise ConvergenceError(f"mirror ascent did not converge in 200 iterations for band rows {rows[:5].tolist()}"
+                           f"{more} (h nu = {h_nu[rows[:5]].tolist()}, beta = {beta})")
 
 
 def maximize_entropy(
@@ -246,39 +246,38 @@ def maximize_entropy(
     hits ``e_target`` to :data:`ENERGY_TOL` relative.
     ``ThermoState.energy_evaluations`` counts the trial multipliers,
     bracketing plus Brent.  Raises ValueError for no band, a non-positive
-    ``e_target``, ``r_max < 1`` or a table of more than ``MAX_R_MAX + 1``
-    entries, and :class:`ConvergenceError` when the bracket fails or
+    ``e_target``, an ``r_max`` not whole in [1, MAX_R_MAX] or over ``MAX_R_MAX + 1``
+    table entries, and :class:`ConvergenceError` when the bracket fails or
     ``r_max`` cannot hold the target energy.
     """
     if not bands:
         raise ValueError("at least one band is required")
     require_positive("e_target", e_target)
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
+    r_max = _whole_cutoff(r_max, 1)
     if len(bands) * (r_max + 1) > MAX_R_MAX + 1:
         raise ValueError(f"{len(bands)} x {r_max + 1} table entries is above MAX_R_MAX + 1 = {MAX_R_MAX + 1}")
 
-    e_ceiling = sum(CGS.h * b.nu * b.n_states * r_max / 2.0 for b in bands)
-    if e_target >= 0.98 * e_ceiling:
-        raise ConvergenceError(
-            f"e_target = {e_target} is not representable below r_max = {r_max} "
-            f"(uniform-occupancy ceiling {e_ceiling})"
-        )
-
     n_states = np.array([b.n_states for b in bands])
     h_nu = np.array([CGS.h * b.nu for b in bands])
+    e_ceiling = sum(h_nu * n_states * r_max / 2.0)
+    if e_target >= 0.98 * e_ceiling:
+        raise ConvergenceError(f"e_target = {e_target} is not representable below r_max = {r_max} "
+                               f"(uniform-occupancy ceiling {e_ceiling})")
+
+    r = np.arange(r_max + 1.0)
     evaluations = 0
+    mismatches = {}  # Brent reopens on the bracket ends
 
     def energy_mismatch(beta: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        rows = _band_optimum(n_states, h_nu, beta, r_max)
-        r = np.arange(r_max + 1, dtype=float)
-        energy = sum(CGS.h * b.nu * float(row @ r) for b, row in zip(bands, rows))
-        return energy - e_target
+        if beta not in mismatches:
+            rows = _band_optimum(n_states, h_nu, beta, r_max)
+            mismatches[beta] = sum(CGS.h * b.nu * float(row @ r) for b, row in zip(bands, rows)) - e_target
+        return mismatches[beta]
 
-    beta_scale = max(CGS.h * b.nu for b in bands)
-    lo, hi = beta_scale * 1e-6, beta_scale
+    hi = float(h_nu.max())
+    lo = hi * 1e-6
     for _ in range(200):
         if energy_mismatch(lo) < 0.0:
             break
@@ -295,18 +294,10 @@ def maximize_entropy(
     table = OccupancyTable(bands=tuple(bands), p=_band_optimum(n_states, h_nu, beta, r_max))
     energy = table.total_energy()
     if abs(energy - e_target) > ENERGY_TOL * e_target:
-        raise ConvergenceError(
-            f"energy matched to {abs(energy - e_target) / e_target:.3e} relative, "
-            f"worse than ENERGY_TOL = {ENERGY_TOL}"
-        )
-    thermo = ThermoState(
-        beta=beta,
-        E=energy,
-        S_entropy=CGS.k_B * table.ln_multiplicity(),
-        N_photons=float(table.photon_numbers().sum()),
-        energy_evaluations=evaluations,
-    )
-    return table, thermo
+        raise ConvergenceError(f"energy matched to {abs(energy - e_target) / e_target:.3e} relative, "
+                               f"worse than ENERGY_TOL = {ENERGY_TOL}")
+    return table, ThermoState(beta=beta, E=energy, S_entropy=CGS.k_B * table.ln_multiplicity(),
+                              N_photons=float(table.photon_numbers().sum()), energy_evaluations=evaluations)
 
 
 def planck_density(nu, T: float):

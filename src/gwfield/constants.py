@@ -7,14 +7,14 @@ data; ``gwfield check`` certifies the identities that tie its entries together
 (the ``constants-identities`` entry of :mod:`gwfield.selfcheck`).
 
 It also holds :func:`require_positive`, the one refusal of a physical parameter that must
-be finite and positive (a temperature, a length, a frequency, a mass): every layer imports
-this numpy-free module already, so the check costs no layer an import of another.
+be finite and positive (a temperature, a length, a frequency, a mass), and
+:func:`require_nonnegative`, the one refusal of one that must be finite and >= 0 (a mass
+parameter mu, an elapsed time): every layer imports this module already, and it is numpy-, ``hashlib``- and
+``json``-free at import, so the checks cost no layer an import of another.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -53,6 +53,10 @@ class CgsConstants:
 
     def checksum(self) -> str:
         """SHA-256 over the sorted constant table; pinned in run manifests."""
+        # imported here: only the CLI manifest calls this, and hashlib loads OpenSSL
+        import hashlib
+        import json
+
         payload = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
@@ -64,3 +68,9 @@ def require_positive(name: str, value: float) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is finite and > 0 (NaN and inf fail)."""
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def require_nonnegative(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and >= 0 (NaN and inf fail)."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")

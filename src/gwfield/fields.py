@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS, require_positive
+from .constants import CGS, require_nonnegative, require_positive
 
 # Density below this fraction of max(rho) is treated as a node: the phase is
 # undefined there.  Read only through :func:`node_mask`.
@@ -140,8 +140,7 @@ class PlaneWaveSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_vec", tuple(float(k) for k in self.k_vec))
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if not (self.mu >= 0.0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
+        require_nonnegative("mu", self.mu)
         lhs = sum(k * k for k in self.k_vec) + self.mu**2
         rhs = (self.omega / CGS.c) ** 2
         scale = max(lhs, rhs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS, require_positive
+from .constants import CGS, require_nonnegative, require_positive
 from .fields import ComplexField, Grid
 from . import spectral
 
@@ -37,8 +37,7 @@ class EffectiveMassParams:
 
     def __post_init__(self) -> None:
         require_positive("omega_ref", self.omega_ref)
-        if not (self.mu >= 0.0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
+        require_nonnegative("mu", self.mu)
 
     @property
     def k0(self) -> float:
@@ -124,8 +123,7 @@ def evolve_schrodinger(psi: ComplexField, params: EffectiveMassParams, t: float)
     is unitary, so the norm is conserved to rounding.  The phase is applied
     as one factor per axis and the scalar exp(-i V0 t), with no k^2 mesh.
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    require_nonnegative("t", t)
     grid = psi.grid
     spec = spectral.transform(psi.values, grid)
     kinetic = CGS.hbar * t / (2.0 * params.m_star)
@@ -156,6 +154,7 @@ def evolve_classical_wave(state: ClassicalWaveState, mu: float, t: float) -> Cla
     massless equation is secular and evolves linearly in t.  The rotation overwrites
     the two spectra chunk by chunk: omega is its one full-grid temporary.
     """
+    require_nonnegative("mu", mu)
     grid = state.grid
     omega = spectral.k_squared(grid)
     omega += mu**2
@@ -186,6 +185,7 @@ def right_moving_state(psi: ComplexField) -> ClassicalWaveState:
 
 def wave_energy(state: ClassicalWaveState, mu: float) -> float:
     """Conserved functional int [ |psi_dot|^2/c^2 + |grad psi|^2 + mu^2 |psi|^2 ] dV."""
+    require_nonnegative("mu", mu)
     psi, grid = state.psi.values, state.grid
     local = np.sum(np.abs(state.psi_dot.values) ** 2) / CGS.c**2 + mu**2 * np.sum(np.abs(psi) ** 2)
     gradient = spectral.power_sum(spectral.transform(psi, grid), grid) / psi.size

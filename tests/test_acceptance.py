@@ -6,7 +6,7 @@ The last eight keep every public function and class of the package in use, every
 method and property read outside its class, every top-level import of a module read in it,
 every grid transform in ``spectral.py``, every option of one set by some call in the
 package, each value that a record derives equal to the value it once stored, every array a
-record stores read-only, and every positivity refusal in ``constants.require_positive``.
+record stores read-only, and every positivity or non-negativity refusal in ``constants``.
 """
 
 import ast
@@ -232,17 +232,21 @@ def test_every_array_a_record_stores_is_read_only():
 
 
 def test_every_positivity_refusal_is_require_positive():
-    """No ``raise ValueError(...)`` in ``src/gwfield`` says "positive" in its message, except
-    the one in ``constants.require_positive``: a parameter that must be finite and > 0 is
-    refused there, with one message, and NaN and inf never slip through a hand-written copy."""
+    """No ``raise ValueError(...)`` in ``src/gwfield`` says "positive" or "finite and" in its
+    message, except the ones in ``constants.require_positive`` and
+    ``constants.require_nonnegative``: a parameter that must be finite and > 0, or finite and
+    >= 0, is refused there, with one message, and NaN and inf never slip through a
+    hand-written copy."""
     stray = []
     for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         home = {id(sub) for node in tree.body if path.name == "constants.py"
-                and getattr(node, "name", None) == "require_positive" for sub in ast.walk(node)}
+                and getattr(node, "name", None) in ("require_positive", "require_nonnegative")
+                for sub in ast.walk(node)}
         for node in ast.walk(tree):
             if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and id(node) not in home
                     and getattr(node.exc.func, "id", None) == "ValueError"
-                    and any("positive" in ast.unparse(arg) for arg in node.exc.args)):
+                    and any(word in ast.unparse(arg) for arg in node.exc.args
+                            for word in ("positive", "finite and"))):
                 stray.append(f"{path.name}:{node.lineno}")
-    assert not stray, f"positivity refusals outside constants.require_positive: {stray}"
+    assert not stray, f"positivity refusals outside constants.require_positive/require_nonnegative: {stray}"

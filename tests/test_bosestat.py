@@ -228,6 +228,12 @@ class TestMaximizeEntropy:
         with pytest.raises(ConvergenceError, match="not representable"):
             maximize_entropy([band], huge, r_max=bosestat.MAX_R_MAX)
 
+    @pytest.mark.parametrize("r_max", [0, -1, 60.5, math.nan, math.inf, bosestat.MAX_R_MAX + 1])
+    def test_a_cutoff_that_is_not_a_whole_number_in_range_is_refused(self, r_max):
+        band = FrequencyBand(nu=1e10, d_nu=1e8, volume=1.0)
+        with pytest.raises(ValueError, match=r"^r_max must be a whole number in \[1, MAX_R_MAX"):
+            maximize_entropy([band], 1e-20, r_max=r_max)
+
     def test_band_optimum_reports_exhausted_iterations(self):
         # a NaN multiplier never meets the stopping rule; the last iterate is all NaN
         with pytest.raises(ConvergenceError, match="200 iterations"):
@@ -247,7 +253,7 @@ class TestBandOptimumRows:
 
     @staticmethod
     def seeded_bands(n_bands=50):
-        # h nu / kT from 0.1 to 10 at 5 K: rows converge between 50 and 54 iterations
+        # h nu / kT from 0.1 to 10 at 5 K: rows converge between 51 and 55 iterations
         rng = np.random.default_rng(50)
         nus = np.sort(np.exp(rng.uniform(np.log(1e10), np.log(1e12), size=n_bands)))
         bands = [FrequencyBand(nu=float(nu), d_nu=1e9, volume=1e3) for nu in nus]
@@ -271,23 +277,41 @@ class TestBandOptimumRows:
         assert "band rows [5]" in str(info.value)
         assert "nan" in str(info.value)
 
-    def test_one_call_per_energy_evaluation(self, monkeypatch):
-        # the criterion-6 tables: three bands at 5 K, r_max = 60
-        bands = [FrequencyBand(nu=nu, d_nu=1e9, volume=1e3) for nu in (0.8e11, 1.0e11, 1.3e11)]
-        rows = [geometric_occupancy(b, 5.0, r_max=60) for b in bands]
-        e_target = sum(CGS.h * b.nu * float(row @ np.arange(len(row))) for b, row in zip(bands, rows))
-        widths = []
+    @staticmethod
+    def counted_solve(monkeypatch, bands, e_target):
+        """``maximize_entropy`` on ``bands``, with the multiplier of every ``_band_optimum`` call."""
+        betas = []
         original = bosestat._band_optimum
 
         def counting(n_states, h_nu, beta, r_max):
-            widths.append(np.size(h_nu))
+            assert np.size(h_nu) == len(bands)
+            betas.append(beta)
             return original(n_states, h_nu, beta, r_max)
 
         monkeypatch.setattr(bosestat, "_band_optimum", counting)
-        _, thermo = maximize_entropy(bands, e_target, r_max=60)
-        assert thermo.energy_evaluations > 0
-        assert len(widths) == thermo.energy_evaluations + 1
-        assert widths == [len(bands)] * len(widths)
+        return maximize_entropy(bands, e_target, r_max=60)[1], betas
+
+    def test_one_call_per_distinct_multiplier(self, monkeypatch):
+        # the criterion-6 tables: three bands at 5 K, r_max = 60.  Brent opens on the two
+        # bracket ends the bracketing loops solved, so 11 evaluations hold 9 distinct
+        # multipliers: 9 calls, and one more for the table at the root
+        bands = [FrequencyBand(nu=nu, d_nu=1e9, volume=1e3) for nu in (0.8e11, 1.0e11, 1.3e11)]
+        rows = [geometric_occupancy(b, 5.0, r_max=60) for b in bands]
+        e_target = sum(CGS.h * b.nu * float(row @ np.arange(len(row))) for b, row in zip(bands, rows))
+        thermo, betas = self.counted_solve(monkeypatch, bands, e_target)
+        assert thermo.energy_evaluations == 11
+        assert len(betas) == 10
+        assert len(set(betas[:-1])) == 9
+        assert betas[-1] == thermo.beta
+
+    def test_a_repeated_multiplier_is_not_solved_again(self, monkeypatch):
+        # every bracketing and Brent multiplier is solved once, however often it is evaluated
+        bands = [FrequencyBand(nu=nu, d_nu=1e9, volume=1e3) for nu in (0.9e11, 1.4e11)]
+        rows = [geometric_occupancy(b, 4.0, r_max=60) for b in bands]
+        e_target = sum(CGS.h * b.nu * float(row @ np.arange(len(row))) for b, row in zip(bands, rows))
+        thermo, betas = self.counted_solve(monkeypatch, bands, e_target)
+        assert len(set(betas[:-1])) == len(betas) - 1
+        assert len(betas) - 1 < thermo.energy_evaluations
 
 
 class TestPlanckDensity:

@@ -536,13 +536,17 @@ def subprocess_env():
 
 
 # Imports a module, runs its main on each argv of a JSON list, then prints the
-# loaded modules whose names start with a prefix.
+# modules loaded after the last run (or after the import, with no run) whose names
+# start with a prefix.  The probe imports json itself only after the module.
 _MODULE_PROBE = """
-import importlib, json, sys
+import importlib, sys
 module = importlib.import_module(sys.argv[1])
+loaded = set(sys.modules)
+import json
 for argv in json.loads(sys.argv[2]):
     assert module.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.startswith(sys.argv[3]))))
+    loaded = set(sys.modules)
+print(json.dumps(sorted(m for m in loaded if m.startswith(sys.argv[3]))))
 """
 
 
@@ -558,7 +562,8 @@ def scipy_modules_after(runs, module="gwfield.cli", prefix="scipy"):
 class TestImportBudget:
     """scipy is a test oracle, not a runtime dependency: no import and no
     subcommand loads it.  The CLI imports the layers beyond its numpy-only core
-    inside the steps that run them, and the vacuum layers load no other layer."""
+    inside the steps that run them, and the vacuum layers load no other layer.  No
+    library layer loads ``hashlib`` (and with it OpenSSL) or ``json``: only the CLI does."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after([]) == []
@@ -579,6 +584,12 @@ class TestImportBudget:
     @pytest.mark.parametrize("module", ["gwfield.bosestat", "gwfield.madelung", "gwfield.cmbrvac"])
     def test_layer_import_loads_no_scipy(self, module):
         assert scipy_modules_after([], module) == []
+
+    @pytest.mark.parametrize("module", ["gwfield.bosestat", "gwfield.wavemech", "gwfield.madelung",
+                                        "gwfield.helicity", "gwfield.cmbrvac"])
+    def test_layer_import_loads_no_hashlib_or_json(self, module):
+        loaded = scipy_modules_after([], module, prefix="")
+        assert not {"hashlib", "_hashlib", "json"}.intersection(loaded)
 
     def test_vacuum_subcommands_load_no_polar_layer(self, tmp_path):
         runs = [["casimir", "--a-cm", 1e-4, "--output-dir", tmp_path / "casimir"],

@@ -76,10 +76,14 @@ _POSITIVE_SITES = [
     ("schmidt_decompose", "threshold",
      lambda v: statequant.schmidt_decompose(np.eye(2) / math.sqrt(2.0), threshold=v)),
 ]
-# the masses that may be zero but must be finite
+_WAVE = wavemech.ClassicalWaveState(psi=_PSI, psi_dot=_PSI)
+# the masses and times that may be zero but must be finite
 _NON_NEGATIVE_SITES = [
     ("EffectiveMassParams", "mu", lambda v: wavemech.EffectiveMassParams(3e11, mu=v)),
     ("PlaneWaveSpec", "mu", lambda v: PlaneWaveSpec(1.0, (0.0,), 0.0, mu=v)),
+    ("wave_energy", "mu", lambda v: wavemech.wave_energy(_WAVE, v)),
+    ("evolve_classical_wave", "mu", lambda v: wavemech.evolve_classical_wave(_WAVE, v, 1e-12)),
+    ("evolve_schrodinger", "t", lambda v: wavemech.evolve_schrodinger(_PSI, wavemech.EffectiveMassParams(3e11), v)),
 ]
 # the values that may take any sign but must be finite (a negative dt runs backward)
 _FINITE_SITES = [

@@ -1,7 +1,8 @@
 """Byte identity of the CLI's outputs on fixed inputs.
 
 ``golden/table.json`` lists argv lists that run on the files in ``golden/inputs``:
-the eight ``cli_toolbox`` commands of the benchmark, one 1D
+the eight ``cli_toolbox`` commands of the benchmark, a 50-band ``maxent`` (the first
+seed-1 ``lib_maxent`` table, whose rows converge at different iterations), one 1D
 propagate -> madelung -> bohm -> helicity chain, and the ``cli_field3d``
 propagate -> madelung -> bohm chains of seeds 1-3 on a 32^3 packet.  Beside each argv
 it keeps the sha256 of every file the run writes; a manifest is hashed without its
