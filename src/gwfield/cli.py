@@ -160,8 +160,7 @@ def _write_run(target: Path, config: dict, outputs: dict, t_start: float) -> Non
 _GRID_KEYS = {"n_points": (_one_or_each(_spec_int), True), "lengths": (_one_or_each(_spec_float), True)}
 _PACKET_KEYS = {"center": (_spec_floats, True), "sigma0": (_spec_float, True),
                 "k_carrier": (_spec_floats, True), "amplitude": (_complex_from_pair, False)}
-_PLANEWAVE_KEYS = {"amplitude": (_complex_from_pair, True), "k_vec": (_spec_floats, True),
-                   "omega": (_spec_float, True)}
+_PLANEWAVE_KEYS = {"amplitude": (_complex_from_pair, True), "k_vec": (_spec_floats, True)}
 _PROPAGATE_KEYS = {
     "equation": (_spec_choice("wave", "schrodinger"), True),
     "grid": (partial(read_object, _GRID_KEYS), True),
@@ -185,8 +184,11 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
         raise ConfigError(f"times must be >= 0, got {min(times)!r}")
     if ("packet" in values) == ("planewave" in values):
         raise ConfigError(f"exactly one of 'packet' or 'planewave' is required in {args.spec}")
+    unread = "wave_initial" if values["equation"] == "schrodinger" else "omega_ref"
+    if unread in values:
+        raise ConfigError(f"'{unread}' in {args.spec} is not read by the {values['equation']} equation")
     psi0 = (wavemech.gaussian_packet(wavemech.GaussianPacketSpec(**values["packet"]), grid)
-            if "packet" in values else make_plane_wave(PlaneWaveSpec(**values["planewave"], mu=mu), grid))
+            if "packet" in values else make_plane_wave(PlaneWaveSpec(**values["planewave"]), grid))
     if values["equation"] == "schrodinger":
         if "omega_ref" not in values:
             raise ConfigError(f"missing required key 'omega_ref' in {args.spec}")
@@ -365,8 +367,6 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
             raise ConfigError(f"field dump {p} lacks a t_s stamp in its sidecar")
         fields.append(f)
         times.append(meta["t_s"])
-    if any(f.grid != fields[0].grid for f in fields):
-        raise ConfigError(f"field dumps in {series_dir} are not all on one grid")
     steps = np.diff(times)
     if not steps[0] > 0.0:
         raise ConfigError(f"t_s stamps of the field dumps in {series_dir} must increase")

@@ -7,11 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS, require_nonnegative, require_positive
-
-# Density below this fraction of max(rho) is treated as a node: the phase is
-# undefined there.  Read only through :func:`node_mask`.
-RHO_FLOOR_REL = 1e-12
+from .constants import require_positive
 
 
 def frozen_array(values, dtype) -> np.ndarray:
@@ -24,12 +20,6 @@ def frozen_array(values, dtype) -> np.ndarray:
     values = np.array(values, dtype=dtype, order="C")
     values.setflags(write=False)
     return values
-
-
-def node_mask(rho: np.ndarray) -> np.ndarray:
-    """True where rho is below the node floor (everywhere for a zero density)."""
-    peak = float(rho.max())
-    return rho < RHO_FLOOR_REL * peak if peak > 0.0 else np.ones(rho.shape, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -126,32 +116,19 @@ class ComplexField:
 
 @dataclass(frozen=True)
 class PlaneWaveSpec:
-    """Amplitude, wave vector, angular frequency and inverse-length mass.
-
-    Construction enforces the dispersion relation |k|^2 + mu^2 = (omega/c)^2,
-    so inconsistent (k, omega, mu) triples cannot exist.
-    """
+    """Amplitude and wave vector of the mode A * exp(i k.x).  Its frequency is the propagator's
+    (c sqrt(|k|^2 + mu^2), or hbar |k|^2 / 2m* + V0 to first order), not the spec's."""
 
     amplitude: complex
     k_vec: tuple[float, ...]
-    omega: float
-    mu: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_vec", tuple(float(k) for k in self.k_vec))
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-        require_nonnegative("mu", self.mu)
-        lhs = sum(k * k for k in self.k_vec) + self.mu**2
-        rhs = (self.omega / CGS.c) ** 2
-        scale = max(lhs, rhs)
-        if scale > 0.0 and abs(lhs - rhs) > 1e-12 * scale:
-            raise ValueError(
-                f"dispersion relation violated: |k|^2 + mu^2 = {lhs}, (omega/c)^2 = {rhs}"
-            )
 
 
 def make_plane_wave(spec: PlaneWaveSpec, grid: Grid) -> ComplexField:
-    """Sample A * exp(i k.x), the wave A * exp(i(k.x - omega t)) at t = 0, on the grid.
+    """Sample A * exp(i k.x), the mode at t = 0, on the grid.
 
     Each wave-vector component must be an integer multiple of 2*pi/length on
     its axis; anything else would break periodicity and is rejected.

@@ -53,7 +53,12 @@ class TimeSeriesField:
 
     @classmethod
     def from_fields(cls, fields: list[ComplexField], dt: float) -> "TimeSeriesField":
-        return cls(grid=fields[0].grid, values=np.stack([f.values for f in fields]), dt=dt)
+        if not fields:
+            raise ValueError("fields is empty: a time series needs at least 8 snapshots")
+        grid = fields[0].grid
+        if (m := next((m for m, f in enumerate(fields) if f.grid != grid), None)) is not None:
+            raise ValueError(f"fields are on two grids: snapshot 0 on {grid}, snapshot {m} on {fields[m].grid}")
+        return cls(grid=grid, values=np.stack([f.values for f in fields]), dt=dt)
 
     def norm(self) -> float:
         """sqrt of the snapshot-averaged squared field norm."""

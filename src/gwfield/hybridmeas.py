@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import require_positive
 from .fields import frozen_array
-from .statequant import DensityMatrix
+from .statequant import TRACE_TOL, DensityMatrix
 
 RESOLVED_OVERLAP = 1e-6
 # record.json holds the n x n overlap matrix, so the outcome count of an
@@ -42,8 +42,8 @@ class MeasurementSetup:
         if len(self.eigenvalues) != len(self.amplitudes) or not self.eigenvalues:
             raise ValueError("eigenvalues and amplitudes must be non-empty and equal length")
         total = sum(abs(c) ** 2 for c in self.amplitudes)
-        if not abs(total - 1.0) <= 1e-10:  # a NaN total fails too
-            raise ValueError(f"amplitudes must satisfy sum |c_p|^2 = 1, got {total}")
+        if not abs(total - 1.0) <= TRACE_TOL:  # the reduced state's own; a NaN total fails too
+            raise ValueError(f"amplitudes must satisfy sum |c_p|^2 = 1 within {TRACE_TOL}, got {total}")
         for name, values in (("eigenvalues", self.eigenvalues), ("y0", (self.y0,)), ("g", (self.g,))):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -15,11 +15,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CGS, require_positive
-from .fields import ComplexField, Grid, node_mask
+from .fields import ComplexField, Grid
 from .wavemech import EffectiveMassParams
 from . import spectral
 
 _REGIMES = ("massless", "massive", "classical")
+
+RHO_FLOOR_REL = 1e-12  # rho below this fraction of its peak is a node: MadelungForm.branch_mask
 
 
 def _read_only(compute):
@@ -37,8 +39,8 @@ class MadelungForm:
 
     The phase is unwrapped by 1D sweeps (axis 0 line through the origin, then
     axis 1 lines, then axis 2), resolving each step to the nearest multiple
-    of 2*pi.  Where rho falls below the floor the phase is undefined; those
-    points are masked and unwrap chains through them are unreliable.
+    of 2*pi.  Where rho falls below :data:`RHO_FLOOR_REL` times its peak the phase is undefined;
+    those points are masked, and unwrap chains through them are unreliable.  A zero field is refused.
 
     The form is the one polar analysis of its field, derived from ``psi`` on first use
     and kept read-only.  Its polar terms come from one transient transform of psi
@@ -47,6 +49,10 @@ class MadelungForm:
     """
 
     psi: ComplexField
+
+    def __post_init__(self) -> None:
+        if not self.psi.values.any():
+            raise ValueError("a zero field has no polar form: its phase is undefined everywhere")
 
     @property
     def grid(self) -> Grid:
@@ -58,7 +64,7 @@ class MadelungForm:
 
     @_read_only
     def branch_mask(self) -> np.ndarray:
-        return node_mask(self.rho)
+        return self.rho < RHO_FLOOR_REL * float(self.rho.max())
 
     @_read_only
     def action(self) -> np.ndarray:
@@ -83,7 +89,7 @@ class MadelungForm:
     flux_divergence = property(lambda self: self._terms.flux_divergence,
                                doc="div Im(psi* grad psi) = Im(psi* lap psi) [1/cm^2].")
     mean_wavenumber = property(lambda self: self._terms.mean_k,
-                               doc="<|k|> over the power spectrum of psi [1/cm]; None for a zero field.")
+                               doc="<|k|> over the power spectrum of psi [1/cm].")
 
     def mean(self, values: np.ndarray) -> float:
         """rho-weighted mean of ``values``."""
@@ -117,8 +123,6 @@ class QuantumPotentialField:
 
     def __post_init__(self) -> None:
         require_positive("m_star", self.m_star)
-        if np.all(self.form.branch_mask):
-            raise ValueError("density is below the floor everywhere")
 
     @property
     def Q(self) -> np.ndarray:

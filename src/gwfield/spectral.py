@@ -157,19 +157,19 @@ class PolarTerms(NamedTuple):
     curvature: np.ndarray
     action_gradient_sq: np.ndarray
     flux_divergence: np.ndarray
-    mean_k: float | None
+    mean_k: float
 
 
 def polar_terms(psi: ComplexField, rho: np.ndarray, mask: np.ndarray) -> PolarTerms:
     """The polar terms of psi from one transient :func:`transform` (rho = |psi|^2, nodes under
     ``mask``, f = Im(psi* grad psi)): lap(sqrt rho)/sqrt(rho) = [Re(psi* lap psi) + |f|^2/rho]/rho
     and |grad S|^2 = (hbar f/rho)^2, both zero under ``mask``; div f = Im(psi* lap psi); and the
-    mean |k| over the power spectrum, None when every point is a node (a zero field).  psi must be
+    mean |k| over the power spectrum (a zero field, which has none, raises).  psi must be
     periodic and band-limited: the curvature's rounding then grows as eps sqrt(rho_max/rho)
     towards the nodes, while a field cut off at the box edge rings into the whole spectrum."""
     grid, values = psi.grid, psi.values
     spec = transform(values, grid)
-    mean_k = None if mask.all() else power_mean(spec, grid, lambda k_sq: np.sqrt(k_sq, out=k_sq))
+    mean_k = power_mean(spec, grid, lambda k_sq: np.sqrt(k_sq, out=k_sq))
     unmasked = ~mask
     curvature, action_gradient_sq = np.zeros(grid.shape), np.zeros(grid.shape)
     per_axis = [(rho, unmasked, curvature, action_gradient_sq)] * grid.dim

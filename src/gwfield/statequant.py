@@ -15,6 +15,8 @@ from .fields import frozen_array
 
 _HERM_TOL = 1e-12
 _EIG_TOL = 1e-12
+# largest |trace - 1| of a density matrix, and of sum |c_p|^2 - 1 of a measured state
+TRACE_TOL = 1e-12
 PROB_FLOOR = 1e-14
 
 
@@ -37,7 +39,7 @@ class DensityMatrix:
         if np.abs(m - m.conj().T).max() > _HERM_TOL * scale:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(m))
-        if abs(trace - 1.0) > 1e-12:
+        if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {trace}, expected 1")
         eigenvalues = np.linalg.eigvalsh(m)
         if eigenvalues.min() < -_EIG_TOL:

@@ -18,10 +18,10 @@ from gwfield import cli
 from gwfield.cli import main
 from gwfield.bosestat import FrequencyBand
 from gwfield.constants import CGS
-from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, normalize
+from gwfield.fields import ComplexField, Grid, normalize
 from gwfield.fieldio import read_field, write_field
 from gwfield.hybridmeas import MeasurementSetup
-from gwfield.wavemech import GaussianPacketSpec, gaussian_packet
+from gwfield.wavemech import EffectiveMassParams, GaussianPacketSpec, gaussian_packet
 
 
 def run_cli(*args):
@@ -71,7 +71,7 @@ class TestConfigErrors:
         spec.write_text(json.dumps({
             "equation": "schrodinger",
             "grid": {"n_points": [64], "lengths": [1.0]},
-            "planewave": {"amplitude": 1.0, "k_vec": [0.0], "omega": 0.0},
+            "planewave": {"amplitude": 1.0, "k_vec": [0.0]},
             "omega_ref": 1e10,
             "times": [0.0],
             "frobnicate": True,
@@ -272,7 +272,7 @@ class TestSchmidtAndUpdate:
 
 
 class TestFieldPipelines:
-    def propagate_spec(self, tmp_path, equation="schrodinger", n_times=9):
+    def propagate_spec(self, tmp_path, n_times=9):
         grid_n, length = 256, 1.0
         k_c = 2.0 * math.pi * 16 / length
         omega = CGS.c * k_c
@@ -280,9 +280,9 @@ class TestFieldPipelines:
         # snapshots sample exactly one full period: the tone sits on one bin
         times = [m * period / n_times for m in range(n_times)]
         spec = {
-            "equation": equation,
+            "equation": "schrodinger",
             "grid": {"n_points": [grid_n], "lengths": [length]},
-            "planewave": {"amplitude": [1.0, 0.0], "k_vec": [k_c], "omega": omega},
+            "planewave": {"amplitude": [1.0, 0.0], "k_vec": [k_c]},
             "omega_ref": omega,
             "times": times,
         }
@@ -314,14 +314,14 @@ class TestFieldPipelines:
         k, mu = 8.0 * math.pi, 3.0
         omega = CGS.c * math.hypot(k, mu)
         spec = {"equation": "wave", "grid": {"n_points": [64], "lengths": [1.0]},
-                "planewave": {"amplitude": 1.0, "k_vec": [k], "omega": omega},
+                "planewave": {"amplitude": 1.0, "k_vec": [k]},
                 "wave_initial": "static", "times": [0.0, 0.5 * math.pi / omega]}
         (spec["planewave"] if mu_in_planewave else spec)["mu"] = mu
         (tmp_path / "static.json").write_text(json.dumps(spec))
         return run_cli("propagate", "--spec", tmp_path / "static.json",
                        "--output-dir", tmp_path / "out")
 
-    def test_top_level_mu_sets_plane_wave_and_evolution(self, tmp_path):
+    def test_top_level_mu_sets_the_evolution(self, tmp_path):
         assert self.static_massive_wave(tmp_path, mu_in_planewave=False) == 0
         psi0, psi1 = (read_field(tmp_path / "out" / f"field_{m:04d}.csv")[0].values for m in (0, 1))
         # a static mode of frequency omega evolves as psi(0) cos(omega t): zero at a quarter period
@@ -331,6 +331,29 @@ class TestFieldPipelines:
         assert self.static_massive_wave(tmp_path, mu_in_planewave=True) == 2
         message = json.loads(capsys.readouterr().err)["message"]
         assert "unknown key 'mu' in" in message and "['planewave']" in message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("equation, extra, named", [
+        ("wave", {"omega_ref": 1e11}, "'omega_ref' in"),
+        ("schrodinger", {"omega_ref": 1e11, "wave_initial": "static"}, "'wave_initial' in"),
+        ("wave", {"planewave": {"amplitude": 1.0, "k_vec": [0.0], "omega": 0.0}}, "unknown key 'omega' in"),
+    ], ids=["wave-omega-ref", "schrodinger-wave-initial", "planewave-omega"])
+    def test_a_key_the_propagator_never_reads_exits_2(self, tmp_path, capsys, equation, extra, named):
+        spec = {"equation": equation, "grid": {"n_points": [64], "lengths": [1.0]},
+                "planewave": {"amplitude": 1.0, "k_vec": [0.0]}, "times": [0.0], **extra}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert run_cli("propagate", "--spec", tmp_path / "spec.json", "--output-dir", tmp_path / "out") == 2
+        assert named in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_measure_amplitudes_off_the_unit_trace_are_named(self, tmp_path, capsys):
+        # |c|^2 sums to 1 + 8e-11: the reduced state's trace check used to refuse it, naming a
+        # density matrix the spec never gave
+        (tmp_path / "measure.json").write_text(
+            json.dumps({"eigenvalues": [0.0, 1.0], "amplitudes": [0.6, 0.80000000005]}))
+        assert run_cli("measure", "--spec", tmp_path / "measure.json", "--trials", 10, "--seed", 1,
+                       "--output-dir", tmp_path / "out") == 2
+        assert "amplitudes must satisfy" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "out").exists()
 
     def test_helicity_rejects_nonuniform_series(self, tmp_path):
@@ -452,7 +475,7 @@ class TestFailedRunsWriteNothing:
         spec = {
             "equation": "schrodinger",
             "grid": {"n_points": [64], "lengths": [1.0]},
-            "planewave": {"amplitude": 1.0, "k_vec": [0.0], "omega": 0.0},
+            "planewave": {"amplitude": 1.0, "k_vec": [0.0]},
             "omega_ref": 1e10,
             "times": [0.0],
         }
@@ -469,7 +492,7 @@ class TestFailedRunsWriteNothing:
         path.write_text(json.dumps({
             "equation": "schrodinger",
             "grid": {"n_points": [64], "lengths": [1.0]},
-            "planewave": {"amplitude": 1.0, "k_vec": [0.0], "omega": 0.0},
+            "planewave": {"amplitude": 1.0, "k_vec": [0.0]},
             "omega_ref": 1e10,
             "times": [],
         }))
@@ -639,7 +662,7 @@ class TestImportBudget:
         propagate.write_text(json.dumps({
             "equation": "schrodinger",
             "grid": {"n_points": [64], "lengths": [1.0]},
-            "planewave": {"amplitude": [1.0, 0.0], "k_vec": [k_c], "omega": CGS.c * k_c},
+            "planewave": {"amplitude": [1.0, 0.0], "k_vec": [k_c]},
             "omega_ref": CGS.c * k_c,
             "times": [m * period / 8 for m in range(8)],
         }))
@@ -779,8 +802,7 @@ class TestOutOfRangeValues:
         (tmp_path / "zero_planewave.json").write_text(json.dumps({
             "equation": "schrodinger",
             "grid": {"n_points": [64], "lengths": [1.0]},
-            "planewave": {"amplitude": [0.0, 0.0], "k_vec": [8.0 * math.pi],
-                          "omega": CGS.c * 8.0 * math.pi},
+            "planewave": {"amplitude": [0.0, 0.0], "k_vec": [8.0 * math.pi]},
             "omega_ref": CGS.c * 8.0 * math.pi,
             "times": [0.0],
         }))
@@ -909,7 +931,7 @@ class TestNumericalFailureStderr:
         (tmp_path / "huge_wave.json").write_text(json.dumps({
             "equation": "wave",
             "grid": {"n_points": [64], "lengths": [1.0]},
-            "planewave": {"amplitude": 1e300, "k_vec": [k], "omega": CGS.c * k},
+            "planewave": {"amplitude": 1e300, "k_vec": [k]},
             "times": [0.0, 1e-12],
         }))
         return tmp_path
@@ -1134,16 +1156,15 @@ class TestAbsentKeysTakeLibraryDefaults:
     PACKET = {"equation": "schrodinger", "grid": {"n_points": [64], "lengths": [1.0]},
               "packet": {"center": [0.5], "sigma0": 0.05, "k_carrier": [25.0]},
               "omega_ref": 1e11, "times": [0.0, 1e-12]}
-    PLANEWAVE = {"equation": "wave", "grid": {"n_points": 64, "lengths": 1.0},
-                 "planewave": {"amplitude": [0.5, 0.5], "k_vec": [8.0 * math.pi],
-                               "omega": CGS.c * 8.0 * math.pi},
-                 "times": [0.0, 1e-12]}
+    PLANEWAVE = {"equation": "schrodinger", "grid": {"n_points": 64, "lengths": 1.0},
+                 "planewave": {"amplitude": [0.5, 0.5], "k_vec": [8.0 * math.pi]},
+                 "omega_ref": 1e11, "times": [0.0, 1e-12]}
     MEASURE = {"eigenvalues": [-1.0, 0.0, 2.0], "amplitudes": [0.6, [0.0, 0.8], 0.0]}
     MAXENT = {"bands": [{"nu_hz": 1e11, "d_nu_hz": 1e9}], "e_target_erg": 1e-15, "r_max": 10}
 
     @pytest.mark.parametrize("subcommand, extra, spec, path, record, keys", [
         ("propagate", [], PACKET, ["packet"], GaussianPacketSpec, {"amplitude": "amplitude"}),
-        ("propagate", [], PLANEWAVE, [], PlaneWaveSpec, {"mu": "mu"}),
+        ("propagate", [], PLANEWAVE, [], EffectiveMassParams, {"mu": "mu"}),
         ("measure", ["--trials", 100, "--seed", 3], MEASURE, [], MeasurementSetup,
          {key: key for key in ("y0", "w", "g", "tau")}),
         ("maxent", [], MAXENT, ["bands", 0], FrequencyBand, {"volume_cm3": "volume"}),

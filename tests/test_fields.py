@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -80,7 +81,6 @@ _WAVE = wavemech.ClassicalWaveState(psi=_PSI, psi_dot=_PSI)
 # the masses and times that may be zero but must be finite
 _NON_NEGATIVE_SITES = [
     ("EffectiveMassParams", "mu", lambda v: wavemech.EffectiveMassParams(3e11, mu=v)),
-    ("PlaneWaveSpec", "mu", lambda v: PlaneWaveSpec(1.0, (0.0,), 0.0, mu=v)),
     ("wave_energy", "mu", lambda v: wavemech.wave_energy(_WAVE, v)),
     ("evolve_classical_wave", "mu", lambda v: wavemech.evolve_classical_wave(_WAVE, v, 1e-12)),
     ("evolve_schrodinger", "t", lambda v: wavemech.evolve_schrodinger(_PSI, wavemech.EffectiveMassParams(3e11), v)),
@@ -175,32 +175,26 @@ class TestComplexField:
 class TestPlaneWave:
     def test_zero_mode_constant(self):
         grid = Grid.of(16, 1.0)
-        field = make_plane_wave(PlaneWaveSpec(1.0, (0.0,), 0.0), grid)
+        field = make_plane_wave(PlaneWaveSpec(1.0, (0.0,)), grid)
         np.testing.assert_allclose(field.values, 1.0)
 
     def test_unit_modulus(self):
         grid = Grid.of(32, 1.0)
         k = 2.0 * math.pi / grid.lengths[0]
-        field = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
+        field = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
         np.testing.assert_allclose(np.abs(field.values), 1.0, atol=1e-14)
         # one full oscillation across the box
         assert abs(field.values[0] - field.values[-1] * np.exp(1j * k * grid.spacings[0])) < 1e-12
 
-    def test_massive_dispersion_enforced(self):
-        L = 1.0
-        k = 2.0 * math.pi / L
-        mu = 2.0 * math.pi / L
-        ok_omega = CGS.c * math.sqrt(k**2 + mu**2)
-        spec = PlaneWaveSpec(1.0, (k,), ok_omega, mu=mu)
-        assert spec.mu == mu
-        with pytest.raises(ValueError):
-            PlaneWaveSpec(1.0, (k,), CGS.c * k, mu=mu)
+    def test_spec_is_amplitude_and_wave_vector(self):
+        # the frequency is the propagator's, so a spec restates no omega or mu
+        assert [f.name for f in dataclasses.fields(PlaneWaveSpec)] == ["amplitude", "k_vec"]
 
     def test_non_commensurate_rejected(self):
         grid = Grid.of(16, 1.0)
         k = 1.5 * 2.0 * math.pi / grid.lengths[0]
         with pytest.raises(ValueError, match="commensurate"):
-            make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
+            make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
 
 
 class TestNormalize:
@@ -241,8 +235,8 @@ class TestInnerProduct:
     def test_fourier_modes_orthogonal(self):
         grid = Grid.of(32, 1.0)
         k = 2.0 * math.pi / grid.lengths[0]
-        a = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
-        b = make_plane_wave(PlaneWaveSpec(1.0, (3 * k,), CGS.c * 3 * k), grid)
+        a = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
+        b = make_plane_wave(PlaneWaveSpec(1.0, (3 * k,)), grid)
         assert abs(inner_product(a, b)) < 1e-10
 
     def test_conjugate_symmetry_against_direct_sum(self, rng):
@@ -278,7 +272,7 @@ class TestSpectralProperties:
         grid = Grid.of((16, 16, 16), (1.0, 2.0, 0.5))
         k_vec = tuple(2.0 * math.pi * m / l for m, l in zip((1, 2, 1), grid.lengths))
         k_mag_sq = sum(k * k for k in k_vec)
-        psi = make_plane_wave(PlaneWaveSpec(1.0, k_vec, CGS.c * math.sqrt(k_mag_sq)), grid)
+        psi = make_plane_wave(PlaneWaveSpec(1.0, k_vec), grid)
         lap = spectral.laplacian(np.fft.fftn(psi.values), grid)
         np.testing.assert_allclose(lap, -k_mag_sq * psi.values, rtol=1e-10)
 

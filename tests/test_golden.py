@@ -3,8 +3,11 @@
 ``golden/table.json`` lists argv lists that run on the files in ``golden/inputs``:
 the eight ``cli_toolbox`` commands of the benchmark, a 50-band ``maxent`` (the first
 seed-1 ``lib_maxent`` table, whose rows converge at different iterations), one 1D
-propagate -> madelung -> bohm -> helicity chain, and the ``cli_field3d``
-propagate -> madelung -> bohm chains of seeds 1-3 on a 32^3 packet.  Beside each argv
+propagate -> madelung -> bohm -> helicity chain, the ``cli_field3d``
+propagate -> madelung -> bohm chains of seeds 1-3 on a 32^3 packet, a 1D wave-equation
+series split into both partial waves, a 2D packet chain (helicity, madelung with both
+residuals, massless and classical bohm), an unresolved measure, a thresholded schmidt, a
+vonneumann update and three plane-wave propagate runs.  Beside each argv
 it keeps the sha256 of every file the run writes; a manifest is hashed without its
 ``wall_time_s``.  The runs go in process through ``cli.main``, in a fresh working
 directory and with relative paths, so every byte of every output, manifests included, is

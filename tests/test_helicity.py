@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ class TestPartialWaveSplit:
         with pytest.raises(ValueError, match="8 snapshots"):
             TimeSeriesField(grid=GRID, values=np.ones((4, 32), dtype=complex), dt=1e-12)
 
+    def test_from_no_fields_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="fields is empty"):
+            TimeSeriesField.from_fields([], dt=1e-12)
+
+    def test_from_fields_on_two_grids_names_the_first_that_differs(self):
+        # one shape, other lengths: the values alone would stack onto the first grid
+        short, long = Grid.of(16, 1.0), Grid.of(16, 2.0)
+        fields = [ComplexField(grid=g, values=np.ones(16)) for g in [short] * 3 + [long] * 5]
+        message = f"snapshot 0 on {short}, snapshot 3 on {long}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TimeSeriesField.from_fields(fields, dt=1e-12)
+
 
 class TestConvectionCurrent:
     def test_real_field_has_no_current(self):
@@ -115,7 +128,7 @@ class TestConvectionCurrent:
 
     def test_plane_wave_uniform_current(self):
         k = 4 * K1
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), GRID)
+        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), GRID)
         np.testing.assert_allclose(convection_current(psi)[0], CGS.hbar * k, rtol=1e-10)
         np.testing.assert_allclose(first_order_charge(psi, k), CGS.hbar * k, rtol=1e-12)
 
@@ -200,7 +213,7 @@ class TestCurrentContinuity:
     def test_stationary_mode(self):
         k = 2 * K1
         omega = CGS.c * k
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), omega), GRID)
+        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), GRID)
         params = EffectiveMassParams(omega_ref=omega)
         dt = 0.1 / omega
         fields = [evolve_schrodinger(psi, params, m * dt) for m in range(10)]

@@ -26,6 +26,14 @@ class TestSetupValidation:
         with pytest.raises(ValueError, match="sum"):
             MeasurementSetup(eigenvalues=(1.0, 2.0), amplitudes=(1.0, 1.0))
 
+    def test_norm_tolerance_is_the_reduced_state_trace_tolerance(self):
+        # |c|^2 sums to 1 + 8e-11: inside the old 1e-10, outside the density matrix's 1e-12
+        with pytest.raises(ValueError, match="amplitudes must satisfy"):
+            MeasurementSetup(eigenvalues=(0.0, 1.0), amplitudes=(0.6, 0.80000000005))
+        # 1 + 8e-13 passes, and its reduced state is a density matrix
+        setup = MeasurementSetup(eigenvalues=(0.0, 1.0), amplitudes=(0.6, 0.8 + 5e-13))
+        assert partial_trace_system(run_measurement(setup)).dim == 2
+
     def test_width_positive(self):
         with pytest.raises(ValueError):
             MeasurementSetup(eigenvalues=(1.0,), amplitudes=(1.0,), w=0.0)

@@ -45,7 +45,7 @@ class TestPolarDecompose:
     def test_plane_wave_phase_linear(self):
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 5 / grid.lengths[0]
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
+        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
         form = polar_decompose(psi)
         np.testing.assert_allclose(form.action / CGS.hbar, k * grid.axis(0), atol=1e-10)
         np.testing.assert_allclose(form.rho, 1.0, rtol=1e-12)
@@ -82,8 +82,7 @@ class TestPolarDecompose:
         grid = Grid.of((32, 32), (1.0, 1.0))
         kx = 2.0 * math.pi * 3 / grid.lengths[0]
         ky = 2.0 * math.pi * 2 / grid.lengths[1]
-        omega = CGS.c * math.hypot(kx, ky)
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (kx, ky), omega), grid)
+        psi = make_plane_wave(PlaneWaveSpec(1.0, (kx, ky)), grid)
         form = polar_decompose(psi)
         xm, ym = grid.meshes()
         np.testing.assert_allclose(form.action / CGS.hbar, kx * xm + ky * ym, atol=1e-9)
@@ -153,11 +152,12 @@ class TestQuantumPotential:
         with pytest.raises(ValueError):
             quantum_potential(polar_decompose(psi), 1e-30)
 
-    def test_zero_field_keeps_its_masked_curvature_and_has_no_mean_wavenumber(self):
-        form = polar_decompose(ComplexField(grid=Grid.of(16, 1.0), values=np.zeros(16, dtype=complex)))
-        assert form.branch_mask.all() and form.mean_wavenumber is None
-        for values in (form.curvature, form.action_gradient_sq, form.flux_divergence):
-            assert not np.any(values)
+    def test_zero_field_has_no_polar_form(self):
+        # so no mean, RMS or phase-gradient momentum of a zero field can read NaN
+        psi = ComplexField(grid=Grid.of(16, 1.0), values=np.zeros(16, dtype=complex))
+        for build in (madelung.MadelungForm, polar_decompose):
+            with pytest.raises(ValueError, match="a zero field has no polar form"):
+                build(psi)
 
 
 class TestCurvatureFromPsi:
@@ -217,7 +217,7 @@ class TestHamiltonJacobi:
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 4 / grid.lengths[0]
         omega = CGS.c * k
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), omega), grid)
+        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
         params = EffectiveMassParams(omega_ref=omega)
         residual = hj_residual(polar_decompose(psi), params, -CGS.hbar * omega)
         assert residual < 1e-8 * CGS.hbar * omega
@@ -247,7 +247,7 @@ class TestContinuity:
     def test_plane_wave(self):
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 4 / grid.lengths[0]
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,), CGS.c * k), grid)
+        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
         params = EffectiveMassParams(omega_ref=CGS.c * k)
         residual = continuity_residual(
             polar_decompose(psi), np.zeros(grid.shape), params.m_star)
@@ -448,7 +448,7 @@ class TestEnergyDecomposition:
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 4 / grid.lengths[0]
         omega = CGS.c * k
-        psi = normalize(make_plane_wave(PlaneWaveSpec(1.0, (k,), omega), grid))
+        psi = normalize(make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid))
         result = energy_decomposition(psi, EffectiveMassParams(omega_ref=omega))
         expected = CGS.hbar * CGS.c * k
         assert abs(result.pc / expected - 1.0) < 1e-12
@@ -494,7 +494,7 @@ class TestEnergyDecomposition:
         for mode in (1, 2, 5, 9):
             k = 2.0 * math.pi * mode / grid.lengths[0]
             omega = CGS.c * k
-            psi = normalize(make_plane_wave(PlaneWaveSpec(1.0, (k,), omega), grid))
+            psi = normalize(make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid))
             result = energy_decomposition(psi, EffectiveMassParams(omega_ref=omega))
             assert abs(result.E - result.pc - result.Q_mean) < 1e-9 * result.E
 

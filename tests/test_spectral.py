@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gwfield import spectral
-from gwfield.fields import ComplexField, Grid, node_mask
+from gwfield import madelung, spectral
+from gwfield.fields import ComplexField, Grid
 
 from conftest import random_field
 
@@ -154,7 +154,8 @@ class TestSqrtDensityCurvature:
         psi = ComplexField(grid=grid, values=sqrt_rho * np.exp(
             1j * (2.0 * math.pi * 3 * x + 0.5 * np.sin(2.0 * math.pi * x))))
         expected = spectral.laplacian(np.fft.fftn(sqrt_rho), grid).real / sqrt_rho
-        result = spectral.polar_terms(psi, psi.density(), node_mask(psi.density())).curvature
+        form = madelung.MadelungForm(psi)
+        result = spectral.polar_terms(psi, form.rho, form.branch_mask).curvature
         np.testing.assert_allclose(result, expected, rtol=1e-9, atol=1e-9)
 
 
@@ -169,16 +170,15 @@ def test_flux_divergence_is_im_psi_lap_psi(grid, rng):
     lap = spectral.laplacian(spectral.transform(values, grid), grid)
     expected = np.imag(np.conj(values) * lap)
     scale = float(np.abs(expected).max())
-    rho = psi.density()
+    form = madelung.MadelungForm(psi)
     for result in (divergence, spectral.flux_divergence(values, grid),
-                   spectral.polar_terms(psi, rho, node_mask(rho)).flux_divergence):
+                   spectral.polar_terms(psi, form.rho, form.branch_mask).flux_divergence):
         assert float(np.abs(result - expected).max()) < 1e-12 * scale
 
 
 class TestNodeMask:
     def test_floor_is_relative_to_peak(self):
-        rho = np.array([2.0, 1e-13, 3e-12, 0.0])
-        assert node_mask(rho).tolist() == [False, True, False, True]
-
-    def test_zero_density_is_masked_everywhere(self):
-        assert node_mask(np.zeros(8)).all()
+        rho = np.array([2.0, 1e-13, 3e-12, 0.0, 1.0, 1.0, 1.0, 1.0])
+        for scale in (1.0, 1e-20):
+            psi = ComplexField(grid=Grid.of(8, 1.0), values=np.sqrt(scale * rho))
+            assert madelung.MadelungForm(psi).branch_mask.tolist() == [False, True, False, True] + [False] * 4
