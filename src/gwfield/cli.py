@@ -42,7 +42,7 @@ import numpy as np
 
 from .constants import CGS
 from . import __version__, hybridmeas, statequant, wavemech
-from .fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
+from .fields import ComplexField, Grid, make_plane_wave, normalize
 from .fieldio import (_INDEX_NAMES, ConfigError, GridColumn, _complex_from_pair, _load_json,
                       _spec_float, _spec_floats, _spec_int, _spec_items, _spec_matrix, read_field,
                       read_object, read_table, write_field, write_table)
@@ -187,8 +187,12 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
     unread = "wave_initial" if values["equation"] == "schrodinger" else "omega_ref"
     if unread in values:
         raise ConfigError(f"'{unread}' in {args.spec} is not read by the {values['equation']} equation")
+    wave_initial = values.get("wave_initial", "right_moving")
+    if values["equation"] == "wave" and wave_initial == "right_moving" and grid.dim > 1:
+        raise ConfigError(f"wave_initial 'right_moving', the default, is one-way data for 1D grids "
+                          f"only; the {grid.dim}D grid of {args.spec} needs \"wave_initial\": \"static\"")
     psi0 = (wavemech.gaussian_packet(wavemech.GaussianPacketSpec(**values["packet"]), grid)
-            if "packet" in values else make_plane_wave(PlaneWaveSpec(**values["planewave"]), grid))
+            if "packet" in values else make_plane_wave(grid=grid, **values["planewave"]))
     if values["equation"] == "schrodinger":
         if "omega_ref" not in values:
             raise ConfigError(f"missing required key 'omega_ref' in {args.spec}")
@@ -198,7 +202,7 @@ def _cmd_propagate(args: argparse.Namespace) -> tuple[dict, dict]:
             field = wavemech.evolve_schrodinger(psi0, params, t)
             return field, wavemech.schrodinger_energy(field, params)
     else:
-        if values.get("wave_initial", "right_moving") == "right_moving":
+        if wave_initial == "right_moving":
             state0 = wavemech.right_moving_state(psi0)
         else:
             zero = ComplexField(grid=grid, values=np.zeros(grid.shape, dtype=complex))

@@ -144,8 +144,9 @@ def sidecar_path(csv_path: str | Path) -> Path:
 
 class GridColumn:
     """The axis-``axis`` index of each point of ``grid`` in C order, or, given the axis
-    ``spacing``, the point's coordinate (bit for bit ``grid.meshes()[axis].ravel()``): a
-    table column formed one slice of rows at a time, never as a full-grid array."""
+    ``spacing``, the point's coordinate (bit for bit the ravelled ``axis`` entry of
+    ``np.meshgrid(..., indexing="ij")`` over ``grid.axis``): a table column formed one
+    slice of rows at a time, never as a full-grid array."""
 
     def __init__(self, grid: Grid, axis: int, spacing: float | None = None):
         self.shape, self.axis, self.spacing = grid.shape, axis, spacing

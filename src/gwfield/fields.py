@@ -74,9 +74,6 @@ class Grid:
         """Coordinates along axis i, running over [0, L_i)."""
         return np.arange(self.n_points[i]) * self.spacings[i]
 
-    def meshes(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*(self.axis(i) for i in range(self.dim)), indexing="ij"))
-
 
 @dataclass(frozen=True)
 class ComplexField:
@@ -95,7 +92,7 @@ class ComplexField:
         values = frozen_array(self.values, np.complex128)
         if values.shape != self.grid.shape:
             raise ValueError(f"values shape {values.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite (no NaN/Inf)")
         object.__setattr__(self, "values", values)
         if self.normalized:
@@ -114,39 +111,29 @@ class ComplexField:
         return np.abs(self.values) ** 2
 
 
-@dataclass(frozen=True)
-class PlaneWaveSpec:
-    """Amplitude and wave vector of the mode A * exp(i k.x).  Its frequency is the propagator's
-    (c sqrt(|k|^2 + mu^2), or hbar |k|^2 / 2m* + V0 to first order), not the spec's."""
-
-    amplitude: complex
-    k_vec: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k_vec", tuple(float(k) for k in self.k_vec))
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-
-
-def make_plane_wave(spec: PlaneWaveSpec, grid: Grid) -> ComplexField:
-    """Sample A * exp(i k.x), the mode at t = 0, on the grid.
+def make_plane_wave(amplitude: complex, k_vec: tuple[float, ...], grid: Grid) -> ComplexField:
+    """Sample A * exp(i k.x), the mode at t = 0, on the grid.  Its frequency is the
+    propagator's (c sqrt(|k|^2 + mu^2), or hbar |k|^2 / 2m* + V0 to first order).
 
     Each wave-vector component must be an integer multiple of 2*pi/length on
     its axis; anything else would break periodicity and is rejected.
     """
-    if len(spec.k_vec) != grid.dim:
+    amplitude, k_vec = complex(amplitude), tuple(float(k) for k in k_vec)
+    if len(k_vec) != grid.dim:
         raise ValueError("k_vec dimensionality does not match grid")
-    for i, (k, length) in enumerate(zip(spec.k_vec, grid.lengths)):
+    for i, (k, length) in enumerate(zip(k_vec, grid.lengths)):
         mode = k * length / (2.0 * math.pi)
         if abs(mode - round(mode)) > 1e-9:
             raise ValueError(
                 f"k_vec[{i}] = {k} is not grid-commensurate: k*L/(2*pi) = {mode} "
                 f"(nearest integer mode {round(mode)})"
             )
-    meshes = grid.meshes()
-    acc = np.zeros(grid.shape, dtype=float)
-    for k, mesh in zip(spec.k_vec, meshes):
-        acc = acc + k * mesh
-    values = spec.amplitude * np.exp(1j * acc)
+    # k.x summed on open axes, in the order of a sum over full coordinate meshes
+    phase = np.zeros(grid.shape, dtype=float)
+    for i, k in enumerate(k_vec):
+        phase = phase + (k * grid.axis(i)).reshape([-1 if j == i else 1 for j in range(grid.dim)])
+    phase = 1j * phase  # frees the real sum before the exponential is allocated
+    values = amplitude * np.exp(phase)
     values.setflags(write=False)
     return ComplexField(grid=grid, values=values)
 

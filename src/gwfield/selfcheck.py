@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import CGS
 from . import bosestat, cmbrvac, hybridmeas, madelung, spectral, statequant, wavemech
-from .fields import ComplexField, Grid, PlaneWaveSpec, inner_product, make_plane_wave, normalize
+from .fields import ComplexField, Grid, inner_product, make_plane_wave, normalize
 from .helicity import TimeSeriesField, current_continuity, first_order_charge, partial_wave_split
 
 
@@ -400,8 +400,8 @@ def _constants_identities() -> list[Measurement]:
 def _plane_wave_orthogonality() -> list[Measurement]:
     grid = Grid.of(64, 1.0)
     k1 = 2.0 * math.pi / grid.lengths[0]
-    a = normalize(make_plane_wave(PlaneWaveSpec(1.0, (k1,)), grid))
-    b = normalize(make_plane_wave(PlaneWaveSpec(1.0, (2 * k1,)), grid))
+    a = normalize(make_plane_wave(1.0, (k1,), grid))
+    b = normalize(make_plane_wave(1.0, (2 * k1,), grid))
     return [Measurement("overlap", abs(inner_product(a, b)), 1e-10)]
 
 
@@ -420,7 +420,7 @@ def _partial_wave_split() -> list[Measurement]:
 def _dispersion_relation() -> list[Measurement]:
     grid = Grid.of(64, 1.0)
     k = 2.0 * math.pi * 4 / grid.lengths[0]
-    form = madelung.polar_decompose(make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid))
+    form = madelung.polar_decompose(make_plane_wave(1.0, (k,), grid))
 
     def defect(omega: float) -> float:
         """RMS of k^2 - omega^2/c^2 + mu^2 - lap(sqrt rho)/sqrt(rho) at mu = 0."""
@@ -460,7 +460,7 @@ def _gradient_energy_split() -> list[Measurement]:
     k = 2.0 * math.pi * 5
     real = wavemech.gaussian_packet(
         wavemech.GaussianPacketSpec(center=(0.5,), sigma0=0.03, k_carrier=(0.0,)), Grid.of(512, 1.0))
-    plane = make_plane_wave(PlaneWaveSpec(1.0, (k,)), Grid.of(64, 1.0))
+    plane = make_plane_wave(1.0, (k,), Grid.of(64, 1.0))
     floored = ComplexField(grid=Grid.of(256, 1.0),
                            values=(1.0 + 0.4 * band_limited()) * np.exp(0.5j * band_limited()))
     return [Measurement("real_gaussian_residual", residual(real, 2.0 * math.pi * 1e10), 1e-9),

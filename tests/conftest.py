@@ -25,6 +25,12 @@ def registry_measurements(entry: str) -> dict[str, float]:
     return {m.name: m.value for m in run_entry(entry).measurements}
 
 
+def coordinate_meshes(grid: Grid) -> list[np.ndarray]:
+    """Full N^dim coordinate meshes of ``grid``, one per axis: the reference that its
+    open-axis builders reproduce bit for bit."""
+    return list(np.meshgrid(*(grid.axis(i) for i in range(grid.dim)), indexing="ij"))
+
+
 def random_field(grid: Grid, rng, band_fraction: float = 0.25) -> ComplexField:
     """Random band-limited complex field (smooth enough for spectral ops)."""
     spec = np.zeros(grid.shape, dtype=np.complex128)

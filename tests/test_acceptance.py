@@ -116,6 +116,19 @@ def test_every_grid_transform_is_in_spectral():
     assert not stray, f"grid transforms outside spectral.py: {stray}"
 
 
+def test_every_meshgrid_is_open():
+    """Every ``np.meshgrid`` call in ``src/gwfield`` passes ``sparse=True``: a grid
+    formula broadcasts open axes and builds no full N^dim coordinate mesh."""
+    full = []
+    for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", "")) == "meshgrid":
+                keywords = {k.arg: getattr(k.value, "value", None) for k in node.keywords}
+                if keywords.get("sparse") is not True:
+                    full.append(f"{path.name}:{node.lineno}")
+    assert not full, f"np.meshgrid calls without sparse=True: {full}"
+
+
 def test_every_option_is_set_somewhere_in_the_package():
     """A defaulted parameter of a public function, class or method is passed by some call in
     ``src/gwfield``: an option that only tests set is a constant, or gone.  A call passes a

@@ -806,6 +806,34 @@ class TestOutOfRangeValues:
             "omega_ref": CGS.c * 8.0 * math.pi,
             "times": [0.0],
         }))
+        pulse = {"center": [0.5], "sigma0": 0.05, "k_carrier": [0.0]}
+        for name, spec in [
+            ("heat", {"equation": "heat", "packet": pulse}),
+            ("both", {"equation": "schrodinger", "packet": pulse, "omega_ref": 1e10,
+                      "planewave": {"amplitude": [1.0, 0.0], "k_vec": [0.0]}}),
+            ("neither", {"equation": "schrodinger", "omega_ref": 1e10}),
+            ("no_omega_ref", {"equation": "schrodinger", "packet": pulse}),
+        ]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"grid": {"n_points": [64], "lengths": [1.0]}, "times": [0.0], **spec}))
+        # "right_moving" one-way data, by default and by name, on grids of more than one axis
+        (tmp_path / "wave2d.json").write_text(json.dumps({
+            "equation": "wave",
+            "grid": {"n_points": [16, 16], "lengths": [1.0, 1.0]},
+            "planewave": {"amplitude": [1.0, 0.0], "k_vec": [2.0 * math.pi, 0.0]},
+            "times": [0.0],
+        }))
+        (tmp_path / "wave3d.json").write_text(json.dumps({
+            "equation": "wave",
+            "grid": {"n_points": [8, 8, 8], "lengths": [1.0, 1.0, 1.0]},
+            "planewave": {"amplitude": [1.0, 0.0], "k_vec": [0.0, 2.0 * math.pi, 0.0]},
+            "wave_initial": "right_moving",
+            "times": [0.0],
+        }))
+        (tmp_path / "short_row.csv").write_text("re0,im0,re1,im1\n0.6,0.0\n0.8,0.0\n")
+        (tmp_path / "unstamped").mkdir()
+        for idx in range(8):
+            write_field(psi, tmp_path / "unstamped" / f"field_{idx:04d}.csv")
         return tmp_path
 
     BOHM = ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11,
@@ -897,14 +925,37 @@ class TestOutOfRangeValues:
          ["t_s", "decreasing_stamps"]),
         (BOHM[:-4] + ["--seed-positions", "0.5,abc", "--seed-momenta", 0.0, "--dt-s", 1e-12,
                       "--steps", 3], ["--seed-positions"]),
+        (["propagate", "--spec", "{wave2d.json}"], ["wave_initial", "wave2d.json", "2D", "static"]),
+        (["propagate", "--spec", "{wave3d.json}"], ["wave_initial", "wave3d.json", "3D", "static"]),
+        (["propagate", "--spec", "{heat.json}"], ["equation", "heat.json", "'heat'"]),
+        (["schmidt", "--matrix", "{short_row.csv}"], ["short_row.csv", "rows of 4 values"]),
+        (["propagate", "--spec", "{both.json}"], ["packet", "planewave", "both.json"]),
+        (["propagate", "--spec", "{neither.json}"], ["packet", "planewave", "neither.json"]),
+        (["propagate", "--spec", "{no_omega_ref.json}"], ["omega_ref", "no_omega_ref.json"]),
+        (BOHM[:-4] + ["--seed-positions", "nan", "--seed-momenta", 0.0, "--dt-s", 1e-12,
+                      "--steps", 3], ["--seed-positions", "finite"]),
+        (BOHM[:-4] + ["--seed-positions", 0.5, "--seed-momenta", "0.0,0.0", "--dt-s", 1e-12,
+                      "--steps", 3], ["--seed-momenta", "1 coordinates"]),
+        (BOHM[:-4] + ["--seed-positions", "0.45;0.55", "--seed-momenta", 0.0, "--dt-s", 1e-12,
+                      "--steps", 3], ["--seed-positions", "--seed-momenta"]),
+        (["update", "--rule", "luders", "--rho", "{pure_rho.json}", "--projectors", "{proj.json}"],
+         ["--outcome"]),
+        (["helicity", "--series-dir", "{unstamped}", "--k0-rad-per-cm", 1.0], ["t_s", "unstamped"]),
     ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "helicity-equal-stamps",
-            "helicity-decreasing-stamps", "bohm-seed-not-a-number"])
+            "helicity-decreasing-stamps", "bohm-seed-not-a-number",
+            "propagate-wave-2d-default-initial", "propagate-wave-3d-right-moving",
+            "propagate-unknown-equation", "schmidt-short-row", "propagate-packet-and-planewave",
+            "propagate-no-initial-field", "propagate-schrodinger-without-omega-ref",
+            "bohm-seed-not-finite", "bohm-seed-wrong-dimension", "bohm-seed-count-mismatch",
+            "update-luders-without-outcome", "helicity-dump-without-t_s"])
     def test_error_names_its_flag(self, inputs, capsys, argv, names):
         argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
                 for a in argv]
         assert run_cli(*argv, "--output-dir", inputs / "out") == 2
-        message = json.loads(capsys.readouterr().err)["message"]
-        assert all(name in message for name in names), message
+        error = json.loads(capsys.readouterr().err)
+        assert error["code"] == 2
+        assert all(name in error["message"] for name in names), error["message"]
+        assert not (inputs / "out").exists()
 
     def test_zero_field_stderr_is_one_json_line(self, inputs):
         # a fresh interpreter, so a numpy warning would reach stderr as text

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -12,7 +11,6 @@ from gwfield.constants import CGS, CgsConstants
 from gwfield.fields import (
     ComplexField,
     Grid,
-    PlaneWaveSpec,
     inner_product,
     make_plane_wave,
     normalize,
@@ -22,7 +20,7 @@ from gwfield import (bosestat, cmbrvac, fieldio, helicity, hybridmeas, madelung,
 from gwfield.fieldio import (_BLOCK_ROWS, _SIDECAR_KEYS, ConfigError, GridColumn, _spec_floats, _spec_int,
                              read_field, read_object, read_table, write_field, write_table)
 
-from conftest import random_field, registry_measurements, run_entry
+from conftest import coordinate_meshes, random_field, registry_measurements, run_entry
 
 
 class TestConstants:
@@ -175,26 +173,22 @@ class TestComplexField:
 class TestPlaneWave:
     def test_zero_mode_constant(self):
         grid = Grid.of(16, 1.0)
-        field = make_plane_wave(PlaneWaveSpec(1.0, (0.0,)), grid)
+        field = make_plane_wave(1.0, (0.0,), grid)
         np.testing.assert_allclose(field.values, 1.0)
 
     def test_unit_modulus(self):
         grid = Grid.of(32, 1.0)
         k = 2.0 * math.pi / grid.lengths[0]
-        field = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
+        field = make_plane_wave(1.0, (k,), grid)
         np.testing.assert_allclose(np.abs(field.values), 1.0, atol=1e-14)
         # one full oscillation across the box
         assert abs(field.values[0] - field.values[-1] * np.exp(1j * k * grid.spacings[0])) < 1e-12
-
-    def test_spec_is_amplitude_and_wave_vector(self):
-        # the frequency is the propagator's, so a spec restates no omega or mu
-        assert [f.name for f in dataclasses.fields(PlaneWaveSpec)] == ["amplitude", "k_vec"]
 
     def test_non_commensurate_rejected(self):
         grid = Grid.of(16, 1.0)
         k = 1.5 * 2.0 * math.pi / grid.lengths[0]
         with pytest.raises(ValueError, match="commensurate"):
-            make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
+            make_plane_wave(1.0, (k,), grid)
 
 
 class TestNormalize:
@@ -235,8 +229,8 @@ class TestInnerProduct:
     def test_fourier_modes_orthogonal(self):
         grid = Grid.of(32, 1.0)
         k = 2.0 * math.pi / grid.lengths[0]
-        a = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
-        b = make_plane_wave(PlaneWaveSpec(1.0, (3 * k,)), grid)
+        a = make_plane_wave(1.0, (k,), grid)
+        b = make_plane_wave(1.0, (3 * k,), grid)
         assert abs(inner_product(a, b)) < 1e-10
 
     def test_conjugate_symmetry_against_direct_sum(self, rng):
@@ -272,7 +266,7 @@ class TestSpectralProperties:
         grid = Grid.of((16, 16, 16), (1.0, 2.0, 0.5))
         k_vec = tuple(2.0 * math.pi * m / l for m, l in zip((1, 2, 1), grid.lengths))
         k_mag_sq = sum(k * k for k in k_vec)
-        psi = make_plane_wave(PlaneWaveSpec(1.0, k_vec), grid)
+        psi = make_plane_wave(1.0, k_vec, grid)
         lap = spectral.laplacian(np.fft.fftn(psi.values), grid)
         np.testing.assert_allclose(lap, -k_mag_sq * psi.values, rtol=1e-10)
 
@@ -395,7 +389,7 @@ class TestTableIO:
             writer = csv.writer(handle)
             writer.writerow(list("ijlxyz"))
             writer.writerows([*map(int, row[:3]), *map(repr, map(float, row[3:]))]
-                             for row in zip(*indices, *(m.ravel() for m in grid.meshes())))
+                             for row in zip(*indices, *(m.ravel() for m in coordinate_meshes(grid))))
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_unequal_columns_rejected(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from gwfield import spectral
 from gwfield.constants import CGS
-from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
+from gwfield.fields import ComplexField, Grid, make_plane_wave, normalize
 from gwfield.helicity import (
     TimeSeriesField,
     convection_current,
@@ -128,7 +128,7 @@ class TestConvectionCurrent:
 
     def test_plane_wave_uniform_current(self):
         k = 4 * K1
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), GRID)
+        psi = make_plane_wave(1.0, (k,), GRID)
         np.testing.assert_allclose(convection_current(psi)[0], CGS.hbar * k, rtol=1e-10)
         np.testing.assert_allclose(first_order_charge(psi, k), CGS.hbar * k, rtol=1e-12)
 
@@ -213,7 +213,7 @@ class TestCurrentContinuity:
     def test_stationary_mode(self):
         k = 2 * K1
         omega = CGS.c * k
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), GRID)
+        psi = make_plane_wave(1.0, (k,), GRID)
         params = EffectiveMassParams(omega_ref=omega)
         dt = 0.1 / omega
         fields = [evolve_schrodinger(psi, params, m * dt) for m in range(10)]

@@ -9,10 +9,10 @@ import pytest
 
 from gwfield import helicity, madelung, spectral, wavemech
 from gwfield.constants import CGS
-from gwfield.fields import ComplexField, Grid, normalize
+from gwfield.fields import ComplexField, Grid, make_plane_wave, normalize
 from gwfield.wavemech import ClassicalWaveState, EffectiveMassParams, GaussianPacketSpec
 
-from conftest import random_field
+from conftest import coordinate_meshes, random_field
 
 GRID = Grid.of((32, 32, 32), (1.0, 1.0, 1.0))
 # one full complex grid at 32^3, the unit of the budgets
@@ -72,6 +72,18 @@ def plain_flux_divergence(psi: ComplexField) -> np.ndarray:
     """Im(psi* lap psi), as -Im(conj(lap psi) psi): the product whose real part the
     curvature reads (numpy's complex product need not round the two orders alike)."""
     return -np.imag(np.conj(plain_laplacian(psi)) * psi.values)
+
+
+def plain_plane_wave(amplitude: complex, k_vec, grid: Grid) -> np.ndarray:
+    """A * exp(i k.x) with k.x summed over full coordinate meshes."""
+    acc = np.zeros(grid.shape)
+    for k, mesh in zip(k_vec, coordinate_meshes(grid)):
+        acc = acc + k * mesh
+    return amplitude * np.exp(1j * acc)
+
+
+def commensurate_k(grid: Grid) -> tuple[float, ...]:
+    return tuple(2.0 * math.pi * m / length for m, length in zip((3, -2, 1), grid.lengths))
 
 
 def plain_gradient_spline(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -143,6 +155,11 @@ class TestSameBitsAsThePlainFormulas:
         expected = CGS.hbar * (float(np.sum(rate * power)) / float(np.sum(power)))
         assert wavemech.schrodinger_energy(psi, params) == expected
 
+    def test_plane_wave(self, grid):
+        k_vec = commensurate_k(grid)
+        assert bit_equal(make_plane_wave(0.3 + 0.4j, k_vec, grid).values,
+                         plain_plane_wave(0.3 + 0.4j, k_vec, grid))
+
     def test_gradient_spline(self, grid, rng):
         values = random_field(grid, rng).values.real
         assert bit_equal(spectral.gradient_spline(values, grid), plain_gradient_spline(values, grid))
@@ -186,6 +203,12 @@ class TestAllocationBudgets:
     @pytest.fixture
     def params(self):
         return EffectiveMassParams(omega_ref=CGS.c * 2.0 * math.pi * 8.0, mu=1.5)
+
+    def test_make_plane_wave(self):
+        # the complex phase beside the result, and the record's finiteness mask (measured
+        # 1.06, against 3.0 when the phase summed full coordinate meshes)
+        k_vec = commensurate_k(GRID)
+        assert traced_beyond_result(lambda: make_plane_wave(0.3 + 0.4j, k_vec, GRID)) <= 1.5
 
     def test_evolve_schrodinger(self, psi, params):
         # the spectrum is transformed in place and becomes the result

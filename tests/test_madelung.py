@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gwfield.constants import CGS
-from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
+from gwfield.fields import ComplexField, Grid, make_plane_wave, normalize
 from gwfield import madelung, spectral
 from gwfield.cli import main as cli_main
 from gwfield.fieldio import write_field
@@ -30,7 +30,7 @@ from gwfield.wavemech import (
     gaussian_packet,
 )
 
-from conftest import random_field, wrapped_gaussian_curvature
+from conftest import coordinate_meshes, random_field, wrapped_gaussian_curvature
 
 
 def box_mode(n: int, a: float = 1.0, points: int = 512) -> tuple[ComplexField, float]:
@@ -45,7 +45,7 @@ class TestPolarDecompose:
     def test_plane_wave_phase_linear(self):
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 5 / grid.lengths[0]
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
+        psi = make_plane_wave(1.0, (k,), grid)
         form = polar_decompose(psi)
         np.testing.assert_allclose(form.action / CGS.hbar, k * grid.axis(0), atol=1e-10)
         np.testing.assert_allclose(form.rho, 1.0, rtol=1e-12)
@@ -82,9 +82,9 @@ class TestPolarDecompose:
         grid = Grid.of((32, 32), (1.0, 1.0))
         kx = 2.0 * math.pi * 3 / grid.lengths[0]
         ky = 2.0 * math.pi * 2 / grid.lengths[1]
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (kx, ky)), grid)
+        psi = make_plane_wave(1.0, (kx, ky), grid)
         form = polar_decompose(psi)
-        xm, ym = grid.meshes()
+        xm, ym = coordinate_meshes(grid)
         np.testing.assert_allclose(form.action / CGS.hbar, kx * xm + ky * ym, atol=1e-9)
 
 
@@ -217,7 +217,7 @@ class TestHamiltonJacobi:
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 4 / grid.lengths[0]
         omega = CGS.c * k
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
+        psi = make_plane_wave(1.0, (k,), grid)
         params = EffectiveMassParams(omega_ref=omega)
         residual = hj_residual(polar_decompose(psi), params, -CGS.hbar * omega)
         assert residual < 1e-8 * CGS.hbar * omega
@@ -247,7 +247,7 @@ class TestContinuity:
     def test_plane_wave(self):
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 4 / grid.lengths[0]
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
+        psi = make_plane_wave(1.0, (k,), grid)
         params = EffectiveMassParams(omega_ref=CGS.c * k)
         residual = continuity_residual(
             polar_decompose(psi), np.zeros(grid.shape), params.m_star)
@@ -448,7 +448,7 @@ class TestEnergyDecomposition:
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 4 / grid.lengths[0]
         omega = CGS.c * k
-        psi = normalize(make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid))
+        psi = normalize(make_plane_wave(1.0, (k,), grid))
         result = energy_decomposition(psi, EffectiveMassParams(omega_ref=omega))
         expected = CGS.hbar * CGS.c * k
         assert abs(result.pc / expected - 1.0) < 1e-12
@@ -494,7 +494,7 @@ class TestEnergyDecomposition:
         for mode in (1, 2, 5, 9):
             k = 2.0 * math.pi * mode / grid.lengths[0]
             omega = CGS.c * k
-            psi = normalize(make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid))
+            psi = normalize(make_plane_wave(1.0, (k,), grid))
             result = energy_decomposition(psi, EffectiveMassParams(omega_ref=omega))
             assert abs(result.E - result.pc - result.Q_mean) < 1e-9 * result.E
 

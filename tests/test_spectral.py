@@ -6,7 +6,7 @@ import pytest
 from gwfield import madelung, spectral
 from gwfield.fields import ComplexField, Grid
 
-from conftest import random_field
+from conftest import coordinate_meshes, random_field
 
 GRIDS = [
     Grid.of(64, 1.0),
@@ -63,7 +63,7 @@ class TestOpenAxesMatchFullMeshes:
         # psi = 1 + eps exp(i k.x): Im(psi* grad psi) = eps k cos(k.x) + eps^2 k, whose
         # divergence is -eps |k|^2 sin(k.x)
         k_vec = [2.0 * math.pi * m / length for m, length in zip((3, -2, 1), grid.lengths)]
-        arg = sum(k * x for k, x in zip(k_vec, grid.meshes()))
+        arg = sum(k * x for k, x in zip(k_vec, coordinate_meshes(grid)))
         eps = 0.3
         result = spectral.flux_divergence(1.0 + eps * np.exp(1j * arg), grid)
         k_sq = sum(k * k for k in k_vec)
@@ -102,7 +102,7 @@ class TestPhaseFlux:
         grid = Grid.of((16, 32, 8), (1.0, 2.0, 0.5))
         k_vec = [2.0 * math.pi * m / length for m, length in zip((3, -2, 1), grid.lengths)]
         amplitude = 0.7 - 1.9j
-        phase = sum(k * x for k, x in zip(k_vec, grid.meshes()))
+        phase = sum(k * x for k, x in zip(k_vec, coordinate_meshes(grid)))
         values = amplitude * np.exp(1j * phase)
         flux = spectral.phase_flux(values, spectral.transform(values, grid), grid)
         for f, k in zip(flux, k_vec):
@@ -120,7 +120,7 @@ class TestPowerMean:
     def test_single_mode_picks_its_k(self):
         grid = Grid.of((16, 16), (1.0, 1.0))
         k_vec = (2.0 * math.pi * 3, 2.0 * math.pi * 4)
-        values = np.exp(1j * sum(k * x for k, x in zip(k_vec, grid.meshes())))
+        values = np.exp(1j * sum(k * x for k, x in zip(k_vec, coordinate_meshes(grid))))
         spec = np.fft.fftn(values)
         assert spectral.power_mean(spec, grid, np.sqrt) == pytest.approx(2.0 * math.pi * 5, rel=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gwfield.constants import CGS
-from gwfield.fields import ComplexField, Grid, PlaneWaveSpec, make_plane_wave, normalize
+from gwfield.fields import ComplexField, Grid, make_plane_wave, normalize
 from gwfield import spectral, wavemech
 from gwfield.wavemech import (
     ClassicalWaveState,
@@ -76,7 +76,7 @@ class TestEvolveSchrodinger:
         grid = Grid.of(64, 1.0)
         k = 2.0 * math.pi * 4 / grid.lengths[0]
         omega = CGS.c * k
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
+        psi = make_plane_wave(1.0, (k,), grid)
         params = EffectiveMassParams(omega_ref=omega)
         t = 0.3 / omega
         out = evolve_schrodinger(psi, params, t)
@@ -122,7 +122,7 @@ class TestEvolveSchrodinger:
         k = 2.0 * math.pi / grid.lengths[0]
         mu = 100.0 * k
         omega_ref = CGS.c * math.sqrt(k**2 + mu**2)
-        psi = make_plane_wave(PlaneWaveSpec(1.0, (k,)), grid)
+        psi = make_plane_wave(1.0, (k,), grid)
         params = EffectiveMassParams(omega_ref=omega_ref, mu=mu)
         t = 0.5 / (CGS.c * mu)
         out = evolve_schrodinger(psi, params, t)
@@ -261,7 +261,7 @@ class TestSchrodingerEnergy:
         k_vec = (2.0 * math.pi * 5, 2.0 * math.pi * -3 / 2.0)
         k_sq = sum(k * k for k in k_vec)
         params = EffectiveMassParams(omega_ref=CGS.c * 2.0 * math.pi * 8, mu=4.0)
-        psi = make_plane_wave(PlaneWaveSpec(0.3 + 0.4j, k_vec), grid)
+        psi = make_plane_wave(0.3 + 0.4j, k_vec, grid)
         expected = CGS.hbar * (CGS.hbar * k_sq / (2.0 * params.m_star) + params.v0)
         assert wavemech.schrodinger_energy(psi, params) == pytest.approx(expected, rel=1e-12)
 
