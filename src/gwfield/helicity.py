@@ -58,7 +58,8 @@ class TimeSeriesField:
         grid = fields[0].grid
         if (m := next((m for m, f in enumerate(fields) if f.grid != grid), None)) is not None:
             raise ValueError(f"fields are on two grids: snapshot 0 on {grid}, snapshot {m} on {fields[m].grid}")
-        return cls(grid=grid, values=np.stack([f.values for f in fields]), dt=dt)
+        (values := np.stack([f.values for f in fields])).setflags(write=False)
+        return cls(grid=grid, values=values, dt=dt)
 
     def norm(self) -> float:
         """sqrt of the snapshot-averaged squared field norm."""
@@ -89,18 +90,20 @@ def partial_wave_split(series: TimeSeriesField) -> tuple[TimeSeriesField, TimeSe
             )
     shape = (n_t,) + (1,) * series.grid.dim
     minus_mask = (freqs <= 0.0).reshape(shape)
-    plus = np.fft.ifft(spec * (~minus_mask), axis=0)
-    minus = np.fft.ifft(spec * minus_mask, axis=0)
-    make = lambda v: TimeSeriesField(grid=series.grid, values=v, dt=series.dt)
-    return make(plus), make(minus)
+    plus = np.multiply(spec, ~minus_mask)
+    spec *= minus_mask  # the spectrum itself becomes psi_minus: each half is inverted in place
+    halves = np.fft.ifft(plus, axis=0, out=plus), np.fft.ifft(spec, axis=0, out=spec)
+    for values in halves:
+        values.setflags(write=False)
+    return tuple(TimeSeriesField(grid=series.grid, values=v, dt=series.dt) for v in halves)
 
 
 def convection_current(psi: ComplexField | TimeSeriesField) -> np.ndarray:
     """Convection current j = hbar Im(psi* grad psi), hbar times :func:`spectral.phase_flux`, of
     a field or of every snapshot of a series at once: one read-only ``(dim, ...)`` array whose
     axis 1 indexes a series' snapshots.  Only the charge carries k0."""
-    spec = spectral.transform(psi.values, psi.grid)
-    j = CGS.hbar * spectral.phase_flux(psi.values, spec, psi.grid)
+    j = spectral.phase_flux(psi.values, spectral.transform(psi.values, psi.grid), psi.grid)
+    j *= CGS.hbar
     j.setflags(write=False)
     return j
 

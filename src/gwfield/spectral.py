@@ -103,22 +103,24 @@ def gradient_spline(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def phase_flux(values: np.ndarray, spec: np.ndarray, grid: Grid) -> np.ndarray:
     """Im(conj(psi) grad psi) = rho grad(phase) of psi = ``values`` (``spec`` is its
-    :func:`transform`), one real ``(dim, ...)`` array: smooth across phase seams, times
-    hbar the convection current."""
+    :func:`transform`, spent: the last gradient component is written over it), one real
+    ``(dim, ...)`` array: smooth across phase seams, times hbar the convection current."""
     rows = np.empty((grid.dim, *spec.shape))
-    for f, flux in _flux_chunks(values, spec, grid, ((row,) for row in rows)):
+    for f, flux in _flux_chunks(values, spec, grid, ((row,) for row in rows), spend=True):
         flux[...] = f
     return rows
 
 
-def _flux_chunks(values: np.ndarray, spec: np.ndarray, grid: Grid, arrays):
+def _flux_chunks(values: np.ndarray, spec: np.ndarray, grid: Grid, arrays, spend: bool = False):
     """Each :func:`flat_chunks` chunk of each row f = Im(conj(psi) d_i psi) of the :func:`phase_flux`
     of psi = ``values``, one gradient component at a time, beside the matching chunks of that axis's
-    tuple of arrays in ``arrays`` (the buffer and the chunk views live in the generator alone)."""
-    component = np.empty_like(spec)
-    for k, row_arrays in zip(wavenumbers(grid), arrays, strict=True):
-        _derivative(spec, k, grid, out=component)
-        for psi, d_psi, *chunks in flat_chunks(values, component, *row_arrays):
+    tuple of arrays in ``arrays`` (the buffer and the chunk views live in the generator alone).  With
+    ``spend`` the last component is written into ``spec``, so a 1D grid allocates no buffer."""
+    component = spec if spend and grid.dim == 1 else np.empty_like(spec)
+    for i, (k, row_arrays) in enumerate(zip(wavenumbers(grid), arrays, strict=True)):
+        out = spec if spend and i == grid.dim - 1 else component
+        _derivative(spec, k, grid, out=out)
+        for psi, d_psi, *chunks in flat_chunks(values, out, *row_arrays):
             yield np.imag(np.conj(psi) * d_psi), *chunks
 
 

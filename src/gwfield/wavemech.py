@@ -180,7 +180,9 @@ def right_moving_state(psi: ComplexField) -> ClassicalWaveState:
     if psi.grid.dim != 1:
         raise ValueError("one-way initial data is defined for 1D grids")
     dpsi = spectral.derivative(psi.values, psi.grid, 0)
-    return ClassicalWaveState(psi=psi, psi_dot=ComplexField(grid=psi.grid, values=-CGS.c * dpsi))
+    dpsi *= -CGS.c
+    dpsi.setflags(write=False)
+    return ClassicalWaveState(psi=psi, psi_dot=ComplexField(grid=psi.grid, values=dpsi))
 
 
 def wave_energy(state: ClassicalWaveState, mu: float) -> float:

@@ -7,7 +7,8 @@ propagate -> madelung -> bohm -> helicity chain, the ``cli_field3d``
 propagate -> madelung -> bohm chains of seeds 1-3 on a 32^3 packet, a 1D wave-equation
 series split into both partial waves, a 2D packet chain (helicity, madelung with both
 residuals, massless and classical bohm), an unresolved measure, a thresholded schmidt, a
-vonneumann update and three plane-wave propagate runs.  Beside each argv
+vonneumann update and four plane-wave propagate runs (the last on a 128^2 grid, large
+enough that numpy forms ``amplitude * exp(...)`` in place, its operands swapped).  Beside each argv
 it keeps the sha256 of every file the run writes; a manifest is hashed without its
 ``wall_time_s``.  The runs go in process through ``cli.main``, in a fresh working
 directory and with relative paths, so every byte of every output, manifests included, is

@@ -119,6 +119,24 @@ class TestPartialWaveSplit:
             TimeSeriesField.from_fields(fields, dt=1e-12)
 
 
+class TestSeriesArraysAreTheirOwn:
+    """A series adopts the read-only array the library made for it: none aliases another."""
+
+    def test_from_fields_shares_no_memory_with_a_field(self, rng):
+        fields = [random_field(GRID, rng) for _ in range(8)]
+        series = TimeSeriesField.from_fields(fields, dt=1e-12)
+        assert not series.values.flags.writeable
+        assert not any(np.shares_memory(series.values, psi.values) for psi in fields)
+
+    def test_split_halves_share_no_memory(self, rng):
+        series = TestSeriesCurrent.series(rng)
+        plus, minus = partial_wave_split(series)
+        for half in (plus, minus):
+            assert not half.values.flags.writeable
+            assert not np.shares_memory(half.values, series.values)
+        assert not np.shares_memory(plus.values, minus.values)
+
+
 class TestConvectionCurrent:
     def test_real_field_has_no_current(self):
         x = GRID.axis(0)
