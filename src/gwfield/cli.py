@@ -35,6 +35,7 @@ import os
 import shutil
 import sys
 import time
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -129,7 +130,7 @@ def _write_manifest(outdir: Path, config: dict, t_start: float) -> None:
     manifest = {
         "config": config,
         "tool_version": __version__,
-        "constants_checksum": CGS.checksum(),
+        "constants_checksum": hashlib.sha256(json.dumps(asdict(CGS), sort_keys=True).encode()).hexdigest(),
         "wall_time_s": time.monotonic() - t_start,
         "outputs": outputs,
     }
@@ -405,21 +406,22 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
     setup = hybridmeas.MeasurementSetup(**read_object(_MEASURE_KEYS, spec, args.spec))
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    record = hybridmeas.run_measurement(setup)
-    reduced = hybridmeas.partial_trace_system(record)
-    table = hybridmeas.sample_outcomes(record, args.trials, args.seed)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    reduced = hybridmeas.partial_trace_system(setup)
+    table = hybridmeas.sample_outcomes(setup, args.trials, args.seed)
     payload = {
-        "eigenvalues": list(record.eigenvalues),
-        "pointer_positions": record.pointer_positions.tolist(),
-        "weights": record.weights.tolist(),
-        "overlap_matrix": record.overlap_matrix.tolist(),
-        "resolved": record.resolved,
-        "unresolved_pairs": [list(p) for p in record.unresolved_pairs],
+        "eigenvalues": list(setup.eigenvalues),
+        "pointer_positions": setup.pointer_positions.tolist(),
+        "weights": setup.weights.tolist(),
+        "overlap_matrix": setup.overlap_matrix.tolist(),
+        "resolved": setup.resolved,
+        "unresolved_pairs": [list(p) for p in setup.unresolved_pairs],
         "reduced_state": _complex_matrix_to_json(reduced.entries),
         "max_abs_deviation": table.max_abs_deviation,
     }
-    columns = [np.arange(len(record.eigenvalues)), np.asarray(record.eigenvalues, dtype=float),
-               record.weights, table.counts, table.frequencies]
+    columns = [np.arange(len(setup.eigenvalues)), np.asarray(setup.eigenvalues, dtype=float),
+               setup.weights, table.counts, table.frequencies]
     return {**vars(args), "spec": spec}, {
         "record.json": payload,
         "frequencies.csv": (["outcome", "eigenvalue", "weight", "count", "frequency"], columns),

@@ -4,19 +4,20 @@ Every numeric output of this package is CGS (erg, cm, s, K, G, esu).  All
 constants live in a single frozen table so that tests and downstream code can
 reference one source instead of scattering literals.  The table is literal
 data; ``gwfield check`` certifies the identities that tie its entries together
-(the ``constants-identities`` entry of :mod:`gwfield.selfcheck`).
+(the ``constants-identities`` entry of :mod:`gwfield.selfcheck`), and only the CLI
+manifest hashes it.
 
 It also holds :func:`require_positive`, the one refusal of a physical parameter that must
 be finite and positive (a temperature, a length, a frequency, a mass), and
 :func:`require_nonnegative`, the one refusal of one that must be finite and >= 0 (a mass
-parameter mu, an elapsed time): every layer imports this module already, and it is numpy-, ``hashlib``- and
-``json``-free at import, so the checks cost no layer an import of another.
+parameter mu, an elapsed time): every layer imports this module already, and it imports no
+numpy, ``hashlib`` or ``json``, so the checks cost no layer an import of another.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,6 @@ class CgsConstants:
     def h(self) -> float:
         """Planck constant [erg s]."""
         return 2.0 * math.pi * self.hbar
-
-    def checksum(self) -> str:
-        """SHA-256 over the sorted constant table; pinned in run manifests."""
-        # imported here: only the CLI manifest calls this, and hashlib loads OpenSSL
-        import hashlib
-        import json
-
-        payload = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
 
 
 CGS = CgsConstants()

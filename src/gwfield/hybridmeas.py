@@ -3,14 +3,16 @@
 The system starts in sum_p c_p |p> and the apparatus in a Gaussian packet of
 width w centered at y0.  An impulsive coupling of strength g acting for a
 time tau displaces the packet correlated with eigenvalue p to
-y_p = y0 + g*p*tau; free evolution during the impulse is neglected.  This
-module works in hbar = 1 units: eigenvalues, couplings and pointer
-coordinates are dimensionless (conversions happen at the interface).
+y_p = y0 + g*p*tau; free evolution during the impulse is neglected.  That
+step is deterministic, so :class:`MeasurementSetup` derives every post-impulse
+value itself.  This module works in hbar = 1 units: eigenvalues, couplings and
+pointer coordinates are dimensionless (conversions happen at the interface).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +29,10 @@ MAX_OUTCOMES = 32
 @dataclass(frozen=True)
 class MeasurementSetup:
     """Eigenvalues and amplitudes of the measured observable plus the
-    apparatus packet (center y0, width w), coupling g, and impulse time tau."""
+    apparatus packet (center y0, width w), coupling g, and impulse time tau.
+    It derives, read-only, the displaced pointers, the Born weights (the diagonal
+    of the joint system x pointer-label state) and the packet overlaps, and
+    refuses above :data:`MAX_OUTCOMES` outcomes or duplicate eigenvalues."""
 
     eigenvalues: tuple[float, ...]
     amplitudes: tuple[complex, ...]
@@ -49,18 +54,34 @@ class MeasurementSetup:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         require_positive("w", self.w)
         require_positive("tau", self.tau)
+        n = len(self.eigenvalues)
+        if n > MAX_OUTCOMES:
+            raise ValueError(f"{n} outcomes is above the ceiling MAX_OUTCOMES = {MAX_OUTCOMES}")
+        if len(np.unique(self.eigenvalues)) != n:
+            raise ValueError("duplicate eigenvalues: pointer positions would coincide")
 
+    @cached_property
+    def pointer_positions(self) -> np.ndarray:
+        """y_p = y0 + g*p*tau for each eigenvalue p."""
+        return frozen_array(self.y0 + self.g * np.asarray(self.eigenvalues) * self.tau, float)
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Post-impulse bookkeeping: displaced pointers, Born weights (the diagonal
-    of the joint system x pointer-label state) and packet overlaps."""
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Born weights |c_p|^2."""
+        return frozen_array([abs(c) ** 2 for c in self.amplitudes], float)
 
-    eigenvalues: tuple[float, ...]
-    pointer_positions: np.ndarray
-    weights: np.ndarray
-    overlap_matrix: np.ndarray
-    unresolved_pairs: tuple[tuple[int, int], ...]
+    @cached_property
+    def overlap_matrix(self) -> np.ndarray:
+        """Pointer packets for outcomes p and q overlap by exp(-(y_p-y_q)^2/(8 w^2))."""
+        separations = self.pointer_positions[:, None] - self.pointer_positions[None, :]
+        return frozen_array(np.exp(-(separations**2) / (8.0 * self.w**2)), float)
+
+    @cached_property
+    def unresolved_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Pairs overlapping above :data:`RESOLVED_OVERLAP`: flagged, not forced orthogonal."""
+        n = len(self.eigenvalues)
+        return tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                     if self.overlap_matrix[i, j] > RESOLVED_OVERLAP)
 
     resolved = property(lambda self: not self.unresolved_pairs)
 
@@ -75,50 +96,18 @@ class OutcomeFrequencies:
     frequencies = property(lambda self: self.counts / self.counts.sum())
 
 
-def run_measurement(setup: MeasurementSetup) -> MeasurementRecord:
-    """Apply the impulsive coupling and freeze the pointer displacements.
-
-    Pointer packets for outcomes p and q overlap by exp(-(y_p-y_q)^2/(8 w^2));
-    pairs above :data:`RESOLVED_OVERLAP` are flagged as unresolved rather than
-    forced orthogonal.  Raises ValueError above :data:`MAX_OUTCOMES` outcomes.
-    """
-    eigenvalues = np.asarray(setup.eigenvalues)
-    n = len(eigenvalues)
-    if n > MAX_OUTCOMES:
-        raise ValueError(f"{n} outcomes is above the ceiling MAX_OUTCOMES = {MAX_OUTCOMES}")
-    if len(np.unique(eigenvalues)) != n:
-        raise ValueError("duplicate eigenvalues: pointer positions would coincide")
-    pointers = setup.y0 + setup.g * eigenvalues * setup.tau
-    weights = np.array([abs(c) ** 2 for c in setup.amplitudes])
-    separations = pointers[:, None] - pointers[None, :]
-    overlaps = np.exp(-(separations**2) / (8.0 * setup.w**2))
-    unresolved = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if overlaps[i, j] > RESOLVED_OVERLAP
-    )
-    return MeasurementRecord(
-        eigenvalues=setup.eigenvalues,
-        pointer_positions=frozen_array(pointers, float),
-        weights=frozen_array(weights, float),
-        overlap_matrix=frozen_array(overlaps, float),
-        unresolved_pairs=unresolved,
-    )
-
-
-def partial_trace_system(record: MeasurementRecord) -> DensityMatrix:
+def partial_trace_system(setup: MeasurementSetup) -> DensityMatrix:
     """Trace the joint state over the apparatus factor: sum_p |c_p|^2 |p><p|."""
-    return DensityMatrix(entries=np.diag(record.weights))
+    return DensityMatrix(entries=np.diag(setup.weights))
 
 
-def sample_outcomes(record: MeasurementRecord, n_trials: int, seed: int) -> OutcomeFrequencies:
+def sample_outcomes(setup: MeasurementSetup, n_trials: int, seed: int) -> OutcomeFrequencies:
     """Draw outcome counts with the Born weights in one multinomial draw, so
     memory does not grow with ``n_trials``; identical seeds give identical
     tables.  Reports the worst |empirical - weight| deviation."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n_trials, record.weights / record.weights.sum())
-    deviation = float(np.abs(counts / n_trials - record.weights).max())
+    counts = rng.multinomial(n_trials, setup.weights / setup.weights.sum())
+    deviation = float(np.abs(counts / n_trials - setup.weights).max())
     return OutcomeFrequencies(counts=frozen_array(counts, np.int64), max_abs_deviation=deviation)

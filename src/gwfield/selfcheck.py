@@ -298,9 +298,8 @@ def _operator_measurement_suite() -> list[Measurement]:
         purity_gain.append(pinched.purity() - rho.purity())
         idempotence.append(np.abs(statequant.von_neumann_update(pinched, pset).entries - pinched.entries).max())
     amplitudes = (math.sqrt(0.2), math.sqrt(0.5) * 1j, -math.sqrt(0.3))
-    record = hybridmeas.run_measurement(
-        hybridmeas.MeasurementSetup(eigenvalues=(0.0, 1.0, 2.0), amplitudes=amplitudes, g=25.0))
-    reduced = hybridmeas.partial_trace_system(record)
+    setup = hybridmeas.MeasurementSetup(eigenvalues=(0.0, 1.0, 2.0), amplitudes=amplitudes, g=25.0)
+    reduced = hybridmeas.partial_trace_system(setup)
     rho = statequant.DensityMatrix.from_state(np.asarray(amplitudes))
     updated = statequant.von_neumann_update(rho, statequant.ProjectorSet.computational(3))
     return [Measurement("repeat_probability_deviation", np.max(repeat), 1e-12),
@@ -310,7 +309,7 @@ def _operator_measurement_suite() -> list[Measurement]:
             Measurement("pinching_idempotence_deviation", np.max(idempotence), 1e-12),
             Measurement("partial_trace_deviation", np.abs(reduced.entries - updated.entries).max(), 1e-12),
             Measurement("sampling_deviation",
-                        hybridmeas.sample_outcomes(record, 1_000_000, seed=2026).max_abs_deviation, 5e-3)]
+                        hybridmeas.sample_outcomes(setup, 1_000_000, seed=2026).max_abs_deviation, 5e-3)]
 
 
 def _partitions(n, cap=None):

@@ -2,11 +2,12 @@
 named ``test_criterion_<number>_<name>`` or ``test_invariant_<name>``.  Each
 prints the entry's PASS/FAIL line (visible with ``pytest -s``), then asserts
 every measurement against its bound and the run time against the budget.
-The last eight keep every public function and class of the package in use, every public
+The rest keep every public function and class of the package in use, every public
 method and property read outside its class, every top-level import of a module read in it,
-every grid transform in ``spectral.py``, every option of one set by some call in the
-package, each value that a record derives equal to the value it once stored, every array a
-record stores read-only, and every positivity or non-negativity refusal in ``constants``.
+every grid transform in ``spectral.py``, every ``hashlib`` import in ``cli.py``, every
+meshgrid open, every option of one set by some call in the package, each value that a
+record derives equal to the value it once stored, every array a record stores read-only,
+and every positivity or non-negativity refusal in ``constants``.
 """
 
 import ast
@@ -116,6 +117,19 @@ def test_every_grid_transform_is_in_spectral():
     assert not stray, f"grid transforms outside spectral.py: {stray}"
 
 
+def test_only_the_cli_imports_hashlib():
+    """No module of ``src/gwfield`` but ``cli.py`` imports ``hashlib``, at any depth: the
+    manifest is the one place that hashes, and a library layer loads no OpenSSL."""
+    stray = []
+    for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if path.name != "cli.py" and any(name.split(".")[0] == "hashlib" for name in names):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, f"hashlib imports outside cli.py: {stray}"
+
+
 def test_every_meshgrid_is_open():
     """Every ``np.meshgrid`` call in ``src/gwfield`` passes ``sparse=True``: a grid
     formula broadcasts open axes and builds no full N^dim coordinate mesh."""
@@ -185,10 +199,9 @@ def test_derived_values_equal_what_the_records_stored(tmp_path):
 
     for eigenvalues, resolved in (((0.0, 1.0, 2.0), True), ((0.0, 0.1, 5.0), False)):
         setup = hybridmeas.MeasurementSetup(eigenvalues, (0.6, 0.6j, 0.28**0.5), g=30.0)
-        record = hybridmeas.run_measurement(setup)
-        separated = record.overlap_matrix[np.triu_indices(3, 1)] <= hybridmeas.RESOLVED_OVERLAP
-        assert record.resolved is bool(np.all(separated)) is resolved
-        table = hybridmeas.sample_outcomes(record, 977, seed=3)
+        separated = setup.overlap_matrix[np.triu_indices(3, 1)] <= hybridmeas.RESOLVED_OVERLAP
+        assert setup.resolved is bool(np.all(separated)) is resolved
+        table = hybridmeas.sample_outcomes(setup, 977, seed=3)
         assert np.array_equal(table.frequencies, table.counts / 977)
 
     grid = Grid.of(64, 1.0)
@@ -218,13 +231,13 @@ def test_every_array_a_record_stores_is_read_only():
     band = bosestat.FrequencyBand(1e11, 1e9, 1e3)
     rho = statequant.DensityMatrix.from_state([0.6, 0.8j])
     projectors = statequant.ProjectorSet.computational(2)
-    record = hybridmeas.run_measurement(hybridmeas.MeasurementSetup((0.0, 1.0), (0.6, 0.8), g=30.0))
-    table = hybridmeas.sample_outcomes(record, 100, seed=1)
+    setup = hybridmeas.MeasurementSetup((0.0, 1.0), (0.6, 0.8), g=30.0)
+    table = hybridmeas.sample_outcomes(setup, 100, seed=1)
     records = [
         psi, series, *helicity.partial_wave_split(series), wavemech.right_moving_state(psi).psi_dot,
         *bosestat.maximize_entropy([band], 1e-12, 60), rho, projectors,
         statequant.luders_update(rho, projectors, 1)[0], statequant.von_neumann_update(rho, projectors),
-        statequant.schmidt_decompose([[0.6, 0.0], [0.0, 0.8]]), record, table,
+        statequant.schmidt_decompose([[0.6, 0.0], [0.0, 0.8]]), setup, table,
         form, qfield, madelung.run_trajectory(qfield, [[0.5]], [[0.0]], 1e-14, 3, "massive"),
         spectral.polar_terms(psi, form.rho, form.branch_mask),
     ]
@@ -238,8 +251,10 @@ def test_every_array_a_record_stores_is_read_only():
                    for array in (value if isinstance(value, tuple) else (value,)) if isinstance(array, np.ndarray)]
     writable = sorted({name for name, array in arrays if array.flags.writeable})
     assert not writable, f"records that store writable arrays: {writable}"
-    assert {"OutcomeFrequencies.counts", "MeasurementRecord.overlap_matrix", "SchmidtResult.left_basis",
+    assert {"OutcomeFrequencies.counts", "SchmidtResult.left_basis",
             "BohmTrajectory.last_step", "PolarTerms.flux_divergence", "MadelungForm._terms"} <= {n for n, _ in arrays}
+    derived = [getattr(setup, name) for name in ("pointer_positions", "weights", "overlap_matrix")]
+    assert all(isinstance(array, np.ndarray) and not array.flags.writeable for array in derived)
     with pytest.raises(ValueError, match="read-only"):
         table.counts[0] += 50
 

@@ -165,7 +165,8 @@ class TestManifest:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tool_version"]
-        assert manifest["constants_checksum"] == CGS.checksum()
+        table = json.dumps(dataclasses.asdict(CGS), sort_keys=True).encode()
+        assert manifest["constants_checksum"] == hashlib.sha256(table).hexdigest()
         assert manifest["config"]["subcommand"] == "casimir"
         assert manifest["config"]["a_cm"] == 1e-4
         for entry in manifest["outputs"]:
@@ -919,6 +920,7 @@ class TestOutOfRangeValues:
           "--next-field", "{fine.csv}", "--dt-s", 1e-12],
          ["--field", "packet.csv", "--next-field", "fine.csv"]),
         (["measure", "--spec", "{measure.json}", "--trials", 10, "--seed", -1], ["--seed"]),
+        (["measure", "--spec", "{measure.json}", "--trials", 0, "--seed", 1], ["--trials"]),
         (["helicity", "--series-dir", "{equal_stamps}", "--k0-rad-per-cm", 1.0],
          ["t_s", "equal_stamps"]),
         (["helicity", "--series-dir", "{decreasing_stamps}", "--k0-rad-per-cm", 1.0],
@@ -941,8 +943,8 @@ class TestOutOfRangeValues:
         (["update", "--rule", "luders", "--rho", "{pure_rho.json}", "--projectors", "{proj.json}"],
          ["--outcome"]),
         (["helicity", "--series-dir", "{unstamped}", "--k0-rad-per-cm", 1.0], ["t_s", "unstamped"]),
-    ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "helicity-equal-stamps",
-            "helicity-decreasing-stamps", "bohm-seed-not-a-number",
+    ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "measure-trials-zero",
+            "helicity-equal-stamps", "helicity-decreasing-stamps", "bohm-seed-not-a-number",
             "propagate-wave-2d-default-initial", "propagate-wave-3d-right-moving",
             "propagate-unknown-equation", "schmidt-short-row", "propagate-packet-and-planewave",
             "propagate-no-initial-field", "propagate-schrodinger-without-omega-ref",
