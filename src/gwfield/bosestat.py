@@ -117,15 +117,12 @@ class OccupancyTable:
 
 @dataclass(frozen=True)
 class ThermoState:
-    """Solution summary: energy multiplier beta (= kT at the optimum),
-    total energy, entropy S = k ln W, total photon number, and how many
-    trial multipliers (bracketing plus Brent) the solver evaluated."""
+    """Solution summary: energy multiplier beta (= kT at the optimum) and how many
+    trial multipliers (bracketing plus Brent) the solver evaluated.  The totals
+    (energy, entropy S = k ln W, photon number) are the table's to derive."""
 
     beta: float
-    E: float
-    S_entropy: float
-    N_photons: float
-    energy_evaluations: int = 0
+    energy_evaluations: int
 
     def __post_init__(self) -> None:
         require_positive("beta", self.beta)
@@ -296,8 +293,7 @@ def maximize_entropy(
     if abs(energy - e_target) > ENERGY_TOL * e_target:
         raise ConvergenceError(f"energy matched to {abs(energy - e_target) / e_target:.3e} relative, "
                                f"worse than ENERGY_TOL = {ENERGY_TOL}")
-    return table, ThermoState(beta=beta, E=energy, S_entropy=CGS.k_B * table.ln_multiplicity(),
-                              N_photons=float(table.photon_numbers().sum()), energy_evaluations=evaluations)
+    return table, ThermoState(beta=beta, energy_evaluations=evaluations)
 
 
 def planck_density(nu, T: float):

@@ -47,7 +47,7 @@ from .fields import ComplexField, Grid, make_plane_wave, normalize
 from .fieldio import (_INDEX_NAMES, ConfigError, GridColumn, _complex_from_pair, _load_json,
                       _spec_float, _spec_floats, _spec_int, _spec_items, _spec_matrix, read_field,
                       read_object, read_table, write_field, write_table)
-from .helicity import TimeSeriesField, convection_current, first_order_charge, partial_wave_split
+from .helicity import MIN_SNAPSHOTS, TimeSeriesField, convection_current, first_order_charge, partial_wave_split
 
 
 def _sha256(path: Path) -> str:
@@ -238,7 +238,7 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
     qfield = madelung.quantum_potential(form, params.m_star)
     decomposition = madelung.energy_decomposition(psi, params)
     grid = psi.grid
-    columns = [GridColumn(grid, axis, spacing) for axis, spacing in enumerate(grid.spacings)] + [
+    columns = [GridColumn(grid, axis, coordinates=True) for axis in range(grid.dim)] + [
         a.ravel() for a in (form.rho, form.action, qfield.Q, form.curvature)
     ]
     axis_names = [f"x{i}_cm" for i in range(grid.dim)]
@@ -363,8 +363,8 @@ def _cmd_helicity(args: argparse.Namespace) -> tuple[dict, dict]:
     series_dir = Path(args.series_dir)
     # iterdir, unlike glob, raises an OSError naming a missing or non-directory path
     csv_paths = sorted(p for p in series_dir.iterdir() if p.match("field_*.csv"))
-    if len(csv_paths) < 8:
-        raise ConfigError(f"series directory {series_dir} holds {len(csv_paths)} field dumps; need >= 8")
+    if len(csv_paths) < MIN_SNAPSHOTS:
+        raise ConfigError(f"series directory {series_dir} holds {len(csv_paths)} field dumps; need >= {MIN_SNAPSHOTS}")
     fields, times = [], []
     for p in csv_paths:
         f, meta = read_field(p)
@@ -406,8 +406,8 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
     setup = hybridmeas.MeasurementSetup(**read_object(_MEASURE_KEYS, spec, args.spec))
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= 2**63 - 1:  # multinomial counts are C longs
+        raise ConfigError(f"--trials must be in [1, 2**63 - 1], got {args.trials}")
     reduced = hybridmeas.partial_trace_system(setup)
     table = hybridmeas.sample_outcomes(setup, args.trials, args.seed)
     payload = {
@@ -466,9 +466,9 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[dict, dict]:
     payload = {
         "beta_erg": thermo.beta,
         "temperature_K": thermo.temperature,
-        "E_erg": thermo.E,
-        "S_erg_per_K": thermo.S_entropy,
-        "N_photons": thermo.N_photons,
+        "E_erg": table.total_energy(),
+        "S_erg_per_K": CGS.k_B * table.ln_multiplicity(),
+        "N_photons": float(table.photon_numbers().sum()),
         "energy_evaluations": thermo.energy_evaluations,
     }
     return {**vars(args), "spec": spec}, {

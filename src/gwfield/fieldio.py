@@ -143,14 +143,14 @@ def sidecar_path(csv_path: str | Path) -> Path:
 
 
 class GridColumn:
-    """The axis-``axis`` index of each point of ``grid`` in C order, or, given the axis
-    ``spacing``, the point's coordinate (bit for bit the ravelled ``axis`` entry of
-    ``np.meshgrid(..., indexing="ij")`` over ``grid.axis``): a table column formed one
-    slice of rows at a time, never as a full-grid array."""
+    """The axis-``axis`` index of each point of ``grid`` in C order, or, with ``coordinates``,
+    the point's coordinate, the index times ``grid.spacings[axis]`` (bit for bit the ravelled
+    ``axis`` entry of ``np.meshgrid(..., indexing="ij")`` over ``grid.axis``): a table column
+    formed one slice of rows at a time, never as a full-grid array."""
 
-    def __init__(self, grid: Grid, axis: int, spacing: float | None = None):
-        self.shape, self.axis, self.spacing = grid.shape, axis, spacing
-        self.dtype = np.dtype(np.intp if spacing is None else np.float64)
+    def __init__(self, grid: Grid, axis: int, coordinates: bool = False):
+        self.shape, self.axis, self.spacing = grid.shape, axis, grid.spacings[axis] if coordinates else None
+        self.dtype = np.dtype(np.float64 if coordinates else np.intp)
 
     def __len__(self) -> int:
         return math.prod(self.shape)

@@ -23,6 +23,8 @@ from . import spectral
 
 # largest share of the spectral energy a split lets the Nyquist bin carry
 NYQUIST_TOL = 1e-10
+# fewest snapshots a time series holds
+MIN_SNAPSHOTS = 8
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ class TimeSeriesField:
             raise ValueError("values must stack snapshots along axis 0")
         if values.shape[1:] != self.grid.shape:
             raise ValueError("snapshot shape does not match grid")
-        if values.shape[0] < 8:
-            raise ValueError("a time series needs at least 8 snapshots")
+        if values.shape[0] < MIN_SNAPSHOTS:
+            raise ValueError(f"a time series needs at least {MIN_SNAPSHOTS} snapshots")
         if not np.all(np.isfinite(values)):
             raise ValueError("time series values must be finite (no NaN/Inf)")
         require_positive("dt", self.dt)
@@ -54,7 +56,7 @@ class TimeSeriesField:
     @classmethod
     def from_fields(cls, fields: list[ComplexField], dt: float) -> "TimeSeriesField":
         if not fields:
-            raise ValueError("fields is empty: a time series needs at least 8 snapshots")
+            raise ValueError(f"fields is empty: a time series needs at least {MIN_SNAPSHOTS} snapshots")
         grid = fields[0].grid
         if (m := next((m for m, f in enumerate(fields) if f.grid != grid), None)) is not None:
             raise ValueError(f"fields are on two grids: snapshot 0 on {grid}, snapshot {m} on {fields[m].grid}")
@@ -102,7 +104,7 @@ def convection_current(psi: ComplexField | TimeSeriesField) -> np.ndarray:
     """Convection current j = hbar Im(psi* grad psi), hbar times :func:`spectral.phase_flux`, of
     a field or of every snapshot of a series at once: one read-only ``(dim, ...)`` array whose
     axis 1 indexes a series' snapshots.  Only the charge carries k0."""
-    j = spectral.phase_flux(psi.values, spectral.transform(psi.values, psi.grid), psi.grid)
+    j = spectral.phase_flux(psi.values, psi.grid)
     j *= CGS.hbar
     j.setflags(write=False)
     return j

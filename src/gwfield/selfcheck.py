@@ -285,10 +285,7 @@ def _operator_measurement_suite() -> list[Measurement]:
         pset = statequant.ProjectorSet.from_basis(q * (np.diag(r) / np.abs(np.diag(r))))
         probs = []
         for k in range(dim):
-            try:
-                updated, prob = statequant.luders_update(rho, pset, k)
-            except ValueError:
-                continue
+            updated, prob = statequant.luders_update(rho, pset, k)
             # construction re-validates Hermiticity/positivity/trace
             probs.append(prob)
             repeat.append(abs(statequant.luders_update(updated, pset, k)[1] - 1.0))
@@ -440,7 +437,7 @@ def _gradient_energy_split() -> list[Measurement]:
         form = madelung.polar_decompose(psi)
         qfield = madelung.quantum_potential(form, wavemech.EffectiveMassParams(omega_ref=omega_ref).m_star)
         # each term is a sum over the cells: the common factor dV cancels in the ratio
-        lhs = spectral.power_sum(spectral.transform(psi.values, psi.grid), psi.grid) / form.rho.size
+        lhs = spectral.power_sum(psi.values, psi.grid) / form.rho.size
         q_term = omega_ref / (CGS.hbar * CGS.c**2) * float(np.sum(form.rho * qfield.Q))
         phase_term = float(np.sum(form.rho * form.action_gradient_sq)) / CGS.hbar**2
         return abs(lhs - (q_term + phase_term)) / abs(lhs)

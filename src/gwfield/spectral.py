@@ -73,13 +73,6 @@ def _derivative(spec: np.ndarray, k: np.ndarray, grid: Grid, out: np.ndarray) ->
     return inverse(out, grid)
 
 
-def laplacian(spec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Laplacian of the field whose :func:`transform` is ``spec``, written into ``spec``."""
-    k_sq = k_squared(grid)
-    np.multiply(np.negative(k_sq, out=k_sq), spec, out=spec)
-    return inverse(spec, grid)
-
-
 def derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Spectral d ``values``/dx_axis, one complex array."""
     spec = transform(values, grid)
@@ -101,12 +94,12 @@ def gradient_spline(values: np.ndarray, grid: Grid) -> np.ndarray:
     return coefficients
 
 
-def phase_flux(values: np.ndarray, spec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Im(conj(psi) grad psi) = rho grad(phase) of psi = ``values`` (``spec`` is its
-    :func:`transform`, spent: the last gradient component is written over it), one real
-    ``(dim, ...)`` array: smooth across phase seams, times hbar the convection current."""
-    rows = np.empty((grid.dim, *spec.shape))
-    for f, flux in _flux_chunks(values, spec, grid, ((row,) for row in rows), spend=True):
+def phase_flux(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Im(conj(psi) grad psi) = rho grad(phase) of psi = ``values``, one real ``(dim, ...)``
+    array: smooth across phase seams, times hbar the convection current.  The last gradient
+    component is written over the kernel's own :func:`transform` of ``values``."""
+    rows = np.empty((grid.dim, *np.shape(values)))
+    for f, flux in _flux_chunks(values, transform(values, grid), grid, ((row,) for row in rows), spend=True):
         flux[...] = f
     return rows
 
@@ -124,10 +117,10 @@ def _flux_chunks(values: np.ndarray, spec: np.ndarray, grid: Grid, arrays, spend
             yield np.imag(np.conj(psi) * d_psi), *chunks
 
 
-def power_sum(spec: np.ndarray, grid: Grid) -> float:
-    """Sum of k^2 |spec|^2 over the power spectrum of a forward transform ``spec``.  Times
-    dV/N it is the Parseval partner of the gradient energy int |grad psi|^2 dV."""
-    power = np.abs(spec) ** 2
+def power_sum(values: np.ndarray, grid: Grid) -> float:
+    """Sum of k^2 |spec|^2 over the power spectrum of spec = :func:`transform` of ``values``.
+    Times dV/N it is the Parseval partner of the gradient energy int |grad psi|^2 dV."""
+    power = np.abs(transform(values, grid)) ** 2
     power *= k_squared(grid)
     return float(np.sum(power))
 
@@ -146,7 +139,9 @@ def power_mean(spec: np.ndarray, grid: Grid, weight) -> float:
 def _conj_laplacian_product(values: np.ndarray, spec: np.ndarray, grid: Grid) -> np.ndarray:
     """conj(lap psi) psi of psi = ``values`` (``spec`` is its :func:`transform`), written into
     ``spec``: its real part is Re(psi* lap psi), its imaginary part -Im(psi* lap psi)."""
-    return np.multiply(np.conjugate(laplacian(spec, grid), out=spec), values, out=spec)
+    k_sq = k_squared(grid)
+    np.multiply(np.negative(k_sq, out=k_sq), spec, out=spec)
+    return np.multiply(np.conjugate(inverse(spec, grid), out=spec), values, out=spec)
 
 
 def flux_divergence(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -190,7 +190,7 @@ def wave_energy(state: ClassicalWaveState, mu: float) -> float:
     require_nonnegative("mu", mu)
     psi, grid = state.psi.values, state.grid
     local = np.sum(np.abs(state.psi_dot.values) ** 2) / CGS.c**2 + mu**2 * np.sum(np.abs(psi) ** 2)
-    gradient = spectral.power_sum(spectral.transform(psi, grid), grid) / psi.size
+    gradient = spectral.power_sum(psi, grid) / psi.size
     return float(local + gradient) * grid.cell_volume
 
 

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwfield import bosestat, fieldio, helicity, hybridmeas, madelung, selfcheck, spectral, statequant, wavemech
+from gwfield import bosestat, cli, fieldio, helicity, hybridmeas, madelung, selfcheck, spectral, statequant, wavemech
+from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, normalize
 
 
@@ -208,6 +209,20 @@ def test_derived_values_equal_what_the_records_stored(tmp_path):
     psi = normalize(wavemech.gaussian_packet(wavemech.GaussianPacketSpec((0.5,), 0.08, (2 * np.pi * 3,)), grid))
     split = madelung.energy_decomposition(psi, wavemech.EffectiveMassParams(omega_ref=3e11))
     assert split.E == split.pc + split.Q_mean
+
+    # the maxent totals ThermoState stored, now derived from its table by the step that writes them
+    band = bosestat.FrequencyBand(1e11, 1e9, 1e3)
+    spec = tmp_path / "maxent.json"
+    spec.write_text(json.dumps({"bands": [{"nu_hz": band.nu, "d_nu_hz": band.d_nu, "volume_cm3": band.volume}],
+                                "e_target_erg": 1e-12, "r_max": 60}))
+    assert cli.main(["maxent", "--spec", str(spec), "--output-dir", str(tmp_path / "maxent")]) == 0
+    written = json.loads((tmp_path / "maxent" / "thermo.json").read_text())
+    table, _ = bosestat.maximize_entropy([band], 1e-12, 60)
+    totals = {"E_erg": table.total_energy(), "S_erg_per_K": CGS.k_B * table.ln_multiplicity(),
+              "N_photons": float(table.photon_numbers().sum())}
+    assert all(type(value) is float for value in totals.values())
+    assert {key: written[key] for key in totals} == totals
+    assert abs(totals["E_erg"] - 1e-12) <= bosestat.ENERGY_TOL * 1e-12
 
     for n_points, lengths in ((16, 1.0), ((16, 8), (1.0, 0.5)), ((8, 8, 10), (1.0, 2.0, 3.0))):
         grid = Grid.of(n_points, lengths)

@@ -206,9 +206,9 @@ class TestMaximizeEntropy:
         row = geometric_occupancy(band, T, r_max=60)
         e0 = CGS.h * band.nu * float(row @ np.arange(len(row)))
         delta = 1e-3 * e0
-        _, lo = maximize_entropy([band], e0 - delta, r_max=60)
-        _, hi = maximize_entropy([band], e0 + delta, r_max=60)
-        slope = (hi.S_entropy - lo.S_entropy) / (2.0 * delta)
+        lo, _ = maximize_entropy([band], e0 - delta, r_max=60)
+        hi, _ = maximize_entropy([band], e0 + delta, r_max=60)
+        slope = CGS.k_B * (hi.ln_multiplicity() - lo.ln_multiplicity()) / (2.0 * delta)
         _, mid = maximize_entropy([band], e0, r_max=60)
         assert slope == pytest.approx(1.0 / mid.temperature, rel=1e-4)
 

@@ -146,12 +146,13 @@ class TestDeterminism:
         assert record["weights"] == [pytest.approx(0.36), pytest.approx(0.64)]
         assert record["resolved"] is True
 
-    def test_measure_trial_count_takes_no_memory(self, tmp_path):
-        # one multinomial draw: 1e13 trials would be a 73 TiB array of single draws
+    # one multinomial draw: 1e13 trials would be a 73 TiB array of single draws, and 2**63 - 1,
+    # the largest C long its counts hold, is the most --trials takes
+    @pytest.mark.parametrize("trials", [10_000_000_000_000, 2**63 - 1], ids=["1e13", "c-long-max"])
+    def test_measure_trial_count_takes_no_memory(self, tmp_path, trials):
         spec = tmp_path / "setup.json"
         spec.write_text(json.dumps({"eigenvalues": [1.0, -1.0], "amplitudes": [0.6, 0.8]}))
         out = tmp_path / "m"
-        trials = 10_000_000_000_000
         assert run_cli("measure", "--spec", spec, "--trials", trials, "--seed", 5,
                        "--output-dir", out) == 0
         counts = [int(row[3]) for row in read_rows(out / "frequencies.csv")[1:]]
@@ -921,6 +922,7 @@ class TestOutOfRangeValues:
          ["--field", "packet.csv", "--next-field", "fine.csv"]),
         (["measure", "--spec", "{measure.json}", "--trials", 10, "--seed", -1], ["--seed"]),
         (["measure", "--spec", "{measure.json}", "--trials", 0, "--seed", 1], ["--trials"]),
+        (["measure", "--spec", "{measure.json}", "--trials", 10**20, "--seed", 1], ["--trials"]),
         (["helicity", "--series-dir", "{equal_stamps}", "--k0-rad-per-cm", 1.0],
          ["t_s", "equal_stamps"]),
         (["helicity", "--series-dir", "{decreasing_stamps}", "--k0-rad-per-cm", 1.0],
@@ -944,6 +946,7 @@ class TestOutOfRangeValues:
          ["--outcome"]),
         (["helicity", "--series-dir", "{unstamped}", "--k0-rad-per-cm", 1.0], ["t_s", "unstamped"]),
     ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "measure-trials-zero",
+            "measure-trials-above-c-long",
             "helicity-equal-stamps", "helicity-decreasing-stamps", "bohm-seed-not-a-number",
             "propagate-wave-2d-default-initial", "propagate-wave-3d-right-moving",
             "propagate-unknown-equation", "schmidt-short-row", "propagate-packet-and-planewave",

@@ -16,12 +16,12 @@ from gwfield.fields import (
     make_plane_wave,
     normalize,
 )
-from gwfield import (bosestat, cmbrvac, fieldio, helicity, hybridmeas, madelung, selfcheck, spectral,
-                     statequant, wavemech)
+from gwfield import bosestat, cmbrvac, fieldio, helicity, hybridmeas, madelung, selfcheck, statequant, wavemech
 from gwfield.fieldio import (_BLOCK_ROWS, _SIDECAR_KEYS, ConfigError, GridColumn, _spec_floats, _spec_int,
                              read_field, read_object, read_table, write_field, write_table)
 
 from conftest import coordinate_meshes, random_field, registry_measurements, run_entry
+from test_kernels import plain_laplacian
 
 
 class TestConstants:
@@ -70,7 +70,7 @@ _POSITIVE_SITES = [
     ("FrequencyBand", "d_nu", lambda v: bosestat.FrequencyBand(1e11, v)),
     ("FrequencyBand", "volume", lambda v: bosestat.FrequencyBand(1e11, 1e9, v).n_states),
     ("geometric_occupancy", "T", lambda v: bosestat.geometric_occupancy(_BAND, v, r_max=60)),
-    ("ThermoState", "beta", lambda v: bosestat.ThermoState(v, 1.0, 1.0, 1.0)),
+    ("ThermoState", "beta", lambda v: bosestat.ThermoState(v, 0)),
     ("maximize_entropy", "e_target", lambda v: bosestat.maximize_entropy([_BAND], v, 60)),
     ("planck_density", "T", lambda v: bosestat.planck_density(1e11, v)),
     ("planck_density", "nu", lambda v: bosestat.planck_density(v, 2.7)),
@@ -270,7 +270,7 @@ class TestSpectralProperties:
         k_vec = tuple(2.0 * math.pi * m / l for m, l in zip((1, 2, 1), grid.lengths))
         k_mag_sq = sum(k * k for k in k_vec)
         psi = make_plane_wave(1.0, k_vec, grid)
-        lap = spectral.laplacian(np.fft.fftn(psi.values), grid)
+        lap = plain_laplacian(psi)
         np.testing.assert_allclose(lap, -k_mag_sq * psi.values, rtol=1e-10)
 
 
@@ -385,7 +385,7 @@ class TestTableIO:
         monkeypatch.setattr(fieldio, "_BLOCK_ROWS", 7)
         grid = Grid.of((10, 8, 12), (1.0, 0.3, 7.0))
         columns = [*(GridColumn(grid, axis) for axis in range(3)),
-                   *(GridColumn(grid, axis, h) for axis, h in enumerate(grid.spacings))]
+                   *(GridColumn(grid, axis, coordinates=True) for axis in range(3))]
         write_table(tmp_path / "grid.csv", list("ijlxyz"), columns)
         indices = [a.ravel() for a in np.indices(grid.shape)]
         with (tmp_path / "reference.csv").open("w", newline="") as handle:

@@ -199,7 +199,7 @@ class TestSeriesCurrent:
         j = convection_current(series)
         assert j.shape == (series.grid.dim, series.n_snapshots, *series.grid.shape)
         for m, values in enumerate(series.values):
-            flux = spectral.phase_flux(values, spectral.transform(values, series.grid), series.grid)
+            flux = spectral.phase_flux(values, series.grid)
             assert np.array_equal(j[:, m], CGS.hbar * flux)
 
     def test_mean_is_the_snapshot_average(self, rng):
@@ -218,9 +218,7 @@ class TestSeriesCurrent:
     def test_time_averaged_current_matches_a_sum_over_snapshots(self, rng):
         series = self.series(rng)
         # the snapshot loop: hbar * flux of each snapshot, added in order, over the count
-        currents = (CGS.hbar * np.array(spectral.phase_flux(
-                        values, spectral.transform(values, series.grid), series.grid))
-                    for values in series.values)
+        currents = (CGS.hbar * np.array(spectral.phase_flux(values, series.grid)) for values in series.values)
         expected = tuple(functools.reduce(operator.add, currents) / series.n_snapshots)
         result = time_averaged_current(series, K1)
         assert len(result) == len(expected) == series.grid.dim

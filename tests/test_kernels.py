@@ -124,7 +124,7 @@ def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
 class TestSameBitsAsThePlainFormulas:
     def test_flux(self, grid, rng):
         psi = random_field(grid, rng)
-        flux = spectral.phase_flux(psi.values, spectral.transform(psi.values, grid), grid)
+        flux = spectral.phase_flux(psi.values, grid)
         assert bit_equal(flux, plain_flux(psi))
 
     def test_convection_current(self, grid, rng):
@@ -243,7 +243,7 @@ class TestAllocationBudgets:
         # the spectrum and one complex gradient component (measured 2.29); the last component
         # is written over the spectrum, so each call transforms afresh
         assert traced_beyond_result(
-            lambda: spectral.phase_flux(psi.values, spectral.transform(psi.values, GRID), GRID)) <= 2.5
+            lambda: spectral.phase_flux(psi.values, GRID)) <= 2.5
 
     def test_convection_current(self, rng):
         # in series of 8 snapshots of 32^3 points on a 1D grid: the spectrum, which the one

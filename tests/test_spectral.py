@@ -7,6 +7,7 @@ from gwfield import madelung, spectral
 from gwfield.fields import ComplexField, Grid
 
 from conftest import coordinate_meshes, random_field
+from test_kernels import plain_laplacian
 
 GRIDS = [
     Grid.of(64, 1.0),
@@ -46,7 +47,7 @@ class TestOpenAxesMatchFullMeshes:
 
     def test_vector_fields_are_one_array(self, grid, rng):
         values = random_field(grid, rng).values
-        field = spectral.phase_flux(values, spectral.transform(values, grid), grid)
+        field = spectral.phase_flux(values, grid)
         assert isinstance(field, np.ndarray)
         assert field.shape == (grid.dim, *grid.shape)
 
@@ -81,10 +82,7 @@ class TestSnapshotStacks:
         def gradient(values, grid):
             return [spectral.derivative(values, grid, i) for i in range(grid.dim)]
 
-        def phase_flux(values, grid):
-            return spectral.phase_flux(values, spectral.transform(values, grid), grid)
-
-        for transform in (gradient, phase_flux):
+        for transform in (gradient, spectral.phase_flux):
             result = transform(stack, grid)
             for m, values in enumerate(stack):
                 assert all(np.array_equal(r[m], e) for r, e in zip(result, transform(values, grid)))
@@ -104,7 +102,7 @@ class TestPhaseFlux:
         amplitude = 0.7 - 1.9j
         phase = sum(k * x for k, x in zip(k_vec, coordinate_meshes(grid)))
         values = amplitude * np.exp(1j * phase)
-        flux = spectral.phase_flux(values, spectral.transform(values, grid), grid)
+        flux = spectral.phase_flux(values, grid)
         for f, k in zip(flux, k_vec):
             np.testing.assert_allclose(f, abs(amplitude) ** 2 * k, rtol=1e-12)
 
@@ -112,7 +110,7 @@ class TestPhaseFlux:
         grid = Grid.of((16, 16), (1.0, 1.0))
         values = random_field(grid, rng).values.real
         scale = float(np.abs(values).max()) ** 2 * 2.0 * math.pi * grid.n_points[0]
-        for f in spectral.phase_flux(values, spectral.transform(values, grid), grid):
+        for f in spectral.phase_flux(values, grid):
             assert float(np.abs(f).max()) < 1e-13 * scale
 
 
@@ -140,7 +138,7 @@ class TestPowerSum:
     def test_k_squared_weight_is_gradient_energy(self, grid, rng):
         values = random_field(grid, rng).values
         n_total = float(np.prod(grid.n_points))
-        fourier = spectral.power_sum(np.fft.fftn(values), grid) * grid.cell_volume / n_total
+        fourier = spectral.power_sum(values, grid) * grid.cell_volume / n_total
         physical = sum(float(np.sum(np.abs(spectral.derivative(values, grid, i)) ** 2)) for i in range(grid.dim))
         assert fourier == pytest.approx(physical * grid.cell_volume, rel=1e-12)
 
@@ -153,7 +151,7 @@ class TestSqrtDensityCurvature:
         # a carrier and a smooth phase: the flux term must cancel the phase's share of lap psi
         psi = ComplexField(grid=grid, values=sqrt_rho * np.exp(
             1j * (2.0 * math.pi * 3 * x + 0.5 * np.sin(2.0 * math.pi * x))))
-        expected = spectral.laplacian(np.fft.fftn(sqrt_rho), grid).real / sqrt_rho
+        expected = plain_laplacian(ComplexField(grid=grid, values=sqrt_rho)).real / sqrt_rho
         form = madelung.MadelungForm(psi)
         result = spectral.polar_terms(psi, form.rho, form.branch_mask).curvature
         np.testing.assert_allclose(result, expected, rtol=1e-9, atol=1e-9)
@@ -165,15 +163,40 @@ def test_flux_divergence_is_im_psi_lap_psi(grid, rng):
     # field of modes |m| < N/8 holds modes under N/4, so the spectral divergence of the flux is exact
     psi = random_field(grid, rng)
     values = psi.values
-    flux = spectral.phase_flux(values, spectral.transform(values, grid), grid)
+    flux = spectral.phase_flux(values, grid)
     divergence = sum(spectral.derivative(f, grid, i).real for i, f in enumerate(flux))
-    lap = spectral.laplacian(spectral.transform(values, grid), grid)
+    lap = plain_laplacian(psi)
     expected = np.imag(np.conj(values) * lap)
     scale = float(np.abs(expected).max())
     form = madelung.MadelungForm(psi)
     for result in (divergence, spectral.flux_divergence(values, grid),
                    spectral.polar_terms(psi, form.rho, form.branch_mask).flux_divergence):
         assert float(np.abs(result - expected).max()) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+def test_kernels_leave_their_inputs_as_they_were(grid, rng):
+    # every public kernel but inverse takes read-only inputs and writes over none of them
+    psi = random_field(grid, rng)
+    values, real, form = psi.values, np.ascontiguousarray(psi.values.real), madelung.MadelungForm(psi)
+    spec = spectral.transform(values, grid)
+    inputs = (values, real, spec, form.rho, form.branch_mask)
+    before = [a.copy() for a in inputs]
+    for a in inputs:
+        a.setflags(write=False)
+    kernels = {
+        "transform": lambda: spectral.transform(values, grid),
+        "derivative": lambda: [spectral.derivative(values, grid, i) for i in range(grid.dim)],
+        "gradient_spline": lambda: spectral.gradient_spline(real, grid),
+        "phase_flux": lambda: spectral.phase_flux(values, grid),
+        "power_sum": lambda: spectral.power_sum(values, grid),
+        "power_mean": lambda: spectral.power_mean(spec, grid, np.sqrt),
+        "flux_divergence": lambda: spectral.flux_divergence(values, grid),
+        "polar_terms": lambda: spectral.polar_terms(psi, form.rho, form.branch_mask),
+    }
+    for name, kernel in kernels.items():
+        kernel()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before)), name
 
 
 class TestNodeMask:

@@ -222,7 +222,7 @@ class TestEvolveClassicalWave:
             grid=grid, values=random_field(grid, rng).values * CGS.c / grid.lengths[0]))
         mu = 7.5
         psi_hat, dot_hat = np.fft.fftn(state.psi.values), np.fft.fftn(state.psi_dot.values)
-        spectral_sum = (float(np.sum(np.abs(dot_hat) ** 2)) / CGS.c**2 + spectral.power_sum(psi_hat, grid)
+        spectral_sum = (float(np.sum(np.abs(dot_hat) ** 2)) / CGS.c**2 + spectral.power_sum(state.psi.values, grid)
                         + mu**2 * float(np.sum(np.abs(psi_hat) ** 2)))
         expected = spectral_sum * grid.cell_volume / float(np.prod(grid.n_points))
         assert wavemech.wave_energy(state, mu) == pytest.approx(expected, rel=1e-13)
