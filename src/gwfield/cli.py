@@ -237,9 +237,9 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
     form = madelung.polar_decompose(psi)
     qfield = madelung.quantum_potential(form, params.m_star)
     decomposition = madelung.energy_decomposition(psi, params)
-    grid = psi.grid
+    grid, rho = psi.grid, form.rho
     columns = [GridColumn(grid, axis, coordinates=True) for axis in range(grid.dim)] + [
-        a.ravel() for a in (form.rho, form.action, qfield.Q, form.curvature)
+        a.ravel() for a in (rho, form.action, qfield.Q, form.curvature)
     ]
     axis_names = [f"x{i}_cm" for i in range(grid.dim)]
     summary = {
@@ -258,7 +258,7 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
             raise ConfigError(
                 f"--next-field {args.next_field} is not on the grid of --field {args.field}",
                 {"files": [args.field, args.next_field]})
-        rho_dot = (normalize(next_psi).density() - form.rho) / args.dt_s
+        rho_dot = (normalize(next_psi).density() - rho) / args.dt_s
         summary["continuity_residual"] = madelung.continuity_residual(form, rho_dot, params.m_star)
     if args.energy_erg is not None:
         summary["hj_residual_erg"] = madelung.hj_residual(form, params, -args.energy_erg)

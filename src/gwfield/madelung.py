@@ -42,10 +42,10 @@ class MadelungForm:
     of 2*pi.  Where rho falls below :data:`RHO_FLOOR_REL` times its peak the phase is undefined;
     those points are masked, and unwrap chains through them are unreliable.  A zero field is refused.
 
-    The form is the one polar analysis of its field, derived from ``psi`` on first use
-    and kept read-only.  Its polar terms come from one transient transform of psi
-    (:func:`spectral.polar_terms`): psi must be periodic and band-limited
-    (``gaussian_packet`` wraps; a dump need not).
+    The form is the one polar analysis of its field, derived from ``psi`` on first use and
+    kept read-only; the density, which psi fixes bit for bit, is derived on each read.  Its
+    polar terms come from one transient transform of psi (:func:`spectral.polar_terms`): psi
+    must be periodic and band-limited (``gaussian_packet`` wraps; a dump need not).
     """
 
     psi: ComplexField
@@ -58,13 +58,17 @@ class MadelungForm:
     def grid(self) -> Grid:
         return self.psi.grid
 
-    @_read_only
+    @property
     def rho(self) -> np.ndarray:
-        return self.psi.density()
+        """|psi|^2, derived on each read as :attr:`QuantumPotentialField.Q` is: the form stores none."""
+        rho = self.psi.density()
+        rho.setflags(write=False)
+        return rho
 
     @_read_only
     def branch_mask(self) -> np.ndarray:
-        return self.rho < RHO_FLOOR_REL * float(self.rho.max())
+        rho = self.psi.density()
+        return rho < RHO_FLOOR_REL * float(rho.max())
 
     @_read_only
     def action(self) -> np.ndarray:
@@ -79,7 +83,7 @@ class MadelungForm:
 
     @cached_property
     def _terms(self) -> spectral.PolarTerms:
-        return spectral.polar_terms(self.psi, self.rho, self.branch_mask)
+        return spectral.polar_terms(self.psi, self.branch_mask)
 
     curvature = property(lambda self: self._terms.curvature, doc="""lap(sqrt rho)/sqrt(rho) [1/cm^2];
         masked points carry zeros.  Its vanishing makes a wave packet non-dispersive: it doubles
@@ -93,7 +97,10 @@ class MadelungForm:
 
     def mean(self, values: np.ndarray) -> float:
         """rho-weighted mean of ``values``."""
-        return float(np.sum(self.rho * values) / np.sum(self.rho))
+        rho = self.psi.density()
+        total = np.sum(rho)
+        rho *= values
+        return float(np.sum(rho) / total)
 
     def rms(self, values: np.ndarray) -> float:
         """Root mean square of ``values`` over the unmasked points."""

@@ -437,9 +437,10 @@ def _gradient_energy_split() -> list[Measurement]:
         form = madelung.polar_decompose(psi)
         qfield = madelung.quantum_potential(form, wavemech.EffectiveMassParams(omega_ref=omega_ref).m_star)
         # each term is a sum over the cells: the common factor dV cancels in the ratio
-        lhs = spectral.power_sum(psi.values, psi.grid) / form.rho.size
-        q_term = omega_ref / (CGS.hbar * CGS.c**2) * float(np.sum(form.rho * qfield.Q))
-        phase_term = float(np.sum(form.rho * form.action_gradient_sq)) / CGS.hbar**2
+        rho = form.rho
+        lhs = spectral.power_sum(psi.values, psi.grid) / rho.size
+        q_term = omega_ref / (CGS.hbar * CGS.c**2) * float(np.sum(rho * qfield.Q))
+        phase_term = float(np.sum(rho * form.action_gradient_sq)) / CGS.hbar**2
         return abs(lhs - (q_term + phase_term)) / abs(lhs)
 
     rng = np.random.default_rng(2121)

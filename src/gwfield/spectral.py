@@ -157,29 +157,31 @@ class PolarTerms(NamedTuple):
     mean_k: float
 
 
-def polar_terms(psi: ComplexField, rho: np.ndarray, mask: np.ndarray) -> PolarTerms:
+def polar_terms(psi: ComplexField, mask: np.ndarray) -> PolarTerms:
     """The polar terms of psi from one transient :func:`transform` (rho = |psi|^2, nodes under
     ``mask``, f = Im(psi* grad psi)): lap(sqrt rho)/sqrt(rho) = [Re(psi* lap psi) + |f|^2/rho]/rho
     and |grad S|^2 = (hbar f/rho)^2, both zero under ``mask``; div f = Im(psi* lap psi); and the
-    mean |k| over the power spectrum (a zero field, which has none, raises).  psi must be
-    periodic and band-limited: the curvature's rounding then grows as eps sqrt(rho_max/rho)
+    mean |k| over the power spectrum (a zero field, which has none, raises).  rho and the mask's
+    complement are formed one :func:`flat_chunks` chunk at a time, never as whole grids.  psi must
+    be periodic and band-limited: the curvature's rounding then grows as eps sqrt(rho_max/rho)
     towards the nodes, while a field cut off at the box edge rings into the whole spectrum."""
     grid, values = psi.grid, psi.values
     spec = transform(values, grid)
     mean_k = power_mean(spec, grid, lambda k_sq: np.sqrt(k_sq, out=k_sq))
-    unmasked = ~mask
     curvature, action_gradient_sq = np.zeros(grid.shape), np.zeros(grid.shape)
-    per_axis = [(rho, unmasked, curvature, action_gradient_sq)] * grid.dim
-    for f, r, keep, curv, act in _flux_chunks(values, spec, grid, per_axis):
+    per_axis = [(values, mask, curvature, action_gradient_sq)] * grid.dim
+    for f, psi_chunk, mask_chunk, curv, act in _flux_chunks(values, spec, grid, per_axis):
         curv += f * f
-        np.divide(np.multiply(CGS.hbar, f, out=f), r, out=f, where=keep)
+        np.divide(np.multiply(CGS.hbar, f, out=f), np.abs(psi_chunk) ** 2, out=f, where=~mask_chunk)
         f **= 2
         act += f
     # Re(conj(psi) lap) as Re(conj(lap) psi): the same products, formed in the spectrum
     product = _conj_laplacian_product(values, spec, grid)
-    np.divide(curvature, rho, out=curvature, where=unmasked)
-    curvature += product.real
-    np.divide(curvature, rho, out=curvature, where=unmasked)
+    for psi_chunk, mask_chunk, curv, prod in flat_chunks(values, mask, curvature, product):
+        r, keep = np.abs(psi_chunk) ** 2, ~mask_chunk
+        np.divide(curv, r, out=curv, where=keep)
+        curv += prod.real
+        np.divide(curv, r, out=curv, where=keep)
     for term in (curvature, action_gradient_sq):
         np.copyto(term, 0.0, where=mask)
     terms = PolarTerms(curvature, action_gradient_sq, np.negative(product.imag), mean_k)

@@ -254,7 +254,7 @@ def test_every_array_a_record_stores_is_read_only():
         statequant.luders_update(rho, projectors, 1)[0], statequant.von_neumann_update(rho, projectors),
         statequant.schmidt_decompose([[0.6, 0.0], [0.0, 0.8]]), setup, table,
         form, qfield, madelung.run_trajectory(qfield, [[0.5]], [[0.0]], 1e-14, 3, "massive"),
-        spectral.polar_terms(psi, form.rho, form.branch_mask),
+        spectral.polar_terms(psi, form.branch_mask),
     ]
     arrays = []  # ("Record.attribute", array) for each array a record stores
     for rec in records:
@@ -268,7 +268,7 @@ def test_every_array_a_record_stores_is_read_only():
     assert not writable, f"records that store writable arrays: {writable}"
     assert {"OutcomeFrequencies.counts", "SchmidtResult.left_basis",
             "BohmTrajectory.last_step", "PolarTerms.flux_divergence", "MadelungForm._terms"} <= {n for n, _ in arrays}
-    derived = [getattr(setup, name) for name in ("pointer_positions", "weights", "overlap_matrix")]
+    derived = [getattr(setup, name) for name in ("pointer_positions", "weights", "overlap_matrix")] + [form.rho]
     assert all(isinstance(array, np.ndarray) and not array.flags.writeable for array in derived)
     with pytest.raises(ValueError, match="read-only"):
         table.counts[0] += 50

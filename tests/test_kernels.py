@@ -21,6 +21,8 @@ FULL = 32**3 * 16
 GRIDS = [Grid.of(4100, 1.0), Grid.of((10, 14), (1.0, 2.0)), Grid.of((10, 12, 14), (1.0, 0.5, 3.0)),
          Grid.of((24, 24, 24), (1.0, 1.0, 1.0)), GRID]
 IDS = ["1d", "2d", "3d-small", "3d-24", "3d-32"]
+# the reads that fill every cached array of a form
+FORM_READS = ("curvature", "action_gradient_sq", "flux_divergence", "mean_wavenumber", "branch_mask")
 
 
 def packet(grid: Grid) -> ComplexField:
@@ -29,9 +31,10 @@ def packet(grid: Grid) -> ComplexField:
         k_carrier=(4.0 * math.pi, 0.0, -2.0 * math.pi)[:grid.dim]), grid))
 
 
-def traced_beyond_result(compute) -> float:
-    """Traced peak of ``compute()`` minus what it leaves allocated, in full complex grids.
-    ``compute`` runs once beforehand, so lazy set-up (FFT plans) is not counted."""
+def traced(compute) -> tuple[float, float]:
+    """Traced peak of ``compute()`` and what it leaves allocated, both from the traced memory
+    before it, in full complex grids.  ``compute`` runs once beforehand, so lazy set-up (FFT
+    plans) is not counted."""
     compute()
     tracemalloc.start()
     try:
@@ -43,7 +46,13 @@ def traced_beyond_result(compute) -> float:
         tracemalloc.stop()
     del result
     assert current >= start
-    return (peak - current) / FULL
+    return (peak - start) / FULL, (current - start) / FULL
+
+
+def traced_beyond_result(compute) -> float:
+    """Traced peak of ``compute()`` minus what it leaves allocated, in full complex grids."""
+    peak, left = traced(compute)
+    return peak - left
 
 
 def plain_flux(psi: ComplexField | helicity.TimeSeriesField) -> np.ndarray:
@@ -268,10 +277,32 @@ class TestAllocationBudgets:
 
     def test_curvature(self, psi):
         # the one pass of a form: the spectrum and one complex gradient component beside
-        # the two sums (measured 1.85); no flux row, and no spectrum left behind
+        # the two sums (measured 1.78, against 1.85 with the mask's complement formed whole);
+        # no flux row, no density, and no spectrum left behind
         form = madelung.MadelungForm(psi)
         form.branch_mask
-        assert traced_beyond_result(lambda: spectral.polar_terms(psi, form.rho, form.branch_mask)) <= 2.0
+        assert traced_beyond_result(lambda: spectral.polar_terms(psi, form.branch_mask)) <= 2.0
+
+    def test_form_stores_no_density(self, psi):
+        # once every polar term is read: the node mask and the three term grids (measured
+        # 1.56, against 2.06 while the form kept its density)
+        form = madelung.MadelungForm(psi)
+        for name in FORM_READS:
+            getattr(form, name)
+        stored = [a for a in vars(form).values() if isinstance(a, np.ndarray)] + list(form._terms[:3])
+        assert all(a.shape == GRID.shape for a in stored)
+        assert sum(a.nbytes for a in stored) / FULL <= 1.6
+
+    def test_form_build(self, psi):
+        # a form and all of its polar terms, counted whole: its stored arrays beside the
+        # pass's spectrum and gradient component (measured 3.37, against 3.93 while the form
+        # kept its density and the pass formed the mask's complement whole)
+        def build():
+            form = madelung.MadelungForm(psi)
+            for name in FORM_READS:
+                getattr(form, name)
+            return form
+        assert traced(build)[0] <= 3.45
 
     def test_continuity_residual(self, psi, params):
         # the residual, one real grid, and the unmasked entries the RMS picks from it

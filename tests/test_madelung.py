@@ -378,6 +378,24 @@ class TestFormFromPsiAlone:
         form.action
         assert "action" in vars(form)
 
+    def test_density_is_derived_on_each_read(self, rng):
+        form = polar_decompose(random_field(Grid.of((16, 8), (1.0, 0.5)), rng))
+        for name in dir(form):  # every public read, which fills the cached ones
+            if not name.startswith("_"):
+                getattr(form, name)
+        assert "rho" not in vars(form)
+        first, second = form.rho, form.rho
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes() == form.psi.density().tobytes()
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+    def test_mean_is_the_density_weighted_mean(self, rng):
+        form = polar_decompose(random_field(Grid.of((16, 8), (1.0, 0.5)), rng))
+        values = random_field(form.grid, rng).values.real
+        rho = form.psi.density()
+        assert form.mean(values) == float(np.sum(rho * values) / np.sum(rho))
+
     def test_rms_is_the_masked_rms(self):
         grid = Grid.of(512, 80.0)
         psi = ComplexField(grid=grid, values=np.exp(-((grid.axis(0) - 40.0) ** 2) / 4.0) + 0j)

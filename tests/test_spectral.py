@@ -153,7 +153,7 @@ class TestSqrtDensityCurvature:
             1j * (2.0 * math.pi * 3 * x + 0.5 * np.sin(2.0 * math.pi * x))))
         expected = plain_laplacian(ComplexField(grid=grid, values=sqrt_rho)).real / sqrt_rho
         form = madelung.MadelungForm(psi)
-        result = spectral.polar_terms(psi, form.rho, form.branch_mask).curvature
+        result = spectral.polar_terms(psi, form.branch_mask).curvature
         np.testing.assert_allclose(result, expected, rtol=1e-9, atol=1e-9)
 
 
@@ -170,7 +170,7 @@ def test_flux_divergence_is_im_psi_lap_psi(grid, rng):
     scale = float(np.abs(expected).max())
     form = madelung.MadelungForm(psi)
     for result in (divergence, spectral.flux_divergence(values, grid),
-                   spectral.polar_terms(psi, form.rho, form.branch_mask).flux_divergence):
+                   spectral.polar_terms(psi, form.branch_mask).flux_divergence):
         assert float(np.abs(result - expected).max()) < 1e-12 * scale
 
 
@@ -180,7 +180,7 @@ def test_kernels_leave_their_inputs_as_they_were(grid, rng):
     psi = random_field(grid, rng)
     values, real, form = psi.values, np.ascontiguousarray(psi.values.real), madelung.MadelungForm(psi)
     spec = spectral.transform(values, grid)
-    inputs = (values, real, spec, form.rho, form.branch_mask)
+    inputs = (values, real, spec, form.branch_mask)
     before = [a.copy() for a in inputs]
     for a in inputs:
         a.setflags(write=False)
@@ -192,7 +192,7 @@ def test_kernels_leave_their_inputs_as_they_were(grid, rng):
         "power_sum": lambda: spectral.power_sum(values, grid),
         "power_mean": lambda: spectral.power_mean(spec, grid, np.sqrt),
         "flux_divergence": lambda: spectral.flux_divergence(values, grid),
-        "polar_terms": lambda: spectral.polar_terms(psi, form.rho, form.branch_mask),
+        "polar_terms": lambda: spectral.polar_terms(psi, form.branch_mask),
     }
     for name, kernel in kernels.items():
         kernel()
