@@ -609,8 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(code: int, message: str, context: dict) -> None:
+def _emit_error(code: int, message: str, context: dict) -> int:
     sys.stderr.write(json.dumps({"code": code, "message": message, "context": context}) + "\n")
+    return code
+
+
+def _where(exc: Exception) -> str:
+    import traceback
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -632,22 +639,15 @@ def main(argv: list[str] | None = None) -> int:
             config, outputs = run(args)
         _write_run(outdir.resolve(), config, outputs, t_start)
     except OSError as exc:
-        _emit_error(4, str(exc), {})
-        return 4
+        return _emit_error(4, str(exc), {})
     # LinAlgError subclasses ValueError, so it must be caught before ValueError
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        _emit_error(3, str(exc), {"type": type(exc).__name__, **getattr(exc, "context", {})})
-        return 3
+        return _emit_error(3, str(exc), {"type": type(exc).__name__, "where": _where(exc),
+                                         **getattr(exc, "context", {})})
     except ValueError as exc:  # ConfigError and the library's input validation
-        _emit_error(2, str(exc), {"type": type(exc).__name__, **getattr(exc, "context", {})})
-        return 2
+        return _emit_error(2, str(exc), {"type": type(exc).__name__, **getattr(exc, "context", {})})
     except Exception as exc:  # last resort: a failure nobody foresaw is still one JSON line
-        import traceback
-
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
-        _emit_error(1, str(exc), {"type": type(exc).__name__, "where": where})
-        return 1
+        return _emit_error(1, str(exc), {"type": type(exc).__name__, "where": _where(exc)})
     return 0
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ComplexField, Grid
+from .fields import NORM_TOL, ComplexField, Grid
 
 _INDEX_NAMES = ("i", "j", "l")
 # rows formatted or parsed at once
@@ -185,8 +185,9 @@ def write_table(path: str | Path, header: list[str], columns) -> None:
 def write_field(field: ComplexField, csv_path: str | Path, t_s: float | None = None) -> tuple[Path, Path]:
     """Write field values to ``csv_path`` and grid metadata to a sidecar.
 
-    Returns the (csv, sidecar) paths.  ``t_s`` optionally stamps the snapshot
-    time so that series consumers can recover uniform spacing.
+    Returns the (csv, sidecar) paths.  ``t_s`` optionally stamps the snapshot time so
+    that series consumers can recover uniform spacing.  The sidecar's ``normalized``
+    says whether the values hold sum |psi|^2 dV = 1 to ``fields.NORM_TOL``.
     """
     csv_path = Path(csv_path)
     grid = field.grid
@@ -198,7 +199,7 @@ def write_field(field: ComplexField, csv_path: str | Path, t_s: float | None = N
         "n_points": list(grid.n_points),
         "lengths": list(grid.lengths),
         "periodic": True,
-        "normalized": field.normalized,
+        "normalized": abs(field.norm_squared() - 1.0) <= NORM_TOL,
         "units": {"lengths": "cm", "values": "cm^(-dim/2) when normalized, arbitrary otherwise"},
     }
     if t_s is not None:
@@ -260,7 +261,8 @@ def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:
     :func:`write_field` writes, each of its type, with ``dim`` entries in
     ``n_points`` and ``lengths``, and unless every grid point appears exactly
     once with in-range indices and the file ends in a newline (a dump cut
-    inside its last number still parses as a shorter number).  The body is
+    inside its last number still parses as a shorter number), and unless a true
+    ``normalized`` holds of the values (a false one is not trusted).  The body is
     parsed and scattered into the field one block of rows at a time.
     """
     csv_path = Path(csv_path)
@@ -283,7 +285,9 @@ def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:
         handle.seek(-1, os.SEEK_END)
         if handle.read() != b"\n":
             raise ValueError(f"field CSV {csv_path} does not end in a newline: its last row is cut")
-    field = ComplexField(grid=grid, values=values, normalized=meta["normalized"])
+    field = ComplexField(grid=grid, values=values)
+    if meta["normalized"] and abs(field.norm_squared() - 1.0) > NORM_TOL:
+        raise ConfigError(f"{side}['normalized'] is true, but sum |psi|^2 dV = {field.norm_squared()!r}")
     return field, meta
 
 

@@ -9,6 +9,9 @@ import numpy as np
 
 from .constants import require_positive
 
+# largest |sum |psi|^2 dV - 1| of a field that counts as normalized
+NORM_TOL = 1e-10
+
 
 def frozen_array(values, dtype) -> np.ndarray:
     """``values`` as a read-only ``dtype`` array of its own.  A read-only ``dtype`` array
@@ -77,16 +80,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """A complex amplitude sampled on a :class:`Grid`.
-
-    Values are stored as an immutable complex128 array (see :func:`frozen_array`).
-    When ``normalized`` is set the field satisfies sum |psi|^2 dV = 1 over the
-    periodic box (the box plays the role of all space here).
-    """
+    """A complex amplitude sampled on a :class:`Grid`, its values an immutable complex128
+    array (see :func:`frozen_array`)."""
 
     grid: Grid
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         values = frozen_array(self.values, np.complex128)
@@ -95,10 +93,6 @@ class ComplexField:
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite (no NaN/Inf)")
         object.__setattr__(self, "values", values)
-        if self.normalized:
-            total = self.norm_squared()
-            if abs(total - 1.0) > 1e-10:
-                raise ValueError(f"normalized flag set but sum |psi|^2 dV = {total}")
 
     def norm_squared(self) -> float:
         return float(np.sum(self.density())) * self.grid.cell_volume
@@ -123,6 +117,8 @@ def make_plane_wave(amplitude: complex, k_vec: tuple[float, ...], grid: Grid) ->
         raise ValueError("k_vec dimensionality does not match grid")
     for i, (k, length) in enumerate(zip(k_vec, grid.lengths)):
         mode = k * length / (2.0 * math.pi)
+        if not math.isfinite(mode):
+            raise ValueError(f"k_vec[{i}] = {k} gives no finite mode number k*L/(2*pi) = {mode}")
         if abs(mode - round(mode)) > 1e-9:
             raise ValueError(
                 f"k_vec[{i}] = {k} is not grid-commensurate: k*L/(2*pi) = {mode} "
@@ -149,7 +145,7 @@ def normalize(psi: ComplexField) -> ComplexField:
         raise ValueError("cannot normalize null state")
     values = psi.values / n
     values.setflags(write=False)
-    return ComplexField(grid=psi.grid, values=values, normalized=True)
+    return ComplexField(grid=psi.grid, values=values)
 
 
 def inner_product(a: ComplexField, b: ComplexField) -> complex:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CGS, require_positive
-from .fields import ComplexField, Grid
+from .fields import NORM_TOL, ComplexField, Grid
 from .wavemech import EffectiveMassParams
 from . import spectral
 
@@ -198,7 +198,7 @@ def energy_decomposition(psi: ComplexField, params: EffectiveMassParams) -> Ener
     phase-based momentum, which vanishes there.  The two do not agree for
     standing waves and both are reported rather than reconciled.
     """
-    if abs(psi.norm_squared() - 1.0) > 1e-6:
+    if abs(psi.norm_squared() - 1.0) > NORM_TOL:
         raise ValueError("energy decomposition requires a normalized field")
     form = polar_decompose(psi)
     pc = CGS.hbar * CGS.c * form.mean_wavenumber

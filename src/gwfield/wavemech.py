@@ -29,7 +29,8 @@ class EffectiveMassParams:
     broadband field the caller chooses it explicitly.  Derived values:
     k0 = omega_ref/c, m_star = hbar*omega_ref/(2 c^2) = hbar*k0/(2c) [g], and
     the constant potential V0 = mu^2 c / k0 expressed as an angular frequency
-    [rad/s] (multiply by hbar for ergs).
+    [rad/s] (multiply by hbar for ergs).  An ``omega_ref`` whose m_star underflows
+    to 0, or a ``mu`` whose V0 is not a finite float, is refused by name.
     """
 
     omega_ref: float
@@ -38,6 +39,14 @@ class EffectiveMassParams:
     def __post_init__(self) -> None:
         require_positive("omega_ref", self.omega_ref)
         require_nonnegative("mu", self.mu)
+        if self.m_star == 0.0:
+            raise ValueError(f"omega_ref = {self.omega_ref!r} underflows m_star = hbar*omega_ref/(2 c^2) to 0")
+        try:
+            v0 = self.v0
+        except OverflowError:  # mu**2 beyond the float range
+            v0 = math.inf
+        if not math.isfinite(v0):
+            raise ValueError(f"mu = {self.mu!r} gives no finite V0 = mu^2 c/k0 (k0 = {self.k0!r})")
 
     @property
     def k0(self) -> float:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -833,6 +834,19 @@ class TestOutOfRangeValues:
             "times": [0.0],
         }))
         (tmp_path / "short_row.csv").write_text("re0,im0,re1,im1\n0.6,0.0\n0.8,0.0\n")
+        # finite values whose mode number, m_star or V0 leaves the float range
+        for name, spec in [
+            ("infinite_mode", {"equation": "wave", "wave_initial": "static",
+                               "grid": {"n_points": 64, "lengths": 2.0},
+                               "planewave": {"amplitude": 1.0, "k_vec": [1e308]}}),
+            ("tiny_omega_ref", {"equation": "schrodinger", "packet": pulse, "omega_ref": 1e-320}),
+            ("huge_mu", {"equation": "schrodinger", "packet": pulse, "omega_ref": 1e10, "mu": 1e308}),
+        ]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"grid": {"n_points": [64], "lengths": [1.0]}, "times": [0.0], **spec}))
+        # a sidecar that says "normalized": true over a packet of norm 0.1253...
+        _, side = write_field(psi, tmp_path / "flagged.csv")
+        side.write_text(side.read_text().replace('"normalized": false', '"normalized": true'))
         (tmp_path / "unstamped").mkdir()
         for idx in range(8):
             write_field(psi, tmp_path / "unstamped" / f"field_{idx:04d}.csv")
@@ -945,6 +959,14 @@ class TestOutOfRangeValues:
         (["update", "--rule", "luders", "--rho", "{pure_rho.json}", "--projectors", "{proj.json}"],
          ["--outcome"]),
         (["helicity", "--series-dir", "{unstamped}", "--k0-rad-per-cm", 1.0], ["t_s", "unstamped"]),
+        (["propagate", "--spec", "{infinite_mode.json}"], ["k_vec[0]", "mode number"]),
+        (["propagate", "--spec", "{tiny_omega_ref.json}"], ["omega_ref", "m_star"]),
+        (["propagate", "--spec", "{huge_mu.json}"], ["mu", "V0"]),
+        (["madelung", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e-320], ["omega_ref", "m_star"]),
+        (["madelung", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11, "--mu-per-cm", 1e308],
+         ["mu", "V0"]),
+        (["madelung", "--field", "{flagged.csv}", "--omega-ref-rad-per-s", 1e11],
+         ["flagged.json['normalized']", "0.1253"]),
     ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "measure-trials-zero",
             "measure-trials-above-c-long",
             "helicity-equal-stamps", "helicity-decreasing-stamps", "bohm-seed-not-a-number",
@@ -952,7 +974,9 @@ class TestOutOfRangeValues:
             "propagate-unknown-equation", "schmidt-short-row", "propagate-packet-and-planewave",
             "propagate-no-initial-field", "propagate-schrodinger-without-omega-ref",
             "bohm-seed-not-finite", "bohm-seed-wrong-dimension", "bohm-seed-count-mismatch",
-            "update-luders-without-outcome", "helicity-dump-without-t_s"])
+            "update-luders-without-outcome", "helicity-dump-without-t_s",
+            "propagate-infinite-mode-number", "propagate-m-star-underflows", "propagate-v0-overflows",
+            "madelung-m-star-underflows", "madelung-v0-overflows", "madelung-true-flag-unnormalized"])
     def test_error_names_its_flag(self, inputs, capsys, argv, names):
         argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
                 for a in argv]
@@ -1013,7 +1037,10 @@ class TestNumericalFailureStderr:
         assert done.returncode == 3, done.stderr
         lines = done.stderr.splitlines()
         assert len(lines) == 1, done.stderr
-        assert json.loads(lines[0])["code"] == 3
+        error = json.loads(lines[0])
+        assert error["code"] == 3
+        # the innermost frame of the failure, as the exit-1 path names it
+        assert re.fullmatch(r"\w+\.py:\d+ in \w+", error["context"]["where"]), error["context"]
         assert not (inputs / "out").exists()
 
     def test_underflowing_planck_rows_are_silent(self, inputs):
@@ -1169,8 +1196,9 @@ class TestJsonInputs:
         (lambda meta: meta.update(origin=[0.0]), ["field_0003.json", "origin"]),
         (lambda meta: meta.update(dim=2), ["field_0003.json['dim']"]),
         (lambda meta: meta.update(lengths=[1.0, 1.0]), ["field_0003.json['lengths']"]),
+        (lambda meta: meta.update(normalized=1), ["field_0003.json['normalized']", "true or false"]),
     ], ids=["no-dim", "n-points-string", "t-s-string", "unknown-key", "dim-disagrees",
-            "lengths-count"])
+            "lengths-count", "normalized-not-a-boolean"])
     def test_sidecar_values_are_typed(self, inputs, capsys, edit, names):
         side = inputs / "series" / "field_0003.json"
         meta = json.loads(side.read_text())

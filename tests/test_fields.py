@@ -10,6 +10,7 @@ import pytest
 
 from gwfield.constants import CGS, CgsConstants
 from gwfield.fields import (
+    NORM_TOL,
     ComplexField,
     Grid,
     inner_product,
@@ -167,11 +168,6 @@ class TestComplexField:
         real.setflags(write=False)
         assert ComplexField(grid=grid, values=real).values.dtype == np.complex128
 
-    def test_normalized_flag_checked(self):
-        grid = Grid.of(8, 1.0)
-        with pytest.raises(ValueError):
-            ComplexField(grid=grid, values=2.0 * np.ones(8, dtype=complex), normalized=True)
-
 
 class TestPlaneWave:
     def test_zero_mode_constant(self):
@@ -200,7 +196,6 @@ class TestNormalize:
         field = ComplexField(grid=grid, values=2.0 * np.ones(16, dtype=complex))
         out = normalize(field)
         np.testing.assert_allclose(out.values, 1.0)
-        assert out.normalized
 
     def test_idempotent(self, rng):
         grid = Grid.of(64, 1.0)
@@ -315,6 +310,45 @@ class TestFieldIO:
         (tmp_path / "orphan.csv").write_text("i,re,im\n0,1.0,0.0\n")
         with pytest.raises(FileNotFoundError):
             read_field(tmp_path / "orphan.csv")
+
+
+def _packet() -> ComplexField:
+    """A 1D Gaussian packet on the unit box, sum |psi|^2 dV = 0.1253... as sampled."""
+    return wavemech.gaussian_packet(
+        wavemech.GaussianPacketSpec(center=(0.5,), sigma0=0.05, k_carrier=(0.0,)), Grid.of(64, 1.0))
+
+
+class TestNormalizedFlag:
+    """A dump's ``normalized`` is derived from its values where it is written.  A reader
+    refuses a true flag over values off by more than NORM_TOL (exit 2, in test_cli) and
+    does not trust a false one."""
+
+    @pytest.mark.parametrize("make, flag", [
+        (lambda: normalize(_packet()), True),
+        (lambda: make_plane_wave(0.6 + 0.8j, (2.0 * math.pi,), Grid.of(16, 1.0)), True),
+        (lambda: make_plane_wave(1j, (0.0, 2.0 * math.pi), Grid.of((8, 8), (1.0, 1.0))), True),
+        (_packet, False),
+        (lambda: make_plane_wave(0.6 + 0.8j, (2.0 * math.pi,), Grid.of(16, 2.0)), False),
+    ], ids=["normalize", "unit-amplitude-plane-wave", "amplitude-i-2d", "raw-packet",
+            "unit-amplitude-on-a-box-of-2"])
+    def test_flag_is_derived_from_the_values(self, tmp_path, make, flag):
+        _, side = write_field(make(), tmp_path / "dump.csv")
+        assert json.loads(side.read_text())["normalized"] is flag
+
+    def test_flag_follows_norm_tol(self, tmp_path):
+        psi = normalize(_packet())
+        for scale, flag in [(1.0 + 0.25 * NORM_TOL, True), (1.0 + 2.0 * NORM_TOL, False)]:
+            field = ComplexField(grid=psi.grid, values=psi.values * scale)
+            _, side = write_field(field, tmp_path / "dump.csv")
+            assert json.loads(side.read_text())["normalized"] is flag
+
+    def test_false_flag_over_normalized_values_reads(self, tmp_path):
+        field = normalize(_packet())
+        csv_path, side = write_field(field, tmp_path / "dump.csv")
+        side.write_text(side.read_text().replace('"normalized": true', '"normalized": false'))
+        back, meta = read_field(csv_path)
+        assert meta["normalized"] is False
+        np.testing.assert_array_equal(back.values, field.values)
 
 
 class TestIOMemory:

@@ -522,6 +522,13 @@ class TestEnergyDecomposition:
         with pytest.raises(ValueError):
             energy_decomposition(psi, EffectiveMassParams(omega_ref=1e10))
 
+    def test_norm_off_by_more_than_norm_tol_rejected(self):
+        # the tolerance of a dump's "normalized" flag, not a looser one of its own
+        psi = normalize(make_plane_wave(1.0, (2.0 * math.pi,), Grid.of(64, 1.0)))
+        off = ComplexField(grid=psi.grid, values=psi.values * (1.0 + 1e-8))
+        with pytest.raises(ValueError, match="normalized"):
+            energy_decomposition(off, EffectiveMassParams(omega_ref=1e10))
+
 
 def _gaussian_qfield(sigma=3.0, m_star=1e-37):
     grid = Grid.of(1024, 24.0 * sigma)

@@ -36,6 +36,22 @@ class TestEffectiveMassParams:
         with pytest.raises(ValueError):
             EffectiveMassParams(omega_ref=0.0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"omega_ref": 1e-320}, "omega_ref"),
+        ({"omega_ref": 1e-280}, "omega_ref"),
+        ({"omega_ref": 3e11, "mu": 1e308}, "mu"),
+        ({"omega_ref": 3e11, "mu": 1e150}, "mu"),
+    ], ids=["m_star-underflows-subnormal", "m_star-underflows", "mu-squared-overflows",
+            "v0-overflows"])
+    def test_derived_values_outside_the_float_range_are_refused_by_name(self, kwargs, name):
+        # finite and positive, so require_positive passes them; m_star is 0 or v0 is not finite
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            EffectiveMassParams(**kwargs)
+
+    def test_subnormal_m_star_is_kept(self):
+        params = EffectiveMassParams(omega_ref=1e-270, mu=1.0)
+        assert 0.0 < params.m_star and math.isfinite(params.v0)
+
 
 class TestGaussianPacket:
     def test_unresolvable_width_rejected(self):
