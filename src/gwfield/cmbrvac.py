@@ -98,11 +98,11 @@ def anomalous_moment(model: VacuumModel, variant: str = "symbolic") -> float:
     raise ValueError(f"variant must be one of {MOMENT_VARIANTS}")
 
 
-def cutoff_for_moment(a_target: float, variant: str = "symbolic") -> float:
-    """Invert :func:`anomalous_moment` at the default model for the cutoff
-    frequency [rad/s]: the moment grows as omega_c^5."""
+def cutoff_for_moment(a_target: float) -> float:
+    """Invert the paper-numeric :func:`anomalous_moment` at the default model
+    for the cutoff frequency [rad/s]: the moment grows as omega_c^5."""
     require_positive("a_target", a_target)
-    return (a_target / anomalous_moment(VacuumModel(omega_c=1.0), variant)) ** 0.2
+    return (a_target / anomalous_moment(VacuumModel(omega_c=1.0), "paper-numeric")) ** 0.2
 
 
 def qed_vacuum_energy(omega_c: float) -> float:
@@ -112,17 +112,29 @@ def qed_vacuum_energy(omega_c: float) -> float:
 
 
 def casimir_coefficient(T: float = 2.7) -> float:
-    """hbar^2 pi^3 c^2 / kT, the 1/a^6 pressure coefficient [dyne cm^4]."""
+    """hbar^2 pi^3 c^2 / kT, the 1/a^6 pressure coefficient [dyne cm^4].  A ``T``
+    whose kT underflows to 0 is refused by name."""
     require_positive("T", T)
-    return CGS.hbar**2 * math.pi**3 * CGS.c**2 / (CGS.k_B * T)
+    kT = CGS.k_B * T
+    if kT == 0.0:
+        raise ValueError(f"T = {T!r} underflows kT = k_B*T to 0")
+    return CGS.hbar**2 * math.pi**3 * CGS.c**2 / kT
 
 
 def casimir_pressure(a: float, T: float = 2.7) -> float:
     """Plate pressure P = -(hbar^2 pi^3 c^2 / kT) / a^6 [dyne/cm^2].
 
     This is d rho_vac/d a with the asymptotic rho_vac evaluated at the box
-    cutoff omega_c = pi c / a; the negative sign means attraction.
+    cutoff omega_c = pi c / a; the negative sign means attraction.  An ``a``
+    whose a^6 underflows to 0, or an ``(a, T)`` whose pressure is not a finite
+    float, is refused by name.
     """
     require_positive("a", a)
-    return -casimir_coefficient(T) / a**6
+    a6 = a**6
+    if a6 == 0.0:
+        raise ValueError(f"a = {a!r} underflows a^6 to 0")
+    pressure = -casimir_coefficient(T) / a6
+    if not math.isfinite(pressure):
+        raise ValueError(f"a = {a!r}, T = {T!r} give no finite pressure -(hbar^2 pi^3 c^2 / kT) / a^6")
+    return pressure
 

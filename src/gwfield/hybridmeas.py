@@ -88,12 +88,14 @@ class MeasurementSetup:
 
 @dataclass(frozen=True)
 class OutcomeFrequencies:
-    """Empirical outcome table from seeded sampling."""
+    """Seeded outcome counts of a setup; their frequencies and the worst
+    |frequency - Born weight| deviation are derived on each read."""
 
+    setup: MeasurementSetup
     counts: np.ndarray
-    max_abs_deviation: float
 
     frequencies = property(lambda self: self.counts / self.counts.sum())
+    max_abs_deviation = property(lambda self: float(np.abs(self.frequencies - self.setup.weights).max()))
 
 
 def partial_trace_system(setup: MeasurementSetup) -> DensityMatrix:
@@ -104,10 +106,9 @@ def partial_trace_system(setup: MeasurementSetup) -> DensityMatrix:
 def sample_outcomes(setup: MeasurementSetup, n_trials: int, seed: int) -> OutcomeFrequencies:
     """Draw outcome counts with the Born weights in one multinomial draw, so
     memory does not grow with ``n_trials``; identical seeds give identical
-    tables.  Reports the worst |empirical - weight| deviation."""
+    tables."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_trials, setup.weights / setup.weights.sum())
-    deviation = float(np.abs(counts / n_trials - setup.weights).max())
-    return OutcomeFrequencies(counts=frozen_array(counts, np.int64), max_abs_deviation=deviation)
+    return OutcomeFrequencies(setup=setup, counts=frozen_array(counts, np.int64))

@@ -114,8 +114,8 @@ _FORMS: weakref.WeakValueDictionary[int, MadelungForm] = weakref.WeakValueDictio
 
 
 def polar_decompose(psi: ComplexField) -> MadelungForm:
-    """The polar form of ``psi``, shared while a form of this field object lives."""
-    if (form := _FORMS.get(id(psi))) is None or form.psi is not psi:
+    """The polar form of ``psi``, shared while it lives: it holds ``psi``, so ``id(psi)`` is not reused."""
+    if (form := _FORMS.get(id(psi))) is None:
         form = _FORMS[id(psi)] = MadelungForm(psi)
     return form
 

@@ -126,7 +126,7 @@ def _entry(criterion: int | None, budget_s: float, description: str):
 @_entry(1, 1.0, "anomalous-moment round trip")
 def _anomalous_moment_roundtrip() -> list[Measurement]:
     a_e = cmbrvac.anomalous_moment(cmbrvac.VacuumModel(omega_c=2.87e9), variant="paper-numeric")
-    omega_back = cmbrvac.cutoff_for_moment(CGS.alpha / (2.0 * math.pi), variant="paper-numeric")
+    omega_back = cmbrvac.cutoff_for_moment(CGS.alpha / (2.0 * math.pi))
     return [Measurement("a_e_deviation", abs(a_e / 0.0011614 - 1.0), 0.01),
             Measurement("cutoff_deviation", abs(omega_back / 2.87e9 - 1.0), 0.01)]
 

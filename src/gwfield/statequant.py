@@ -21,7 +21,7 @@ PROB_FLOOR = 1e-14
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=np.complex128).copy()
+    m = frozen_array(entries, np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -44,7 +44,6 @@ class DensityMatrix:
         eigenvalues = np.linalg.eigvalsh(m)
         if eigenvalues.min() < -_EIG_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min()}")
-        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -90,8 +89,6 @@ class ProjectorSet:
                     raise ValueError(f"projectors {i} and {j} are not orthogonal")
         if np.abs(total - np.eye(dim)).max() > _HERM_TOL:
             raise ValueError("projectors do not sum to the identity")
-        for p in mats:
-            p.setflags(write=False)
         object.__setattr__(self, "projectors", mats)
 
     @property

@@ -5,9 +5,9 @@ every measurement against its bound and the run time against the budget.
 The rest keep every public function and class of the package in use, every public
 method and property read outside its class, every top-level import of a module read in it,
 every grid transform in ``spectral.py``, every ``hashlib`` import in ``cli.py``, every
-meshgrid open, every option of one set by some call in the package, each value that a
-record derives equal to the value it once stored, every array a record stores read-only,
-and every positivity or non-negativity refusal in ``constants``.
+meshgrid open, every option of one set by some call in the package and to more than one
+value, each value that a record derives equal to the value it once stored, every array a
+record stores read-only, and every positivity or non-negativity refusal in ``constants``.
 """
 
 import ast
@@ -144,10 +144,11 @@ def test_every_meshgrid_is_open():
     assert not full, f"np.meshgrid calls without sparse=True: {full}"
 
 
-def test_every_option_is_set_somewhere_in_the_package():
-    """A defaulted parameter of a public function, class or method is passed by some call in
-    ``src/gwfield``: an option that only tests set is a constant, or gone.  A call passes a
-    parameter by keyword, by position, or through a ``*`` or ``**`` spread."""
+def _package_options():
+    """Each defaulted parameter of a public function, class or method in ``src/gwfield``, as
+    ``"owner.parameter"``, with what each package call to its owner passes for it: the argument's
+    AST node, ``...`` through a ``*`` or ``**`` spread, or None when the call relies on the
+    default.  A call passes a parameter by keyword, by position, or through a spread."""
     exempt = {
         ("main", "argv"),  # the console script calls main() bare; argv is for callers that pass a list
         ("CgsConstants", None),  # its fields are the constant table's data, not options
@@ -174,18 +175,43 @@ def test_every_option_is_set_somewhere_in_the_package():
                         static = any(getattr(d, "id", None) == "staticmethod" for d in method.decorator_list)
                         add(node.name if method.name == "__init__" else method.name, method.args,
                             skip=0 if static else 1)
-        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
-            spread = any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
-            calls.append((getattr(call.func, "id", getattr(call.func, "attr", None)), len(call.args),
-                          {k.arg for k in call.keywords}, spread))
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
 
-    def passed(owner, name, position):
-        return any(callee == owner and (spread or name in keywords or (position is not None and position < n))
-                   for callee, n, keywords, spread in calls)
+    def passed(call, name, position):
+        keywords = {k.arg: k.value for k in call.keywords}
+        if name in keywords:
+            return keywords[name]
+        if any(isinstance(a, ast.Starred) for a in call.args) or None in keywords:
+            return ...
+        return call.args[position] if position is not None and position < len(call.args) else None
 
-    unset = sorted(f"{owner}.{name}" for (owner, name), position in options.items()
-                   if not exempt & {(owner, name), (owner, None)} and not passed(owner, name, position))
+    return {f"{owner}.{name}": [passed(call, name, position) for call in calls
+                                if getattr(call.func, "id", getattr(call.func, "attr", None)) == owner]
+            for (owner, name), position in options.items() if not exempt & {(owner, name), (owner, None)}}
+
+
+def test_every_option_is_set_somewhere_in_the_package():
+    """A defaulted parameter of a public function, class or method is passed by some call in
+    ``src/gwfield``: an option that only tests set is a constant, or gone."""
+    unset = sorted(option for option, values in _package_options().items()
+                   if all(value is None for value in values))
     assert not unset, f"options no call in the package passes: {unset}"
+
+
+def test_no_option_has_one_value_in_use():
+    """A defaulted parameter that every package call sets, always to the same literal, has one
+    value in use: it is a constant, not an option.  A call that relies on the default, or passes
+    a name, an expression or a spread, gives it a second value."""
+
+    def literal(node):
+        try:
+            return repr(ast.literal_eval(node))
+        except ValueError:  # the default (None), a spread (...), a name or an expression
+            return None
+
+    one_value = sorted(option for option, values in _package_options().items()
+                       if len(literals := {literal(value) for value in values}) == 1 and None not in literals)
+    assert not one_value, f"options every package call sets to one literal: {one_value}"
 
 
 def test_derived_values_equal_what_the_records_stored(tmp_path):
@@ -204,6 +230,11 @@ def test_derived_values_equal_what_the_records_stored(tmp_path):
         assert setup.resolved is bool(np.all(separated)) is resolved
         table = hybridmeas.sample_outcomes(setup, 977, seed=3)
         assert np.array_equal(table.frequencies, table.counts / 977)
+        # the worst deviation sample_outcomes stored, as it computed it
+        for n_trials, seed in ((1, 0), (977, 3), (10_000, 11), (1_000_000, 2026)):
+            table = hybridmeas.sample_outcomes(setup, n_trials, seed)
+            stored = float(np.abs(table.counts / n_trials - setup.weights).max())
+            assert type(table.max_abs_deviation) is float and table.max_abs_deviation == stored
 
     grid = Grid.of(64, 1.0)
     psi = normalize(wavemech.gaussian_packet(wavemech.GaussianPacketSpec((0.5,), 0.08, (2 * np.pi * 3,)), grid))
@@ -235,7 +266,7 @@ def test_derived_values_equal_what_the_records_stored(tmp_path):
 
 def test_every_array_a_record_stores_is_read_only():
     """Each public record, built through its public path, stores only read-only arrays, so no
-    write can make it hold two facts that disagree (counts against their deviation, say)."""
+    write can undo a check its constructor made (a density matrix's unit trace, say)."""
     grid = Grid.of(64, 1.0)
     psi = normalize(wavemech.gaussian_packet(wavemech.GaussianPacketSpec((0.5,), 0.06, (2 * np.pi * 3,)), grid))
     params = wavemech.EffectiveMassParams(omega_ref=3e11)

@@ -967,6 +967,9 @@ class TestOutOfRangeValues:
          ["mu", "V0"]),
         (["madelung", "--field", "{flagged.csv}", "--omega-ref-rad-per-s", 1e11],
          ["flagged.json['normalized']", "0.1253"]),
+        (["casimir", "--a-cm", 1e-60], ["a = 1e-60", "a^6"]),
+        (["casimir", "--a-cm", 1e-4, "--t-kelvin", 1e-320], ["T = 1e-320", "k_B*T"]),
+        (["casimir", "--a-cm", 1e-4, "--t-kelvin", 1e-300], ["a = 0.0001", "T = 1e-300", "pressure"]),
     ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "measure-trials-zero",
             "measure-trials-above-c-long",
             "helicity-equal-stamps", "helicity-decreasing-stamps", "bohm-seed-not-a-number",
@@ -976,7 +979,8 @@ class TestOutOfRangeValues:
             "bohm-seed-not-finite", "bohm-seed-wrong-dimension", "bohm-seed-count-mismatch",
             "update-luders-without-outcome", "helicity-dump-without-t_s",
             "propagate-infinite-mode-number", "propagate-m-star-underflows", "propagate-v0-overflows",
-            "madelung-m-star-underflows", "madelung-v0-overflows", "madelung-true-flag-unnormalized"])
+            "madelung-m-star-underflows", "madelung-v0-overflows", "madelung-true-flag-unnormalized",
+            "casimir-a-underflow", "casimir-kT-underflow", "casimir-pressure-overflow"])
     def test_error_names_its_flag(self, inputs, capsys, argv, names):
         argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
                 for a in argv]
@@ -1024,13 +1028,12 @@ class TestNumericalFailureStderr:
             env=subprocess_env(), capture_output=True, text=True)
 
     @pytest.mark.parametrize("argv", [
-        ["casimir", "--a-cm", 1e-60],
         ["cmbr", "--omega-c-rad-per-s", 1e300],
         ["cmbr", "--omega-c-rad-per-s", 1e20, "--t-kelvin", 1e-300],
         ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11, "--regime", "massive",
          "--seed-positions", 0.5, "--seed-momenta", 1e300, "--dt-s", 1e10, "--steps", 3],
         ["propagate", "--spec", "{huge_wave.json}"],
-    ], ids=["casimir-a-underflow", "cmbr-omega-overflow", "cmbr-quadrature-fails",
+    ], ids=["cmbr-omega-overflow", "cmbr-quadrature-fails",
             "bohm-momentum-overflow", "propagate-amplitude-overflow"])
     def test_exits_3_with_one_json_line(self, inputs, argv):
         done = self.run(inputs, argv)

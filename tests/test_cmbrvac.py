@@ -150,15 +150,15 @@ class TestAnomalousMoment:
 
     def test_inverse_solve(self):
         target = CGS.alpha / (2.0 * math.pi)
-        omega_c = cutoff_for_moment(target, variant="paper-numeric")
+        omega_c = cutoff_for_moment(target)
         assert abs(omega_c / 2.87e9 - 1.0) < 0.01
         model = VacuumModel(omega_c=omega_c)
         assert anomalous_moment(model, "paper-numeric") == pytest.approx(target, rel=1e-12)
 
     @pytest.mark.parametrize("target", [3.3e-7, 1e-3, 0.0011614])
-    def test_symbolic_round_trip(self, target):
-        model = VacuumModel(omega_c=cutoff_for_moment(target, variant="symbolic"))
-        assert anomalous_moment(model, "symbolic") == pytest.approx(target, rel=1e-12)
+    def test_paper_numeric_round_trip(self, target):
+        model = VacuumModel(omega_c=cutoff_for_moment(target))
+        assert anomalous_moment(model, "paper-numeric") == pytest.approx(target, rel=1e-12)
 
     def test_inverse_solve_takes_no_model_keywords(self):
         # the inverse holds at the default model only
@@ -190,8 +190,6 @@ class TestAnomalousMoment:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             anomalous_moment(VacuumModel(omega_c=1e9), "hybrid")
-        with pytest.raises(ValueError):
-            cutoff_for_moment(1e-3, variant="hybrid")
 
 
 class TestQedComparison:
@@ -233,6 +231,21 @@ class TestCasimir:
         closed_form = (casimir_coefficient(2.7) / 1e9) ** (1.0 / 6.0)
         assert solved == pytest.approx(closed_form, rel=1e-9)
         assert solved == pytest.approx(6.606e-5, rel=1e-3)
+
+    @pytest.mark.parametrize("a, T, names", [
+        (1e-60, 2.7, ["a = 1e-60", "a^6"]),
+        (1e-4, 1e-320, ["T = 1e-320", "k_B*T"]),
+        (1e-4, 1e-300, ["a = 0.0001", "T = 1e-300", "pressure"]),
+    ], ids=["a6-underflows", "kT-underflows", "pressure-overflows"])
+    def test_unrepresentable_values_are_refused_by_name(self, a, T, names):
+        with pytest.raises(ValueError) as refused:
+            casimir_pressure(a, T)
+        assert all(name in str(refused.value) for name in names), refused.value
+
+    def test_coefficient_refuses_an_underflowing_kT(self):
+        with pytest.raises(ValueError, match="T = 1e-320"):
+            casimir_coefficient(1e-320)
+        assert math.isfinite(casimir_coefficient(1e-300))
 
 
 class TestGradientEnergySplit:

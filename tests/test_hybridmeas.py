@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,12 @@ class TestSampling:
             table = sample_outcomes(setup, n, seed=11)
             bound = 3.0 * math.sqrt(0.3 * 0.7 / n)
             assert table.max_abs_deviation < bound + 1e-12
+
+    def test_a_sample_is_its_setup_and_counts(self):
+        setup = equal_pair(g=10.0)
+        table = sample_outcomes(setup, 1000, seed=5)
+        assert tuple(f.name for f in dataclasses.fields(table)) == ("setup", "counts")
+        assert table.setup is setup
 
     def test_invalid_trials(self):
         setup = equal_pair()

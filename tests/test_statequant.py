@@ -70,6 +70,20 @@ class TestProjectorSet:
                                      0.5 * np.eye(2, dtype=complex)))
 
 
+def test_a_read_only_owned_matrix_is_adopted_and_a_writable_one_copied():
+    frozen = [np.diag(d).astype(np.complex128) for d in ([0.36, 0.64], [1.0, 0.0], [0.0, 1.0])]
+    writable = [np.diag(d).astype(np.complex128) for d in ([0.36, 0.64], [1.0, 0.0], [0.0, 1.0])]
+    for m in frozen:
+        m.setflags(write=False)
+    assert DensityMatrix(entries=frozen[0]).entries is frozen[0]
+    assert all(a is b for a, b in zip(ProjectorSet(projectors=tuple(frozen[1:])).projectors, frozen[1:]))
+    kept = (DensityMatrix(entries=writable[0]).entries, *ProjectorSet(projectors=tuple(writable[1:])).projectors)
+    for a, b in zip(kept, writable):
+        assert a is not b and np.array_equal(a, b) and not a.flags.writeable
+    writable[0][0, 0] = 0.5
+    assert kept[0][0, 0] == 0.36
+
+
 class TestLuders:
     def test_equal_superposition(self):
         pset = ProjectorSet.computational(2)
