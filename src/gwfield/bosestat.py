@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS, require_positive
+from .constants import CGS, require_positive, thermal_energy
 
 MAX_BRUTE_FORCE_PHOTONS = 8
 # ceiling on the occupation cutoff of a geometric_occupancy row, and (plus one) on the
@@ -68,13 +68,13 @@ def geometric_occupancy(band: FrequencyBand, T: float, r_max: int) -> np.ndarray
     """Closed-form occupancies p_r = M (1 - x) x^r, x = exp(-h nu / kT), for
     r = 0..r_max: they sum to M (1 - x^(r_max+1)).
 
-    Raises ValueError for an ``r_max`` that is not a whole number in
-    [0, :data:`MAX_R_MAX`], or when h nu / kT is so small that x rounds to 1
-    and every entry would be 0.
+    Raises ValueError for a ``T`` whose kT underflows to 0 (:func:`constants.thermal_energy`),
+    an ``r_max`` that is not a whole number in [0, :data:`MAX_R_MAX`], or when h nu / kT is
+    so small that x rounds to 1 and every entry would be 0.
     """
-    require_positive("T", T)
+    kT = thermal_energy(T)
     r_max = _whole_cutoff(r_max, 0)
-    x = math.exp(-CGS.h * band.nu / (CGS.k_B * T))
+    x = math.exp(-CGS.h * band.nu / kT)
     if x == 1.0:
         raise ValueError(f"T = {T!r} rounds exp(-h nu / kT) to 1 at nu = {band.nu!r}: every occupancy would be 0")
     return band.n_states * (1.0 - x) * x ** np.arange(r_max + 1)
@@ -298,12 +298,13 @@ def maximize_entropy(
 
 def planck_density(nu, T: float):
     """Spectral energy density (8 pi nu^2 / c^3) h nu / (exp(h nu/kT) - 1),
-    in erg/(cm^3 Hz)."""
+    in erg/(cm^3 Hz).  A ``T`` whose kT underflows to 0 is refused by name
+    (:func:`constants.thermal_energy`)."""
     nu = np.asarray(nu, dtype=float)
-    require_positive("T", T)
+    kT = thermal_energy(T)
     for value in nu[~(np.isfinite(nu) & (nu > 0.0))].flat[:1]:  # raises on the first refused entry
         require_positive("nu", float(value))
-    x = CGS.h * nu / (CGS.k_B * T)
+    x = CGS.h * nu / kT
     with np.errstate(over="ignore"):  # expm1(x) = inf where the density underflows to 0
         out = (8.0 * math.pi * nu**2 / CGS.c**3) * CGS.h * nu / np.expm1(x)
     return float(out) if out.ndim == 0 else out

@@ -242,6 +242,8 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
         a.ravel() for a in (rho, form.action, qfield.Q, form.curvature)
     ]
     axis_names = [f"x{i}_cm" for i in range(grid.dim)]
+    # held while phase_gradient_momentum and hj_residual run, so that both read one |grad S|^2
+    action_gradient_sq = form.action_gradient_sq
     summary = {
         "E_erg": decomposition.E,
         "pc_erg": decomposition.pc,
@@ -250,8 +252,10 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
         "defect_rms_per_cm2": form.rms(form.curvature),
         "mask_fraction": float(np.mean(form.branch_mask)),
         "continuity_residual": None,
-        "hj_residual_erg": None,
+        "hj_residual_erg": (None if args.energy_erg is None
+                            else madelung.hj_residual(form, params, -args.energy_erg)),
     }
+    del action_gradient_sq
     if args.next_field is not None:
         next_psi = _read_nonzero(args.next_field)
         if next_psi.grid != grid:
@@ -260,8 +264,6 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
                 {"files": [args.field, args.next_field]})
         rho_dot = (normalize(next_psi).density() - rho) / args.dt_s
         summary["continuity_residual"] = madelung.continuity_residual(form, rho_dot, params.m_star)
-    if args.energy_erg is not None:
-        summary["hj_residual_erg"] = madelung.hj_residual(form, params, -args.energy_erg)
     return vars(args), {
         "madelung.csv": (axis_names + ["rho", "S_erg_s", "Q_erg", "defect_per_cm2"], columns),
         "summary.json": summary,

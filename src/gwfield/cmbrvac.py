@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS, require_positive
+from .constants import CGS, require_positive, thermal_energy
 
 # Reference values used by the "paper-numeric" moment variant and the
 # comparison tests; kept as named constants, never inlined.
@@ -63,14 +63,17 @@ def vacuum_energy(model: VacuumModel, method: str = "exact") -> float:
     ``exact`` evaluates the zero-photon integral in closed form; ``asymptotic``
     the small-cutoff form.  Since 1 - exp(-x) <= x the exact value never
     exceeds the asymptotic one, and for hbar omega_c / kT <= 0.01 they agree
-    within 0.5%.  A non-finite hbar omega_c / kT raises OverflowError.
+    within 0.5%.  A ``T`` whose kT underflows to 0 is refused by name
+    (:func:`constants.thermal_energy`); a non-finite hbar omega_c / kT raises OverflowError.
     """
+    kT = thermal_energy(model.T)
     if method == "asymptotic":
-        # hbar^2 / (5 pi^2 c^3 kT), the omega_c^5 coefficient [erg s^5 / cm^3]
+        # hbar^2 / (5 pi^2 c^3 kT), the omega_c^5 coefficient [erg s^5 / cm^3]; k_B and T
+        # multiply in turn, not as kT, since the grouping sets the result's last bit
         return CGS.hbar**2 / (5.0 * math.pi**2 * CGS.c**3 * CGS.k_B * model.T) * model.omega_c**5
     if method != "exact":
         raise ValueError("method must be 'exact' or 'asymptotic'")
-    x = CGS.hbar * model.omega_c / (CGS.k_B * model.T)
+    x = CGS.hbar * model.omega_c / kT
     if not math.isfinite(x):
         raise OverflowError(f"hbar omega_c / kT overflows at omega_c = {model.omega_c}, T = {model.T}")
     # rho = (kT)^4 / (hbar^3 pi^2 c^3) * I(x) = hbar omega_c^4 / (pi^2 c^3) * I(x) / x^4: the
@@ -113,12 +116,8 @@ def qed_vacuum_energy(omega_c: float) -> float:
 
 def casimir_coefficient(T: float = 2.7) -> float:
     """hbar^2 pi^3 c^2 / kT, the 1/a^6 pressure coefficient [dyne cm^4].  A ``T``
-    whose kT underflows to 0 is refused by name."""
-    require_positive("T", T)
-    kT = CGS.k_B * T
-    if kT == 0.0:
-        raise ValueError(f"T = {T!r} underflows kT = k_B*T to 0")
-    return CGS.hbar**2 * math.pi**3 * CGS.c**2 / kT
+    whose kT underflows to 0 is refused by name (:func:`constants.thermal_energy`)."""
+    return CGS.hbar**2 * math.pi**3 * CGS.c**2 / thermal_energy(T)
 
 
 def casimir_pressure(a: float, T: float = 2.7) -> float:
@@ -127,10 +126,14 @@ def casimir_pressure(a: float, T: float = 2.7) -> float:
     This is d rho_vac/d a with the asymptotic rho_vac evaluated at the box
     cutoff omega_c = pi c / a; the negative sign means attraction.  An ``a``
     whose a^6 underflows to 0, or an ``(a, T)`` whose pressure is not a finite
-    float, is refused by name.
+    float, is refused by name.  An ``a`` whose a^6 overflows gives the -0.0 that
+    the pressure underflows to.
     """
     require_positive("a", a)
-    a6 = a**6
+    try:
+        a6 = a**6
+    except OverflowError:
+        a6 = math.inf
     if a6 == 0.0:
         raise ValueError(f"a = {a!r} underflows a^6 to 0")
     pressure = -casimir_coefficient(T) / a6

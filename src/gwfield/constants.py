@@ -8,10 +8,11 @@ data; ``gwfield check`` certifies the identities that tie its entries together
 manifest hashes it.
 
 It also holds :func:`require_positive`, the one refusal of a physical parameter that must
-be finite and positive (a temperature, a length, a frequency, a mass), and
+be finite and positive (a temperature, a length, a frequency, a mass),
 :func:`require_nonnegative`, the one refusal of one that must be finite and >= 0 (a mass
-parameter mu, an elapsed time): every layer imports this module already, and it imports no
-numpy, ``hashlib`` or ``json``, so the checks cost no layer an import of another.
+parameter mu, an elapsed time), and :func:`thermal_energy`, the one home of kT and of its
+refusal: every layer imports this module already, and it imports no numpy, ``hashlib`` or
+``json``, so the checks cost no layer an import of another.
 """
 
 from __future__ import annotations
@@ -66,3 +67,13 @@ def require_nonnegative(name: str, value: float) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is finite and >= 0 (NaN and inf fail)."""
     if not (value >= 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def thermal_energy(T: float) -> float:
+    """kT = k_B * T [erg] of a temperature ``T`` [K].  Raises ValueError naming ``T`` unless it is
+    finite and > 0 and its kT is a nonzero float (a subnormal T underflows k_B*T to 0)."""
+    require_positive("T", T)
+    kT = CGS.k_B * T
+    if kT == 0.0:
+        raise ValueError(f"T = {T!r} underflows kT = k_B*T to 0")
+    return kT

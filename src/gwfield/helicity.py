@@ -126,16 +126,18 @@ def current_continuity(series: TimeSeriesField, k0: float) -> float:
     The charge rho_t (:func:`first_order_charge`) is conserved under the
     first-order evolution with flux 2c*j: the factor 2c is the group-velocity
     gearing of the first-order reduction (modes transport at 2c k/k0).
-    div(2c j) = 2c hbar Im(psi* lap psi) comes from one transform of the interior
-    snapshots, and d rho_t/dt is a centered difference, so for snapshots of the
-    exact propagator the residual is limited by the sampling interval, not the physics.
+    div(2c j) = 2c hbar Im(psi* lap psi) comes from line transforms of the interior
+    snapshots (:func:`spectral.flux_divergence`), and d rho_t/dt is a centered
+    difference, so for snapshots of the exact propagator the residual is limited by
+    the sampling interval, not the physics.
     """
     grid = series.grid
     rho_t = first_order_charge(series, k0)
     rho_dot = (rho_t[2:] - rho_t[:-2]) / (2.0 * series.dt)
     del rho_t
     scale = 2.0 * CGS.c * CGS.hbar
-    residuals = scale * spectral.flux_divergence(series.values[1:-1], grid)
+    residuals = spectral.flux_divergence(series.values[1:-1], grid)
+    residuals *= scale
     residuals += rho_dot
     length_scale = grid.volume ** (1.0 / grid.dim)
     floor = scale * float(np.abs(series.values).max() ** 2) / length_scale**2

@@ -43,9 +43,12 @@ class MadelungForm:
     those points are masked, and unwrap chains through them are unreliable.  A zero field is refused.
 
     The form is the one polar analysis of its field, derived from ``psi`` on first use and
-    kept read-only; the density, which psi fixes bit for bit, is derived on each read.  Its
-    polar terms come from one transient transform of psi (:func:`spectral.polar_terms`): psi
-    must be periodic and band-limited (``gaussian_packet`` wraps; a dump need not).
+    kept read-only.  It caches the node mask and one pass that yields the curvature, which
+    Q, the defect, the energy split and the HJ residual all read, and the mean |k|.  The
+    density and |grad S|^2, which psi fixes bit for bit, are derived on each read (|grad S|^2
+    unless a reader still holds an earlier read's array).  The polar terms differentiate along
+    each axis by line transforms (:func:`spectral.curvature`): psi must be periodic and
+    band-limited (``gaussian_packet`` wraps; a dump need not).
     """
 
     psi: ComplexField
@@ -82,18 +85,32 @@ class MadelungForm:
         return phase
 
     @cached_property
-    def _terms(self) -> spectral.PolarTerms:
-        return spectral.polar_terms(self.psi, self.branch_mask)
+    def _pass(self) -> tuple[np.ndarray, float]:
+        """The curvature and the mean |k|, which reads the n-D spectrum of psi: that spectrum is
+        freed before the curvature's line transforms begin."""
+        grid, values = self.grid, self.psi.values
+        mean_k = spectral.power_mean(values, grid, lambda k_sq: np.sqrt(k_sq, out=k_sq))
+        curvature = spectral.curvature(values, grid, self.branch_mask)
+        curvature.setflags(write=False)
+        return curvature, mean_k
 
-    curvature = property(lambda self: self._terms.curvature, doc="""lap(sqrt rho)/sqrt(rho) [1/cm^2];
+    curvature = property(lambda self: self._pass[0], doc="""lap(sqrt rho)/sqrt(rho) [1/cm^2];
         masked points carry zeros.  Its vanishing makes a wave packet non-dispersive: it doubles
         as the classicality diagnostic.""")
-    action_gradient_sq = property(lambda self: self._terms.action_gradient_sq, doc="""|grad S|^2 =
-        (hbar flux/rho)^2 [erg^2 s^2/cm^2]; masked points carry zeros.""")
-    flux_divergence = property(lambda self: self._terms.flux_divergence,
-                               doc="div Im(psi* grad psi) = Im(psi* lap psi) [1/cm^2].")
-    mean_wavenumber = property(lambda self: self._terms.mean_k,
+    mean_wavenumber = property(lambda self: self._pass[1],
                                doc="<|k|> over the power spectrum of psi [1/cm].")
+
+    @property
+    def action_gradient_sq(self) -> np.ndarray:
+        """|grad S|^2 = (hbar flux/rho)^2 [erg^2 s^2/cm^2]; masked points carry zeros.  Derived
+        on a read unless an earlier read's array is still alive: the form keeps a weak reference
+        alone, so a caller that holds the array shares one pass among the diagnostics it calls."""
+        values = vars(self).get("_action_gradient_sq", lambda: None)()
+        if values is None:
+            values = spectral.action_gradient_sq(self.psi.values, self.grid, self.branch_mask)
+            values.setflags(write=False)
+            object.__setattr__(self, "_action_gradient_sq", weakref.ref(values))
+        return values
 
     def mean(self, values: np.ndarray) -> float:
         """rho-weighted mean of ``values``."""
@@ -175,8 +192,9 @@ def continuity_residual(form: MadelungForm, rho_dot: np.ndarray, m_star: float) 
     scale = CGS.hbar / m_star
     length_scale = form.grid.volume ** (1.0 / form.grid.dim)
     denom = float(np.abs(rho_dot).max()) + scale * float(form.rho.max()) / length_scale**2
-    # div(rho grad S / m*) = (hbar/m*) Im(psi* lap psi): the form's flux divergence, scaled once
-    residual = np.multiply(scale, form.flux_divergence)
+    # div(rho grad S / m*) = (hbar/m*) Im(psi* lap psi), scaled in place
+    residual = spectral.flux_divergence(form.psi.values, form.grid)
+    residual *= scale
     residual += rho_dot
     return form.rms(residual) / denom
 

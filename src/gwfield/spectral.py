@@ -3,9 +3,17 @@
 All propagators and residual checks in this package differentiate spectrally:
 for band-limited periodic data the derivatives are exact to rounding, which
 keeps the physics claims separated from discretization error.  Every k-space
-formula of the package lives here, down to the polar form's one pass over one
-transform of psi (:func:`polar_terms`), and every kernel reads the complex spectrum
-of :func:`transform` and returns through :func:`inverse`: one transform family.
+formula of the package lives here.
+
+A derivative along one grid axis is separable: it needs 1D transforms along that axis
+alone (Trefethen, *Spectral Methods in MATLAB*, 2000, ch. 3).  Every kernel that
+differentiates (:func:`derivative`, :func:`phase_flux`, :func:`flux_divergence`,
+:func:`curvature` and :func:`action_gradient_sq`) transforms one slab of whole lines
+along one axis at a time (:func:`_line_slabs`), and d psi and d^2 psi along that axis
+come from one forward transform of the slab; so none holds a full-grid spectrum or
+gradient buffer.  The n-D spectrum of :func:`transform`, inverted by :func:`inverse`,
+stays where a formula does not separate: the propagators, :func:`power_sum`,
+:func:`power_mean` and :func:`gradient_spline`'s prefilter.
 
 The grid axes of an array are its trailing ``grid.dim`` axes: the transforms run over
 those alone, so leading axes index the snapshots of a series.  A grid vector field is
@@ -13,23 +21,27 @@ one ``(dim, ...)`` array, its component axis first; spline coefficients put it l
 that a point's stencil gathers every component at once.
 
 A full-grid kernel holds at most one full-grid temporary beyond its inputs, its result and
-the spectrum it transforms: the transforms write in place, and an elementwise formula that
-would need more runs over :func:`flat_chunks`.  Each forms the same products and sums, in the
-same order, as the plain whole-array formula, so its result is the same to the last bit.
+an n-D spectrum it transforms: the transforms write in place, and an elementwise formula that
+would need more runs over :func:`flat_chunks` or over slabs of lines.  Each forms the same
+products and sums, in the same order, as the plain whole-array formula, so its result is the
+same to the last bit.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
 
 import numpy as np
 
 from .constants import CGS
-from .fields import ComplexField, Grid
+from .fields import Grid
 
 # elements per flat chunk: a power of two, so chunk edges fall on SIMD-vector edges
 # and a formula rounds on a chunk exactly as it does on the whole array
 CHUNK = 1 << 10
+# elements per slab of whole lines that a derivative transforms at once (a longer line is a slab);
+# numpy's iteration buffer for a broadcast or strided slab operand is as long, up to 2^13
+SLAB = 1 << 12
 
 
 def flat_chunks(*arrays: np.ndarray):
@@ -66,17 +78,43 @@ def inverse(spec: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.ifftn(spec, axes=_grid_axes(grid), out=spec)
 
 
-def _derivative(spec: np.ndarray, k: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
-    """d psi along the axis of ``k`` (one of :func:`wavenumbers`), written into ``out``,
-    of the field psi whose :func:`transform` is ``spec``; ``out`` may be ``spec``."""
-    np.multiply(1j * k, spec, out=out)
-    return inverse(out, grid)
+def _line_slabs(axis: int, grid: Grid, *arrays: np.ndarray):
+    """Views of ``arrays`` (one shape) as ``(lines before, n, lines after)`` blocks, n the length
+    of grid axis ``axis``: slabs of whole lines along that axis, :data:`SLAB` elements (or one
+    line) at a time.  An array written through its views must be C-contiguous."""
+    shape = np.shape(arrays[0])
+    at = len(shape) - grid.dim + axis
+    blocks = [np.reshape(a, (math.prod(shape[:at]), shape[at], -1)) for a in arrays]
+    before, n, after = blocks[0].shape
+    rows, columns = max(1, SLAB // (n * after)), min(after, max(1, SLAB // n))
+    for row in range(0, before, rows):
+        for column in range(0, after, columns):
+            yield tuple(b[row:row + rows, :, column:column + columns] for b in blocks)
+
+
+def _line_derivatives(values: np.ndarray, grid: Grid, axis: int, orders: tuple[int, ...], *arrays: np.ndarray):
+    """Each :func:`_line_slabs` slab of psi = ``values`` along grid axis ``axis`` as
+    ``(psi, derivatives, slabs)``: d^m psi along the axis for each order m (1 or 2) in
+    ``orders``, all from one forward transform of the slab's lines (the last written over it),
+    and the same slabs of ``arrays``.  The derivatives live in buffers that the next slab of the
+    same shape reuses; a reader may write over them."""
+    k = wavenumbers(grid)[axis].reshape(-1, 1)
+    factors = {1: 1j * k, 2: np.negative(k * k)}
+    buffers = []
+    for psi, *slabs in _line_slabs(axis, grid, values, *arrays):
+        if not buffers or buffers[0].shape != psi.shape:
+            buffers = [np.empty(psi.shape, dtype=complex) for _ in orders]
+        spec = np.fft.fft(psi, axis=1, out=buffers[-1])
+        derivatives = [np.multiply(factors[m], spec, out=out) for m, out in zip(orders, buffers)]
+        yield psi, [np.fft.ifft(d, axis=1, out=d) for d in derivatives], slabs
 
 
 def derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Spectral d ``values``/dx_axis, one complex array."""
-    spec = transform(values, grid)
-    return _derivative(spec, wavenumbers(grid)[axis], grid, out=spec)
+    """Spectral d ``values``/dx_axis, one complex array, from transforms along ``axis`` alone."""
+    result = np.empty(np.shape(values), dtype=complex)
+    for _, (d_psi,), (out,) in _line_derivatives(values, grid, axis, (1,), result):
+        out[...] = d_psi
+    return result
 
 
 def gradient_spline(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -90,45 +128,83 @@ def gradient_spline(values: np.ndarray, grid: Grid) -> np.ndarray:
         spec /= (4.0 + 2.0 * np.cos(k * dx)) / 6.0
     coefficients, row = np.empty((*grid.shape, grid.dim)), np.empty_like(spec)
     for i, k in enumerate(wavenumbers(grid)):
-        coefficients[..., i] = _derivative(spec, k, grid, out=row).real
+        coefficients[..., i] = inverse(np.multiply(1j * k, spec, out=row), grid).real
     return coefficients
 
 
 def phase_flux(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Im(conj(psi) grad psi) = rho grad(phase) of psi = ``values``, one real ``(dim, ...)``
-    array: smooth across phase seams, times hbar the convection current.  The last gradient
-    component is written over the kernel's own :func:`transform` of ``values``."""
+    array: smooth across phase seams, times hbar the convection current."""
     rows = np.empty((grid.dim, *np.shape(values)))
-    for f, flux in _flux_chunks(values, transform(values, grid), grid, ((row,) for row in rows), spend=True):
-        flux[...] = f
+    for axis, row in enumerate(rows):
+        for psi, (d_psi,), (flux,) in _line_derivatives(values, grid, axis, (1,), row):
+            flux[...] = np.imag(np.multiply(np.conj(psi), d_psi, out=d_psi))
     return rows
 
 
-def _flux_chunks(values: np.ndarray, spec: np.ndarray, grid: Grid, arrays, spend: bool = False):
-    """Each :func:`flat_chunks` chunk of each row f = Im(conj(psi) d_i psi) of the :func:`phase_flux`
-    of psi = ``values``, one gradient component at a time, beside the matching chunks of that axis's
-    tuple of arrays in ``arrays`` (the buffer and the chunk views live in the generator alone).  With
-    ``spend`` the last component is written into ``spec``, so a 1D grid allocates no buffer."""
-    component = spec if spend and grid.dim == 1 else np.empty_like(spec)
-    for i, (k, row_arrays) in enumerate(zip(wavenumbers(grid), arrays, strict=True)):
-        out = spec if spend and i == grid.dim - 1 else component
-        _derivative(spec, k, grid, out=out)
-        for psi, d_psi, *chunks in flat_chunks(values, out, *row_arrays):
-            yield np.imag(np.conj(psi) * d_psi), *chunks
+def flux_divergence(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """div Im(psi* grad psi) = Im(psi* lap psi) of psi = ``values``, one real array (over the
+    grid axes, so a stack of snapshots in one call): the sum over the axes i of
+    -Im(conj(d_i^2 psi) psi), the product whose real part :func:`curvature` reads."""
+    divergence = np.empty(np.shape(values))
+    for axis in range(grid.dim):
+        for psi, (d2_psi,), (out,) in _line_derivatives(values, grid, axis, (2,), divergence):
+            term = np.imag(np.multiply(np.conjugate(d2_psi, out=d2_psi), psi, out=d2_psi))
+            if axis:
+                out -= term
+            else:
+                np.negative(term, out=out)
+    return divergence
+
+
+def curvature(values: np.ndarray, grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """lap(sqrt rho)/sqrt(rho) of psi = ``values`` (rho = |psi|^2, nodes under ``mask``, where it is
+    zero): the sum over the axes i of d_i^2(sqrt rho)/sqrt(rho) = [f_i^2/rho + Re(conj(d_i^2 psi) psi)]/rho,
+    f_i = Im(conj(psi) d_i psi).  psi must be periodic and band-limited: the rounding then grows as
+    eps sqrt(rho_max/rho) towards the nodes, while a field cut off at the box edge rings into every line."""
+    result = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        for psi, (d_psi, d2_psi), (m, out) in _line_derivatives(values, grid, axis, (1, 2), mask, result):
+            r, keep, f = np.abs(psi), ~m, np.imag(np.multiply(np.conj(psi), d_psi, out=d_psi))
+            r **= 2
+            term = f * f
+            np.divide(term, r, out=term, where=keep)
+            term += np.real(np.multiply(np.conjugate(d2_psi, out=d2_psi), psi, out=d2_psi))
+            np.divide(term, r, out=term, where=keep)
+            out += term
+    np.copyto(result, 0.0, where=mask)
+    return result
+
+
+def action_gradient_sq(values: np.ndarray, grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """|grad S|^2 = sum_i (hbar f_i/rho)^2 [erg^2 s^2/cm^2] of psi = ``values`` (S = hbar times
+    its phase, f_i = Im(conj(psi) d_i psi), rho = |psi|^2), zero under ``mask``."""
+    result = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        for psi, (d_psi,), (m, out) in _line_derivatives(values, grid, axis, (1,), mask, result):
+            f = np.imag(np.multiply(np.conj(psi), d_psi, out=d_psi))
+            np.divide(np.multiply(CGS.hbar, f, out=f), np.abs(psi) ** 2, out=f, where=~m)
+            f **= 2
+            out += f
+    np.copyto(result, 0.0, where=mask)
+    return result
 
 
 def power_sum(values: np.ndarray, grid: Grid) -> float:
     """Sum of k^2 |spec|^2 over the power spectrum of spec = :func:`transform` of ``values``.
     Times dV/N it is the Parseval partner of the gradient energy int |grad psi|^2 dV."""
-    power = np.abs(transform(values, grid)) ** 2
+    power = np.abs(transform(values, grid))
+    power **= 2
     power *= k_squared(grid)
     return float(np.sum(power))
 
 
-def power_mean(spec: np.ndarray, grid: Grid, weight) -> float:
+def power_mean(values: np.ndarray, grid: Grid, weight) -> float:
     """Mean of ``weight(k^2)`` (which may write into the k^2 array) over the power spectrum
-    |spec|^2.  Raises ValueError for a zero field, whose spectrum has no power to average over."""
-    power = np.abs(spec) ** 2
+    |spec|^2 of spec = :func:`transform` of ``values``, freed before k^2 is formed.  Raises
+    ValueError for a zero field, whose spectrum has no power to average over."""
+    power = np.abs(transform(values, grid))
+    power **= 2
     total = float(np.sum(power))
     if total == 0.0:
         raise ValueError("the spectral mean of a zero field is undefined (zero total power)")
@@ -136,55 +212,3 @@ def power_mean(spec: np.ndarray, grid: Grid, weight) -> float:
     return float(np.sum(power)) / total
 
 
-def _conj_laplacian_product(values: np.ndarray, spec: np.ndarray, grid: Grid) -> np.ndarray:
-    """conj(lap psi) psi of psi = ``values`` (``spec`` is its :func:`transform`), written into
-    ``spec``: its real part is Re(psi* lap psi), its imaginary part -Im(psi* lap psi)."""
-    k_sq = k_squared(grid)
-    np.multiply(np.negative(k_sq, out=k_sq), spec, out=spec)
-    return np.multiply(np.conjugate(inverse(spec, grid), out=spec), values, out=spec)
-
-
-def flux_divergence(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """div Im(psi* grad psi) = Im(psi* lap psi) of psi = ``values``, one real array, from one
-    transient :func:`transform` (over the grid axes, so a stack of snapshots in one call)."""
-    return np.negative(_conj_laplacian_product(values, transform(values, grid), grid).imag)
-
-
-class PolarTerms(NamedTuple):
-    curvature: np.ndarray
-    action_gradient_sq: np.ndarray
-    flux_divergence: np.ndarray
-    mean_k: float
-
-
-def polar_terms(psi: ComplexField, mask: np.ndarray) -> PolarTerms:
-    """The polar terms of psi from one transient :func:`transform` (rho = |psi|^2, nodes under
-    ``mask``, f = Im(psi* grad psi)): lap(sqrt rho)/sqrt(rho) = [Re(psi* lap psi) + |f|^2/rho]/rho
-    and |grad S|^2 = (hbar f/rho)^2, both zero under ``mask``; div f = Im(psi* lap psi); and the
-    mean |k| over the power spectrum (a zero field, which has none, raises).  rho and the mask's
-    complement are formed one :func:`flat_chunks` chunk at a time, never as whole grids.  psi must
-    be periodic and band-limited: the curvature's rounding then grows as eps sqrt(rho_max/rho)
-    towards the nodes, while a field cut off at the box edge rings into the whole spectrum."""
-    grid, values = psi.grid, psi.values
-    spec = transform(values, grid)
-    mean_k = power_mean(spec, grid, lambda k_sq: np.sqrt(k_sq, out=k_sq))
-    curvature, action_gradient_sq = np.zeros(grid.shape), np.zeros(grid.shape)
-    per_axis = [(values, mask, curvature, action_gradient_sq)] * grid.dim
-    for f, psi_chunk, mask_chunk, curv, act in _flux_chunks(values, spec, grid, per_axis):
-        curv += f * f
-        np.divide(np.multiply(CGS.hbar, f, out=f), np.abs(psi_chunk) ** 2, out=f, where=~mask_chunk)
-        f **= 2
-        act += f
-    # Re(conj(psi) lap) as Re(conj(lap) psi): the same products, formed in the spectrum
-    product = _conj_laplacian_product(values, spec, grid)
-    for psi_chunk, mask_chunk, curv, prod in flat_chunks(values, mask, curvature, product):
-        r, keep = np.abs(psi_chunk) ** 2, ~mask_chunk
-        np.divide(curv, r, out=curv, where=keep)
-        curv += prod.real
-        np.divide(curv, r, out=curv, where=keep)
-    for term in (curvature, action_gradient_sq):
-        np.copyto(term, 0.0, where=mask)
-    terms = PolarTerms(curvature, action_gradient_sq, np.negative(product.imag), mean_k)
-    for values in terms[:3]:
-        values.setflags(write=False)
-    return terms

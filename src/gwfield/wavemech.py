@@ -152,8 +152,7 @@ def _field_from_spectrum(spec: np.ndarray, grid: Grid) -> ComplexField:
 def schrodinger_energy(psi: ComplexField, params: EffectiveMassParams) -> float:
     """hbar <hbar k^2/(2 m*) + V0> [erg] over the power spectrum, which
     :func:`evolve_schrodinger` conserves mode by mode."""
-    return CGS.hbar * spectral.power_mean(spectral.transform(psi.values, psi.grid), psi.grid,
-                                          lambda k_sq: _schrodinger_rate(k_sq, params))
+    return CGS.hbar * spectral.power_mean(psi.values, psi.grid, lambda k_sq: _schrodinger_rate(k_sq, params))
 
 
 def evolve_classical_wave(state: ClassicalWaveState, mu: float, t: float) -> ClassicalWaveState:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwfield import bosestat, cli, fieldio, helicity, hybridmeas, madelung, selfcheck, spectral, statequant, wavemech
+from gwfield import bosestat, cli, fieldio, helicity, hybridmeas, madelung, selfcheck, statequant, wavemech
 from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, normalize
 
@@ -285,7 +285,6 @@ def test_every_array_a_record_stores_is_read_only():
         statequant.luders_update(rho, projectors, 1)[0], statequant.von_neumann_update(rho, projectors),
         statequant.schmidt_decompose([[0.6, 0.0], [0.0, 0.8]]), setup, table,
         form, qfield, madelung.run_trajectory(qfield, [[0.5]], [[0.0]], 1e-14, 3, "massive"),
-        spectral.polar_terms(psi, form.branch_mask),
     ]
     arrays = []  # ("Record.attribute", array) for each array a record stores
     for rec in records:
@@ -298,8 +297,9 @@ def test_every_array_a_record_stores_is_read_only():
     writable = sorted({name for name, array in arrays if array.flags.writeable})
     assert not writable, f"records that store writable arrays: {writable}"
     assert {"OutcomeFrequencies.counts", "SchmidtResult.left_basis",
-            "BohmTrajectory.last_step", "PolarTerms.flux_divergence", "MadelungForm._terms"} <= {n for n, _ in arrays}
-    derived = [getattr(setup, name) for name in ("pointer_positions", "weights", "overlap_matrix")] + [form.rho]
+            "BohmTrajectory.last_step", "MadelungForm._pass"} <= {n for n, _ in arrays}
+    derived = [getattr(setup, name) for name in ("pointer_positions", "weights", "overlap_matrix")] + [
+        getattr(form, name) for name in ("rho", "action_gradient_sq")]
     assert all(isinstance(array, np.ndarray) and not array.flags.writeable for array in derived)
     with pytest.raises(ValueError, match="read-only"):
         table.counts[0] += 50

@@ -343,6 +343,12 @@ class TestPlanckDensity:
         with pytest.raises(ValueError):
             planck_density(-1.0, 2.7)
 
+    def test_an_underflowing_kT_is_refused_by_name(self):
+        band = FrequencyBand(nu=1e11, d_nu=1e9, volume=1e3)
+        for call in (lambda: planck_density(1.0, 1e-320), lambda: geometric_occupancy(band, 1e-320, r_max=4)):
+            with pytest.raises(ValueError, match=r"T = 1e-320 underflows kT = k_B\*T to 0"):
+                call()
+
     def test_underflowing_density_is_zero_without_a_warning(self):
         # h nu / kT ~ 1.8e4: expm1 overflows to inf and the density is exactly 0
         assert planck_density(1e15, 2.7) == 0.0

@@ -209,6 +209,15 @@ class TestCmbrAndCasimir:
         assert payload["pressure_dyne_per_cm2"] < 0.0
         assert abs(payload["coefficient"] / 7.5e-17 - 1.0) < 0.15
 
+    @pytest.mark.parametrize("a_cm", [1e60, 1e300])
+    def test_casimir_pressure_underflows_to_zero(self, tmp_path, a_cm):
+        # a^6 overflows; the pressure -coefficient/a^6 underflows to -0.0, no failure
+        out = tmp_path / "cas"
+        assert run_cli("casimir", "--a-cm", a_cm, "--output-dir", out) == 0
+        payload = json.loads((out / "casimir.json").read_text())
+        assert payload["pressure_dyne_per_cm2"] == 0.0
+        assert math.copysign(1.0, payload["pressure_dyne_per_cm2"]) == -1.0
+
 
 class TestSchmidtAndUpdate:
     @staticmethod
@@ -970,6 +979,8 @@ class TestOutOfRangeValues:
         (["casimir", "--a-cm", 1e-60], ["a = 1e-60", "a^6"]),
         (["casimir", "--a-cm", 1e-4, "--t-kelvin", 1e-320], ["T = 1e-320", "k_B*T"]),
         (["casimir", "--a-cm", 1e-4, "--t-kelvin", 1e-300], ["a = 0.0001", "T = 1e-300", "pressure"]),
+        (["cmbr", "--omega-c-rad-per-s", 1e9, "--t-kelvin", 1e-320], ["T = 1e-320", "k_B*T"]),
+        (["planck", "--t-kelvin", 1e-320, "--nu-min-hz", 1, "--nu-max-hz", 2], ["T = 1e-320", "k_B*T"]),
     ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "measure-trials-zero",
             "measure-trials-above-c-long",
             "helicity-equal-stamps", "helicity-decreasing-stamps", "bohm-seed-not-a-number",
@@ -980,7 +991,8 @@ class TestOutOfRangeValues:
             "update-luders-without-outcome", "helicity-dump-without-t_s",
             "propagate-infinite-mode-number", "propagate-m-star-underflows", "propagate-v0-overflows",
             "madelung-m-star-underflows", "madelung-v0-overflows", "madelung-true-flag-unnormalized",
-            "casimir-a-underflow", "casimir-kT-underflow", "casimir-pressure-overflow"])
+            "casimir-a-underflow", "casimir-kT-underflow", "casimir-pressure-overflow",
+            "cmbr-kT-underflow", "planck-kT-underflow"])
     def test_error_names_its_flag(self, inputs, capsys, argv, names):
         argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
                 for a in argv]

@@ -141,6 +141,11 @@ class TestVacuumEnergy:
         with pytest.raises(OverflowError, match="hbar omega_c / kT"):
             vacuum_energy(VacuumModel(omega_c=1e20, T=1e-300), "exact")
 
+    @pytest.mark.parametrize("method", ["exact", "asymptotic"])
+    def test_an_underflowing_kT_is_refused_by_name(self, method):
+        with pytest.raises(ValueError, match=r"T = 1e-320 underflows kT = k_B\*T to 0"):
+            vacuum_energy(VacuumModel(omega_c=1e9, T=1e-320), method)
+
 
 class TestAnomalousMoment:
     def test_paper_numeric_reference_point(self):
@@ -246,6 +251,13 @@ class TestCasimir:
         with pytest.raises(ValueError, match="T = 1e-320"):
             casimir_coefficient(1e-320)
         assert math.isfinite(casimir_coefficient(1e-300))
+
+    @pytest.mark.parametrize("a", [1e52, 1e60, 1e300])
+    def test_an_overflowing_a6_gives_the_pressure_underflow(self, a):
+        # a = 1e51 still has a finite a^6, whose pressure is a subnormal -8.3e-323
+        assert casimir_pressure(1e51) == -casimir_coefficient(2.7) / 1e51**6 < 0.0
+        pressure = casimir_pressure(a)
+        assert pressure == 0.0 and math.copysign(1.0, pressure) == -1.0
 
 
 class TestGradientEnergySplit:

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from gwfield.constants import CGS, CgsConstants
+from gwfield.constants import CGS, CgsConstants, thermal_energy
 from gwfield.fields import (
     NORM_TOL,
     ComplexField,
@@ -31,6 +31,15 @@ class TestConstants:
     def test_all_positive(self):
         for name, value in asdict(CGS).items():
             assert value > 0.0 and math.isfinite(value), name
+
+    def test_thermal_energy_is_k_B_T_or_a_refusal_naming_T(self):
+        assert thermal_energy(2.7) == CGS.k_B * 2.7
+        assert thermal_energy(1e-300) == CGS.k_B * 1e-300 > 0.0
+        with pytest.raises(ValueError, match=r"^T = 1e-320 underflows kT = k_B\*T to 0$"):
+            thermal_energy(1e-320)
+        for refused in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^T must be finite and positive"):
+                thermal_energy(refused)
 
     def test_alpha_identity(self):
         assert registry_measurements("constants-identities")["alpha_deviation"] < 1e-6

@@ -290,7 +290,7 @@ class TestContinuity:
 
 
 # every transform a spectral path may take, so a switch between them cannot hide calls
-FFT_TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn")
+FFT_TRANSFORMS = ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn")
 
 
 def counting(monkeypatch, module, names):
@@ -309,22 +309,43 @@ def counting(monkeypatch, module, names):
 
 
 class TestOnePolarAnalysis:
-    """A form computes its polar terms in one pass, from one transform, for every diagnostic."""
+    """A form computes its curvature and mean |k| in one pass, which every diagnostic shares; the
+    terms that one diagnostic reads are derived where it reads them."""
+
+    KERNELS = ["transform", "curvature", "action_gradient_sq", "flux_divergence", "phase_flux"]
 
     def test_every_diagnostic_shares_one_curvature_and_flux(self, rng, monkeypatch):
-        calls = counting(monkeypatch, spectral, ["transform", "polar_terms", "phase_flux"])
+        calls = counting(monkeypatch, spectral, self.KERNELS)
         grid = Grid.of((16, 8), (1.0, 0.5))
         psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
         params = EffectiveMassParams(omega_ref=3e11)
         form = polar_decompose(psi)
-        assert calls == {"transform": 0, "polar_terms": 0, "phase_flux": 0}
-        quantum_potential(form, params.m_star)
+        assert calls == dict.fromkeys(self.KERNELS, 0)
+        quantum_potential(form, params.m_star).Q
+        energy_decomposition(psi, params)
+        # the pass: the mean |k| from the one n-D transform, then the curvature by line transforms
+        assert calls == {**dict.fromkeys(self.KERNELS, 0), "transform": 1, "curvature": 1}
         hj_residual(form, params, 0.0)
         continuity_residual(form, np.zeros(grid.shape), params.m_star)
         phase_gradient_momentum(form)
-        energy_decomposition(psi, params)
-        # the flux rows feed the pass and are never formed whole
-        assert calls == {"transform": 1, "polar_terms": 1, "phase_flux": 0}
+        # |grad S|^2 once per reader and div f once; the flux rows are never formed whole
+        assert calls == {"transform": 1, "curvature": 1, "action_gradient_sq": 2, "flux_divergence": 1,
+                         "phase_flux": 0}
+
+    def test_a_held_action_gradient_is_shared(self, rng, monkeypatch):
+        # the form keeps a weak reference alone: readers share |grad S|^2 while a caller holds it
+        calls = counting(monkeypatch, spectral, ["action_gradient_sq"])
+        grid = Grid.of((16, 8), (1.0, 0.5))
+        psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
+        form, params = polar_decompose(psi), EffectiveMassParams(omega_ref=3e11)
+        held = form.action_gradient_sq
+        assert form.action_gradient_sq is held
+        momentum, residual = phase_gradient_momentum(form), hj_residual(form, params, 0.0)
+        assert calls == {"action_gradient_sq": 1}
+        del held
+        assert form._action_gradient_sq() is None
+        assert (phase_gradient_momentum(form), hj_residual(form, params, 0.0)) == (momentum, residual)
+        assert calls == {"action_gradient_sq": 3}
 
     def test_cached_curvature_is_read_only(self, rng):
         form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
@@ -335,25 +356,30 @@ class TestOnePolarAnalysis:
                                       Grid.of((8, 10, 8), (1.0, 0.5, 2.0))], ids=["1d", "2d", "3d"])
     def test_polar_terms_are_read_only_grids(self, grid, rng):
         form = polar_decompose(random_field(grid, rng))
-        for values in (form.curvature, form.action_gradient_sq, form.flux_divergence):
+        for values in (form.curvature, form.action_gradient_sq):
             assert isinstance(values, np.ndarray) and values.shape == grid.shape
             with pytest.raises(ValueError):
                 values[:] = 0.0
 
     def test_madelung_step_fft_count(self, tmp_path, monkeypatch):
-        # the form's one pass: the forward transform of psi 1 (pc reads its spectrum), one
-        # gradient component per axis 3, the laplacian 1; the continuity residual reads the
-        # pass's flux divergence and transforms nothing
+        # one n-D transform, of psi for pc; every derivative takes 1D transforms along its own
+        # axis, one slab of lines at a time, with d psi and d^2 psi from one forward transform:
+        # per slab the curvature takes 1 forward and 2 inverse transforms, |grad S|^2 1 and 1
+        # (once: the run holds it while the phase momentum and the HJ residual read it), and
+        # div f (continuity) 1 and 1
         grid = Grid.of((24, 24, 24), (1.0, 1.0, 1.0))
         psi = gaussian_packet(GaussianPacketSpec(
             center=(0.5, 0.5, 0.5), sigma0=0.1, k_carrier=(0.0, 2.0 * math.pi, 0.0)), grid)
         write_field(psi, tmp_path / "packet.csv")
+        slabs = sum(len(list(spectral._line_slabs(axis, grid, psi.values))) for axis in range(grid.dim))
+        assert slabs == 12  # 13,824 points: four slabs per axis
         calls = counting(monkeypatch, np.fft, FFT_TRANSFORMS)
         assert cli_main(["madelung", "--field", str(tmp_path / "packet.csv"),
                          "--next-field", str(tmp_path / "packet.csv"), "--dt-s", "1e-12",
                          "--omega-ref-rad-per-s", "1e11", "--energy-erg", "1e-16",
                          "--output-dir", str(tmp_path / "out")]) == 0
-        assert sum(calls.values()) == 5
+        assert calls == {"fftn": 1, "ifftn": 0, "fft": 3 * slabs, "ifft": 4 * slabs,
+                         "rfftn": 0, "irfftn": 0}
 
 
 class TestFormFromPsiAlone:
@@ -435,8 +461,7 @@ class TestOneFormPerField:
 
     def test_form_arrays_are_read_only(self, rng):
         form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
-        for arr in (form.rho, form.action, form.branch_mask, form.curvature, form.action_gradient_sq,
-                    form.flux_divergence):
+        for arr in (form.rho, form.action, form.branch_mask, form.curvature, form.action_gradient_sq):
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
 
@@ -454,11 +479,11 @@ class TestOneFormPerField:
         params = EffectiveMassParams(omega_ref=3e11)
         form = polar_decompose(psi)
         quantum_potential(form, params.m_star).Q
-        calls = counting(monkeypatch, spectral, ["polar_terms"])
-        transforms = counting(monkeypatch, np.fft, ["fftn"])
+        calls = counting(monkeypatch, spectral, ["curvature", "power_mean"])
+        transforms = counting(monkeypatch, np.fft, ["fftn", "fft"])
         energy_decomposition(psi, params)
-        assert calls == {"polar_terms": 0}
-        assert transforms == {"fftn": 0}
+        assert calls == {"curvature": 0, "power_mean": 0}
+        assert transforms == {"fftn": 0, "fft": 0}
 
 
 class TestEnergyDecomposition:
