@@ -49,6 +49,14 @@ class FrequencyBand:
     def __post_init__(self) -> None:
         for name in ("nu", "d_nu", "volume"):
             require_positive(name, getattr(self, name))
+        try:
+            m = self.n_states
+        except OverflowError:  # nu**2
+            m = math.inf
+        # a subnormal count has already lost digits to underflow
+        if not np.finfo(float).smallest_normal <= m < math.inf:
+            raise ValueError(f"nu = {self.nu!r}, d_nu = {self.d_nu!r} and volume = {self.volume!r} give the state "
+                             f"count M = 8 pi nu^2 d_nu volume / c^3 = {m!r}, not a finite normal float > 0")
 
     @property
     def n_states(self) -> float:
@@ -176,7 +184,9 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100)
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # C divides an underflowed denominator into inf or NaN, which fails the test below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

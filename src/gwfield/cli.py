@@ -242,8 +242,6 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
         a.ravel() for a in (rho, form.action, qfield.Q, form.curvature)
     ]
     axis_names = [f"x{i}_cm" for i in range(grid.dim)]
-    # held while phase_gradient_momentum and hj_residual run, so that both read one |grad S|^2
-    action_gradient_sq = form.action_gradient_sq
     summary = {
         "E_erg": decomposition.E,
         "pc_erg": decomposition.pc,
@@ -255,7 +253,6 @@ def _cmd_madelung(args: argparse.Namespace) -> tuple[dict, dict]:
         "hj_residual_erg": (None if args.energy_erg is None
                             else madelung.hj_residual(form, params, -args.energy_erg)),
     }
-    del action_gradient_sq
     if args.next_field is not None:
         next_psi = _read_nonzero(args.next_field)
         if next_psi.grid != grid:

@@ -11,6 +11,7 @@ pointer coordinates are dimensionless (conversions happen at the interface).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +55,18 @@ class MeasurementSetup:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         require_positive("w", self.w)
         require_positive("tau", self.tau)
+        with np.errstate(over="ignore"):  # the cached positions the record keeps, refused if not finite
+            positions = self.pointer_positions
+        if not np.all(np.isfinite(positions)):
+            raise ValueError(f"y0 + g*p*tau must be finite for every eigenvalue p, got {positions.tolist()} "
+                             f"(y0 = {self.y0!r}, g = {self.g!r}, tau = {self.tau!r})")
+        try:
+            spread = 8.0 * self.w**2
+        except OverflowError:
+            spread = math.inf
+        if not 0.0 < spread < math.inf:
+            raise ValueError(f"w = {self.w!r} gives the overlap denominator 8 w^2 = {spread!r}, "
+                             "not a finite nonzero float")
         n = len(self.eigenvalues)
         if n > MAX_OUTCOMES:
             raise ValueError(f"{n} outcomes is above the ceiling MAX_OUTCOMES = {MAX_OUTCOMES}")

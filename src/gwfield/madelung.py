@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,15 +24,6 @@ _REGIMES = ("massless", "massive", "classical")
 RHO_FLOOR_REL = 1e-12  # rho below this fraction of its peak is a node: MadelungForm.branch_mask
 
 
-def _read_only(compute):
-    """A cached property whose array is computed on first use and kept read-only."""
-    def cached(self) -> np.ndarray:
-        values = compute(self)
-        values.setflags(write=False)
-        return values
-    return cached_property(wraps(compute)(cached))
-
-
 @dataclass(frozen=True)
 class MadelungForm:
     """Polar form of a field psi = sqrt(rho) exp(i phase), with a node mask.
@@ -45,10 +36,10 @@ class MadelungForm:
     The form is the one polar analysis of its field, derived from ``psi`` on first use and
     kept read-only.  It caches the node mask and one pass that yields the curvature, which
     Q, the defect, the energy split and the HJ residual all read, and the mean |k|.  The
-    density and |grad S|^2, which psi fixes bit for bit, are derived on each read (|grad S|^2
-    unless a reader still holds an earlier read's array).  The polar terms differentiate along
-    each axis by line transforms (:func:`spectral.curvature`): psi must be periodic and
-    band-limited (``gaussian_packet`` wraps; a dump need not).
+    density, S and |grad S|^2, which psi fixes bit for bit, are derived on each read and
+    returned read-only.  The polar terms differentiate along each axis by line transforms
+    (:func:`spectral.curvature`): psi must be periodic and band-limited (``gaussian_packet``
+    wraps; a dump need not).
     """
 
     psi: ComplexField
@@ -68,21 +59,12 @@ class MadelungForm:
         rho.setflags(write=False)
         return rho
 
-    @_read_only
+    @cached_property
     def branch_mask(self) -> np.ndarray:
         rho = self.psi.density()
-        return rho < RHO_FLOOR_REL * float(rho.max())
-
-    @_read_only
-    def action(self) -> np.ndarray:
-        """S = hbar * the unwrapped phase [erg s]."""
-        phase = np.angle(self.psi.values)
-        dim = self.grid.dim
-        for axis in range(dim):
-            sweep = (slice(None),) * (axis + 1) + (0,) * (dim - axis - 1)
-            phase[sweep] = np.unwrap(phase[sweep], axis=axis)
-        phase *= CGS.hbar
-        return phase
+        mask = rho < RHO_FLOOR_REL * float(rho.max())
+        mask.setflags(write=False)
+        return mask
 
     @cached_property
     def _pass(self) -> tuple[np.ndarray, float]:
@@ -101,15 +83,23 @@ class MadelungForm:
                                doc="<|k|> over the power spectrum of psi [1/cm].")
 
     @property
+    def action(self) -> np.ndarray:
+        """S = hbar * the unwrapped phase [erg s], derived on each read."""
+        phase = np.angle(self.psi.values)
+        dim = self.grid.dim
+        for axis in range(dim):
+            sweep = (slice(None),) * (axis + 1) + (0,) * (dim - axis - 1)
+            phase[sweep] = np.unwrap(phase[sweep], axis=axis)
+        phase *= CGS.hbar
+        phase.setflags(write=False)
+        return phase
+
+    @property
     def action_gradient_sq(self) -> np.ndarray:
-        """|grad S|^2 = (hbar flux/rho)^2 [erg^2 s^2/cm^2]; masked points carry zeros.  Derived
-        on a read unless an earlier read's array is still alive: the form keeps a weak reference
-        alone, so a caller that holds the array shares one pass among the diagnostics it calls."""
-        values = vars(self).get("_action_gradient_sq", lambda: None)()
-        if values is None:
-            values = spectral.action_gradient_sq(self.psi.values, self.grid, self.branch_mask)
-            values.setflags(write=False)
-            object.__setattr__(self, "_action_gradient_sq", weakref.ref(values))
+        """|grad S|^2 = (hbar flux/rho)^2 [erg^2 s^2/cm^2], derived on each read; masked points
+        carry zeros."""
+        values = spectral.action_gradient_sq(self.psi.values, self.grid, self.branch_mask)
+        values.setflags(write=False)
         return values
 
     def mean(self, values: np.ndarray) -> float:

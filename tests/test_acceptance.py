@@ -144,6 +144,22 @@ def test_every_meshgrid_is_open():
     assert not full, f"np.meshgrid calls without sparse=True: {full}"
 
 
+def test_a_frozen_record_is_written_only_while_it_is_built():
+    """``object.__setattr__`` appears in ``src/gwfield`` only inside a ``__post_init__``: a frozen
+    record is normalised while it is built and never written after, not even as a cache."""
+    stray = []
+    for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        building = {id(sub) for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+                    for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and getattr(node.value, "id", None) == "object" and id(node) not in building):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, f"object.__setattr__ outside __post_init__: {stray}"
+
+
 def _package_options():
     """Each defaulted parameter of a public function, class or method in ``src/gwfield``, as
     ``"owner.parameter"``, with what each package call to its owner passes for it: the argument's
@@ -299,7 +315,7 @@ def test_every_array_a_record_stores_is_read_only():
     assert {"OutcomeFrequencies.counts", "SchmidtResult.left_basis",
             "BohmTrajectory.last_step", "MadelungForm._pass"} <= {n for n, _ in arrays}
     derived = [getattr(setup, name) for name in ("pointer_positions", "weights", "overlap_matrix")] + [
-        getattr(form, name) for name in ("rho", "action_gradient_sq")]
+        getattr(form, name) for name in ("rho", "action", "action_gradient_sq")]
     assert all(isinstance(array, np.ndarray) and not array.flags.writeable for array in derived)
     with pytest.raises(ValueError, match="read-only"):
         table.counts[0] += 50

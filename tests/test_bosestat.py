@@ -40,6 +40,9 @@ class TestBandStateCount:
         with pytest.raises(ValueError):
             FrequencyBand(1e10, -1.0)
 
+    def test_the_count_keeps_its_operand_order(self):
+        assert FrequencyBand(1e11, 1e9, 1e3).n_states == 8.0 * math.pi * 1e11**2 * 1e9 / CGS.c**3 * 1e3
+
 
 class TestGeometricOccupancy:
     def test_frozen_band(self):
@@ -513,6 +516,29 @@ class TestBrentPort:
             assert bosestat._brentq(ours, a, b, xtol=xtol, rtol=rtol) == expected, (a, b)
             assert ours.calls == theirs.calls, (a, b)
         assert 0 < sign_errors < 1000
+
+    @pytest.mark.parametrize("f", [
+        lambda x: 1e-110 * (math.exp(3 * x) - 2.0),
+        lambda x: 1e-160 * ((x - 0.3) ** 3 + 0.01 * (x - 0.3)),
+    ], ids=["exponential", "cubic"])
+    def test_an_underflowing_extrapolation_bisects_as_scipy(self, f):
+        # the extrapolation's denominator underflows to 0: C divides into inf or NaN and bisects
+        from scipy.optimize import brentq
+
+        ours, theirs = _counted(f), _counted(f)
+        expected = brentq(theirs, 0.0, 1.0, xtol=2e-12, rtol=4 * np.finfo(float).eps)
+        assert bosestat._brentq(ours, 0.0, 1.0, xtol=2e-12, rtol=4 * np.finfo(float).eps) == expected
+        assert ours.calls == theirs.calls
+
+    @pytest.mark.parametrize("e_target", [1e-320, 1e-200])
+    def test_a_tiny_target_solves_as_with_scipy(self, e_target, monkeypatch):
+        from scipy.optimize import brentq
+
+        band = bosestat.FrequencyBand(1e11, 1e9, 1e3)
+        _, ours = bosestat.maximize_entropy([band], e_target, 60)
+        monkeypatch.setattr(bosestat, "_brentq", lambda f, a, b, xtol, rtol: brentq(f, a, b, xtol=xtol, rtol=rtol))
+        _, theirs = bosestat.maximize_entropy([band], e_target, 60)
+        assert ours == theirs
 
     @pytest.mark.parametrize("f, a, b", [
         (lambda x: x * x + 1.0, -1.0, 2.0),

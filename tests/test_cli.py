@@ -859,6 +859,18 @@ class TestOutOfRangeValues:
         (tmp_path / "unstamped").mkdir()
         for idx in range(8):
             write_field(psi, tmp_path / "unstamped" / f"field_{idx:04d}.csv")
+        # a band whose state count M = 8 pi nu^2 d_nu V / c^3 overflows or underflows, next to a normal one
+        normal = {"nu_hz": 1e11, "d_nu_hz": 1e9, "volume_cm3": 1e3}
+        for name, band in [("huge_nu", {"nu_hz": 1e200}), ("huge_d_nu", {"d_nu_hz": 1e308}),
+                           ("huge_volume", {"volume_cm3": 1e308}), ("tiny_nu", {"nu_hz": 1e-320}),
+                           ("tiny_volume", {"volume_cm3": 1e-320})]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"bands": [normal, {**normal, **band}], "e_target_erg": 1e-15, "r_max": 60}))
+        # a pointer position or an overlap denominator 8 w^2 outside the float range
+        for name, key, value in [("huge_g", "g", 1e308), ("huge_tau", "tau", 1e308),
+                                 ("tiny_w", "w", 1e-320), ("huge_w", "w", 1e308)]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"eigenvalues": [0.0, 1.0, 2.0], "amplitudes": [0.6, 0.8, 0.0], key: value}))
         return tmp_path
 
     BOHM = ["bohm", "--field", "{packet.csv}", "--omega-ref-rad-per-s", 1e11,
@@ -981,6 +993,11 @@ class TestOutOfRangeValues:
         (["casimir", "--a-cm", 1e-4, "--t-kelvin", 1e-300], ["a = 0.0001", "T = 1e-300", "pressure"]),
         (["cmbr", "--omega-c-rad-per-s", 1e9, "--t-kelvin", 1e-320], ["T = 1e-320", "k_B*T"]),
         (["planck", "--t-kelvin", 1e-320, "--nu-min-hz", 1, "--nu-max-hz", 2], ["T = 1e-320", "k_B*T"]),
+        *[(["maxent", "--spec", f"{{{name}.json}}"], ["nu = ", "d_nu = ", "volume = ", "state count"])
+          for name in ("huge_nu", "huge_d_nu", "huge_volume", "tiny_nu", "tiny_volume")],
+        *[(["measure", "--spec", f"{{{name}.json}}", "--trials", 10, "--seed", 1], names)
+          for name, names in [("huge_g", ["y0", "g = 1e+308", "tau"]), ("huge_tau", ["y0", "g", "tau = 1e+308"]),
+                              ("tiny_w", ["w = 1e-320", "8 w^2"]), ("huge_w", ["w = 1e+308", "8 w^2"])]],
     ], ids=["madelung-next-field-other-grid", "measure-seed-neg", "measure-trials-zero",
             "measure-trials-above-c-long",
             "helicity-equal-stamps", "helicity-decreasing-stamps", "bohm-seed-not-a-number",
@@ -992,7 +1009,11 @@ class TestOutOfRangeValues:
             "propagate-infinite-mode-number", "propagate-m-star-underflows", "propagate-v0-overflows",
             "madelung-m-star-underflows", "madelung-v0-overflows", "madelung-true-flag-unnormalized",
             "casimir-a-underflow", "casimir-kT-underflow", "casimir-pressure-overflow",
-            "cmbr-kT-underflow", "planck-kT-underflow"])
+            "cmbr-kT-underflow", "planck-kT-underflow",
+            "maxent-nu-squared-overflow", "maxent-d_nu-count-overflow", "maxent-volume-count-overflow",
+            "maxent-nu-squared-underflow", "maxent-volume-count-subnormal",
+            "measure-g-pointer-overflow", "measure-tau-pointer-overflow",
+            "measure-w-squared-underflow", "measure-w-squared-overflow"])
     def test_error_names_its_flag(self, inputs, capsys, argv, names):
         argv = [inputs / a[1:-1] if isinstance(a, str) and a.startswith("{") else a
                 for a in argv]

@@ -384,15 +384,15 @@ class TestAllocationBudgets:
         assert traced_beyond_result(lambda: spectral.action_gradient_sq(psi.values, GRID, mask)) <= 0.4
 
     def test_form_stores_no_density(self, psi):
-        # once every polar term is read, the form holds the node mask and the curvature alone:
-        # |grad S|^2 is derived on each read, like the density, and the form keeps only a dead
-        # weak reference to the last one (measured 0.56, against 1.56 while the form kept all
-        # three terms and 2.06 with its density too)
+        # once every public read is made, the form holds the node mask and the curvature alone:
+        # S and |grad S|^2 are derived on each read, like the density, and nothing else is kept
+        # (measured 0.56, against 1.56 while the form kept all three terms and 2.06 with its
+        # density too)
         form = madelung.MadelungForm(psi)
-        for name in FORM_READS:
-            getattr(form, name)
-        assert set(vars(form)) == {"psi", "branch_mask", "_pass", "_action_gradient_sq"}
-        assert form._action_gradient_sq() is None
+        for name in dir(form):
+            if not name.startswith("_"):
+                getattr(form, name)
+        assert set(vars(form)) == {"psi", "branch_mask", "_pass"}
         stored = [form.branch_mask, form.curvature]
         assert form._pass[0] is form.curvature and all(a.shape == GRID.shape for a in stored)
         assert sum(a.nbytes for a in stored) / FULL <= 0.6

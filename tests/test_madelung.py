@@ -332,21 +332,6 @@ class TestOnePolarAnalysis:
         assert calls == {"transform": 1, "curvature": 1, "action_gradient_sq": 2, "flux_divergence": 1,
                          "phase_flux": 0}
 
-    def test_a_held_action_gradient_is_shared(self, rng, monkeypatch):
-        # the form keeps a weak reference alone: readers share |grad S|^2 while a caller holds it
-        calls = counting(monkeypatch, spectral, ["action_gradient_sq"])
-        grid = Grid.of((16, 8), (1.0, 0.5))
-        psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
-        form, params = polar_decompose(psi), EffectiveMassParams(omega_ref=3e11)
-        held = form.action_gradient_sq
-        assert form.action_gradient_sq is held
-        momentum, residual = phase_gradient_momentum(form), hj_residual(form, params, 0.0)
-        assert calls == {"action_gradient_sq": 1}
-        del held
-        assert form._action_gradient_sq() is None
-        assert (phase_gradient_momentum(form), hj_residual(form, params, 0.0)) == (momentum, residual)
-        assert calls == {"action_gradient_sq": 3}
-
     def test_cached_curvature_is_read_only(self, rng):
         form = polar_decompose(random_field(Grid.of(32, 1.0), rng))
         with pytest.raises(ValueError):
@@ -365,8 +350,8 @@ class TestOnePolarAnalysis:
         # one n-D transform, of psi for pc; every derivative takes 1D transforms along its own
         # axis, one slab of lines at a time, with d psi and d^2 psi from one forward transform:
         # per slab the curvature takes 1 forward and 2 inverse transforms, |grad S|^2 1 and 1
-        # (once: the run holds it while the phase momentum and the HJ residual read it), and
-        # div f (continuity) 1 and 1
+        # (twice: derived for the phase momentum and again for the HJ residual), and div f
+        # (continuity) 1 and 1
         grid = Grid.of((24, 24, 24), (1.0, 1.0, 1.0))
         psi = gaussian_packet(GaussianPacketSpec(
             center=(0.5, 0.5, 0.5), sigma0=0.1, k_carrier=(0.0, 2.0 * math.pi, 0.0)), grid)
@@ -378,7 +363,7 @@ class TestOnePolarAnalysis:
                          "--next-field", str(tmp_path / "packet.csv"), "--dt-s", "1e-12",
                          "--omega-ref-rad-per-s", "1e11", "--energy-erg", "1e-16",
                          "--output-dir", str(tmp_path / "out")]) == 0
-        assert calls == {"fftn": 1, "ifftn": 0, "fft": 3 * slabs, "ifft": 4 * slabs,
+        assert calls == {"fftn": 1, "ifftn": 0, "fft": 4 * slabs, "ifft": 5 * slabs,
                          "rfftn": 0, "irfftn": 0}
 
 
@@ -392,7 +377,9 @@ class TestFormFromPsiAlone:
         qfield = quantum_potential(form, 1e-30)
         assert list(vars(qfield)) == ["form", "m_star"]
 
-    def test_diagnostics_leave_the_phase_uncomputed(self, rng):
+    def test_diagnostics_leave_the_phase_uncomputed(self, rng, monkeypatch):
+        # no diagnostic unwraps the phase; S is swept on each read of it, to the same bits
+        calls = counting(monkeypatch, np, ["unwrap"])
         grid = Grid.of((16, 8), (1.0, 0.5))
         psi = normalize(ComplexField(grid=grid, values=1.0 + 0.3 * random_field(grid, rng).values))
         params = EffectiveMassParams(omega_ref=3e11)
@@ -400,9 +387,15 @@ class TestFormFromPsiAlone:
         quantum_potential(form, params.m_star).Q
         energy_decomposition(psi, params)
         hj_residual(form, params, 0.0)
-        assert "action" not in vars(form)
-        form.action
-        assert "action" in vars(form)
+        continuity_residual(form, np.zeros(grid.shape), params.m_star)
+        phase_gradient_momentum(form)
+        assert calls == {"unwrap": 0}
+        first, second = form.action, form.action
+        assert calls == {"unwrap": 2 * grid.dim}
+        assert "action" not in vars(form) and not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
 
     def test_density_is_derived_on_each_read(self, rng):
         form = polar_decompose(random_field(Grid.of((16, 8), (1.0, 0.5)), rng))
