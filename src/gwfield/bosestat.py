@@ -99,6 +99,8 @@ class OccupancyTable:
         p = np.array(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != len(self.bands):
             raise ValueError("p must be a (n_bands, r_max+1) array")
+        if not np.isfinite(p).all():  # a NaN passes every comparison below
+            raise ValueError("occupancies must be finite")
         if np.any(p < -1e-30):
             raise ValueError("occupancies must be >= 0")
         for s, band in enumerate(self.bands):
@@ -215,7 +217,7 @@ def _band_optimum(n_states, h_nu, beta: float, r_max: int) -> np.ndarray:
     """
     m = n_states[:, None]
     drift = 0.5 * (1.0 + h_nu[:, None] / beta * np.arange(r_max + 1.0))
-    floor = 1e-300 * m
+    floor = np.maximum(1e-300 * m, np.finfo(float).tiny)  # a floor that underflows to 0 divides 0 by 0
     p = np.repeat(m / (r_max + 1.0), r_max + 1, axis=1)
     out, q, step = np.empty((3, *p.shape))
     rows = np.arange(len(h_nu))

@@ -19,8 +19,8 @@ boolean or a string in a spec, matrix file or dump sidecar, all of which
 Every failure, a command-line usage error included, is reported as one JSON
 line on stderr, never as a traceback or usage text.
 
-The CLI runs on numpy alone.  The layers beyond its core (``bosestat``,
-``cmbrvac``, ``madelung``, ``selfcheck``) are imported inside the steps that
+The CLI runs on numpy alone; ``bosestat``, ``cmbrvac``, ``hybridmeas``,
+``madelung``, ``selfcheck`` and ``statequant`` are imported inside the steps that
 run them: at module level, every process that imports this module, the
 benchmark runner included, would load them, which raises its peak RSS.
 """
@@ -42,11 +42,11 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CGS
-from . import __version__, hybridmeas, statequant, wavemech
+from . import __version__, wavemech
 from .fields import ComplexField, Grid, make_plane_wave, normalize
-from .fieldio import (_INDEX_NAMES, ConfigError, GridColumn, _complex_from_pair, _load_json,
-                      _spec_float, _spec_floats, _spec_int, _spec_items, _spec_matrix, read_field,
-                      read_object, read_table, write_field, write_table)
+from .fieldio import (_INDEX_NAMES, ConfigError, GridColumn, _complex_from_pair, _load_json, _matrix_json,
+                      _one_or_each, _spec_choice, _spec_float, _spec_floats, _spec_int, _spec_items, _spec_matrix,
+                      read_field, read_matrix_csv, read_object, write_field, write_json, write_table)
 from .helicity import MIN_SNAPSHOTS, TimeSeriesField, convection_current, first_order_charge, partial_wave_split
 
 
@@ -74,38 +74,6 @@ def _read_nonzero(path: str) -> ComplexField:
     return field
 
 
-def _spec_choice(*choices: str):
-    """A converter for a JSON string that must be one of ``choices``."""
-    def choice(value, where: str) -> str:
-        if value not in choices:
-            raise ConfigError(f"{where} must be one of {', '.join(map(repr, choices))}, got {value!r}")
-        return value
-    return choice
-
-
-def _one_or_each(convert):
-    """A converter for one value or a list of values (one per axis)."""
-    each = _spec_items(convert)
-    return lambda value, where: each(value, where) if isinstance(value, list) else convert(value, where)
-
-
-def _complex_matrix_to_json(m: np.ndarray) -> dict:
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
-
-
-def _read_matrix_csv(path: Path) -> np.ndarray:
-    """Complex matrix CSV: header re0,im0,re1,im1,...; one row per matrix row."""
-    header, data = read_table(path)
-    if header != [f"{kind}{c}" for c in range(len(header) // 2) for kind in ("re", "im")]:
-        raise ConfigError(f"matrix CSV {path} needs the header re0,im0,re1,im1,... got {header}")
-    if data.size == 0 or data.shape[1] != len(header):
-        raise ConfigError(f"matrix CSV {path} needs data rows of {len(header)} values")
-    matrix = data[:, 0::2] + 1j * data[:, 1::2]
-    if not np.all(np.isfinite(matrix)):
-        raise ConfigError(f"matrix CSV {path} holds a non-finite entry")
-    return matrix
-
-
 def _write_output(path: Path, value) -> None:
     """Write one output: a ``(field, t_s)`` snapshot, a ``(header, columns)``
     table, or any other value as a JSON payload."""
@@ -114,11 +82,7 @@ def _write_output(path: Path, value) -> None:
     elif isinstance(value, tuple):
         write_table(path, *value)
     else:
-        try:
-            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError as exc:
-            raise FloatingPointError(f"{path.name} would hold a non-finite number: {exc}") from None
-        path.write_text(text + "\n")
+        write_json(path, value)
 
 
 def _write_manifest(outdir: Path, config: dict, t_start: float) -> None:
@@ -316,7 +280,9 @@ def _cmd_bohm(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_schmidt(args: argparse.Namespace) -> tuple[dict, dict]:
-    matrix = _read_matrix_csv(Path(args.matrix))
+    from . import statequant
+
+    matrix = read_matrix_csv(args.matrix)
     result = statequant.schmidt_decompose(matrix, threshold=args.threshold,
                                           renormalize=args.renormalize)
     payload = {
@@ -324,8 +290,8 @@ def _cmd_schmidt(args: argparse.Namespace) -> tuple[dict, dict]:
         "rank": result.rank,
         "threshold": result.threshold,
         "entangled": result.entangled,
-        "left_basis": _complex_matrix_to_json(result.left_basis),
-        "right_basis": _complex_matrix_to_json(result.right_basis),
+        "left_basis": _matrix_json(result.left_basis),
+        "right_basis": _matrix_json(result.right_basis),
     }
     return vars(args), {"schmidt.json": payload}
 
@@ -334,6 +300,8 @@ def _cmd_schmidt(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_update(args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import statequant
+
     if args.rule == "luders" and args.outcome is None:
         raise ConfigError("--outcome is required for the luders rule")
     rho = statequant.DensityMatrix(entries=_spec_matrix(_load_json(args.rho), args.rho))
@@ -349,7 +317,7 @@ def _cmd_update(args: argparse.Namespace) -> tuple[dict, dict]:
         payload["probability"] = prob
     else:
         updated = statequant.von_neumann_update(rho, projectors)
-    payload["rho"] = _complex_matrix_to_json(updated.entries)
+    payload["rho"] = _matrix_json(updated.entries)
     return vars(args), {"update.json": payload}
 
 
@@ -401,6 +369,8 @@ _MEASURE_KEYS = {"eigenvalues": (_spec_floats, True),
 
 
 def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import hybridmeas
+
     spec = _load_json(args.spec)
     setup = hybridmeas.MeasurementSetup(**read_object(_MEASURE_KEYS, spec, args.spec))
     if args.seed < 0:
@@ -416,7 +386,7 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
         "overlap_matrix": setup.overlap_matrix.tolist(),
         "resolved": setup.resolved,
         "unresolved_pairs": [list(p) for p in setup.unresolved_pairs],
-        "reduced_state": _complex_matrix_to_json(reduced.entries),
+        "reduced_state": _matrix_json(reduced.entries),
         "max_abs_deviation": table.max_abs_deviation,
     }
     columns = [np.arange(len(setup.eigenvalues)), np.asarray(setup.eigenvalues, dtype=float),

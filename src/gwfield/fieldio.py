@@ -1,5 +1,5 @@
-"""Field serialization (CSV body plus JSON sidecar with grid metadata) and
-the one reader of JSON inputs.
+"""Every file format: field dumps (CSV body plus JSON sidecar with grid metadata),
+tables, complex matrices and JSON files.
 
 The CSV carries one row per grid point with the per-axis indices followed by
 the real and imaginary parts.  Floats are written with ``repr``, whose
@@ -8,8 +8,8 @@ Every CSV the package writes goes through :func:`write_table`, and every
 CSV it reads through one block parser: both hold at most :data:`_BLOCK_ROWS`
 rows beyond the data itself, so I/O memory does not grow with the grid.
 Every JSON object the tool reads (spec objects, ``{re, im}`` matrix files, dump
-sidecars) through :func:`read_object`.  Its converters are private, so a
-tracer of the public functions records no span per value.
+sidecars) through :func:`read_object`, and writes each through :func:`write_json`.
+Its converters are private, so a tracer of the public functions records no span per value.
 """
 
 from __future__ import annotations
@@ -110,6 +110,21 @@ _spec_floats = _spec_items(_spec_float)
 _spec_ints = _spec_items(_spec_int)
 
 
+def _spec_choice(*choices: str):
+    """A converter for a JSON string that must be one of ``choices``."""
+    def choice(value, where: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{where} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+        return value
+    return choice
+
+
+def _one_or_each(convert):
+    """A converter for one value or a list of values (one per axis)."""
+    each = _spec_items(convert)
+    return lambda value, where: each(value, where) if isinstance(value, list) else convert(value, where)
+
+
 def _complex_from_pair(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(_spec_float(value, where))
@@ -129,6 +144,21 @@ def _spec_matrix(value, where: str) -> np.ndarray:
     if not re or len(im) != len(re) or {len(row) for row in re + im} != {len(re[0])}:
         raise ConfigError(f"{where} needs 're' (and 'im') rows of one shape")
     return np.array(re) + 1j * np.array(im)
+
+
+def _matrix_json(m: np.ndarray) -> dict:
+    """The ``{re, im}`` object that :func:`_spec_matrix` reads."""
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write indented JSON with sorted keys and a final newline; a NaN or an infinity raises
+    FloatingPointError naming the file."""
+    try:
+        text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{Path(path).name} would hold a non-finite number: {exc}") from None
+    Path(path).write_text(text + "\n")
 
 
 # the keys write_field writes; `periodic` and `units` only describe the dump
@@ -205,7 +235,7 @@ def write_field(field: ComplexField, csv_path: str | Path, t_s: float | None = N
     if t_s is not None:
         meta["t_s"] = float(t_s)
     side = sidecar_path(csv_path)
-    side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(side, meta)
     return csv_path, side
 
 
@@ -241,16 +271,21 @@ def _row_blocks(handle, path) -> Iterator[np.ndarray]:
             return
 
 
-def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read a numeric CSV table: its header and a 2-D float array of its rows.
-
-    Parsing is exact for ``repr``-written floats.  A malformed body raises
-    ValueError naming the file; an empty body gives an empty array.
-    """
+def read_matrix_csv(path: str | Path) -> np.ndarray:
+    """The complex matrix of a CSV of header re0,im0,re1,im1,..., one row per matrix row; another
+    header, no row, another width or a non-finite entry is a ConfigError naming the file."""
     with Path(path).open(newline="") as handle:
         header, blocks = _table_reader(handle, path)
+        if header != [f"{kind}{c}" for c in range(len(header) // 2) for kind in ("re", "im")]:
+            raise ConfigError(f"matrix CSV {path} needs the header re0,im0,re1,im1,... got {header}")
         blocks = list(blocks)
-    return header, np.concatenate(blocks) if blocks else np.empty((0, len(header)))
+    if not blocks or blocks[0].shape[1] != len(header):
+        raise ConfigError(f"matrix CSV {path} needs data rows of {len(header)} values")
+    data = np.concatenate(blocks)
+    matrix = data[:, 0::2] + 1j * data[:, 1::2]
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"matrix CSV {path} holds a non-finite entry")
+    return matrix
 
 
 def read_field(csv_path: str | Path) -> tuple[ComplexField, dict]:

@@ -86,8 +86,9 @@ class MeasurementSetup:
     @cached_property
     def overlap_matrix(self) -> np.ndarray:
         """Pointer packets for outcomes p and q overlap by exp(-(y_p-y_q)^2/(8 w^2))."""
-        separations = self.pointer_positions[:, None] - self.pointer_positions[None, :]
-        return frozen_array(np.exp(-(separations**2) / (8.0 * self.w**2)), float)
+        with np.errstate(over="ignore"):  # an infinite separation overlaps by exactly 0
+            separations = self.pointer_positions[:, None] - self.pointer_positions[None, :]
+            return frozen_array(np.exp(-(separations**2) / (8.0 * self.w**2)), float)
 
     @cached_property
     def unresolved_pairs(self) -> tuple[tuple[int, int], ...]:

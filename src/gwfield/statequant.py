@@ -24,6 +24,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
     m = frozen_array(entries, np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     return m
 
 
@@ -118,17 +120,22 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 def luders_update(
     rho: DensityMatrix, projectors: ProjectorSet, k: int
 ) -> tuple[DensityMatrix, float]:
-    """Selective update: (P_k rho P_k / Tr(P_k rho), Tr(P_k rho))."""
+    """Selective update: (P_k rho P_k / p, p), with p = Tr(P_k rho P_k) the trace of the one
+    product it normalises.  A result that rounding (about eps/p) leaves outside the
+    :class:`DensityMatrix` checks raises RuntimeError naming ``k`` and ``p``."""
     if rho.dim != projectors.dim:
         raise ValueError("state and projector dimensions differ")
     if not 0 <= k < len(projectors):
         raise ValueError(f"outcome {k} is outside [0, {len(projectors)})")
     p_k = projectors.projectors[k]
-    prob = float(np.real(np.trace(p_k @ rho.entries)))
+    updated = _hermitize(p_k @ rho.entries @ p_k)
+    prob = float(np.real(np.trace(updated)))
     if prob <= PROB_FLOOR:
         raise ValueError(f"outcome {k} has zero probability (Tr P_k rho = {prob})")
-    updated = _hermitize(p_k @ rho.entries @ p_k) / prob
-    return DensityMatrix(entries=updated), prob
+    try:
+        return DensityMatrix(entries=updated / prob), prob
+    except ValueError as exc:
+        raise RuntimeError(f"outcome {k} of probability {prob!r} updates to no density matrix: {exc}") from None
 
 
 def von_neumann_update(rho: DensityMatrix, projectors: ProjectorSet) -> DensityMatrix:
@@ -174,6 +181,8 @@ def schmidt_decompose(
     c = np.asarray(amplitudes, dtype=np.complex128)
     if c.ndim != 2:
         raise ValueError("amplitude matrix must be 2D")
+    if not np.isfinite(c).all():
+        raise ValueError("amplitude matrix entries must be finite")
     frob = float(np.linalg.norm(c))
     if frob == 0.0:
         raise ValueError("cannot decompose the zero matrix")

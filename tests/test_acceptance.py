@@ -4,10 +4,11 @@ prints the entry's PASS/FAIL line (visible with ``pytest -s``), then asserts
 every measurement against its bound and the run time against the budget.
 The rest keep every public function and class of the package in use, every public
 method and property read outside its class, every top-level import of a module read in it,
-every grid transform in ``spectral.py``, every ``hashlib`` import in ``cli.py``, every
-meshgrid open, every option of one set by some call in the package and to more than one
-value, each value that a record derives equal to the value it once stored, every array a
-record stores read-only, and every positivity or non-negativity refusal in ``constants``.
+every grid transform in ``spectral.py``, every ``hashlib`` import in ``cli.py``, every file
+write or parse in ``fieldio.py``, every meshgrid open, every option of one set by some call
+in the package and to more than one value, each value that a record derives equal to the
+value it once stored, every array a record stores read-only, and every positivity or
+non-negativity refusal in ``constants``.
 """
 
 import ast
@@ -129,6 +130,34 @@ def test_only_the_cli_imports_hashlib():
             if path.name != "cli.py" and any(name.split(".")[0] == "hashlib" for name in names):
                 stray.append(f"{path.name}:{node.lineno}")
     assert not stray, f"hashlib imports outside cli.py: {stray}"
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether an ``open(path, mode)`` or ``path.open(mode)`` call may write: a mode that is
+    not a literal counts as writing."""
+    at = 1 if isinstance(call.func, ast.Name) else 0
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[at] if len(call.args) > at else None)
+    return mode is not None and (not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+")))
+
+
+def test_only_fieldio_writes_or_parses_a_file():
+    """No module of ``src/gwfield`` but ``fieldio.py`` writes a file (``write_text``,
+    ``write_bytes``, ``open`` in a write mode) or parses one (``np.loadtxt``, ``json.load``,
+    ``json.loads``, an indented ``json.dumps``): each byte format has one home.  The
+    manifest reads its outputs back only to hash them, and an error line is one
+    unindented ``json.dumps``."""
+    stray = []
+    for path in sorted(Path(selfcheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or path.name == "fieldio.py":
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if (name in ("write_text", "write_bytes", "loadtxt", "load", "loads")
+                    or (name == "open" and _opens_for_writing(node))
+                    or (name == "dumps" and any(k.arg == "indent" for k in node.keywords))):
+                stray.append(f"{path.name}:{node.lineno} {name}")
+    assert not stray, f"file writes or parses outside fieldio.py: {stray}"
 
 
 def test_every_meshgrid_is_open():

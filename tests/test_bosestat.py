@@ -98,6 +98,21 @@ class TestOccupancyTable:
         with pytest.raises(ValueError):
             table.p[0, 0] = 0.0
 
+    @pytest.mark.parametrize("p, message", [
+        (np.full((2, 61), 1.0), r"p must be a \(n_bands, r_max\+1\) array"),
+        (np.full((1, 61), -1.0), "occupancies must be >= 0"),
+        (np.zeros((1, 61)), "band 0 occupancies sum to 0.0"),
+    ], ids=["shape", "negative", "sum"])
+    def test_a_table_that_is_no_occupancy_is_refused(self, p, message):
+        with pytest.raises(ValueError, match=message):
+            OccupancyTable(bands=(FrequencyBand(1e11, 1e9, 1e3),), p=p)
+
+    @pytest.mark.parametrize("fill", [math.nan, math.inf])
+    def test_non_finite_occupancies_rejected(self, fill):
+        # a NaN passes every comparison test, and would make total_energy() NaN
+        with pytest.raises(ValueError, match="occupancies must be finite"):
+            OccupancyTable(bands=(FrequencyBand(1e11, 1e9, 1e3),), p=np.full((1, 61), fill))
+
 
 class TestMaximizeEntropy:
     def test_single_band_analytic_solution(self):
@@ -236,6 +251,29 @@ class TestMaximizeEntropy:
         band = FrequencyBand(nu=1e10, d_nu=1e8, volume=1.0)
         with pytest.raises(ValueError, match=r"^r_max must be a whole number in \[1, MAX_R_MAX"):
             maximize_entropy([band], 1e-20, r_max=r_max)
+
+    def test_no_band_is_refused(self):
+        with pytest.raises(ValueError, match="at least one band"):
+            maximize_entropy([], 1e-15, r_max=60)
+
+    def test_bands_far_apart_in_frequency_bracket_beta_from_below(self):
+        # the lower bracket starts at 1e-6 h nu_max; the low band holds the target energy there
+        bands = [FrequencyBand(1e13, 1e10, 1.0), FrequencyBand(1e6, 1e5, 1e12)]
+        rows = [geometric_occupancy(b, 1e-5, r_max=60) for b in bands]
+        e_target = sum(CGS.h * b.nu * float(row @ np.arange(61)) for b, row in zip(bands, rows))
+        table, thermo = maximize_entropy(bands, e_target, r_max=60)
+        assert thermo.beta < 1e-6 * CGS.h * 1e13
+        assert thermo.temperature == pytest.approx(1e-5, rel=1e-8)
+        assert np.abs(table.p[1] - rows[1]).max() <= 1e-14 * bands[1].n_states
+
+    @pytest.mark.parametrize("volume", [1e-24, 1e-30, 1e-100, 1e-300])
+    def test_a_band_of_tiny_state_count_solves_to_the_closed_form(self, volume):
+        # 1e-300 M underflows to 0 for M below ~2.5e-24: the ascent's floor must stay positive
+        tiny = FrequencyBand(1e11, 1e9, volume)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            table, thermo = maximize_entropy([FrequencyBand(1e11, 1e9, 1e3), tiny], 1e-15, r_max=60)
+        row = geometric_occupancy(tiny, thermo.temperature, r_max=60)
+        assert np.abs(table.p[1] - row).max() <= 1e-14 * tiny.n_states
 
     def test_band_optimum_reports_exhausted_iterations(self):
         # a NaN multiplier never meets the stopping rule; the last iterate is all NaN
@@ -401,6 +439,18 @@ def plane_wave_mode(m):
 
 
 class TestSymmetrizePhotons:
+    @pytest.mark.parametrize("occupation, message", [
+        ([1], "one count per mode"), ([1, -1], "must be >= 0"), ([0, 0], "at least one photon"),
+    ])
+    def test_an_occupation_that_is_no_state_is_refused(self, occupation, message):
+        with pytest.raises(ValueError, match=message):
+            symmetrize_photons([plane_wave_mode(1), plane_wave_mode(2)], occupation)
+
+    def test_an_evaluator_refuses_another_photon_count(self):
+        evaluator = symmetrize_photons([plane_wave_mode(1), plane_wave_mode(2)], [1, 1])
+        with pytest.raises(ValueError, match="expected 2 particle coordinates"):
+            evaluator(np.zeros((3, 5)))
+
     def test_single_photon_reduces_to_mode(self, rng):
         evaluator = symmetrize_photons([plane_wave_mode(3)], [1])
         xs = rng.uniform(0.0, 1.0, size=(1, 20))

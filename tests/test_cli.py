@@ -20,9 +20,12 @@ from gwfield.cli import main
 from gwfield.bosestat import FrequencyBand
 from gwfield.constants import CGS
 from gwfield.fields import ComplexField, Grid, normalize
-from gwfield.fieldio import read_field, write_field
+from gwfield.fieldio import _matrix_json, read_field, write_field
 from gwfield.hybridmeas import MeasurementSetup
+from gwfield.statequant import TRACE_TOL
 from gwfield.wavemech import EffectiveMassParams, GaussianPacketSpec, gaussian_packet
+
+from test_statequant import ROTATED, random_unitary, split_state
 
 
 def run_cli(*args):
@@ -281,6 +284,27 @@ class TestSchmidtAndUpdate:
         assert rc == 0
         payload = json.loads((out / "update.json").read_text())
         np.testing.assert_allclose(payload["rho"]["re"], [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
+
+    @staticmethod
+    def luders_outcome_0(tmp_path, rho, pset):
+        (tmp_path / "rho.json").write_text(json.dumps(_matrix_json(rho.entries)))
+        (tmp_path / "proj.json").write_text(json.dumps({"projectors": list(map(_matrix_json, pset.projectors))}))
+        return run_cli("update", "--rule", "luders", "--rho", tmp_path / "rho.json", "--projectors",
+                       tmp_path / "proj.json", "--outcome", 0, "--output-dir", tmp_path / "upd")
+
+    def test_a_low_probability_luders_outcome_updates_to_unit_trace(self, tmp_path, rng):
+        assert self.luders_outcome_0(tmp_path, *split_state(ROTATED, 1, 1e-8, rng)) == 0
+        payload = json.loads((tmp_path / "upd" / "update.json").read_text())
+        assert payload["probability"] == pytest.approx(1e-8, rel=1e-6)
+        assert abs(np.trace(payload["rho"]["re"]) - 1.0) <= TRACE_TOL
+
+    def test_a_rank_two_update_that_rounding_breaks_exits_3_naming_the_outcome(self, tmp_path, rng, capsys):
+        rho, pset = split_state(random_unitary(4, rng), 2, 1e-8, rng)
+        assert self.luders_outcome_0(tmp_path, rho, pset) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["message"].startswith("outcome 0 of probability ")
+        assert error["context"]["type"] == "RuntimeError"
+        assert not (tmp_path / "upd").exists()
 
 
 class TestFieldPipelines:
@@ -605,8 +629,8 @@ class TestImportBudget:
 
     def test_import_loads_no_step_layer(self):
         loaded = scipy_modules_after([], prefix="gwfield")
-        assert not {"gwfield.bosestat", "gwfield.cmbrvac", "gwfield.madelung",
-                    "gwfield.selfcheck"}.intersection(loaded)
+        assert not {"gwfield.bosestat", "gwfield.cmbrvac", "gwfield.hybridmeas", "gwfield.madelung",
+                    "gwfield.selfcheck", "gwfield.statequant"}.intersection(loaded)
 
     @pytest.mark.parametrize("module", ["gwfield.bosestat", "gwfield.cmbrvac"])
     def test_vacuum_layer_loads_only_the_constants(self, module):

@@ -94,6 +94,11 @@ class TestVacuumEnergy:
         ) / (2.0 * h)
         assert fd == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("xi", [0.0, 1.5])
+    def test_xi_outside_the_unit_interval_rejected(self, xi):
+        with pytest.raises(ValueError, match=r"xi must lie in \(0, 1\]"):
+            VacuumModel(omega_c=1e12, T=2.7, xi=xi)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             vacuum_energy(VacuumModel(omega_c=1e9), "both")

@@ -18,11 +18,18 @@ from gwfield.fields import (
     normalize,
 )
 from gwfield import bosestat, cmbrvac, fieldio, helicity, hybridmeas, madelung, selfcheck, statequant, wavemech
-from gwfield.fieldio import (_BLOCK_ROWS, _SIDECAR_KEYS, ConfigError, GridColumn, _spec_floats, _spec_int,
-                             read_field, read_object, read_table, write_field, write_table)
+from gwfield.fieldio import (_BLOCK_ROWS, _SIDECAR_KEYS, ConfigError, GridColumn, _complex_from_pair, _spec_floats,
+                             _spec_int, _spec_matrix, _table_reader, read_field, read_object, write_field, write_table)
 
 from conftest import coordinate_meshes, random_field, registry_measurements, run_entry
 from test_kernels import plain_laplacian
+
+
+def read_rows(path):
+    """The header and the rows of a numeric CSV, through fieldio's block reader."""
+    with path.open(newline="") as handle:
+        header, blocks = _table_reader(handle, path)
+        return header, np.concatenate(list(blocks))
 
 
 class TestConstants:
@@ -142,12 +149,20 @@ class TestGrid:
             Grid.of(n_points, 1.0)
         assert Grid.of(16.0, 1.0).n_points == Grid.of(16, 1.0).n_points == (16,)
 
+    def test_one_length_per_axis(self):
+        with pytest.raises(ValueError, match="one entry per axis"):
+            Grid(n_points=(16, 16), lengths=(1.0,))
+
     def test_dim_limit(self):
         with pytest.raises(ValueError, match="dim must be 1, 2 or 3, got 4"):
             Grid(n_points=(8, 8, 8, 8), lengths=(1.0,) * 4)
 
 
 class TestComplexField:
+    def test_values_off_the_grid_rejected(self):
+        with pytest.raises(ValueError, match=r"values shape \(8,\) does not match grid \(16,\)"):
+            ComplexField(grid=Grid.of(16, 1.0), values=np.ones(8, dtype=complex))
+
     def test_nan_rejected(self):
         grid = Grid.of(8, 1.0)
         values = np.ones(8, dtype=complex)
@@ -191,6 +206,10 @@ class TestPlaneWave:
         np.testing.assert_allclose(np.abs(field.values), 1.0, atol=1e-14)
         # one full oscillation across the box
         assert abs(field.values[0] - field.values[-1] * np.exp(1j * k * grid.spacings[0])) < 1e-12
+
+    def test_one_wavenumber_per_axis(self):
+        with pytest.raises(ValueError, match="k_vec dimensionality"):
+            make_plane_wave(1.0, (0.0, 0.0), Grid.of(16, 1.0))
 
     def test_non_commensurate_rejected(self):
         grid = Grid.of(16, 1.0)
@@ -401,10 +420,10 @@ class TestTableIO:
             writer.writerows([int(n), repr(float(x)), s] for n, x, s in zip(ints, floats, status))
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    def test_read_table_is_exact(self, rng, tmp_path):
+    def test_block_reader_is_exact(self, rng, tmp_path):
         x = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
         write_table(tmp_path / "t.csv", ["i", "x"], [np.arange(500), x])
-        header, data = read_table(tmp_path / "t.csv")
+        header, data = read_rows(tmp_path / "t.csv")
         assert header == ["i", "x"]
         np.testing.assert_array_equal(data[:, 1], x)
 
@@ -421,7 +440,7 @@ class TestTableIO:
             writer.writerows([int(k), repr(float(x)), s] for k, x, s in zip(ints, floats, status))
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         write_table(tmp_path / "numbers.csv", ["n", "x"], [ints, floats])
-        header, data = read_table(tmp_path / "numbers.csv")
+        header, data = read_rows(tmp_path / "numbers.csv")
         assert data.shape == (n, 2) and data[:, 1].tobytes() == floats.tobytes()
 
     def test_grid_columns_match_the_meshes(self, tmp_path, monkeypatch):
@@ -448,7 +467,7 @@ class TestTableIO:
         rows = [f"{k},0.5" for k in range(20)] + [f"{k},0.5,1.5" for k in range(20, 23)]
         (tmp_path / "t.csv").write_text("\n".join(["i,x", *rows, ""]))
         with pytest.raises(ValueError, match="t.csv"):
-            read_table(tmp_path / "t.csv")
+            read_rows(tmp_path / "t.csv")
 
 
 class TestBadDumps:
@@ -518,6 +537,12 @@ class TestBadDumps:
             read_field(csv_path)
         assert "dump.csv" in str(caught.value)
 
+    def test_another_header_rejected(self, tmp_path):
+        csv_path = self.dump(tmp_path)
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"i,re,im", b"x,re,im", 1))
+        with pytest.raises(ValueError, match=r"unexpected field CSV header \['x', 're', 'im'\] in .*dump.csv"):
+            read_field(csv_path)
+
     def test_header_only_rejected(self, tmp_path):
         csv_path = self.dump(tmp_path)
         csv_path.write_text("i,re,im\r\n")
@@ -543,3 +568,13 @@ class TestReadObject:
     def test_errors_name_the_key_path(self, obj, message):
         with pytest.raises(ConfigError, match=message):
             read_object(self.KEYS, obj, "f.json")
+
+    @pytest.mark.parametrize("convert, value, message", [
+        (_complex_from_pair, [0.6, 0.8, 0.0], r"f.json\['a'\] must be a number or an \[re, im\] pair"),
+        (_complex_from_pair, "0.6", r"f.json\['a'\] must be a number or an \[re, im\] pair"),
+        (_spec_matrix, {"re": [[1.0, 0.0], [0.0]]}, r"f.json\['a'\] needs 're' \(and 'im'\) rows of one shape"),
+        (_spec_matrix, {"re": [[1.0, 0.0]], "im": [[0.0]]}, "rows of one shape"),
+    ], ids=["triple", "string", "ragged-re", "im-of-another-shape"])
+    def test_complex_values_of_another_shape_are_refused(self, convert, value, message):
+        with pytest.raises(ConfigError, match=message):
+            convert(value, "f.json['a']")

@@ -102,6 +102,12 @@ class TestPartialWaveSplit:
         with pytest.raises(ValueError, match="finite"):
             TimeSeriesField(grid=GRID, values=values, dt=1e-12)
 
+    @pytest.mark.parametrize("shape, message", [((32,), "stack snapshots along axis 0"),
+                                                ((16, 16), "snapshot shape does not match grid")])
+    def test_values_that_are_no_series_on_the_grid_rejected(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            TimeSeriesField(grid=GRID, values=np.ones(shape, dtype=complex), dt=1e-12)
+
     def test_too_few_snapshots_rejected(self):
         with pytest.raises(ValueError, match="8 snapshots"):
             TimeSeriesField(grid=GRID, values=np.ones((4, 32), dtype=complex), dt=1e-12)

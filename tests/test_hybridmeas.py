@@ -34,6 +34,10 @@ class TestSetupValidation:
         setup = MeasurementSetup(eigenvalues=(0.0, 1.0), amplitudes=(0.6, 0.8 + 5e-13))
         assert partial_trace_system(setup).dim == 2
 
+    def test_eigenvalues_and_amplitudes_must_pair_up(self):
+        with pytest.raises(ValueError, match="equal length"):
+            MeasurementSetup(eigenvalues=(0.0, 1.0), amplitudes=(1.0,))
+
     def test_width_positive(self):
         with pytest.raises(ValueError):
             MeasurementSetup(eigenvalues=(1.0,), amplitudes=(1.0,), w=0.0)
@@ -81,6 +85,18 @@ class TestPostImpulse:
         assert setup.overlap_matrix[0, 1] > 0.9
         assert not setup.resolved
         assert setup.unresolved_pairs == ((0, 1),)
+
+    @pytest.mark.parametrize("eigenvalues, amplitudes, overlaps", [
+        ((0.0, 1.0, 1e308), (0.6, 0.8, 0.0), [[1.0, math.exp(-1 / 8), 0.0], [math.exp(-1 / 8), 1.0, 0.0],
+                                               [0.0, 0.0, 1.0]]),
+        ((-1e308, 1e308), (0.6, 0.8), np.eye(2)),
+    ], ids=["one-far-pointer", "opposite-far-pointers"])
+    def test_a_separation_beyond_the_float_range_overlaps_by_zero(self, eigenvalues, amplitudes, overlaps):
+        # the CLI raises on overflow; the packets' overlap only underflows to 0
+        setup = MeasurementSetup(eigenvalues=eigenvalues, amplitudes=amplitudes)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            np.testing.assert_allclose(setup.overlap_matrix, overlaps, rtol=1e-15, atol=0.0)
+        assert setup.resolved == (len(eigenvalues) == 2)
 
 
 class TestPartialTrace:

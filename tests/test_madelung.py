@@ -237,6 +237,11 @@ class TestHamiltonJacobi:
 
 
 class TestContinuity:
+    def test_rho_dot_off_the_grid_rejected(self):
+        psi, k = box_mode(3)
+        with pytest.raises(ValueError, match="rho_dot shape"):
+            continuity_residual(polar_decompose(psi), np.zeros(7), EffectiveMassParams(omega_ref=CGS.c * k).m_star)
+
     def test_stationary_box_mode(self):
         psi, k = box_mode(3)
         params = EffectiveMassParams(omega_ref=CGS.c * k)
@@ -724,6 +729,13 @@ class TestBohmTrajectories:
         together = interp.grad_q_at(x)
         for i in rng.choice(1000, size=25, replace=False):
             assert interp.grad_q_at(x[i:i + 1]).tobytes() == together[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("x0, p0", [([[1.0]], [[0.0], [0.0]]), ([1.0], [0.0]), ([[1.0, 1.0]], [[0.0, 0.0]])],
+                             ids=["counts-differ", "not-2d", "other-dimension"])
+    def test_seeds_that_are_no_ensemble_rejected(self, x0, p0):
+        qfield, _, _ = _gaussian_qfield()
+        with pytest.raises(ValueError, match=r"x0 and p0 must both be \(n_particles, 1\) arrays"):
+            run_trajectory(qfield, x0, p0, 1e-6, 1, "classical")
 
     def test_bad_regime_rejected(self):
         qfield, center, _ = _gaussian_qfield()

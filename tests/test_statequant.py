@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gwfield.statequant import (
+    TRACE_TOL,
     DensityMatrix,
     ProjectorSet,
     luders_update,
@@ -31,6 +32,18 @@ def random_pure_state(dim, rng):
     return v / np.linalg.norm(v)
 
 
+def split_state(basis, rank, p, rng):
+    """A pure state of weight ``p`` on the span of the first ``rank`` columns of the unitary
+    ``basis``, and the projectors onto that span (outcome 0) and onto its complement."""
+    head = basis[:, :rank] @ random_pure_state(rank, rng)
+    tail = basis[:, rank:] @ random_pure_state(len(basis) - rank, rng)
+    p_head = basis[:, :rank] @ basis[:, :rank].conj().T
+    return (DensityMatrix.from_state(math.sqrt(p) * head + math.sqrt(1.0 - p) * tail),
+            ProjectorSet(projectors=(p_head, np.eye(len(basis)) - p_head)))
+
+
+# the computational basis rotated by 0.3 rad
+ROTATED = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
 PLUS = DensityMatrix(entries=0.5 * np.ones((2, 2), dtype=complex))
 
 
@@ -46,6 +59,13 @@ class TestDensityMatrix:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             DensityMatrix(entries=np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("entries", [[[math.nan, 0.0], [0.0, math.nan]], [[1.0, math.nan], [math.nan, 0.0]]],
+                             ids=["nan-diagonal", "nan-off-diagonal"])
+    def test_non_finite_entries_rejected(self, entries):
+        # every comparison with NaN is false, so only a finite check refuses these
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            DensityMatrix(entries=entries)
 
     def test_from_state_normalizes(self):
         rho = DensityMatrix.from_state([3.0, 4.0j])
@@ -63,6 +83,10 @@ class TestProjectorSet:
         with pytest.raises(ValueError, match="identity"):
             ProjectorSet(projectors=(np.outer(eye[:, 0], eye[:, 0]),
                                      np.outer(eye[:, 1], eye[:, 1])))
+
+    def test_non_finite_projector_rejected(self):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            ProjectorSet(projectors=(np.diag([1.0, math.nan]), np.diag([0.0, 1.0])))
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValueError, match="idempotent"):
@@ -115,6 +139,21 @@ class TestLuders:
         pset = ProjectorSet.computational(2)
         with pytest.raises(ValueError, match="zero probability"):
             luders_update(rho, pset, 1)
+
+    def test_a_low_probability_outcome_updates_to_unit_trace(self, rng):
+        # the probability and the state come from one product, so their traces agree
+        for p in (1e-5, 1e-6, 1e-8):
+            rho, pset = split_state(ROTATED, 1, p, rng)
+            updated, prob = luders_update(rho, pset, 0)
+            assert prob == pytest.approx(p, rel=1e-6)
+            assert abs(np.trace(updated.entries) - 1.0) <= TRACE_TOL
+
+    def test_an_update_that_rounding_leaves_no_state_is_a_numerical_failure(self, rng):
+        # a rank-2 product normalised by p = 1e-8 carries rounding of about eps/p
+        rho, pset = split_state(random_unitary(4, rng), 2, 1e-8, rng)
+        with pytest.raises(RuntimeError, match=r"^outcome 0 of probability \S+e-0[89] updates to no density "
+                                               r"matrix: density matrix has negative eigenvalue"):
+            luders_update(rho, pset, 0)
 
     def test_outputs_valid_over_random_states(self, rng):
         for _ in range(200):
@@ -201,6 +240,11 @@ class TestSchmidt:
         after = schmidt_decompose(u @ c @ v.T).coefficients
         np.testing.assert_allclose(before, after, atol=1e-10)
 
+    def test_non_finite_matrix_rejected(self):
+        # without the check the SVD runs, and fails with LinAlgError (a numerical failure)
+        with pytest.raises(ValueError, match="amplitude matrix entries must be finite"):
+            schmidt_decompose([[math.nan, 0.0], [0.0, 1.0]])
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero matrix"):
             schmidt_decompose(np.zeros((2, 2)))
@@ -227,6 +271,27 @@ class TestSchmidt:
         with pytest.raises(ValueError, match=r"threshold 2 is above the largest Schmidt coefficient 0\.707107"):
             schmidt_decompose(bell, threshold=2.0)
         assert schmidt_decompose(bell, threshold=0.7).rank == 2
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DensityMatrix(entries=np.full((2, 3), 0.5)), r"square matrix, got shape \(2, 3\)"),
+    (lambda: DensityMatrix.from_state([0.0, 0.0]), "null state"),
+    (lambda: ProjectorSet(projectors=()), "non-empty"),
+    (lambda: ProjectorSet(projectors=(np.eye(2), np.eye(3))), "share one dimension"),
+    # idempotent, but not Hermitian
+    (lambda: ProjectorSet(projectors=(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]]))),
+     "projector 0 is not Hermitian"),
+    # |0><0| and |+><+|: each a projector, their product not zero
+    (lambda: ProjectorSet.from_basis(np.array([[1.0, math.sqrt(0.5)], [0.0, math.sqrt(0.5)]])),
+     "projectors 0 and 1 are not orthogonal"),
+    (lambda: luders_update(PLUS, ProjectorSet.computational(3), 0), "dimensions differ"),
+    (lambda: von_neumann_update(PLUS, ProjectorSet.computational(3)), "dimensions differ"),
+    (lambda: schmidt_decompose([0.6, 0.8]), "must be 2D"),
+], ids=["non-square", "null-state", "empty-set", "mixed-dimensions", "non-hermitian-projector",
+        "non-orthogonal-projectors", "luders-dimensions", "von-neumann-dimensions", "schmidt-1d"])
+def test_each_refusal_names_its_defect(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestCommutator:

@@ -54,6 +54,15 @@ class TestEffectiveMassParams:
 
 
 class TestGaussianPacket:
+    def test_packet_of_another_dimension_rejected(self):
+        spec = GaussianPacketSpec(center=(0.5, 0.5), sigma0=0.05, k_carrier=(0.0, 0.0))
+        with pytest.raises(ValueError, match="dimensionality must match the grid"):
+            gaussian_packet(spec, Grid.of(64, 1.0))
+
+    def test_width_of_a_zero_field_refused(self):
+        with pytest.raises(ValueError, match="zero field"):
+            wavemech.packet_widths(ComplexField(grid=Grid.of(16, 1.0), values=np.zeros(16, dtype=complex)))
+
     def test_unresolvable_width_rejected(self):
         grid = Grid.of(64, 1.0)
         spec = GaussianPacketSpec(center=(0.5,), sigma0=0.02, k_carrier=(0.0,))
@@ -74,6 +83,10 @@ class TestGaussianPacket:
 
 
 class TestClassicalWaveState:
+    def test_one_way_data_refused_beyond_1d(self, rng):
+        with pytest.raises(ValueError, match="1D grids"):
+            right_moving_state(random_field(Grid.of((16, 16), (1.0, 1.0)), rng))
+
     def test_mismatched_grids_rejected(self, rng):
         a = random_field(Grid.of(64, 1.0), rng)
         b = random_field(Grid.of(128, 1.0), rng)
